@@ -54,11 +54,8 @@ from .grid import (
     NEUMANN,
     PERIODIC,
     BoxDomain,
-    Edge,
     Grid,
     build_grid,
-    enumerate_edges,
-    neighbors,
 )
 from .operator import (
     CflReport,

@@ -343,6 +343,9 @@ def _prior_density(cfg, grid):
             raise ConfigError(f"cannot load prior from {path}: {exc}") from exc
         if dens.grid != grid:
             raise ConfigError(f"prior file {path} does not match the run grid")
+        if dens.values.min() < 0:
+            cell = int(np.argmin(dens.values))
+            raise ConfigError(f"prior file {path} has a negative value at cell {cell}")
         return normalize(dens)
     if kind == "uniform":
         return uniform_density(grid)

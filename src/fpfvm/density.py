@@ -60,22 +60,18 @@ def project(pdf, grid: Grid, quadrature: str = "midpoint") -> Density:
     is part of the approximation being measured.  Raises on negative or
     non-finite cell averages.
     """
-    kind, k = _parse_quadrature(quadrature)
+    _, k = _parse_quadrature(quadrature)  # midpoint is the 1-point rule
+    nodes, weights = np.polynomial.legendre.leggauss(k)
+    weights = weights / 2.0
     mids = grid.cell_midpoints
-    if kind == "midpoint":
-        vals = _eval_scalar(pdf, mids)
-    else:
-        nodes, weights = np.polynomial.legendre.leggauss(k)
-        weights = weights / 2.0
-        d = grid.domain.d
-        vals = np.zeros(grid.ncells)
-        for combo in np.ndindex(*(k,) * d):
-            pts = mids.copy()
-            w = 1.0
-            for ax, j in enumerate(combo):
-                pts[:, ax] = mids[:, ax] + 0.5 * grid.h[ax] * nodes[j]
-                w *= weights[j]
-            vals += w * _eval_scalar(pdf, pts)
+    vals = np.zeros(grid.ncells)
+    pts = np.empty_like(mids)  # every rule node rewrites all columns
+    for combo in np.ndindex(*(k,) * grid.domain.d):
+        w = 1.0
+        for ax, j in enumerate(combo):
+            pts[:, ax] = mids[:, ax] + 0.5 * grid.h[ax] * nodes[j]
+            w *= weights[j]
+        vals += w * _eval_scalar(pdf, pts)
     if not np.all(np.isfinite(vals)):
         raise ValueError("pdf produced non-finite cell averages")
     if np.any(vals < 0):

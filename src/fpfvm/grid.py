@@ -5,10 +5,10 @@ Conventions
 * Cell multi-indices map to flat indices with axis 0 varying fastest:
   ``flat = m[0] + n[0]*(m[1] + n[1]*m[2])``.
 * Every cell has measure ``prod(h)``; every face normal points along an axis.
-* Faces are enumerated once each, grouped by normal axis.  Within an axis:
-  interior faces in flat order of the lower cell, then periodic wrap faces,
-  then (Dirichlet axes only) boundary faces on the low side followed by the
-  high side.
+* Faces are enumerated once each, grouped by normal axis in increasing
+  axis order.  Within an axis: interior faces in flat order of the lower
+  cell, then periodic wrap faces, then (Dirichlet axes only) boundary faces
+  on the low side followed by the high side.
 * Periodic axes identify opposite box faces.  Neumann axes carry no boundary
   faces at all (zero normal flux).  Dirichlet axes keep their boundary faces
   so mass can flow out of the box; nothing flows in.
@@ -58,33 +58,14 @@ class BoxDomain:
 
 
 @dataclass(frozen=True)
-class Edge:
-    """A single mesh face, oriented from ``cell_a`` toward ``cell_b``.
-
-    ``cell_b`` is None for Dirichlet boundary faces (outflow-capable).
-    ``normal_a`` is the sign of the outward normal of ``cell_a`` along
-    ``axis``; ``measure`` is the (d-1)-dimensional face measure.
-    """
-
-    index: int
-    cell_a: int
-    cell_b: int | None
-    axis: int
-    normal_a: int
-    measure: float
-    midpoint: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class EdgeTable:
-    """Struct-of-arrays view of all faces; the fast path for assembly."""
+    """All mesh faces as parallel arrays, one entry per face."""
 
     cell_a: np.ndarray    # (ne,) int64
     cell_b: np.ndarray    # (ne,) int64, -1 marks a Dirichlet boundary face
     axis: np.ndarray      # (ne,) int64
     normal: np.ndarray    # (ne,) float64, +-1, outward from cell_a
     measure: np.ndarray   # (ne,) float64
-    midpoint: np.ndarray  # (ne, d) float64
 
     def __len__(self) -> int:
         return int(self.cell_a.shape[0])
@@ -131,7 +112,6 @@ class Grid:
         self.cell_volume = float(np.prod(self.h))
         self._midpoints: np.ndarray | None = None
         self._edges = _build_edge_table(domain, n, bc, self.h)
-        self._edge_list: list[Edge] | None = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -191,25 +171,15 @@ def _build_edge_table(domain, n, bc, h) -> EdgeTable:
     def flat(comps):
         return np.ravel_multi_index(comps, n, order="F")
 
-    def face_mid(mask, axis, coord):
-        m = np.empty((int(mask.sum()), d))
-        for j in range(d):
-            if j == axis:
-                m[:, j] = coord
-            else:
-                m[:, j] = domain.lower[j] + (multi[j][mask] + 0.5) * h[j]
-        return m
+    cell_a, cell_b, axes, normals, measures = [], [], [], [], []
 
-    cell_a, cell_b, axes, normals, measures, mids = [], [], [], [], [], []
-
-    def emit(a, b, axis, normal, mask, coord):
+    def emit(a, b, axis, normal):
         cell_a.append(a)
         cell_b.append(b)
         k = a.shape[0]
         axes.append(np.full(k, axis, dtype=np.int64))
         normals.append(np.full(k, float(normal)))
         measures.append(np.full(k, float(np.prod(h)) / h[axis]))
-        mids.append(face_mid(mask, axis, coord))
 
     for a in range(d):
         na = n[a]
@@ -218,21 +188,18 @@ def _build_edge_table(domain, n, bc, h) -> EdgeTable:
         inner = ma < na - 1
         comps = [multi[j][inner] for j in range(d)]
         comps[a] = comps[a] + 1
-        coord = domain.lower[a] + (ma[inner] + 1) * h[a]
-        emit(idx[inner], flat(comps), a, +1, inner, coord)
+        emit(idx[inner], flat(comps), a, +1)
 
         if bc[a] == PERIODIC:
             wrap = ma == na - 1
             comps = [multi[j][wrap] for j in range(d)]
             comps[a] = np.zeros(int(wrap.sum()), dtype=comps[a].dtype)
-            emit(idx[wrap], flat(comps), a, +1, wrap, domain.upper[a])
+            emit(idx[wrap], flat(comps), a, +1)
         elif bc[a] == DIRICHLET:
             low = ma == 0
-            none = np.full(int(low.sum()), -1, dtype=np.int64)
-            emit(idx[low], none, a, -1, low, domain.lower[a])
+            emit(idx[low], np.full(int(low.sum()), -1, dtype=np.int64), a, -1)
             high = ma == na - 1
-            none = np.full(int(high.sum()), -1, dtype=np.int64)
-            emit(idx[high], none, a, +1, high, domain.upper[a])
+            emit(idx[high], np.full(int(high.sum()), -1, dtype=np.int64), a, +1)
 
     table = EdgeTable(
         cell_a=np.concatenate(cell_a).astype(np.int64),
@@ -240,50 +207,8 @@ def _build_edge_table(domain, n, bc, h) -> EdgeTable:
         axis=np.concatenate(axes),
         normal=np.concatenate(normals),
         measure=np.concatenate(measures),
-        midpoint=np.concatenate(mids, axis=0),
     )
     for arr in (table.cell_a, table.cell_b, table.axis, table.normal,
-                table.measure, table.midpoint):
+                table.measure):
         arr.flags.writeable = False
     return table
-
-
-def enumerate_edges(grid: Grid) -> list[Edge]:
-    """All faces of the mesh as :class:`Edge` objects, one per face.
-
-    The list is built once per grid and cached, so repeated calls (and
-    :func:`neighbors`) hand out the same objects.
-    """
-    if grid._edge_list is None:
-        t = grid.edges
-        grid._edge_list = [
-            Edge(
-                index=i,
-                cell_a=int(t.cell_a[i]),
-                cell_b=int(t.cell_b[i]) if t.cell_b[i] >= 0 else None,
-                axis=int(t.axis[i]),
-                normal_a=int(t.normal[i]),
-                measure=float(t.measure[i]),
-                midpoint=tuple(float(x) for x in t.midpoint[i]),
-            )
-            for i in range(len(t))
-        ]
-    return grid._edge_list
-
-
-def neighbors(grid: Grid, cell: int) -> list[tuple[int | None, Edge]]:
-    """Neighbours of a cell as ``(other_cell, edge)`` pairs.
-
-    ``other_cell`` is None across Dirichlet boundary faces.  A periodic axis
-    with two cells yields the same neighbour twice, through distinct faces.
-    """
-    if not 0 <= cell < grid.ncells:
-        raise IndexError(f"cell index {cell} out of range")
-    edges = enumerate_edges(grid)
-    t = grid.edges
-    hits = np.nonzero((t.cell_a == cell) | (t.cell_b == cell))[0]
-    out = []
-    for k in hits:
-        e = edges[k]
-        out.append((e.cell_b, e) if e.cell_a == cell else (e.cell_a, e))
-    return out

@@ -8,8 +8,12 @@ nonnegative and (without Dirichlet outflow) every row sums to one, so S is a
 stochastic matrix and one application performs one conservative, positivity
 preserving upwind step of the continuity equation.
 
-Densities are converted to mass vectors at the module boundary; all
-evolution is a deterministic sequence of sparse matrix-vector products.
+A :class:`TransitionOperator` stores a single CSR matrix, the left-action
+form ``S^T`` (row L gathers the mass that flows into cell L), so a step is
+one CSR mat-vec ``m' = S^T m``.  ``op.matrix`` is the zero-copy ``S`` view
+of that same matrix.  Densities are converted to mass vectors at the module
+boundary; all evolution is a deterministic sequence of sparse matrix-vector
+products.
 """
 
 from __future__ import annotations
@@ -55,17 +59,23 @@ class MarkovReport:
 
 
 class TransitionOperator:
-    """One-step transition matrix; immutable after assembly."""
+    """One-step transition matrix; immutable after assembly.
 
-    def __init__(self, dt: float, matrix: sparse.csr_matrix, grid: Grid,
+    ``left`` is ``S^T`` in CSR form with sorted indices, the row-gather form
+    of the left action ``m -> m S``.
+    """
+
+    def __init__(self, dt: float, left: sparse.csr_matrix, grid: Grid,
                  mass_conserving: bool):
         self.dt = float(dt)
-        self.matrix = matrix
+        self._left = left
         self.grid = grid
         self.mass_conserving = bool(mass_conserving)
-        left = matrix.T.tocsr()
-        left.sort_indices()
-        self._left = left  # row-gather form of the left action m -> m S
+
+    @property
+    def matrix(self) -> sparse.csc_matrix:
+        """The transition matrix ``S`` (rows are donors), a view of ``left``."""
+        return self._left.T
 
     def __repr__(self) -> str:
         return (f"TransitionOperator(cells={self.grid.ncells}, dt={self.dt}, "
@@ -134,16 +144,17 @@ def assemble(fluxes: EdgeFluxes, grid: Grid, dt: float,
     interior = t.interior
     pos = interior & (f > 0.0)   # donor cell_a -> cell_b
     neg = interior & (f < 0.0)   # donor cell_b -> cell_a
-    rows = np.concatenate([np.arange(nc), t.cell_a[pos], t.cell_b[neg]])
-    cols = np.concatenate([np.arange(nc), t.cell_b[pos], t.cell_a[neg]])
+    # left-action triplets: row = receiving cell, column = donor cell
+    rows = np.concatenate([np.arange(nc), t.cell_b[pos], t.cell_a[neg]])
+    cols = np.concatenate([np.arange(nc), t.cell_a[pos], t.cell_b[neg]])
     vals = np.concatenate([diag, dt * f[pos] / vol, dt * (-f[neg]) / vol])
-    S = sparse.coo_matrix((vals, (rows, cols)), shape=(nc, nc)).tocsr()
-    S.sum_duplicates()
-    S.sort_indices()
+    left = sparse.coo_matrix((vals, (rows, cols)), shape=(nc, nc)).tocsr()
+    left.sum_duplicates()
+    left.sort_indices()
 
     boundary_out = (~interior) & (f > 0.0)
     return TransitionOperator(
-        dt=dt, matrix=S, grid=grid,
+        dt=dt, left=left, grid=grid,
         mass_conserving=not bool(boundary_out.any()),
     )
 
@@ -174,9 +185,11 @@ def evolve(op: TransitionOperator, density: Density, t: float) -> Density:
 
 def verify_markov(op: TransitionOperator, tol: float = 1e-12) -> MarkovReport:
     """Check stochasticity: entries >= -tol, row sums within tol of one."""
-    data = op.matrix.data
+    left = op._left
+    data = left.data
     min_entry = float(data.min()) if data.size else 1.0
-    row_sums = np.asarray(op.matrix.sum(axis=1)).ravel()
+    # rows of S are the columns of the stored left-action matrix
+    row_sums = np.bincount(left.indices, weights=data, minlength=left.shape[1])
     err = float(np.abs(row_sums - 1.0).max())
     return MarkovReport(
         min_entry=min_entry,
@@ -208,7 +221,7 @@ def stationary(op: TransitionOperator, tol: float = 1e-10,
 
 def export_operator(op: TransitionOperator, path) -> None:
     """Write the matrix as sorted ``row col value`` triplets (debug aid)."""
-    S = op.matrix
+    S = op.matrix.tocsr()
     with open(path, "w") as fh:
         fh.write(f"# cells={op.grid.ncells} dt={op.dt:.17g}\n")
         indptr, indices, data = S.indptr, S.indices, S.data

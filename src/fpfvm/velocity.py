@@ -145,42 +145,35 @@ def compute_fluxes(field: VelocityField, grid: Grid,
                    quadrature: str = "midpoint") -> EdgeFluxes:
     """Integrate the normal velocity component over every face.
 
-    ``midpoint`` evaluates at face midpoints; ``gauss<k>`` uses a k-point
-    tensor Gauss-Legendre rule over the face.  In 1D faces are points and
-    both rules coincide.
+    ``gauss<k>`` uses a k-point tensor Gauss-Legendre rule over the face;
+    ``midpoint`` is the 1-point rule, evaluating at face midpoints.  In 1D
+    faces are points and all rules coincide.
     """
     if field.dim != grid.domain.d:
         raise ValueError(
             f"field dimension {field.dim} != grid dimension {grid.domain.d}")
     kind, k = _parse_quadrature(quadrature)
+    nodes, weights = np.polynomial.legendre.leggauss(k)
+    weights = weights / 2.0  # averaged rule: weights sum to 1
     t = grid.edges
-    ne = len(t)
     d = grid.domain.d
-
-    if kind == "midpoint" or d == 1:
-        v = np.asarray(field(t.midpoint), dtype=float)
-        comp = v[np.arange(ne), t.axis]
-        flux = t.normal * t.measure * comp
-    else:
-        nodes, weights = np.polynomial.legendre.leggauss(k)
-        weights = weights / 2.0  # averaged rule: weights sum to 1
-        flux = np.zeros(ne)
-        for a in range(d):
-            sel = np.nonzero(t.axis == a)[0]
-            if sel.size == 0:
-                continue
-            mids = t.midpoint[sel]
-            trans = [j for j in range(d) if j != a]
-            acc = np.zeros(sel.size)
-            for combo in np.ndindex(*(k,) * len(trans)):
-                pts = mids.copy()
-                w = 1.0
-                for j, ax in zip(combo, trans):
-                    pts[:, ax] = mids[:, ax] + 0.5 * grid.h[ax] * nodes[j]
-                    w *= weights[j]
-                va = np.asarray(field(pts), dtype=float)[:, a]
-                acc += w * va
-            flux[sel] = t.normal[sel] * t.measure[sel] * acc
+    flux = np.empty(len(t))
+    bounds = np.searchsorted(t.axis, np.arange(d + 1))  # faces grouped by axis
+    for a in range(d):
+        sel = slice(bounds[a], bounds[a + 1])
+        # face midpoint: the cell_a centre moved half a cell along the normal
+        mids = np.take(grid.cell_midpoints, t.cell_a[sel], axis=0)
+        mids[:, a] += 0.5 * grid.h[a] * t.normal[sel]
+        trans = [j for j in range(d) if j != a]
+        acc = np.zeros(mids.shape[0])
+        pts = mids.copy()  # every rule node rewrites all transverse columns
+        for combo in np.ndindex(*(k,) * len(trans)):
+            w = 1.0
+            for j, ax in zip(combo, trans):
+                pts[:, ax] = mids[:, ax] + 0.5 * grid.h[ax] * nodes[j]
+                w *= weights[j]
+            acc += w * np.asarray(field(pts), dtype=float)[:, a]
+        flux[sel] = t.normal[sel] * t.measure[sel] * acc
 
     if not np.all(np.isfinite(flux)):
         raise ValueError("velocity field produced non-finite flux values")

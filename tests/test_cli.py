@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fpfvm import load_density, uniform_density
+from fpfvm import Density, load_density, save_density, uniform_density
 from fpfvm.cli import ConfigError, load_config, main, parse_real
 from fpfvm.grid import BoxDomain, build_grid
 
@@ -130,6 +130,20 @@ def test_filter_file_prior_roundtrip(tmp_path):
     a, _ = load_density(run1 / "snapshot_00.csv")
     b, _ = load_density(run2 / "snapshot_00.csv")
     assert np.abs(a.values - b.values).max() <= 1e-12 * a.values.max()
+
+
+def test_filter_rejects_negative_file_prior(tmp_path, capsys):
+    g = build_grid(BoxDomain((-PI, -PI), (PI, PI)), (6, 6), ("periodic", "neumann"))
+    vals = uniform_density(g).values.copy()
+    vals[7] = -0.5
+    prior = tmp_path / "prior.csv"
+    save_density(Density(vals, g), prior)
+    rc = main(["filter", "--out", str(tmp_path / "run"), "--n", "6,6",
+               "--obs_times", "", "--t_end", "0", "--snapshot_times", "0",
+               "--prior", f"file:{prior}"])
+    assert rc == 2
+    assert "negative" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "report.csv").exists()
 
 
 def test_unknown_cli_flag_exits_two(tmp_path):

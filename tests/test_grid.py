@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fpfvm import BoxDomain, build_grid, enumerate_edges, neighbors
+from fpfvm import BoxDomain, build_grid
 
 PI = np.pi
 
@@ -13,59 +13,79 @@ def test_reference_grid_counts():
     assert g.cell_volume == pytest.approx((2 * PI / 50) ** 2, rel=1e-15)
 
 
+def _neighbours(g, cell):
+    """(other cell, face index) for every face of ``cell``; -1 across a wall."""
+    t = g.edges
+    hits = np.nonzero((t.cell_a == cell) | (t.cell_b == cell))[0]
+    return [(int(t.cell_b[k]) if t.cell_a[k] == cell else int(t.cell_a[k]), int(k))
+            for k in hits]
+
+
+def _face_coord(g, k):
+    """Coordinate of face k along its normal axis, from cell_a's multi-index."""
+    t = g.edges
+    a = int(t.axis[k])
+    m = g.multi_of(int(t.cell_a[k]))[a]
+    return g.domain.lower[a] + (m + (1 + t.normal[k]) / 2) * g.h[a]
+
+
 def test_1d_periodic_ring():
     g = build_grid(BoxDomain((0.0,), (1.0,)), (4,), ("periodic",))
     assert g.ncells == 4
-    edges = enumerate_edges(g)
-    assert len(edges) == 4
+    t = g.edges
+    assert len(t) == 4
     # every face is shared by two cells; each cell appears twice
-    counts = np.zeros(4, int)
-    for e in edges:
-        assert e.cell_b is not None
-        assert e.measure == 1.0  # 0-dimensional faces carry measure one
-        counts[e.cell_a] += 1
-        counts[e.cell_b] += 1
+    assert t.interior.all()
+    assert (t.measure == 1.0).all()  # 0-dimensional faces carry measure one
+    counts = np.bincount(t.cell_a, minlength=4) + np.bincount(t.cell_b, minlength=4)
     assert (counts == 2).all()
 
 
 def test_2d_periodic_neumann_edge_count():
     g = build_grid(BoxDomain((0, 0), (1, 1)), (2, 2), ("periodic", "neumann"))
-    edges = enumerate_edges(g)
+    t = g.edges
     # 4 wrapped faces along axis 0, 2 interior faces along axis 1,
     # Neumann boundary faces dropped
-    assert len(edges) == 6
-    assert sum(1 for e in edges if e.axis == 0) == 4
-    assert sum(1 for e in edges if e.axis == 1) == 2
-    assert all(e.cell_b is not None for e in edges)
+    assert len(t) == 6
+    assert (t.axis == 0).sum() == 4
+    assert (t.axis == 1).sum() == 2
+    assert t.interior.all()
 
 
 def test_2d_dirichlet_edge_counts():
     g = build_grid(BoxDomain((0, 0), (1, 1)), (2, 2), ("dirichlet", "dirichlet"))
-    edges = enumerate_edges(g)
-    interior = [e for e in edges if e.cell_b is not None]
-    boundary = [e for e in edges if e.cell_b is None]
-    assert len(interior) == 4
-    assert len(boundary) == 8
+    t = g.edges
+    assert t.interior.sum() == 4
+    boundary = np.nonzero(~t.interior)[0]
+    assert boundary.size == 8
     # low-side boundary faces carry outward normal -1, high side +1
-    for e in boundary:
-        lo = g.domain.lower[e.axis]
-        hi = g.domain.upper[e.axis]
-        assert e.midpoint[e.axis] in (lo, hi)
-        assert e.normal_a == (-1 if e.midpoint[e.axis] == lo else +1)
+    for k in boundary:
+        a = int(t.axis[k])
+        lo, hi = g.domain.lower[a], g.domain.upper[a]
+        coord = _face_coord(g, k)
+        assert coord in (lo, hi)
+        assert t.normal[k] == (-1 if coord == lo else +1)
+        # the face point is cell_a's centre moved half a cell along the normal
+        centre = g.cell_midpoints[t.cell_a[k], a]
+        assert centre + 0.5 * g.h[a] * t.normal[k] == pytest.approx(coord, abs=1e-15)
+    for a in range(2):
+        on_axis = boundary[t.axis[boundary] == a]
+        assert (t.normal[on_axis] == -1).sum() == 2
+        assert (t.normal[on_axis] == +1).sum() == 2
 
 
 def test_3x3_dirichlet_face_census():
     g = build_grid(BoxDomain((0, 0), (1, 1)), (3, 3), ("dirichlet", "dirichlet"))
     assert g.ncells == 9
-    edges = enumerate_edges(g)
-    assert sum(1 for e in edges if e.cell_b is not None) == 12
-    assert sum(1 for e in edges if e.cell_b is None) == 12
+    t = g.edges
+    assert t.interior.sum() == 12
+    assert (~t.interior).sum() == 12
 
 
 def test_neighbors_interior_cell():
     g = build_grid(BoxDomain((0, 0), (1, 1)), (3, 3), ("dirichlet", "dirichlet"))
     center = g.index_of((1, 1))
-    nb = neighbors(g, center)
+    nb = _neighbours(g, center)
     assert len(nb) == 4
     assert sorted(c for c, _ in nb) == sorted(
         [g.index_of((0, 1)), g.index_of((2, 1)), g.index_of((1, 0)), g.index_of((1, 2))])
@@ -73,30 +93,27 @@ def test_neighbors_interior_cell():
 
 def test_neighbors_periodic_two_cells():
     g = build_grid(BoxDomain((0.0,), (1.0,)), (2,), ("periodic",))
-    nb = neighbors(g, 0)
+    nb = _neighbours(g, 0)
     # wrap-around gives two distinct faces to the same cell
     assert [c for c, _ in nb] == [1, 1]
-    assert nb[0][1] is not nb[1][1]
+    assert nb[0][1] != nb[1][1]
 
 
 def test_neighbors_corner_periodic_neumann():
     g = build_grid(BoxDomain((0, 0), (1, 1)), (2, 2), ("periodic", "neumann"))
-    nb = neighbors(g, g.index_of((0, 0)))
+    nb = _neighbours(g, g.index_of((0, 0)))
     # two periodic-wrapped neighbours along axis 0, one interior along axis 1
     assert len(nb) == 3
     assert sorted(c for c, _ in nb) == sorted(
         [g.index_of((0, 1)), g.index_of((1, 0)), g.index_of((1, 0))])
 
 
-def test_neighbors_share_edge_objects():
+def test_neighbors_share_one_face():
     g = build_grid(BoxDomain((0, 0), (1, 1)), (3, 3), ("periodic", "periodic"))
     a, b = g.index_of((0, 1)), g.index_of((1, 1))
-    ea = {e.index for c, e in neighbors(g, a) if c == b}
-    eb = {e.index for c, e in neighbors(g, b) if c == a}
+    ea = {k for c, k in _neighbours(g, a) if c == b}
+    eb = {k for c, k in _neighbours(g, b) if c == a}
     assert ea == eb and len(ea) == 1
-    edges = enumerate_edges(g)
-    (shared,) = ea
-    assert any(e is edges[shared] for _, e in neighbors(g, a))
 
 
 @pytest.mark.parametrize("n,bc", [
@@ -115,23 +132,31 @@ def test_index_bijection(n, bc):
 
 def test_face_measure_sum_fully_periodic():
     g = build_grid(BoxDomain((0, 0), (2, 3)), (4, 6), ("periodic", "periodic"))
+    t = g.edges
     per_cell = np.zeros(g.ncells)
-    for e in enumerate_edges(g):
-        per_cell[e.cell_a] += e.measure
-        per_cell[e.cell_b] += e.measure
+    np.add.at(per_cell, t.cell_a, t.measure)
+    np.add.at(per_cell, t.cell_b, t.measure)
     expected = 2 * sum(g.cell_volume / h for h in g.h)
     assert np.allclose(per_cell, expected, rtol=1e-14)
 
 
 def test_edge_geometry():
     g = build_grid(BoxDomain((0, 0), (1, 2)), (2, 4), ("dirichlet", "periodic"))
-    for e in enumerate_edges(g):
-        trans = [j for j in range(2) if j != e.axis]
-        assert e.measure == pytest.approx(np.prod([g.h[j] for j in trans]), rel=1e-15)
-        if e.cell_b is not None and e.midpoint[e.axis] != g.domain.upper[e.axis]:
-            ma = g.multi_of(e.cell_a)
-            assert e.midpoint[e.axis] == pytest.approx(
-                g.domain.lower[e.axis] + (ma[e.axis] + 1) * g.h[e.axis], rel=1e-15)
+    t = g.edges
+    for k in range(len(t)):
+        a = int(t.axis[k])
+        trans = [j for j in range(2) if j != a]
+        assert t.measure[k] == pytest.approx(np.prod([g.h[j] for j in trans]), rel=1e-15)
+        if t.cell_b[k] < 0:
+            continue
+        # interior faces point from cell_a to the next cell along the axis
+        assert t.normal[k] == +1
+        ma, mb = g.multi_of(int(t.cell_a[k])), g.multi_of(int(t.cell_b[k]))
+        assert mb[a] == (ma[a] + 1) % g.n[a]
+        assert all(mb[j] == ma[j] for j in trans)
+        centre = g.cell_midpoints[t.cell_a[k], a]
+        assert centre + 0.5 * g.h[a] == pytest.approx(
+            g.domain.lower[a] + (ma[a] + 1) * g.h[a], rel=1e-15)
 
 
 def test_validation_errors():
@@ -151,8 +176,6 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         build_grid(dom, (4, 4), ("periodic", "reflecting"))
     g = build_grid(dom, (4, 4), ("periodic", "periodic"))
-    with pytest.raises(IndexError):
-        neighbors(g, 16)
     with pytest.raises(IndexError):
         g.multi_of(-1)
     with pytest.raises(IndexError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from fpfvm import (
     BoxDomain,
@@ -15,7 +16,6 @@ from fpfvm import (
     export_operator,
     gaussian_pdf,
     max_stable_dt,
-    neighbors,
     normalize,
     pendulum_field,
     project,
@@ -65,6 +65,19 @@ def test_zero_field_is_identity():
     assert np.array_equal(op.matrix.toarray(), np.eye(9))
     d = Density(np.random.default_rng(0).random(9), g)
     assert np.array_equal(step(op, d).values, d.values)
+
+
+def test_operator_stores_one_matrix():
+    g, fx, op = _pendulum_op(n=10)
+    stored = [v for v in vars(op).values() if sparse.issparse(v)]
+    assert len(stored) == 1
+    S = op.matrix  # a view of the stored matrix, not a copy
+    assert np.shares_memory(S.data, stored[0].data)
+    assert S.shape == (g.ncells, g.ncells) and S.nnz == stored[0].nnz
+    # op.matrix is S in m' = m S
+    m = np.random.default_rng(3).random(g.ncells)
+    out = step(op, Density(m / g.cell_volume, g)).values * g.cell_volume
+    assert np.abs(out - m @ S.toarray()).max() <= 1e-15
 
 
 def test_max_stable_dt():
@@ -129,10 +142,15 @@ def test_point_mass_split_matches_fluxes():
     vals[cell] = 1.0 / g.cell_volume
     out = step(op, Density(vals, g))
     # every downwind neighbour receives dt (v_KL)+ / |K| of the mass
+    t = g.edges
+    as_a = (t.cell_a == cell) & t.interior
+    as_b = t.cell_b == cell
+    assert as_a.sum() + as_b.sum() == 4
+    others = np.concatenate([t.cell_b[as_a], t.cell_a[as_b]])
+    outward = np.concatenate([fx.values[as_a], -fx.values[as_b]])
     expected = np.zeros(g.ncells)
     stay = 1.0
-    for nb, e in neighbors(g, cell):
-        f = fx.values[e.index] if e.cell_a == cell else -fx.values[e.index]
+    for nb, f in zip(others, outward):
         if f > 0:
             frac = op.dt * f / g.cell_volume
             expected[nb] += frac

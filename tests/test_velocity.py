@@ -17,6 +17,15 @@ from fpfvm import (
 PI = np.pi
 
 
+def _face_points(g):
+    """(ne, d) face midpoints, from each face's cell_a multi-index."""
+    t = g.edges
+    multi = np.array([g.multi_of(int(c)) for c in t.cell_a])
+    offset = np.full(multi.shape, 0.5)
+    offset[np.arange(len(t)), t.axis] = (1 + t.normal) / 2
+    return np.asarray(g.domain.lower) + (multi + offset) * np.asarray(g.h)
+
+
 def test_pendulum_values():
     f = pendulum_field()
     assert np.allclose(f(np.zeros(2)), [0.0, 0.0])
@@ -58,14 +67,35 @@ def test_pendulum_flux_matches_midpoint_rule():
     f = pendulum_field()
     fx = compute_fluxes(f, g)
     t = g.edges
-    v = f(t.midpoint)
+    mids = _face_points(g)
+    v = f(mids)
     for k in range(len(t)):
         a = t.axis[k]
         expected = t.normal[k] * t.measure[k] * v[k, a]
         assert fx.values[k] == pytest.approx(expected, abs=1e-15)
     # spot check: an axis-0 face at height x2 carries flux x2 * h
     k = int(np.nonzero(t.axis == 0)[0][0])
-    assert fx.values[k] == pytest.approx(t.midpoint[k][1] * g.h[1], rel=1e-13)
+    assert fx.values[k] == pytest.approx(mids[k][1] * g.h[1], rel=1e-13)
+
+
+def _swirl(x):
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
+    return np.stack([np.sin(2 * x[..., (i + 1) % d] + i) * (1 + x[..., i])
+                     for i in range(d)], axis=-1)
+
+
+@pytest.mark.parametrize("n,bc", [
+    ((9,), ("dirichlet",)),
+    ((4, 3, 5), ("periodic", "neumann", "dirichlet")),
+])
+def test_midpoint_flux_at_face_points(n, bc):
+    # 1D and 3D faces, including Dirichlet faces with outward normal -1
+    g = build_grid(BoxDomain((-1.0,) * len(n), (2.0,) * len(n)), n, bc)
+    fx = compute_fluxes(VelocityField(func=_swirl, dim=len(n)), g)
+    t = g.edges
+    v = _swirl(_face_points(g))[np.arange(len(t)), t.axis]
+    assert np.abs(fx.values - t.normal * t.measure * v).max() <= 1e-14
 
 
 def test_gauss_agrees_with_midpoint_for_affine_fields():
@@ -90,7 +120,7 @@ def test_gauss_beats_midpoint_on_curved_flux():
     t = g.edges
     sel = t.axis == 1
     # exact: integral of -sin over [x-h/2, x+h/2] = -2 sin(x) sin(h/2)
-    x1 = t.midpoint[sel, 0]
+    x1 = _face_points(g)[sel, 0]
     exact = t.normal[sel] * (-2.0 * np.sin(x1) * np.sin(g.h[0] / 2))
     err_mid = np.abs(mid[sel] - exact).max()
     err_g3 = np.abs(g3[sel] - exact).max()
