@@ -39,9 +39,8 @@ def _validate_levels(n_list: Sequence[int]) -> tuple[int, ...]:
     if len(n_list) < 2:
         raise ValueError("need at least two refinement levels")
     for a, b in zip(n_list, n_list[1:]):
-        if not (b > a and b % a == 0):
-            raise ValueError(
-                f"levels must increase and divide the next; {a} -> {b} does not")
+        if b != 2 * a:
+            raise ValueError(f"levels must double at each step; {a} -> {b} does not")
     return n_list
 
 
@@ -54,13 +53,16 @@ def run_level(field: VelocityField, domain: BoxDomain, bc: Sequence[str],
 
     The base step is ``dt_fn(max h)`` when given, otherwise the largest
     stable step for ``xi``; it is then reduced so ``t_final`` is an exact
-    multiple and no endpoint ambiguity remains.
+    multiple and no endpoint ambiguity remains.  ``t_final == 0`` returns
+    the projected prior; a negative ``t_final`` raises.
     """
+    if t_final < 0:
+        raise ValueError(f"t_final must be nonnegative, got {t_final}")
     grid = build_grid(domain, (n,) * domain.d, bc)
     dens = project(prior_pdf, grid, quadrature)
     if normalize_prior:
         dens = normalize(dens)
-    if t_final <= 0:
+    if t_final == 0:
         return dens
     fluxes = compute_fluxes(field, grid, quadrature)
     if dt_fn is not None:

@@ -6,8 +6,11 @@ file (``--config``), then per-key command-line overrides (``--key value``).
 Unknown keys are rejected.  Real-valued entries accept multiples of pi
 ("pi/4", "0.6pi", "2pi/7") alongside plain decimals.
 
-Exit codes: 0 success, 1 verification failed, 2 configuration error,
-3 step-size (CFL) violation, 4 zero evidence.
+Exit codes: 0 success, 1 verification failed (the assembled matrix is not
+stochastic), 2 configuration error, 3 step-size (CFL) violation, 4 zero
+evidence.  Every library argument in a run comes from the configuration, so
+any ``ValueError`` the library raises is reported as a configuration error
+(exit 2); the library is the one place that checks argument values.
 """
 
 from __future__ import annotations
@@ -57,14 +60,12 @@ _DEFAULT_DT_OVER_H = 1.0 / (2.0 * _PI + 1.0)
 DEFAULT_SEED = 7
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
-def parse_real(s) -> float:
+def parse_real(s: str) -> float:
     """Parse a real number, allowing pi multiples like '2pi/7' or '-pi'."""
-    if isinstance(s, (int, float)):
-        return float(s)
     s = s.strip().lower()
     try:
         return float(s)
@@ -89,27 +90,20 @@ def parse_real(s) -> float:
     return val
 
 
-def _parse_reals(s) -> tuple[float, ...]:
-    if isinstance(s, (tuple, list)):
-        return tuple(float(x) for x in s)
-    parts = [p for p in str(s).split(",") if p.strip()]
-    return tuple(parse_real(p) for p in parts)
+def _parse_reals(s: str) -> tuple[float, ...]:
+    return tuple(parse_real(p) for p in s.split(",") if p.strip())
 
 
-def _parse_ints(s) -> tuple[int, ...]:
-    if isinstance(s, (tuple, list)):
-        return tuple(int(x) for x in s)
+def _parse_ints(s: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in str(s).split(",") if p.strip())
+        return tuple(int(p) for p in s.split(",") if p.strip())
     except ValueError:
         raise ConfigError(f"cannot parse integer list {s!r}") from None
 
 
-def _parse_domain(s) -> tuple[tuple[float, float], ...]:
-    if isinstance(s, tuple):
-        return s
+def _parse_domain(s: str) -> tuple[tuple[float, float], ...]:
     axes = []
-    for part in str(s).split(","):
+    for part in s.split(","):
         if ":" not in part:
             raise ConfigError(f"domain axis {part!r} must look like 'lo:hi'")
         lo, hi = part.split(":", 1)
@@ -117,16 +111,12 @@ def _parse_domain(s) -> tuple[tuple[float, float], ...]:
     return tuple(axes)
 
 
-def _parse_bc(s) -> tuple[str, ...]:
-    if isinstance(s, tuple):
-        return s
-    return tuple(p.strip().lower() for p in str(s).split(","))
+def _parse_bc(s: str) -> tuple[str, ...]:
+    return tuple(p.strip().lower() for p in s.split(","))
 
 
-def _parse_bool(s) -> bool:
-    if isinstance(s, bool):
-        return s
-    v = str(s).strip().lower()
+def _parse_bool(s: str) -> bool:
+    v = s.strip().lower()
     if v in ("true", "1", "yes", "on"):
         return True
     if v in ("false", "0", "no", "off"):
@@ -134,27 +124,22 @@ def _parse_bool(s) -> bool:
     raise ConfigError(f"cannot parse boolean {s!r}")
 
 
-def _parse_dt_over_h(s):
-    if isinstance(s, float):
-        return s
-    if str(s).strip().lower() == "auto":
+def _parse_dt_over_h(s: str):
+    if s.strip().lower() == "auto":
         return "auto"
     return parse_real(s)
 
 
-def _parse_int(s) -> int:
+def _parse_int(s: str) -> int:
     try:
-        return int(str(s).strip())
+        return int(s.strip())
     except ValueError:
         raise ConfigError(f"cannot parse integer {s!r}") from None
 
 
-def _parse_quadrature_tag(s) -> str:
-    tag = str(s).strip().lower()
-    try:
-        _parse_quadrature(tag)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _parse_quadrature_tag(s: str) -> str:
+    tag = s.strip().lower()
+    _parse_quadrature(tag)
     return tag
 
 
@@ -281,33 +266,18 @@ def load_config(command: str, config_path=None, overrides=None) -> dict:
 
 
 def _build_geometry(cfg):
-    try:
-        domain = BoxDomain(
-            tuple(lo for lo, _ in cfg["domain"]),
-            tuple(hi for _, hi in cfg["domain"]),
-        )
-        field = field_from_name(cfg["field"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if field.dim != domain.d:
-        raise ConfigError(
-            f"field {cfg['field']!r} has dimension {field.dim}, domain has {domain.d}")
-    return domain, field
+    domain = BoxDomain(
+        tuple(lo for lo, _ in cfg["domain"]),
+        tuple(hi for _, hi in cfg["domain"]),
+    )
+    return domain, field_from_name(cfg["field"])
 
 
 def _grid_from(cfg, domain):
     n = cfg["n"]
     if len(n) == 1:
         n = n * domain.d
-    if len(n) != domain.d:
-        raise ConfigError(f"n={n} does not match domain dimension {domain.d}")
-    bc = cfg["bc"]
-    if len(bc) != domain.d:
-        raise ConfigError(f"bc={bc} does not match domain dimension {domain.d}")
-    try:
-        return build_grid(domain, n, bc)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return build_grid(domain, n, cfg["bc"])
 
 
 def _pick_dt(cfg, fluxes, grid):
@@ -389,19 +359,11 @@ def cmd_operator(cfg) -> int:
 
 def cmd_converge(cfg) -> int:
     domain, field = _build_geometry(cfg)
-    n_list = cfg["n_list"]
-    if len(n_list) < 2:
-        raise ConfigError("n_list needs at least two levels")
-    for a, b in zip(n_list, n_list[1:]):
-        if b != 2 * a:
-            raise ConfigError(f"n_list must double at each level; {a} -> {b} does not")
-    if len(cfg["bc"]) != domain.d:
-        raise ConfigError(f"bc={cfg['bc']} does not match domain dimension {domain.d}")
     pdf = _prior_pdf(cfg, domain)
     c = cfg["dt_over_h"]
     dt_fn = None if c == "auto" else (lambda h: float(c) * h)
     rows = convergence_study(
-        field, domain, cfg["bc"], pdf, cfg["t_final"], n_list, cfg["xi"],
+        field, domain, cfg["bc"], pdf, cfg["t_final"], cfg["n_list"], cfg["xi"],
         dt_fn=dt_fn, quadrature=cfg["quadrature"],
         normalize_prior=cfg["normalize_prior"],
     )
@@ -427,10 +389,7 @@ def cmd_filter(cfg) -> int:
     if source == "synthesize":
         times = cfg["obs_times"]
         truth = simulate_truth(field, cfg["obs_x0"], times, domain=domain, bc=grid.bc)
-        try:
-            obs = synthesize_observations(times, truth, cfg["obs_sigma"], cfg["seed"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        obs = synthesize_observations(times, truth, cfg["obs_sigma"], cfg["seed"])
         write_observations(obs, out / "observations.csv")
         print(f"wrote {out / 'observations.csv'}")
     elif source.startswith("file:"):
@@ -443,12 +402,9 @@ def cmd_filter(cfg) -> int:
         raise ConfigError(f"obs must be 'synthesize' or 'file:<path>', got {source!r}")
 
     model = gaussian_abs_position_model(cfg["obs_sigma"])
-    try:
-        state = run_filter(prior, op, model, obs, cfg["t_end"],
-                           min_prominence=cfg["min_prominence"],
-                           snapshot_times=cfg["snapshot_times"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    state = run_filter(prior, op, model, obs, cfg["t_end"],
+                       min_prominence=cfg["min_prominence"],
+                       snapshot_times=cfg["snapshot_times"])
 
     write_run_report(state, out / "report.csv")
     print(f"wrote {out / 'report.csv'}")
@@ -495,15 +451,16 @@ def main(argv=None) -> int:
         if args.command == "converge":
             return cmd_converge(cfg)
         return cmd_filter(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    # CflViolation is a ValueError, so it must be caught first
     except CflViolation as exc:
         print(f"cfl violation: {exc}", file=sys.stderr)
         return 3
     except ZeroEvidence as exc:
         print(f"zero evidence: {exc}", file=sys.stderr)
         return 4
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

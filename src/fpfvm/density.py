@@ -88,7 +88,7 @@ def gaussian_pdf(mean, cov):
     """Multivariate normal pdf as a vectorized callable.
 
     ``cov`` may be a scalar (isotropic), a length-d vector (diagonal), or a
-    full (d, d) matrix.
+    full (d, d) matrix; it must be symmetric positive definite.
     """
     mean = np.asarray(mean, dtype=float).ravel()
     d = mean.size
@@ -102,6 +102,9 @@ def gaussian_pdf(mean, cov):
             cov = np.diag(cov)
     if cov.shape != (d, d):
         raise ValueError(f"covariance shape {cov.shape} does not match mean of size {d}")
+    if not (np.all(np.isfinite(cov)) and np.array_equal(cov, cov.T)
+            and np.linalg.eigvalsh(cov).min() > 0):
+        raise ValueError(f"covariance {cov.tolist()} is not symmetric positive definite")
     prec = np.linalg.inv(cov)
     norm = 1.0 / np.sqrt(((2.0 * np.pi) ** d) * np.linalg.det(cov))
 
@@ -147,17 +150,10 @@ def l1_distance(a: Density, b: Density) -> float:
     result is the true L1 distance between the two piecewise-constant
     functions.
     """
-    if a.grid == b.grid:
-        return float(np.abs(a.values - b.values).sum() * a.grid.cell_volume)
-    if a.grid.domain != b.grid.domain:
-        raise ValueError("densities live on different boxes")
-    if all(nb % na == 0 for na, nb in zip(a.grid.n, b.grid.n)):
-        a = refine(a, b.grid)
-        return float(np.abs(a.values - b.values).sum() * b.grid.cell_volume)
-    if all(na % nb == 0 for na, nb in zip(a.grid.n, b.grid.n)):
-        b = refine(b, a.grid)
-        return float(np.abs(a.values - b.values).sum() * a.grid.cell_volume)
-    raise ValueError(f"grids {a.grid.n} and {b.grid.n} are not nested refinements")
+    if a.grid.ncells > b.grid.ncells:
+        a, b = b, a
+    a = refine(a, b.grid)
+    return float(np.abs(a.values - b.values).sum() * b.grid.cell_volume)
 
 
 def expectation(density: Density, g) -> float:
@@ -226,10 +222,12 @@ def count_modes(density: Density, min_prominence: float) -> int:
     local maximum counts as a mode when it rises at least
     ``min_prominence * max(values)`` above the highest saddle separating it
     from strictly higher terrain; the global maximum is measured against the
-    global minimum.
+    global minimum.  ``min_prominence`` must lie in ``[0, 1]``.
     """
     if density.grid.domain.d != 1:
         raise ValueError("count_modes expects a 1D density")
+    if not 0.0 <= min_prominence <= 1.0:
+        raise ValueError(f"min_prominence must lie in [0, 1], got {min_prominence}")
     v = density.values
     gmax = float(v.max())
     if not gmax > 0:

@@ -111,7 +111,7 @@ class Grid:
         self.ncells = int(np.prod(n))
         self.cell_volume = float(np.prod(self.h))
         self._midpoints: np.ndarray | None = None
-        self._edges = _build_edge_table(domain, n, bc, self.h)
+        self._edges: EdgeTable | None = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -126,6 +126,9 @@ class Grid:
 
     @property
     def edges(self) -> EdgeTable:
+        """The face table, built on first access."""
+        if self._edges is None:
+            self._edges = _build_edge_table(self.domain, self.n, self.bc, self.h)
         return self._edges
 
     @property

@@ -45,6 +45,10 @@ def test_level_validation():
         convergence_study(field, DOM, BC, PDF, 0.1, (10, 15), xi=XI)
     with pytest.raises(ValueError):
         convergence_study(field, DOM, BC, PDF, 0.1, (20, 10), xi=XI)
+    with pytest.raises(ValueError):
+        convergence_study(field, DOM, BC, PDF, 0.1, (10, 30), xi=XI)
+    with pytest.raises(ValueError):
+        run_level(field, DOM, BC, PDF, -1.0, 10, xi=XI)
 
 
 def test_effective_order_arrangement():

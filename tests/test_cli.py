@@ -146,6 +146,28 @@ def test_filter_rejects_negative_file_prior(tmp_path, capsys):
     assert not (tmp_path / "run" / "report.csv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["converge", "--bc", "periodic,foo", "--n_list", "4,8", "--t_final", "0.1"],
+    ["converge", "--n_list", "1,2", "--t_final", "0.1"],
+    ["converge", "--n_list", "0,0"],
+    ["operator", "--xi", "1.5"],
+    ["operator", "--n", "8,8", "--dt_over_h", "-1"],
+    ["filter", "--n", "8,8", "--obs_sigma", "-1"],
+    ["filter", "--n", "8,8", "--prior_mean", "100,100"],
+    ["filter", "--n", "8,8", "--prior_cov", "-1"],
+    ["filter", "--n", "8,8", "--min_prominence", "nan"],
+    ["converge", "--n_list", "4,8", "--t_final", "-1"],
+])
+def test_library_rejections_exit_two(tmp_path, capsys, args):
+    rc = main(args + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.csv").exists()
+    assert not (tmp_path / "convergence.csv").exists()
+
+
 def test_unknown_cli_flag_exits_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["operator", "--out", str(tmp_path), "--bogus", "1"])

@@ -59,6 +59,11 @@ def test_project_rejects_bad_pdfs():
         project(lambda x: -1.0, g)
     with pytest.raises(ValueError):
         project(lambda x: np.inf, g)
+    # an indefinite covariance would project an upside-down Gaussian
+    with pytest.raises(ValueError):
+        gaussian_pdf((0.0, 0.0), -1.0)
+    with pytest.raises(ValueError):
+        gaussian_pdf((0.0, 0.0), [[1.0, 2.0], [2.0, 1.0]])
 
 
 def test_normalize():
@@ -234,6 +239,9 @@ def test_count_modes():
     with pytest.raises(ValueError):
         g = _grid2(4)
         count_modes(uniform_density(g), 0.1)
+    for bad in (np.nan, 1.5, -0.1):
+        with pytest.raises(ValueError):
+            count_modes(bump, bad)
 
 
 def test_density_file_roundtrip(tmp_path):
