@@ -383,15 +383,12 @@ def cmd_filter(cfg) -> int:
     dt, _ = _pick_dt(cfg, fluxes, grid)
     op = assemble(fluxes, grid, dt)
     prior = _prior_density(cfg, grid)
-    out = _outdir(cfg)
 
     source = cfg["obs"]
     if source == "synthesize":
         times = cfg["obs_times"]
         truth = simulate_truth(field, cfg["obs_x0"], times, domain=domain, bc=grid.bc)
         obs = synthesize_observations(times, truth, cfg["obs_sigma"], cfg["seed"])
-        write_observations(obs, out / "observations.csv")
-        print(f"wrote {out / 'observations.csv'}")
     elif source.startswith("file:"):
         path = source.split(":", 1)[1]
         try:
@@ -406,6 +403,11 @@ def cmd_filter(cfg) -> int:
                        min_prominence=cfg["min_prominence"],
                        snapshot_times=cfg["snapshot_times"])
 
+    # nothing is written until the library has accepted every argument
+    out = _outdir(cfg)
+    if source == "synthesize":
+        write_observations(obs, out / "observations.csv")
+        print(f"wrote {out / 'observations.csv'}")
     write_run_report(state, out / "report.csv")
     print(f"wrote {out / 'report.csv'}")
     for i, (t, dens) in enumerate(state.snapshots):

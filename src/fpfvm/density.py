@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BoxDomain, Grid, build_grid
+from .grid import PERIODIC, BoxDomain, Grid, build_grid
 from .velocity import _parse_quadrature
 
 
@@ -179,20 +179,43 @@ def moments(density: Density) -> Moments:
 
     Both are exact for the piecewise-constant function itself: the mean uses
     midpoints (exact for linear integrands) and the covariance includes the
-    within-cell uniform variance h^2/12 on the diagonal.
+    within-cell uniform variance h^2/12 on the diagonal.  Built from one- and
+    two-axis marginal sums, so the cost is O(ncells) with no (ncells, d)
+    temporaries.
     """
     grid = density.grid
-    mid = grid.cell_midpoints
-    w = density.values * grid.cell_volume  # cell masses
-    mean = w @ mid
-    second = (mid * w[:, None]).T @ mid
-    second = 0.5 * (second + second.T)
-    wsum = w.sum()
-    for i in range(grid.domain.d):
-        second[i, i] += (grid.h[i] ** 2 / 12.0) * wsum
-    cov = second - np.outer(mean, mean)
-    cov = 0.5 * (cov + cov.T)
-    return Moments(mean=mean, covariance=cov)
+    d = grid.domain.d
+    arr = density.values.reshape(grid.n, order="F")
+    cv = grid.cell_volume
+    mids = [_axis_grid(grid, a).cell_midpoints[:, 0] for a in range(d)]
+    mean = np.empty(d)
+    second = np.empty((d, d))
+    for a in range(d):
+        p = _sum_except(arr, (a,)) * cv  # slab masses along axis a
+        mean[a] = p @ mids[a]
+        second[a, a] = p @ (mids[a] * mids[a]) + (grid.h[a] ** 2 / 12.0) * p.sum()
+        for b in range(a + 1, d):
+            second[a, b] = second[b, a] = (
+                mids[a] @ _sum_except(arr, (a, b)) @ mids[b]) * cv
+    return Moments(mean=mean, covariance=second - np.outer(mean, mean))
+
+
+def _sum_except(arr: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """Sum over every axis not in ``keep``; ``arr`` itself when none remain."""
+    others = tuple(j for j in range(arr.ndim) if j not in keep)
+    return arr.sum(axis=others) if others else arr
+
+
+def _axis_grid(grid: Grid, axis: int) -> Grid:
+    """The 1D grid of one axis, built once per parent grid and axis."""
+    sub = grid._axis_grids.get(axis)
+    if sub is None:
+        sub = grid._axis_grids[axis] = build_grid(
+            BoxDomain((grid.domain.lower[axis],), (grid.domain.upper[axis],)),
+            (grid.n[axis],),
+            (grid.bc[axis],),
+        )
+    return sub
 
 
 def marginal(density: Density, axis: int) -> Density:
@@ -202,17 +225,11 @@ def marginal(density: Density, axis: int) -> Density:
     if not 0 <= axis < d:
         raise ValueError(f"axis {axis} out of range for dimension {d}")
     arr = density.values.reshape(grid.n, order="F")
-    others = tuple(j for j in range(d) if j != axis)
     scale = 1.0
-    for j in others:
-        scale *= grid.h[j]
-    vals = arr.sum(axis=others) * scale
-    sub = build_grid(
-        BoxDomain((grid.domain.lower[axis],), (grid.domain.upper[axis],)),
-        (grid.n[axis],),
-        (grid.bc[axis],),
-    )
-    return Density(np.ascontiguousarray(vals), sub)
+    for j in range(d):
+        if j != axis:
+            scale *= grid.h[j]
+    return Density(_sum_except(arr, (axis,)) * scale, _axis_grid(grid, axis))
 
 
 def count_modes(density: Density, min_prominence: float) -> int:
@@ -222,7 +239,9 @@ def count_modes(density: Density, min_prominence: float) -> int:
     local maximum counts as a mode when it rises at least
     ``min_prominence * max(values)`` above the highest saddle separating it
     from strictly higher terrain; the global maximum is measured against the
-    global minimum.  ``min_prominence`` must lie in ``[0, 1]``.
+    global minimum.  On a periodic axis the ring is cut at its global
+    minimum, so a bump straddling the seam is one mode.  ``min_prominence``
+    must lie in ``[0, 1]``.
     """
     if density.grid.domain.d != 1:
         raise ValueError("count_modes expects a 1D density")
@@ -232,36 +251,30 @@ def count_modes(density: Density, min_prominence: float) -> int:
     gmax = float(v.max())
     if not gmax > 0:
         return 0
-    keep = np.ones(v.size, dtype=bool)
-    keep[1:] = v[1:] != v[:-1]
-    c = v[keep]
+    if density.grid.bc[0] == PERIODIC:
+        i = int(v.argmin())
+        v = np.concatenate((v[i:], v[:i]))
+    c = v[np.concatenate(([True], v[1:] != v[:-1]))]
     if c.size == 1:
         return 1
-    thr = min_prominence * gmax
-    last = c.size - 1
-    count = 0
-    for i in range(c.size):
-        if (i > 0 and c[i] <= c[i - 1]) or (i < last and c[i] <= c[i + 1]):
-            continue  # not a strict local maximum
-        saddles = []
-        for stepdir, stop in ((-1, -1), (+1, c.size)):
-            lo = c[i]
-            j = i + stepdir
-            while j != stop:
-                lo = min(lo, c[j])
-                if c[j] > c[i]:
-                    saddles.append(lo)
-                    break
-                j += stepdir
-            else:
-                saddles.append(None)  # ran off the end: no higher terrain
-        if all(s is None for s in saddles):
-            prominence = c[i] - float(c.min())
-        else:
-            prominence = c[i] - max(s for s in saddles if s is not None)
-        if prominence >= thr:
-            count += 1
-    return count
+    # Walls of +inf behind the global minimum on both ends: every peak then
+    # has strictly higher terrain on each side, and a side that reaches it
+    # only at a wall gets the global minimum as its saddle, which never
+    # beats a real saddle on the other side.
+    cmin = c.min()
+    e = np.concatenate(([np.inf, cmin], c, [cmin, np.inf]))
+    pk = np.flatnonzero((c > e[1:-3]) & (c > e[3:-1]))[:, None] + 2  # strict maxima
+    top = e[pk]
+    idx = np.arange(e.size)
+    higher = e > top
+    before = idx < pk
+    # one row per peak: nearest higher point on each side, lowest point between
+    left = np.where(higher & before, idx, -1).max(axis=1, keepdims=True)
+    right = np.where(higher & ~before, idx, e.size).min(axis=1, keepdims=True)
+    low = np.where((idx > left) & (idx < right), e, np.inf)
+    saddle = np.maximum(np.where(before, low, top).min(axis=1, keepdims=True),
+                        np.where(before, top, low).min(axis=1, keepdims=True))
+    return int(np.count_nonzero(top - saddle >= min_prominence * gmax))
 
 
 def save_density(density: Density, path, t: float = 0.0) -> None:

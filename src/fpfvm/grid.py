@@ -112,6 +112,7 @@ class Grid:
         self.cell_volume = float(np.prod(self.h))
         self._midpoints: np.ndarray | None = None
         self._edges: EdgeTable | None = None
+        self._axis_grids: dict[int, Grid] = {}  # per-axis 1D grids, see density._axis_grid
 
     def __eq__(self, other) -> bool:
         return (

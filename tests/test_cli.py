@@ -166,6 +166,7 @@ def test_library_rejections_exit_two(tmp_path, capsys, args):
     assert "Traceback" not in err
     assert not (tmp_path / "report.csv").exists()
     assert not (tmp_path / "convergence.csv").exists()
+    assert not (tmp_path / "observations.csv").exists()
 
 
 def test_unknown_cli_flag_exits_two(tmp_path):

@@ -206,6 +206,15 @@ def test_marginal_separates_products():
     assert np.abs(m.values - d1.values * weight).max() <= 1e-14
 
 
+def test_marginal_reuses_sub_grid():
+    g = _grid2(6)
+    d = uniform_density(g)
+    for axis in (0, 1):
+        a, b = marginal(d, axis), marginal(d, axis)
+        assert a.grid is b.grid
+        assert a.grid == build_grid(BoxDomain((-PI,), (PI,)), (6,), (g.bc[axis],))
+
+
 def test_marginal_commutes_with_normalize():
     g = _grid2(6)
     rng = np.random.default_rng(13)
@@ -242,6 +251,16 @@ def test_count_modes():
     for bad in (np.nan, 1.5, -0.1):
         with pytest.raises(ValueError):
             count_modes(bump, bad)
+
+
+def test_count_modes_periodic_wrap():
+    # one bump straddling the seam of a periodic axis is one mode
+    vals = [6, 3, 1, 0, 0, 1, 3, 5]
+    ring = build_grid(BoxDomain((-PI,), (PI,)), (8,), ("periodic",))
+    assert count_modes(Density(vals, ring), 0.1) == 1
+    assert count_modes(_d1(vals), 0.1) == 2
+    # a valley at the seam still separates two bumps
+    assert count_modes(Density([1, 5, 0, 0, 0, 0, 5, 1], ring), 0.1) == 2
 
 
 def test_density_file_roundtrip(tmp_path):

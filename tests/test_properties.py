@@ -1,10 +1,14 @@
-"""Property tests of the assembled operator over random grids, fields and steps.
+"""Property tests of the assembled operator and the filter diagnostics.
 
-Each example draws a 1-3D box, per-axis boundary kinds, a field (constant in
-any dimension; rotation or pendulum in 2D) and a step ``dt <= dt_max``, then
-checks the paper's invariants: nonnegative entries, stochastic rows without
-Dirichlet outflow, conserved mass, positivity, and ``evolve`` agreeing bit for
-bit with repeated ``step``.
+Operator examples draw a 1-3D box, per-axis boundary kinds, a field (constant
+in any dimension; rotation or pendulum in 2D) and a step ``dt <= dt_max``,
+then check the paper's invariants: nonnegative entries, stochastic rows
+without Dirichlet outflow, conserved mass, positivity, and ``evolve``
+agreeing bit for bit with repeated ``step``.
+
+Diagnostic examples check ``moments`` and ``count_modes`` against the direct
+formulas they replace, kept here as reference implementations, and that the
+mode count on a periodic axis does not depend on where the ring is cut.
 """
 
 import numpy as np
@@ -18,8 +22,10 @@ from fpfvm import (
     build_grid,
     compute_fluxes,
     constant_field,
+    count_modes,
     evolve,
     max_stable_dt,
+    moments,
     pendulum_field,
     rotation_field,
     step,
@@ -97,3 +103,111 @@ def test_evolve_matches_repeated_step(op, seed, k):
     for _ in range(k):
         b = step(op, b)
     assert np.array_equal(evolve(op, d, k * op.dt).values, b.values)
+
+
+def _moments_reference(density):
+    """Mean and covariance from (ncells, d) cell midpoints."""
+    grid = density.grid
+    mid = grid.cell_midpoints
+    w = density.values * grid.cell_volume
+    mean = w @ mid
+    second = (mid * w[:, None]).T @ mid
+    second = 0.5 * (second + second.T)
+    for i in range(grid.domain.d):
+        second[i, i] += (grid.h[i] ** 2 / 12.0) * w.sum()
+    cov = second - np.outer(mean, mean)
+    return mean, 0.5 * (cov + cov.T)
+
+
+@st.composite
+def densities(draw):
+    d = draw(st.integers(1, 3))
+    n = tuple(draw(st.lists(st.integers(2, MAX_CELLS[d]), min_size=d, max_size=d)))
+    lower = tuple(draw(st.lists(st.floats(-3.0, 0.0), min_size=d, max_size=d)))
+    widths = draw(st.lists(st.floats(0.5, 4.0), min_size=d, max_size=d))
+    grid = build_grid(BoxDomain(lower, tuple(lo + w for lo, w in zip(lower, widths))),
+                      n, ("neumann",) * d)
+    vals = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(grid.ncells)
+    vals[vals < draw(st.floats(0.0, 0.9))] = 0.0  # sparse supports too
+    vals[0] += 1.0  # never all zero
+    return Density(vals / (vals.sum() * grid.cell_volume), grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dens=densities())
+def test_moments_match_midpoint_formula(dens):
+    mean, cov = _moments_reference(dens)
+    got = moments(dens)
+    # |x| <= 4 on every box drawn, so second moments are at most 16
+    assert np.abs(got.mean - mean).max() <= 1e-12 * 4
+    assert np.abs(got.covariance - cov).max() <= 1e-12 * 16
+    assert np.array_equal(got.covariance, got.covariance.T)
+
+
+def _count_modes_reference(values, min_prominence):
+    """The saddle walk: from each strict local maximum, step outward to the
+    nearest strictly higher point on each side, tracking the lowest value."""
+    v = np.asarray(values, dtype=float)
+    gmax = float(v.max())
+    if not gmax > 0:
+        return 0
+    keep = np.ones(v.size, dtype=bool)
+    keep[1:] = v[1:] != v[:-1]
+    c = v[keep]
+    if c.size == 1:
+        return 1
+    last = c.size - 1
+    count = 0
+    for i in range(c.size):
+        if (i > 0 and c[i] <= c[i - 1]) or (i < last and c[i] <= c[i + 1]):
+            continue  # not a strict local maximum
+        saddles = []
+        for stepdir, stop in ((-1, -1), (+1, c.size)):
+            lo = c[i]
+            j = i + stepdir
+            while j != stop:
+                lo = min(lo, c[j])
+                if c[j] > c[i]:
+                    saddles.append(lo)
+                    break
+                j += stepdir
+            else:
+                saddles.append(None)  # ran off the end: no higher terrain
+        if all(s is None for s in saddles):
+            prominence = c[i] - float(c.min())
+        else:
+            prominence = c[i] - max(s for s in saddles if s is not None)
+        if prominence >= min_prominence * gmax:
+            count += 1
+    return count
+
+
+# small integer levels give plateaus and ties; floats give generic terrain
+profiles = st.one_of(
+    st.lists(st.integers(0, 4).map(float), min_size=2, max_size=40),
+    st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=2, max_size=40),
+)
+prominences = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+def _line(values, bc):
+    grid = build_grid(BoxDomain((0.0,), (1.0,)), (len(values),), (bc,))
+    return Density(np.asarray(values, dtype=float), grid)
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=profiles, min_prominence=prominences,
+       bc=st.sampled_from(["neumann", "dirichlet"]))
+def test_count_modes_matches_saddle_walk(values, min_prominence, bc):
+    assert (count_modes(_line(values, bc), min_prominence)
+            == _count_modes_reference(values, min_prominence))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=profiles, min_prominence=prominences, shift=st.integers(0, 39))
+def test_count_modes_periodic_ignores_the_cut(values, min_prominence, shift):
+    base = count_modes(_line(values, "periodic"), min_prominence)
+    assert count_modes(_line(np.roll(values, shift), "periodic"), min_prominence) == base
+    # cutting the ring at its global minimum leaves a line with the same count
+    cut = np.roll(values, -int(np.argmin(values)))
+    assert base == _count_modes_reference(cut, min_prominence)
