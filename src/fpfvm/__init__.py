@@ -80,7 +80,6 @@ from .velocity import (
     field_from_name,
     pendulum_field,
     rotation_field,
-    sup_norm_on_grid,
 )
 
 __version__ = "0.1.0"

@@ -182,7 +182,6 @@ _COMMON = {
     "quadrature": "midpoint",
     "out": "out",
     "threads": 1,
-    "seed": DEFAULT_SEED,
 }
 
 
@@ -220,6 +219,7 @@ def _defaults(command: str) -> dict:
             t_end=2.0 * _PI,
             snapshot_times=(0.0, _PI / 6.0, _PI / 3.0, _PI),
             min_prominence=0.1,
+            seed=DEFAULT_SEED,
         )
     else:
         raise ConfigError(f"unknown command {command!r}")

@@ -292,7 +292,8 @@ def save_density(density: Density, path, t: float = 0.0) -> None:
             f"{lo:.17g},{up:.17g}" for lo, up in zip(dom.lower, dom.upper)),
         f"# t={t:.17g}",
     ]
-    lines.extend(f"{x:.17g}" for x in density.values)
+    # Python floats format faster than numpy scalars, to the same text
+    lines.extend(f"{x:.17g}" for x in density.values.tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

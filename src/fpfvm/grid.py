@@ -4,11 +4,17 @@ Conventions
 -----------
 * Cell multi-indices map to flat indices with axis 0 varying fastest:
   ``flat = m[0] + n[0]*(m[1] + n[1]*m[2])``.
-* Every cell has measure ``prod(h)``; every face normal points along an axis.
-* Faces are enumerated once each, grouped by normal axis in increasing
-  axis order.  Within an axis: interior faces in flat order of the lower
-  cell, then periodic wrap faces, then (Dirichlet axes only) boundary faces
-  on the low side followed by the high side.
+* Every cell has measure ``prod(h)``; every face is normal to an axis and
+  has measure ``prod(h) / h[axis]``.
+* A face is a ``(cell_a, cell_b)`` pair: ``cell_a`` is the lower cell along
+  the face's axis, ``cell_b`` the upper one, and ``-1`` stands for the
+  outside of the box.  A periodic wrap face has the last cell of the axis
+  as ``cell_a`` and the first as ``cell_b``.
+* Faces are enumerated once each, grouped by axis in increasing axis order;
+  ``EdgeTable.offsets[a]:offsets[a + 1]`` is the block of axis ``a``.
+  Within an axis: interior faces in flat order of the lower cell, then
+  periodic wrap faces, then (Dirichlet axes only) boundary faces on the low
+  side, ``(-1, cell)``, followed by the high side, ``(cell, -1)``.
 * Periodic axes identify opposite box faces.  Neumann axes carry no boundary
   faces at all (zero normal flux).  Dirichlet axes keep their boundary faces
   so mass can flow out of the box; nothing flows in.
@@ -59,13 +65,11 @@ class BoxDomain:
 
 @dataclass(frozen=True)
 class EdgeTable:
-    """All mesh faces as parallel arrays, one entry per face."""
+    """All mesh faces as (lower, upper) cell pairs, grouped by axis."""
 
-    cell_a: np.ndarray    # (ne,) int64
-    cell_b: np.ndarray    # (ne,) int64, -1 marks a Dirichlet boundary face
-    axis: np.ndarray      # (ne,) int64
-    normal: np.ndarray    # (ne,) float64, +-1, outward from cell_a
-    measure: np.ndarray   # (ne,) float64
+    cell_a: np.ndarray      # (ne,) int64, lower cell; -1 outside the box
+    cell_b: np.ndarray      # (ne,) int64, upper cell; -1 outside the box
+    offsets: tuple[int, ...]  # (d + 1,) faces of axis a: offsets[a]:offsets[a + 1]
 
     def __len__(self) -> int:
         return int(self.cell_a.shape[0])
@@ -73,7 +77,7 @@ class EdgeTable:
     @property
     def interior(self) -> np.ndarray:
         """Mask of faces shared by two cells (includes periodic wraps)."""
-        return self.cell_b >= 0
+        return (self.cell_a >= 0) & (self.cell_b >= 0)
 
 
 class Grid:
@@ -129,7 +133,7 @@ class Grid:
     def edges(self) -> EdgeTable:
         """The face table, built on first access."""
         if self._edges is None:
-            self._edges = _build_edge_table(self.domain, self.n, self.bc, self.h)
+            self._edges = _build_edge_table(self.n, self.bc)
         return self._edges
 
     @property
@@ -166,24 +170,19 @@ def build_grid(domain: BoxDomain, n: Sequence[int], bc: Sequence[str]) -> Grid:
     return Grid(domain, n, bc)
 
 
-def _build_edge_table(domain, n, bc, h) -> EdgeTable:
-    d = domain.d
-    ncells = int(np.prod(n))
-    idx = np.arange(ncells)
+def _build_edge_table(n, bc) -> EdgeTable:
+    d = len(n)
+    idx = np.arange(int(np.prod(n)))
     multi = np.unravel_index(idx, n, order="F")
 
     def flat(comps):
         return np.ravel_multi_index(comps, n, order="F")
 
-    cell_a, cell_b, axes, normals, measures = [], [], [], [], []
+    cell_a, cell_b, offsets = [], [], [0]
 
-    def emit(a, b, axis, normal):
+    def emit(a, b):
         cell_a.append(a)
         cell_b.append(b)
-        k = a.shape[0]
-        axes.append(np.full(k, axis, dtype=np.int64))
-        normals.append(np.full(k, float(normal)))
-        measures.append(np.full(k, float(np.prod(h)) / h[axis]))
 
     for a in range(d):
         na = n[a]
@@ -192,27 +191,25 @@ def _build_edge_table(domain, n, bc, h) -> EdgeTable:
         inner = ma < na - 1
         comps = [multi[j][inner] for j in range(d)]
         comps[a] = comps[a] + 1
-        emit(idx[inner], flat(comps), a, +1)
+        emit(idx[inner], flat(comps))
 
         if bc[a] == PERIODIC:
             wrap = ma == na - 1
             comps = [multi[j][wrap] for j in range(d)]
             comps[a] = np.zeros(int(wrap.sum()), dtype=comps[a].dtype)
-            emit(idx[wrap], flat(comps), a, +1)
+            emit(idx[wrap], flat(comps))
         elif bc[a] == DIRICHLET:
-            low = ma == 0
-            emit(idx[low], np.full(int(low.sum()), -1, dtype=np.int64), a, -1)
-            high = ma == na - 1
-            emit(idx[high], np.full(int(high.sum()), -1, dtype=np.int64), a, +1)
+            low = idx[ma == 0]
+            emit(np.full(low.shape[0], -1), low)
+            high = idx[ma == na - 1]
+            emit(high, np.full(high.shape[0], -1))
+        offsets.append(sum(c.shape[0] for c in cell_a))
 
     table = EdgeTable(
         cell_a=np.concatenate(cell_a).astype(np.int64),
         cell_b=np.concatenate(cell_b).astype(np.int64),
-        axis=np.concatenate(axes),
-        normal=np.concatenate(normals),
-        measure=np.concatenate(measures),
+        offsets=tuple(offsets),
     )
-    for arr in (table.cell_a, table.cell_b, table.axis, table.normal,
-                table.measure):
-        arr.flags.writeable = False
+    table.cell_a.flags.writeable = False
+    table.cell_b.flags.writeable = False
     return table

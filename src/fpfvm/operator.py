@@ -85,11 +85,10 @@ class TransitionOperator:
 def _cell_outflow(fluxes: EdgeFluxes, grid: Grid) -> np.ndarray:
     t = grid.edges
     f = fluxes.values
-    out = np.zeros(grid.ncells)
+    out = np.zeros(grid.ncells + 1)  # index -1, the outside, is the last slot
     np.add.at(out, t.cell_a, np.maximum(f, 0.0))
-    interior = t.interior
-    np.add.at(out, t.cell_b[interior], np.maximum(-f[interior], 0.0))
-    return out
+    np.add.at(out, t.cell_b, np.maximum(-f, 0.0))
+    return out[:-1]
 
 
 def max_stable_dt(fluxes: EdgeFluxes, grid: Grid, xi: float) -> CflReport:
@@ -152,10 +151,10 @@ def assemble(fluxes: EdgeFluxes, grid: Grid, dt: float,
     left.sum_duplicates()
     left.sort_indices()
 
-    boundary_out = (~interior) & (f > 0.0)
+    # outflow through a Dirichlet face: up through a high face, down through a low one
+    leaks = np.any((f > 0.0) & (t.cell_b < 0)) or np.any((f < 0.0) & (t.cell_a < 0))
     return TransitionOperator(
-        dt=dt, left=left, grid=grid,
-        mass_conserving=not bool(boundary_out.any()),
+        dt=dt, left=left, grid=grid, mass_conserving=not bool(leaks),
     )
 
 

@@ -2,9 +2,11 @@
 
 A field evaluates vectorized: an ``(m, d)`` array of points yields an
 ``(m, d)`` array of velocities (and a single ``(d,)`` point a ``(d,)``
-velocity).  Face fluxes are the integrals of the normal velocity component
-over each face, stored once per face with the orientation of the face's
-``cell_a`` side; the opposite side sees the negated value by construction.
+velocity).  Face fluxes are the integrals of the velocity component along
+each face's axis over the face, stored once per face in the order of
+``grid.edges``.  A flux is positive when mass flows toward +axis, from the
+face's lower cell ``cell_a`` into its upper cell ``cell_b``; the two sides
+see opposite signs by construction.
 """
 
 from __future__ import annotations
@@ -20,17 +22,10 @@ from .grid import Grid
 
 @dataclass(frozen=True)
 class VelocityField:
-    """Evaluable vector field with CFL/diagnostic metadata.
-
-    ``divergence_free`` is a declared property, never inferred.
-    ``sup_norm_bound`` is an optional Euclidean sup-norm estimate used for
-    coarse step-size heuristics only.
-    """
+    """Evaluable vector field of dimension ``dim``."""
 
     func: Callable[[np.ndarray], np.ndarray]
     dim: int
-    divergence_free: bool = False
-    sup_norm_bound: float | None = None
     name: str = "custom"
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -39,10 +34,12 @@ class VelocityField:
 
 @dataclass(frozen=True)
 class EdgeFluxes:
-    """Per-face normal flux, aligned with ``grid.edges``.
+    """Per-face flux, aligned with ``grid.edges``.
 
-    One signed value is stored per face (from the ``cell_a`` side), so the
-    antisymmetry of opposing fluxes is structural.
+    One signed value is stored per face, positive toward +axis (out of the
+    lower cell ``cell_a``, into the upper cell ``cell_b``), so the
+    antisymmetry of opposing fluxes is structural.  On a low-side Dirichlet
+    face (``cell_a == -1``) a positive flux enters the box.
     """
 
     values: np.ndarray
@@ -53,8 +50,7 @@ class EdgeFluxes:
 def pendulum_field(g_over_l: float = 1.0) -> VelocityField:
     """Planar pendulum in (angle, angular velocity) coordinates.
 
-    v(x) = (x2, -(g/l) sin x1).  Divergence free; the sup-norm bound is
-    taken over the standard box [-pi, pi)^2.
+    v(x) = (x2, -(g/l) sin x1), divergence free.
     """
     if not g_over_l > 0:
         raise ValueError("g_over_l must be positive")
@@ -64,13 +60,7 @@ def pendulum_field(g_over_l: float = 1.0) -> VelocityField:
         x = np.asarray(x, dtype=float)
         return np.stack([x[..., 1], -g * np.sin(x[..., 0])], axis=-1)
 
-    return VelocityField(
-        func=func,
-        dim=2,
-        divergence_free=True,
-        sup_norm_bound=float(np.hypot(np.pi, g)),
-        name="pendulum",
-    )
+    return VelocityField(func=func, dim=2, name="pendulum")
 
 
 def rotation_field() -> VelocityField:
@@ -80,7 +70,7 @@ def rotation_field() -> VelocityField:
         x = np.asarray(x, dtype=float)
         return np.stack([-x[..., 1], x[..., 0]], axis=-1)
 
-    return VelocityField(func=func, dim=2, divergence_free=True, name="rotation")
+    return VelocityField(func=func, dim=2, name="rotation")
 
 
 def constant_field(c) -> VelocityField:
@@ -95,13 +85,7 @@ def constant_field(c) -> VelocityField:
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(cc, x.shape).copy()
 
-    return VelocityField(
-        func=func,
-        dim=int(c.size),
-        divergence_free=True,
-        sup_norm_bound=float(np.linalg.norm(c)),
-        name="constant",
-    )
+    return VelocityField(func=func, dim=int(c.size), name="constant")
 
 
 def field_from_name(name: str) -> VelocityField:
@@ -120,14 +104,6 @@ def field_from_name(name: str) -> VelocityField:
     raise ValueError(f"unknown field {name!r}")
 
 
-def sup_norm_on_grid(field: VelocityField, grid: Grid) -> float:
-    """Declared sup-norm bound, or 1.1 times the max speed at cell centers."""
-    if field.sup_norm_bound is not None:
-        return field.sup_norm_bound
-    v = np.asarray(field(grid.cell_midpoints), dtype=float)
-    return 1.1 * float(np.sqrt((v * v).sum(axis=1)).max())
-
-
 def _parse_quadrature(tag: str) -> tuple[str, int]:
     tag = str(tag).strip().lower()
     if tag == "midpoint":
@@ -143,7 +119,7 @@ def _parse_quadrature(tag: str) -> tuple[str, int]:
 
 def compute_fluxes(field: VelocityField, grid: Grid,
                    quadrature: str = "midpoint") -> EdgeFluxes:
-    """Integrate the normal velocity component over every face.
+    """Integrate the velocity component along each face's axis over the face.
 
     ``gauss<k>`` uses a k-point tensor Gauss-Legendre rule over the face;
     ``midpoint`` is the 1-point rule, evaluating at face midpoints.  In 1D
@@ -158,12 +134,15 @@ def compute_fluxes(field: VelocityField, grid: Grid,
     t = grid.edges
     d = grid.domain.d
     flux = np.empty(len(t))
-    bounds = np.searchsorted(t.axis, np.arange(d + 1))  # faces grouped by axis
     for a in range(d):
-        sel = slice(bounds[a], bounds[a + 1])
-        # face midpoint: the cell_a centre moved half a cell along the normal
-        mids = np.take(grid.cell_midpoints, t.cell_a[sel], axis=0)
-        mids[:, a] += 0.5 * grid.h[a] * t.normal[sel]
+        sel = slice(t.offsets[a], t.offsets[a + 1])
+        # face midpoint: half a cell above the lower cell's centre, or half a
+        # cell below the upper cell's centre where the lower side is outside
+        outside = t.cell_a[sel] < 0
+        mids = np.take(grid.cell_midpoints,
+                       np.where(outside, t.cell_b[sel], t.cell_a[sel]), axis=0)
+        half = 0.5 * grid.h[a]
+        mids[:, a] += np.where(outside, -half, half)
         trans = [j for j in range(d) if j != a]
         acc = np.zeros(mids.shape[0])
         pts = mids.copy()  # every rule node rewrites all transverse columns
@@ -173,7 +152,7 @@ def compute_fluxes(field: VelocityField, grid: Grid,
                 pts[:, ax] = mids[:, ax] + 0.5 * grid.h[ax] * nodes[j]
                 w *= weights[j]
             acc += w * np.asarray(field(pts), dtype=float)[:, a]
-        flux[sel] = t.normal[sel] * t.measure[sel] * acc
+        flux[sel] = (grid.cell_volume / grid.h[a]) * acc
 
     if not np.all(np.isfinite(flux)):
         raise ValueError("velocity field produced non-finite flux values")
@@ -193,8 +172,7 @@ def discrete_divergence(fluxes: EdgeFluxes, grid: Grid) -> np.ndarray:
         raise ValueError("fluxes were computed on a different grid")
     t = grid.edges
     f = fluxes.values
-    div = np.zeros(grid.ncells)
+    div = np.zeros(grid.ncells + 1)  # index -1, the outside, is the last slot
     np.add.at(div, t.cell_a, f)
-    interior = t.interior
-    np.add.at(div, t.cell_b[interior], -f[interior])
-    return div
+    np.add.at(div, t.cell_b, -f)
+    return div[:-1]

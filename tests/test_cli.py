@@ -31,6 +31,9 @@ def test_load_config_layers(tmp_path):
     bad.write_text("obs_sigma = 0.1\n")  # filter key, not an operator key
     with pytest.raises(ConfigError):
         load_config("operator", bad, None)
+    for command in ("operator", "converge"):  # only filter draws random numbers
+        with pytest.raises(ConfigError):
+            load_config(command, None, {"seed": "3"})
 
 
 def test_operator_defaults_exit_zero(tmp_path, capsys):

@@ -21,12 +21,19 @@ def _neighbours(g, cell):
             for k in hits]
 
 
+def _axis(g, k):
+    """Axis of face k: the block of ``offsets`` it falls in."""
+    return int(np.searchsorted(g.edges.offsets, k, side="right")) - 1
+
+
 def _face_coord(g, k):
-    """Coordinate of face k along its normal axis, from cell_a's multi-index."""
+    """Coordinate of face k along its axis, from the multi-index of a cell
+    inside the box: the top of the lower cell, or the bottom of the upper."""
     t = g.edges
-    a = int(t.axis[k])
-    m = g.multi_of(int(t.cell_a[k]))[a]
-    return g.domain.lower[a] + (m + (1 + t.normal[k]) / 2) * g.h[a]
+    a = _axis(g, k)
+    if t.cell_a[k] >= 0:
+        return g.domain.lower[a] + (g.multi_of(int(t.cell_a[k]))[a] + 1) * g.h[a]
+    return g.domain.lower[a] + g.multi_of(int(t.cell_b[k]))[a] * g.h[a]
 
 
 def test_1d_periodic_ring():
@@ -36,7 +43,8 @@ def test_1d_periodic_ring():
     assert len(t) == 4
     # every face is shared by two cells; each cell appears twice
     assert t.interior.all()
-    assert (t.measure == 1.0).all()  # 0-dimensional faces carry measure one
+    assert t.offsets == (0, 4)
+    assert g.cell_volume / g.h[0] == 1.0  # 0-dimensional faces carry measure one
     counts = np.bincount(t.cell_a, minlength=4) + np.bincount(t.cell_b, minlength=4)
     assert (counts == 2).all()
 
@@ -47,8 +55,7 @@ def test_2d_periodic_neumann_edge_count():
     # 4 wrapped faces along axis 0, 2 interior faces along axis 1,
     # Neumann boundary faces dropped
     assert len(t) == 6
-    assert (t.axis == 0).sum() == 4
-    assert (t.axis == 1).sum() == 2
+    assert t.offsets == (0, 4, 6)
     assert t.interior.all()
 
 
@@ -58,20 +65,25 @@ def test_2d_dirichlet_edge_counts():
     assert t.interior.sum() == 4
     boundary = np.nonzero(~t.interior)[0]
     assert boundary.size == 8
-    # low-side boundary faces carry outward normal -1, high side +1
+    # low-side boundary faces have the outside below them, high side above
     for k in boundary:
-        a = int(t.axis[k])
+        a = _axis(g, k)
         lo, hi = g.domain.lower[a], g.domain.upper[a]
         coord = _face_coord(g, k)
         assert coord in (lo, hi)
-        assert t.normal[k] == (-1 if coord == lo else +1)
-        # the face point is cell_a's centre moved half a cell along the normal
-        centre = g.cell_midpoints[t.cell_a[k], a]
-        assert centre + 0.5 * g.h[a] * t.normal[k] == pytest.approx(coord, abs=1e-15)
+        assert (t.cell_a[k] == -1) == (coord == lo)
+        assert (t.cell_b[k] == -1) == (coord == hi)
+        # the face point is half a cell from the centre of the cell inside
+        if coord == lo:
+            centre = g.cell_midpoints[t.cell_b[k], a]
+            assert centre - 0.5 * g.h[a] == pytest.approx(coord, abs=1e-15)
+        else:
+            centre = g.cell_midpoints[t.cell_a[k], a]
+            assert centre + 0.5 * g.h[a] == pytest.approx(coord, abs=1e-15)
     for a in range(2):
-        on_axis = boundary[t.axis[boundary] == a]
-        assert (t.normal[on_axis] == -1).sum() == 2
-        assert (t.normal[on_axis] == +1).sum() == 2
+        block = slice(t.offsets[a], t.offsets[a + 1])
+        assert (t.cell_a[block] == -1).sum() == 2
+        assert (t.cell_b[block] == -1).sum() == 2
 
 
 def test_3x3_dirichlet_face_census():
@@ -133,9 +145,10 @@ def test_index_bijection(n, bc):
 def test_face_measure_sum_fully_periodic():
     g = build_grid(BoxDomain((0, 0), (2, 3)), (4, 6), ("periodic", "periodic"))
     t = g.edges
+    measure = np.repeat([g.cell_volume / h for h in g.h], np.diff(t.offsets))
     per_cell = np.zeros(g.ncells)
-    np.add.at(per_cell, t.cell_a, t.measure)
-    np.add.at(per_cell, t.cell_b, t.measure)
+    np.add.at(per_cell, t.cell_a, measure)
+    np.add.at(per_cell, t.cell_b, measure)
     expected = 2 * sum(g.cell_volume / h for h in g.h)
     assert np.allclose(per_cell, expected, rtol=1e-14)
 
@@ -144,19 +157,53 @@ def test_edge_geometry():
     g = build_grid(BoxDomain((0, 0), (1, 2)), (2, 4), ("dirichlet", "periodic"))
     t = g.edges
     for k in range(len(t)):
-        a = int(t.axis[k])
+        a = _axis(g, k)
         trans = [j for j in range(2) if j != a]
-        assert t.measure[k] == pytest.approx(np.prod([g.h[j] for j in trans]), rel=1e-15)
-        if t.cell_b[k] < 0:
+        measure = g.cell_volume / g.h[a]
+        assert measure == pytest.approx(np.prod([g.h[j] for j in trans]), rel=1e-15)
+        if t.cell_a[k] < 0:
+            assert g.multi_of(int(t.cell_b[k]))[a] == 0
             continue
-        # interior faces point from cell_a to the next cell along the axis
-        assert t.normal[k] == +1
+        if t.cell_b[k] < 0:
+            assert g.multi_of(int(t.cell_a[k]))[a] == g.n[a] - 1
+            continue
+        # interior faces join cell_a to the next cell up the axis
         ma, mb = g.multi_of(int(t.cell_a[k])), g.multi_of(int(t.cell_b[k]))
         assert mb[a] == (ma[a] + 1) % g.n[a]
         assert all(mb[j] == ma[j] for j in trans)
         centre = g.cell_midpoints[t.cell_a[k], a]
         assert centre + 0.5 * g.h[a] == pytest.approx(
             g.domain.lower[a] + (ma[a] + 1) * g.h[a], rel=1e-15)
+
+
+@pytest.mark.parametrize("n,bc", [
+    ((6,), ("dirichlet",)),
+    ((3, 4), ("dirichlet", "periodic")),
+    ((2, 3, 4), ("neumann", "dirichlet", "dirichlet")),
+])
+def test_face_table_is_two_index_arrays(n, bc):
+    g = build_grid(BoxDomain((0,) * len(n), (1,) * len(n)), n, bc)
+    t = g.edges
+    arrays = {k: v for k, v in vars(t).items() if isinstance(v, np.ndarray)}
+    assert sorted(arrays) == ["cell_a", "cell_b"]
+    assert all(v.dtype == np.int64 and v.shape == (len(t),) for v in arrays.values())
+    # offsets partition the faces into one block per axis, in axis order
+    assert len(t.offsets) == g.domain.d + 1
+    assert t.offsets[0] == 0 and t.offsets[-1] == len(t)
+    for a in range(g.domain.d):
+        block = slice(t.offsets[a], t.offsets[a + 1])
+        ca, cb = t.cell_a[block], t.cell_b[block]
+        inside = (ca >= 0) & (cb >= 0)
+        ma = np.array([g.multi_of(int(c)) for c in ca[inside]]).reshape(-1, g.domain.d)
+        mb = np.array([g.multi_of(int(c)) for c in cb[inside]]).reshape(-1, g.domain.d)
+        assert np.array_equal(mb[:, a], (ma[:, a] + 1) % g.n[a])
+        # Dirichlet faces: (-1, c) below the lowest cells, (c, -1) above the highest
+        layer = np.prod(g.n) // g.n[a] if bc[a] == "dirichlet" else 0
+        low, high = cb[ca == -1], ca[cb == -1]
+        assert low.size == high.size == layer
+        assert all(g.multi_of(int(c))[a] == 0 for c in low)
+        assert all(g.multi_of(int(c))[a] == g.n[a] - 1 for c in high)
+        assert not ((ca == -1) & (cb == -1)).any()
 
 
 def test_validation_errors():

@@ -272,7 +272,7 @@ def test_stationary_nonuniform_and_no_convergence():
         x = np.asarray(x, dtype=float)
         return (1.5 + np.sin(2 * PI * x[..., 0]))[..., None]
 
-    field = VelocityField(func=func, dim=1, divergence_free=False)
+    field = VelocityField(func=func, dim=1)
     fx = compute_fluxes(field, g)
     dt = max_stable_dt(fx, g, 0.5).dt_max
     op = assemble(fx, g, dt)

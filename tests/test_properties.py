@@ -3,8 +3,9 @@
 Operator examples draw a 1-3D box, per-axis boundary kinds, a field (constant
 in any dimension; rotation or pendulum in 2D) and a step ``dt <= dt_max``,
 then check the paper's invariants: nonnegative entries, stochastic rows
-without Dirichlet outflow, conserved mass, positivity, and ``evolve``
-agreeing bit for bit with repeated ``step``.
+without Dirichlet outflow, conserved mass, positivity, ``evolve``
+agreeing bit for bit with repeated ``step``, and, with a Dirichlet axis, the
+mass a step loses equal to the upwind outflow through the boundary faces.
 
 Diagnostic examples check ``moments`` and ``count_modes`` against the direct
 formulas they replace, kept here as reference implementations, and that the
@@ -36,10 +37,13 @@ MAX_CELLS = {1: 24, 2: 10, 3: 5}
 
 
 @st.composite
-def operators(draw):
+def flux_operators(draw, dirichlet=False):
+    """(fluxes, operator); ``dirichlet`` makes at least one axis Dirichlet."""
     d = draw(st.integers(1, 3))
     n = tuple(draw(st.lists(st.integers(2, MAX_CELLS[d]), min_size=d, max_size=d)))
-    bc = tuple(draw(st.lists(st.sampled_from(BCS), min_size=d, max_size=d)))
+    bc = list(draw(st.lists(st.sampled_from(BCS), min_size=d, max_size=d)))
+    if dirichlet:
+        bc[draw(st.integers(0, d - 1))] = "dirichlet"
     kinds = ["constant"] + (["rotation", "pendulum"] if d == 2 else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "pendulum":
@@ -60,7 +64,11 @@ def operators(draw):
     dt_max = max_stable_dt(fluxes, grid, 0.0).dt_max
     frac = draw(st.floats(0.01, 1.0))
     dt = frac * dt_max if np.isfinite(dt_max) else frac
-    return assemble(fluxes, grid, dt)
+    return fluxes, assemble(fluxes, grid, dt)
+
+
+def operators():
+    return flux_operators().map(lambda pair: pair[1])
 
 
 def _random_density(grid, seed):
@@ -103,6 +111,23 @@ def test_evolve_matches_repeated_step(op, seed, k):
     for _ in range(k):
         b = step(op, b)
     assert np.array_equal(evolve(op, d, k * op.dt).values, b.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=flux_operators(dirichlet=True), seed=st.integers(0, 2**32 - 1))
+def test_dirichlet_loss_is_upwind_boundary_outflow(pair, seed):
+    fluxes, op = pair
+    t, f = op.grid.edges, fluxes.values
+    d = _random_density(op.grid, seed)
+    p = d.values
+    # flux is positive toward +axis: out through (c, -1) faces when f > 0,
+    # out through (-1, c) faces when f < 0, from the cell inside the box
+    high, low = t.cell_b < 0, t.cell_a < 0
+    outflow = (np.maximum(f[high], 0.0) @ p[t.cell_a[high]]
+               + np.maximum(-f[low], 0.0) @ p[t.cell_b[low]])
+    lost = d.mass - step(op, d).mass
+    assert abs(lost - op.dt * outflow) <= 1e-12
+    assert op.mass_conserving == (outflow == 0.0)  # p > 0 in every cell
 
 
 def _moments_reference(density):
