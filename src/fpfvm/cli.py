@@ -6,10 +6,11 @@ file (``--config``), then per-key command-line overrides (``--key value``).
 Unknown keys are rejected.  Real-valued entries accept multiples of pi
 ("pi/4", "0.6pi", "2pi/7") alongside plain decimals.
 
-Exit codes: 0 success, 1 verification failed (the assembled matrix is not
-stochastic), 2 configuration error, 3 step-size (CFL) violation, 4 zero
-evidence.  Every library argument in a run comes from the configuration, so
-any ``ValueError`` the library raises is reported as a configuration error
+Exit codes: 0 success, 1 verification failed (the assembled matrix has a
+negative entry or a row sum off one; with Dirichlet outflow, a row sum above
+one), 2 configuration error, 3 step-size (CFL) violation, 4 zero evidence.
+Every library argument in a run comes from the configuration, so any
+``ValueError`` the library raises is reported as a configuration error
 (exit 2); the library is the one place that checks argument values.
 """
 

@@ -148,22 +148,6 @@ class Grid:
             self._midpoints = mid
         return self._midpoints
 
-    def index_of(self, multi: Sequence[int]) -> int:
-        """Flat index of a multi-index (axis 0 fastest)."""
-        multi = tuple(int(m) for m in multi)
-        if len(multi) != self.domain.d:
-            raise ValueError("multi-index has wrong length")
-        for m, k in zip(multi, self.n):
-            if not 0 <= m < k:
-                raise IndexError(f"multi-index {multi} out of range for n={self.n}")
-        return int(np.ravel_multi_index(multi, self.n, order="F"))
-
-    def multi_of(self, index: int) -> tuple[int, ...]:
-        """Multi-index of a flat cell index."""
-        if not 0 <= index < self.ncells:
-            raise IndexError(f"cell index {index} out of range")
-        return tuple(int(m) for m in np.unravel_index(index, self.n, order="F"))
-
 
 def build_grid(domain: BoxDomain, n: Sequence[int], bc: Sequence[str]) -> Grid:
     """Construct a uniform mesh over ``domain`` with ``n[i]`` cells per axis."""

@@ -43,6 +43,15 @@ def test_operator_defaults_exit_zero(tmp_path, capsys):
     assert "is_markov=True" in out
 
 
+def test_operator_dirichlet_outflow_exit_zero(tmp_path, capsys):
+    # the substochastic Dirichlet matrix is the intended one, not an error
+    rc = main(["operator", "--out", str(tmp_path),
+               "--bc", "dirichlet,dirichlet", "--n", "20,30"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "is_markov=True" in out and "mass_conserving: False" in out
+
+
 def test_operator_cfl_violation_exit_three(tmp_path):
     rc = main(["operator", "--out", str(tmp_path), "--dt_over_h", "1.0"])
     assert rc == 3

@@ -151,7 +151,7 @@ def test_expectation_linearity():
 def test_moments_point_mass():
     g = build_grid(BoxDomain((0, 0), (1, 1)), (4, 4), ("neumann", "neumann"))
     vals = np.zeros(g.ncells)
-    cell = g.index_of((1, 2))
+    cell = np.ravel_multi_index((1, 2), g.n, order="F")
     vals[cell] = 1.0 / g.cell_volume
     m = moments(Density(vals, g))
     assert np.allclose(m.mean, g.cell_midpoints[cell], atol=1e-15)
@@ -261,6 +261,15 @@ def test_count_modes_periodic_wrap():
     assert count_modes(_d1(vals), 0.1) == 2
     # a valley at the seam still separates two bumps
     assert count_modes(Density([1, 5, 0, 0, 0, 0, 5, 1], ring), 0.1) == 2
+
+
+@pytest.mark.xfail(strict=True, reason="tied peaks are each measured against the "
+                   "global minimum, so an ulp decides between 2 modes and 1")
+def test_count_modes_tied_peaks():
+    vals = np.array([0.1, 0.5, 1.0, 0.95, 1.0, 0.5, 0.1])
+    raised = vals.copy()
+    raised[4] = np.nextafter(1.0, 2.0)
+    assert count_modes(_d1(raised), 0.1) == count_modes(_d1(vals), 0.1)
 
 
 def test_density_file_roundtrip(tmp_path):

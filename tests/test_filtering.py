@@ -94,9 +94,9 @@ def test_bayes_update_indicator_oracle():
     new = bayes_update(state, ObservationModel(log_ind), 0.0)
     # evidence is the prior mass of the half, posterior its renormalization
     assert new.log_evidence == pytest.approx(np.log(0.5), abs=1e-14)
-    left = np.asarray([g.index_of((0, 0)), g.index_of((0, 1))])
+    left = np.ravel_multi_index(([0, 0], [0, 1]), g.n, order="F")
     assert np.allclose(new.posterior.values[left], 2.0, rtol=1e-14)
-    right = np.asarray([g.index_of((1, 0)), g.index_of((1, 1))])
+    right = np.ravel_multi_index(([1, 1], [0, 1]), g.n, order="F")
     assert np.all(new.posterior.values[right] == 0.0)
     assert new.posterior.mass == pytest.approx(1.0, abs=1e-13)
 

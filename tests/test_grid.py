@@ -26,14 +26,24 @@ def _axis(g, k):
     return int(np.searchsorted(g.edges.offsets, k, side="right")) - 1
 
 
+def _flat(g, *multi):
+    """Flat index of a cell multi-index (axis 0 fastest)."""
+    return int(np.ravel_multi_index(multi, g.n, order="F"))
+
+
+def _multi(g, cells):
+    """(len(cells), d) multi-indices of flat cell indices."""
+    return np.stack(np.unravel_index(cells, g.n, order="F"), axis=-1)
+
+
 def _face_coord(g, k):
     """Coordinate of face k along its axis, from the multi-index of a cell
     inside the box: the top of the lower cell, or the bottom of the upper."""
     t = g.edges
     a = _axis(g, k)
     if t.cell_a[k] >= 0:
-        return g.domain.lower[a] + (g.multi_of(int(t.cell_a[k]))[a] + 1) * g.h[a]
-    return g.domain.lower[a] + g.multi_of(int(t.cell_b[k]))[a] * g.h[a]
+        return g.domain.lower[a] + (_multi(g, t.cell_a[k])[a] + 1) * g.h[a]
+    return g.domain.lower[a] + _multi(g, t.cell_b[k])[a] * g.h[a]
 
 
 def test_1d_periodic_ring():
@@ -96,11 +106,11 @@ def test_3x3_dirichlet_face_census():
 
 def test_neighbors_interior_cell():
     g = build_grid(BoxDomain((0, 0), (1, 1)), (3, 3), ("dirichlet", "dirichlet"))
-    center = g.index_of((1, 1))
+    center = _flat(g, 1, 1)
     nb = _neighbours(g, center)
     assert len(nb) == 4
     assert sorted(c for c, _ in nb) == sorted(
-        [g.index_of((0, 1)), g.index_of((2, 1)), g.index_of((1, 0)), g.index_of((1, 2))])
+        [_flat(g, 0, 1), _flat(g, 2, 1), _flat(g, 1, 0), _flat(g, 1, 2)])
 
 
 def test_neighbors_periodic_two_cells():
@@ -113,33 +123,19 @@ def test_neighbors_periodic_two_cells():
 
 def test_neighbors_corner_periodic_neumann():
     g = build_grid(BoxDomain((0, 0), (1, 1)), (2, 2), ("periodic", "neumann"))
-    nb = _neighbours(g, g.index_of((0, 0)))
+    nb = _neighbours(g, _flat(g, 0, 0))
     # two periodic-wrapped neighbours along axis 0, one interior along axis 1
     assert len(nb) == 3
     assert sorted(c for c, _ in nb) == sorted(
-        [g.index_of((0, 1)), g.index_of((1, 0)), g.index_of((1, 0))])
+        [_flat(g, 0, 1), _flat(g, 1, 0), _flat(g, 1, 0)])
 
 
 def test_neighbors_share_one_face():
     g = build_grid(BoxDomain((0, 0), (1, 1)), (3, 3), ("periodic", "periodic"))
-    a, b = g.index_of((0, 1)), g.index_of((1, 1))
+    a, b = _flat(g, 0, 1), _flat(g, 1, 1)
     ea = {k for c, k in _neighbours(g, a) if c == b}
     eb = {k for c, k in _neighbours(g, b) if c == a}
     assert ea == eb and len(ea) == 1
-
-
-@pytest.mark.parametrize("n,bc", [
-    ((5,), ("periodic",)),
-    ((3, 4), ("neumann", "dirichlet")),
-    ((2, 3, 4), ("periodic", "neumann", "dirichlet")),
-])
-def test_index_bijection(n, bc):
-    g = build_grid(BoxDomain((0,) * len(n), (1,) * len(n)), n, bc)
-    for i in range(g.ncells):
-        assert g.index_of(g.multi_of(i)) == i
-    # axis 0 is the fastest-varying index
-    if len(n) > 1:
-        assert g.index_of((1,) + (0,) * (len(n) - 1)) == 1
 
 
 def test_face_measure_sum_fully_periodic():
@@ -162,13 +158,13 @@ def test_edge_geometry():
         measure = g.cell_volume / g.h[a]
         assert measure == pytest.approx(np.prod([g.h[j] for j in trans]), rel=1e-15)
         if t.cell_a[k] < 0:
-            assert g.multi_of(int(t.cell_b[k]))[a] == 0
+            assert _multi(g, t.cell_b[k])[a] == 0
             continue
         if t.cell_b[k] < 0:
-            assert g.multi_of(int(t.cell_a[k]))[a] == g.n[a] - 1
+            assert _multi(g, t.cell_a[k])[a] == g.n[a] - 1
             continue
         # interior faces join cell_a to the next cell up the axis
-        ma, mb = g.multi_of(int(t.cell_a[k])), g.multi_of(int(t.cell_b[k]))
+        ma, mb = _multi(g, t.cell_a[k]), _multi(g, t.cell_b[k])
         assert mb[a] == (ma[a] + 1) % g.n[a]
         assert all(mb[j] == ma[j] for j in trans)
         centre = g.cell_midpoints[t.cell_a[k], a]
@@ -194,15 +190,14 @@ def test_face_table_is_two_index_arrays(n, bc):
         block = slice(t.offsets[a], t.offsets[a + 1])
         ca, cb = t.cell_a[block], t.cell_b[block]
         inside = (ca >= 0) & (cb >= 0)
-        ma = np.array([g.multi_of(int(c)) for c in ca[inside]]).reshape(-1, g.domain.d)
-        mb = np.array([g.multi_of(int(c)) for c in cb[inside]]).reshape(-1, g.domain.d)
+        ma, mb = _multi(g, ca[inside]), _multi(g, cb[inside])
         assert np.array_equal(mb[:, a], (ma[:, a] + 1) % g.n[a])
         # Dirichlet faces: (-1, c) below the lowest cells, (c, -1) above the highest
         layer = np.prod(g.n) // g.n[a] if bc[a] == "dirichlet" else 0
         low, high = cb[ca == -1], ca[cb == -1]
         assert low.size == high.size == layer
-        assert all(g.multi_of(int(c))[a] == 0 for c in low)
-        assert all(g.multi_of(int(c))[a] == g.n[a] - 1 for c in high)
+        assert np.all(_multi(g, low)[:, a] == 0)
+        assert np.all(_multi(g, high)[:, a] == g.n[a] - 1)
         assert not ((ca == -1) & (cb == -1)).any()
 
 
@@ -222,8 +217,3 @@ def test_validation_errors():
         build_grid(dom, (4, 4), ("periodic",))
     with pytest.raises(ValueError):
         build_grid(dom, (4, 4), ("periodic", "reflecting"))
-    g = build_grid(dom, (4, 4), ("periodic", "periodic"))
-    with pytest.raises(IndexError):
-        g.multi_of(-1)
-    with pytest.raises(IndexError):
-        g.index_of((0, 4))

@@ -7,6 +7,7 @@ from fpfvm import (
     CflViolation,
     Density,
     NoConvergence,
+    TransitionOperator,
     VelocityField,
     assemble,
     build_grid,
@@ -15,9 +16,11 @@ from fpfvm import (
     evolve,
     export_operator,
     gaussian_pdf,
+    initial_state,
     max_stable_dt,
     normalize,
     pendulum_field,
+    predict,
     project,
     stationary,
     step,
@@ -63,8 +66,8 @@ def test_zero_field_is_identity():
     fx = compute_fluxes(constant_field([0.0, 0.0]), g)
     op = assemble(fx, g, 123.0)
     assert np.array_equal(op.matrix.toarray(), np.eye(9))
-    d = Density(np.random.default_rng(0).random(9), g)
-    assert np.array_equal(step(op, d).values, d.values)
+    m = np.random.default_rng(0).random(9)
+    assert np.array_equal(step(op, m), m)
 
 
 def test_operator_stores_one_matrix():
@@ -74,10 +77,9 @@ def test_operator_stores_one_matrix():
     S = op.matrix  # a view of the stored matrix, not a copy
     assert np.shares_memory(S.data, stored[0].data)
     assert S.shape == (g.ncells, g.ncells) and S.nnz == stored[0].nnz
-    # op.matrix is S in m' = m S
+    # step is m' = m S on a mass vector, with op.matrix as S
     m = np.random.default_rng(3).random(g.ncells)
-    out = step(op, Density(m / g.cell_volume, g)).values * g.cell_volume
-    assert np.abs(out - m @ S.toarray()).max() <= 1e-15
+    assert np.abs(step(op, m) - m @ S.toarray()).max() <= 1e-15
 
 
 def test_max_stable_dt():
@@ -130,17 +132,16 @@ def test_step_cyclic_shift_at_unit_courant():
     n, c = 8, 1.0
     g, fx = _ring(n, c)
     op = assemble(fx, g, g.h[0] / c)  # nu = 1: pure shift
-    vals = np.arange(1.0, n + 1)
-    out = step(op, Density(vals, g))
-    assert np.array_equal(out.values, np.roll(vals, 1))
+    m = np.arange(1.0, n + 1)
+    assert np.array_equal(step(op, m), np.roll(m, 1))
 
 
 def test_point_mass_split_matches_fluxes():
     g, fx, op = _pendulum_op(n=10)
-    cell = g.index_of((3, 7))
-    vals = np.zeros(g.ncells)
-    vals[cell] = 1.0 / g.cell_volume
-    out = step(op, Density(vals, g))
+    cell = np.ravel_multi_index((3, 7), g.n, order="F")
+    m = np.zeros(g.ncells)
+    m[cell] = 1.0
+    out = step(op, m)
     # every downwind neighbour receives dt (v_KL)+ / |K| of the mass
     t = g.edges
     as_a = (t.cell_a == cell) & t.interior
@@ -156,7 +157,7 @@ def test_point_mass_split_matches_fluxes():
             expected[nb] += frac
             stay -= frac
     expected[cell] += stay
-    assert np.abs(out.values * g.cell_volume - expected).max() <= 1e-15
+    assert np.abs(out - expected).max() <= 1e-15
 
 
 def test_evolve_step_counts():
@@ -164,8 +165,9 @@ def test_evolve_step_counts():
     op = assemble(fx, g, 0.01)
     d = Density(np.random.default_rng(1).random(8), g)
     assert np.array_equal(evolve(op, d, 0.005).values, d.values)  # t < dt
-    three = step(op, step(op, step(op, d)))
-    assert np.array_equal(evolve(op, d, 3 * 0.01).values, three.values)
+    m = d.values * g.cell_volume
+    three = step(op, step(op, step(op, m)))
+    assert np.array_equal(evolve(op, d, 3 * 0.01).values, three / g.cell_volume)
     with pytest.raises(ValueError):
         evolve(op, d, -1.0)
 
@@ -175,10 +177,10 @@ def test_evolve_semigroup_bit_identical():
     d = normalize(project(gaussian_pdf((0.0, 0.0), 0.64), g))
     k = 4
     a = evolve(op, d, 2 * k * op.dt)
-    b = d
+    b = d.values * g.cell_volume
     for _ in range(2 * k):
         b = step(op, b)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.values, b / g.cell_volume)
 
 
 def test_verify_markov():
@@ -202,6 +204,18 @@ def test_verify_markov_counterexample():
     rep = verify_markov(bad)
     assert rep.min_entry < 0.0
     assert not rep.is_markov
+    # a substochastic (Dirichlet) operator still fails on a negative entry
+    # or on a row sum above one
+    g = build_grid(BoxDomain((0.0,), (1.0,)), (8,), ("dirichlet",))
+    fx = compute_fluxes(constant_field([1.0]), g)
+    dt_max = max_stable_dt(fx, g, 0.0).dt_max
+    rep = verify_markov(assemble(fx, g, 2 * dt_max, check_cfl=False))
+    assert rep.min_entry < 0.0 and not rep.is_markov
+    op = assemble(fx, g, 0.5 * dt_max)
+    over = TransitionOperator(op.dt, op._left * 1.01, g, mass_conserving=False)
+    rep = verify_markov(over)
+    assert rep.max_row_sum_err == pytest.approx(0.01, rel=1e-12)
+    assert not rep.is_markov
 
 
 def test_mass_conservation_without_cfl():
@@ -211,31 +225,28 @@ def test_mass_conservation_without_cfl():
     g, fx, _ = _pendulum_op(n=16)
     dt_max = max_stable_dt(fx, g, 0.0).dt_max
     op = assemble(fx, g, 3.0 * dt_max, check_cfl=False)
-    rng = np.random.default_rng(2)
-    d = Density(rng.random(g.ncells), g)
-    out = d
+    m = np.random.default_rng(2).random(g.ncells)
+    out = m
     for _ in range(6):
         out = step(op, out)
-    assert out.mass == pytest.approx(d.mass, rel=1e-12)
+    assert out.sum() == pytest.approx(m.sum(), rel=1e-12)
 
 
 def test_positivity_under_cfl():
     g, fx, op = _pendulum_op(n=16)
-    rng = np.random.default_rng(4)
-    d = Density(rng.random(g.ncells), g)
-    out = d
+    out = np.random.default_rng(4).random(g.ncells)
     for _ in range(50):
         out = step(op, out)
-        assert out.values.min() >= 0.0
+        assert out.min() >= 0.0
 
 
 def test_step_linearity():
     g, fx, op = _pendulum_op(n=12)
     rng = np.random.default_rng(6)
-    f = Density(rng.random(g.ncells), g)
-    h = Density(rng.random(g.ncells), g)
-    lhs = step(op, Density(0.7 * f.values + 1.3 * h.values, g)).values
-    rhs = 0.7 * step(op, f).values + 1.3 * step(op, h).values
+    f = rng.random(g.ncells)
+    h = rng.random(g.ncells)
+    lhs = step(op, 0.7 * f + 1.3 * h)
+    rhs = 0.7 * step(op, f) + 1.3 * step(op, h)
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
 
@@ -245,9 +256,8 @@ def test_uniform_stationary_divergence_free():
         g = build_grid(BoxDomain((-PI, -PI), (PI, PI)), (20, 20), bc)
         fx = compute_fluxes(field, g)
         op = assemble(fx, g, g.h[0] / (2 * PI + 1))
-        u = uniform_density(g)
-        out = step(op, u)
-        assert np.abs(out.values - u.values).sum() * g.cell_volume <= 1e-12
+        u = uniform_density(g).values * g.cell_volume
+        assert np.abs(step(op, u) - u).sum() <= 1e-12
 
 
 def test_stationary_uniform_cases():
@@ -280,7 +290,7 @@ def test_stationary_nonuniform_and_no_convergence():
         stationary(op, tol=1e-12, max_iter=1)
     pi_dens = stationary(op, tol=1e-13, max_iter=200000)
     m = pi_dens.values * g.cell_volume
-    res = np.abs(op._left @ m - m).sum()
+    res = np.abs(step(op, m) - m).sum()
     assert res <= 1e-12
 
 
@@ -289,15 +299,17 @@ def test_dirichlet_outflow_loses_mass():
     fx = compute_fluxes(constant_field([1.0]), g)
     op = assemble(fx, g, 0.5 * g.h[0])
     assert not op.mass_conserving
-    assert not verify_markov(op).is_markov  # substochastic last row
-    d = uniform_density(g)
-    out = step(op, d)
-    assert out.mass < d.mass
-    assert out.values.min() >= 0.0
+    # substochastic last row: checked as row sums <= 1
+    rep = verify_markov(op)
+    assert rep.is_markov and rep.max_row_sum_err == 0.0
+    m = uniform_density(g).values * g.cell_volume
+    out = step(op, m)
+    assert out.sum() < m.sum()
+    assert out.min() >= 0.0
     with pytest.raises(ValueError):
         stationary(op)
     # no inflow through the upstream wall: first cell only drains
-    assert out.values[0] == pytest.approx((1 - 0.5) * d.values[0], rel=1e-14)
+    assert out[0] == pytest.approx((1 - 0.5) * m[0], rel=1e-14)
 
 
 def test_export_operator(tmp_path):
@@ -320,7 +332,12 @@ def test_export_operator(tmp_path):
 def test_grid_mismatch_errors():
     g, fx, op = _pendulum_op(n=10)
     other = build_grid(BoxDomain((-PI, -PI), (PI, PI)), (12, 12), ("periodic", "neumann"))
+    d = uniform_density(other)
     with pytest.raises(ValueError):
-        step(op, uniform_density(other))
+        step(op, d.values * other.cell_volume)
+    with pytest.raises(ValueError):
+        evolve(op, d, 0.0)
+    with pytest.raises(ValueError):
+        predict(initial_state(d), op, op.dt)
     with pytest.raises(ValueError):
         assemble(fx, other, 0.001)

@@ -3,9 +3,10 @@
 Operator examples draw a 1-3D box, per-axis boundary kinds, a field (constant
 in any dimension; rotation or pendulum in 2D) and a step ``dt <= dt_max``,
 then check the paper's invariants: nonnegative entries, stochastic rows
-without Dirichlet outflow, conserved mass, positivity, ``evolve``
-agreeing bit for bit with repeated ``step``, and, with a Dirichlet axis, the
-mass a step loses equal to the upwind outflow through the boundary faces.
+without Dirichlet outflow and substochastic ones with it (both accepted by
+``verify_markov``), conserved mass, positivity, ``evolve`` agreeing bit for
+bit with repeated ``step`` on the mass vector, and, with a Dirichlet axis,
+the mass a step loses equal to the upwind outflow through the boundary faces.
 
 Diagnostic examples check ``moments`` and ``count_modes`` against the direct
 formulas they replace, kept here as reference implementations, and that the
@@ -30,6 +31,7 @@ from fpfvm import (
     pendulum_field,
     rotation_field,
     step,
+    verify_markov,
 )
 
 BCS = ("periodic", "neumann", "dirichlet")
@@ -86,31 +88,33 @@ def test_entries_nonnegative_rows_stochastic(op):
         assert row_sums.max() <= 1.0 + 1e-12  # outflow only: substochastic
     else:
         assert np.abs(row_sums - 1.0).max() <= 1e-12
+    assert verify_markov(op).is_markov
 
 
 @settings(max_examples=60, deadline=None)
 @given(op=operators(), seed=st.integers(0, 2**32 - 1))
 def test_mass_and_positivity_over_20_steps(op, seed):
-    d = _random_density(op.grid, seed)
-    out = d
+    m = _random_density(op.grid, seed).values * op.grid.cell_volume
+    out = m
     for _ in range(20):
-        prev = out.mass
+        prev = out.sum()
         out = step(op, out)
-        assert out.values.min() >= 0.0
+        assert out.min() >= 0.0
         if op.mass_conserving:
-            assert abs(out.mass - d.mass) <= 1e-12
+            assert abs(out.sum() - m.sum()) <= 1e-12
         else:
-            assert out.mass <= prev + 1e-12
+            assert out.sum() <= prev + 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(op=operators(), seed=st.integers(0, 2**32 - 1), k=st.integers(0, 20))
 def test_evolve_matches_repeated_step(op, seed, k):
     d = _random_density(op.grid, seed)
-    b = d
+    vol = op.grid.cell_volume
+    m = d.values * vol
     for _ in range(k):
-        b = step(op, b)
-    assert np.array_equal(evolve(op, d, k * op.dt).values, b.values)
+        m = step(op, m)
+    assert np.array_equal(evolve(op, d, k * op.dt).values, m / vol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,7 +129,8 @@ def test_dirichlet_loss_is_upwind_boundary_outflow(pair, seed):
     high, low = t.cell_b < 0, t.cell_a < 0
     outflow = (np.maximum(f[high], 0.0) @ p[t.cell_a[high]]
                + np.maximum(-f[low], 0.0) @ p[t.cell_b[low]])
-    lost = d.mass - step(op, d).mass
+    m = p * op.grid.cell_volume
+    lost = m.sum() - step(op, m).sum()
     assert abs(lost - op.dt * outflow) <= 1e-12
     assert op.mass_conserving == (outflow == 0.0)  # p > 0 in every cell
 

@@ -30,7 +30,8 @@ def _face_points(g):
     upper cell where the lower side is outside the box."""
     t = g.edges
     low = t.cell_a < 0
-    multi = np.array([g.multi_of(int(c)) for c in np.where(low, t.cell_b, t.cell_a)])
+    multi = np.stack(np.unravel_index(np.where(low, t.cell_b, t.cell_a), g.n, order="F"),
+                     axis=-1)
     offset = np.full(multi.shape, 0.5)
     offset[np.arange(len(t)), _face_axes(g)] = np.where(low, 0.0, 1.0)
     return np.asarray(g.domain.lower) + (multi + offset) * np.asarray(g.h)
