@@ -36,10 +36,11 @@ state = F.run_filter(prior, op, model, obs, t_end=2 * pi,
 
 print(f"\nfinal time {state.time:.4f}, log evidence {state.log_evidence:.4f}")
 print(f"{'t':>6} {'modes':>5} {'mean x1':>9} {'std x1':>7} {'std x2':>7}")
+hist = state.history
 for target in (0.0, pi / 6, pi / 3, pi, 2 * pi):
-    rec = min(state.history, key=lambda r: abs(r.time - target))
-    print(f"{rec.time:6.3f} {rec.mode_count:5d} {rec.mean[0]:9.2e} "
-          f"{rec.std[0]:7.4f} {rec.std[1]:7.4f}")
+    i = np.argmin(np.abs(hist.time - target))
+    print(f"{hist.time[i]:6.3f} {hist.mode_count[i]:5d} {hist.mean[i, 0]:9.2e} "
+          f"{hist.std[i, 0]:7.4f} {hist.std[i, 1]:7.4f}")
 
 # the posterior is exactly symmetric under (x1, x2) -> (-x1, -x2): the
 # dynamics are odd, the likelihood is even, and the prior is centered

@@ -34,13 +34,11 @@ from .density import (
 )
 from .filtering import (
     FilterState,
-    HistoryRecord,
-    ObservationModel,
+    History,
     ObservationSequence,
     ZeroEvidence,
     bayes_update,
     gaussian_abs_position_model,
-    initial_state,
     predict,
     read_observations,
     run_filter,

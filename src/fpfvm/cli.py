@@ -415,9 +415,8 @@ def cmd_filter(cfg) -> int:
         path = out / f"snapshot_{i:02d}.csv"
         save_density(dens, path, t=t)
         print(f"wrote {path} (t={t:.17g})")
-    last = state.history[-1]
     print(f"final: t={state.time:.17g} log_evidence={state.log_evidence:.17g} "
-          f"modes={last.mode_count}")
+          f"modes={state.history.mode_count[-1]}")
     return 0
 
 

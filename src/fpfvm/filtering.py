@@ -1,41 +1,33 @@
 """Grid-based sequential Bayesian inference.
 
-The transition operator plays the role of the prediction kernel: between
-observations the posterior is evolved by whole time steps, and at each
-observation the cell values are reweighted by the likelihood at cell
-midpoints and renormalized.  Evidence accumulates in log space.  Because
-evolution is piecewise constant in time, observation and snapshot times are
-snapped to the nearest multiple of the operator step; every snap is recorded.
+The transition operator plays the role of the prediction kernel.  One loop,
+:func:`run_filter`, carries a bare array of cell values: between
+observations it applies :func:`predict`, one operator step at a time, and at
+each observation :func:`bayes_update` reweights the values by the likelihood
+at cell midpoints and renormalizes.  Evidence accumulates in log space.
+Because evolution is piecewise constant in time, observation, snapshot and
+end times are snapped to the nearest step index ``k``; every snap is
+recorded, and every summary row is written at ``t = k * dt`` into
+preallocated :class:`History` columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .density import Density, count_modes, marginal, moments
-from .grid import PERIODIC
+from .grid import PERIODIC, Grid
 from .operator import TransitionOperator, step
 from .velocity import VelocityField
+
+LogLikelihood = Callable[[float, np.ndarray], np.ndarray]
 
 
 class ZeroEvidence(RuntimeError):
     """All likelihood-weighted mass vanished: observation incompatible."""
-
-
-@dataclass(frozen=True)
-class ObservationModel:
-    """Pointwise observation likelihood in log form.
-
-    ``log_likelihood(z, x)`` is vectorized over states: ``x`` of shape
-    ``(m, d)`` yields ``(m,)``.  Values of -inf (impossible states) are
-    allowed; +inf and NaN are not.
-    """
-
-    log_likelihood: Callable[[float, np.ndarray], np.ndarray]
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -63,12 +55,14 @@ class ObservationSequence:
 
 
 @dataclass(frozen=True)
-class HistoryRecord:
-    time: float
-    mean: tuple[float, ...]
-    std: tuple[float, ...]
-    mode_count: int
-    log_evidence: float
+class History:
+    """Summary columns of a filter run: one row per step and per update."""
+
+    time: np.ndarray          # (n,)
+    mean: np.ndarray          # (n, d)
+    std: np.ndarray           # (n, d)
+    mode_count: np.ndarray    # (n,) int64, modes of the axis-1 marginal
+    log_evidence: np.ndarray  # (n,)
 
 
 @dataclass(frozen=True)
@@ -86,77 +80,29 @@ class FilterState:
     posterior: Density
     time: float
     log_evidence: float
-    history: tuple[HistoryRecord, ...]
-    min_prominence: float = 0.1
-    snapshots: tuple[tuple[float, Density], ...] = ()
-    snap_log: tuple[SnapRecord, ...] = ()
+    history: History
+    snapshots: tuple[tuple[float, Density], ...]
+    snap_log: tuple[SnapRecord, ...]
 
 
-def _record(time: float, density: Density, log_evidence: float,
-            min_prominence: float) -> HistoryRecord:
-    mom = moments(density)
-    var = np.clip(np.diag(mom.covariance), 0.0, None)
-    modes = count_modes(marginal(density, 0), min_prominence)
-    return HistoryRecord(
-        time=float(time),
-        mean=tuple(float(x) for x in mom.mean),
-        std=tuple(float(x) for x in np.sqrt(var)),
-        mode_count=int(modes),
-        log_evidence=float(log_evidence),
-    )
+def predict(values: np.ndarray, op: TransitionOperator) -> np.ndarray:
+    """Cell values after one :func:`step` of their mass."""
+    vol = op.grid.cell_volume
+    # back to values every step: an ulp of drift flips mode counts at tied peaks
+    return step(op, values * vol) / vol
 
 
-def initial_state(prior: Density, min_prominence: float = 0.1) -> FilterState:
-    if abs(prior.mass - 1.0) > 1e-8:
-        raise ValueError(f"prior must have unit mass, got {prior.mass}")
-    return FilterState(
-        posterior=prior,
-        time=0.0,
-        log_evidence=0.0,
-        history=(_record(0.0, prior, 0.0, min_prominence),),
-        min_prominence=min_prominence,
-    )
+def bayes_update(values: np.ndarray, grid: Grid, log_likelihood: LogLikelihood, z,
+                 log_evidence: float) -> tuple[np.ndarray, float]:
+    """Reweight cell values by the likelihood of ``z`` and renormalize.
 
-
-def predict(state: FilterState, op: TransitionOperator,
-            t_target: float) -> FilterState:
-    """Evolve the posterior by whole steps up to ``t_target``.
-
-    Appends a history record after every :func:`step` of the posterior's
-    mass.  The state time advances to the last step time reached
-    (piecewise-constant semantics); pass targets on the step lattice to land
-    exactly.
+    ``log_likelihood(z, x)`` is vectorized over states: ``x`` of shape
+    ``(m, d)`` yields ``(m,)``.  Values of -inf (impossible states) are
+    allowed; +inf and NaN are not.  Returns the posterior values and the
+    running log evidence plus this observation's (the prior predictive value
+    of z, computed before normalization).
     """
-    post = state.posterior
-    grid = post.grid
-    if grid != op.grid:
-        raise ValueError("posterior and operator live on different grids")
-    if t_target < state.time - 1e-12:
-        raise ValueError(f"cannot predict backwards: {t_target} < {state.time}")
-    nsteps = int(np.floor((t_target - state.time) / op.dt + 1e-9))
-    if nsteps == 0:
-        return state
-    vol = grid.cell_volume
-    hist = list(state.history)
-    t = state.time
-    for j in range(1, nsteps + 1):
-        # back to values every step: an ulp of drift flips mode counts at tied peaks
-        post = Density(step(op, post.values * vol) / vol, grid)
-        t = state.time + j * op.dt
-        hist.append(_record(t, post, state.log_evidence, state.min_prominence))
-    return replace(state, posterior=post, time=t, history=tuple(hist))
-
-
-def bayes_update(state: FilterState, model: ObservationModel, z) -> FilterState:
-    """Reweight by the likelihood of ``z`` and renormalize.
-
-    The evidence (prior predictive value of z) is computed before
-    normalization and added to the running log evidence; a paired history
-    record at the same time captures the jump in the summary statistics.
-    """
-    dens = state.posterior
-    grid = dens.grid
-    ll = np.asarray(model.log_likelihood(z, grid.cell_midpoints), dtype=float)
+    ll = np.asarray(log_likelihood(z, grid.cell_midpoints), dtype=float)
     if ll.shape != (grid.ncells,):
         raise ValueError(f"log_likelihood returned shape {ll.shape}")
     if np.any(np.isnan(ll)) or np.any(np.isposinf(ll)):
@@ -165,18 +111,15 @@ def bayes_update(state: FilterState, model: ObservationModel, z) -> FilterState:
     if mx == -np.inf:
         raise ZeroEvidence(f"likelihood of z={z} vanishes on the whole grid")
     w = np.exp(ll - mx)
-    unnorm = dens.values * w
+    unnorm = values * w
     scaled = unnorm.sum() * grid.cell_volume  # = evidence * exp(-mx)
     if not scaled > 0 or not np.isfinite(scaled):
         raise ZeroEvidence(f"all likelihood-weighted mass vanished for z={z}")
-    log_ev = state.log_evidence + mx + float(np.log(scaled))
-    post = Density(unnorm / scaled, grid)
-    hist = state.history + (_record(state.time, post, log_ev, state.min_prominence),)
-    return replace(state, posterior=post, log_evidence=log_ev, history=hist)
+    return unnorm / scaled, log_evidence + mx + float(np.log(scaled))
 
 
-def gaussian_abs_position_model(sigma: float) -> ObservationModel:
-    """Observation z ~ N(|x_1|, sigma^2): magnitude seen, sign lost."""
+def gaussian_abs_position_model(sigma: float) -> LogLikelihood:
+    """Log likelihood of z ~ N(|x_1|, sigma^2): magnitude seen, sign lost."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     s = float(sigma)
@@ -187,24 +130,37 @@ def gaussian_abs_position_model(sigma: float) -> ObservationModel:
         r = float(z) - np.abs(x[..., 0])
         return -r * r / (2.0 * s * s) - log_norm
 
-    return ObservationModel(
-        log_likelihood=log_likelihood,
-        description=f"gaussian |x1| observation, sigma={s}",
-    )
+    return log_likelihood
 
 
-def run_filter(prior: Density, op: TransitionOperator, model: ObservationModel,
+def _record(hist: History, row: int, t: float, dens: Density, log_evidence: float,
+            min_prominence: float) -> None:
+    mom = moments(dens)
+    hist.time[row] = t
+    hist.mean[row] = mom.mean
+    hist.std[row] = np.sqrt(np.clip(np.diag(mom.covariance), 0.0, None))
+    hist.mode_count[row] = count_modes(marginal(dens, 0), min_prominence)
+    hist.log_evidence[row] = log_evidence
+
+
+def run_filter(prior: Density, op: TransitionOperator, log_likelihood: LogLikelihood,
                obs: ObservationSequence, t_end: float,
                min_prominence: float = 0.1,
                snapshot_times: Sequence[float] = ()) -> FilterState:
-    """Alternate prediction and Bayes updates through ``obs`` up to ``t_end``.
+    """Alternate one-step predictions and Bayes updates through ``obs`` to ``t_end``.
 
-    Observation, snapshot, and end times are snapped to the nearest multiple
-    of the operator step (recorded in ``snap_log``).  Snapshots capture the
-    posterior at the requested times; when a snapshot coincides with an
-    observation it captures the post-update posterior.
+    Observation, snapshot, and end times are snapped to the nearest step
+    index ``k`` (recorded in ``snap_log``), and the run walks the events in
+    order of ``k``.  A history row at ``t = k * dt`` follows every step and
+    every update.  Snapshots capture the posterior at the requested times;
+    when a snapshot coincides with an observation it captures the
+    post-update posterior.
     """
-    state = initial_state(prior, min_prominence)
+    grid = op.grid
+    if prior.grid != grid:
+        raise ValueError("prior and operator live on different grids")
+    if abs(prior.mass - 1.0) > 1e-8:
+        raise ValueError(f"prior must have unit mass, got {prior.mass}")
     dt = op.dt
     if len(obs) and obs.times[-1] > t_end + 1e-12:
         raise ValueError("observations extend beyond t_end")
@@ -212,29 +168,42 @@ def run_filter(prior: Density, op: TransitionOperator, model: ObservationModel,
         if s < 0 or s > t_end + 1e-12:
             raise ValueError(f"snapshot time {s} outside [0, t_end]")
 
-    events = []
     snap_log = []
-    for t, z in zip(obs.times, obs.values):
-        k = int(round(t / dt))
-        snap_log.append(SnapRecord("observation", t, k * dt, abs(k * dt - t)))
-        events.append((k, 0, z))
-    for t in snapshot_times:
-        k = int(round(t / dt))
-        snap_log.append(SnapRecord("snapshot", t, k * dt, abs(k * dt - t)))
-        events.append((k, 1, None))
-    k_end = int(round(t_end / dt))
-    snap_log.append(SnapRecord("t_end", t_end, k_end * dt, abs(k_end * dt - t_end)))
-    events.sort(key=lambda e: (e[0], e[1]))
 
+    def snap(kind, t):
+        k = int(round(t / dt))
+        snap_log.append(SnapRecord(kind, t, k * dt, abs(k * dt - t)))
+        return k
+
+    # kind 0 (observation) sorts before kind 1 (snapshot) at the same step
+    events = [(snap("observation", t), 0, z) for t, z in zip(obs.times, obs.values)]
+    events += [(snap("snapshot", t), 1, None) for t in snapshot_times]
+    events.sort(key=lambda e: (e[0], e[1]))
+    k_end = snap("t_end", t_end)
+    if k_end < max((e[0] for e in events), default=0):
+        raise ValueError(f"t_end {t_end} snaps to step {k_end}, before an event or 0")
+
+    n, d = 1 + k_end + len(obs), grid.domain.d
+    hist = History(time=np.empty(n), mean=np.empty((n, d)), std=np.empty((n, d)),
+                   mode_count=np.empty(n, dtype=np.int64), log_evidence=np.empty(n))
+    _record(hist, 0, 0.0, prior, 0.0, min_prominence)
+    row, k, values, log_ev = 1, 0, prior.values, 0.0
     snapshots = []
-    for k, kind, payload in events:
-        state = predict(state, op, k * dt)
+    for k_event, kind, z in events + [(k_end, 2, None)]:
+        while k < k_event:
+            values = predict(values, op)
+            k += 1
+            _record(hist, row, k * dt, Density(values, grid), log_ev, min_prominence)
+            row += 1
         if kind == 0:
-            state = bayes_update(state, model, payload)
-        else:
-            snapshots.append((k * dt, state.posterior))
-    state = predict(state, op, k_end * dt)
-    return replace(state, snapshots=tuple(snapshots), snap_log=tuple(snap_log))
+            values, log_ev = bayes_update(values, grid, log_likelihood, z, log_ev)
+            _record(hist, row, k * dt, Density(values, grid), log_ev, min_prominence)
+            row += 1
+        elif kind == 1:
+            snapshots.append((k * dt, Density(values, grid)))
+    return FilterState(posterior=Density(values, grid), time=k_end * dt,
+                       log_evidence=log_ev, history=hist,
+                       snapshots=tuple(snapshots), snap_log=tuple(snap_log))
 
 
 def _rk4(field: VelocityField, x: np.ndarray, h: float) -> np.ndarray:
@@ -314,11 +283,12 @@ def read_observations(path) -> ObservationSequence:
 
 
 def write_run_report(state: FilterState, path) -> None:
-    """One CSV row per history record: time, moments, mode count, evidence.
+    """One CSV row per history row: time, moments, mode count, evidence.
 
     Snap records are written as leading comment lines.
     """
-    d = state.posterior.grid.domain.d
+    h = state.history
+    d = h.mean.shape[1]
     cols = (["t"]
             + [f"mean_{i+1}" for i in range(d)]
             + [f"std_{i+1}" for i in range(d)]
@@ -328,9 +298,11 @@ def write_run_report(state: FilterState, path) -> None:
             fh.write(f"# snapped {s.kind} requested={s.requested:.17g} "
                      f"used={s.used:.17g} dist={s.dist:.17g}\n")
         fh.write(",".join(cols) + "\n")
-        for r in state.history:
-            row = ([f"{r.time:.17g}"]
-                   + [f"{x:.17g}" for x in r.mean]
-                   + [f"{x:.17g}" for x in r.std]
-                   + [str(r.mode_count), f"{r.log_evidence:.17g}"])
+        for t, mean, std, modes, log_ev in zip(
+                h.time.tolist(), h.mean.tolist(), h.std.tolist(),
+                h.mode_count.tolist(), h.log_evidence.tolist()):
+            row = ([f"{t:.17g}"]
+                   + [f"{x:.17g}" for x in mean]
+                   + [f"{x:.17g}" for x in std]
+                   + [str(modes), f"{log_ev:.17g}"])
             fh.write(",".join(row) + "\n")

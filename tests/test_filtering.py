@@ -3,7 +3,6 @@ import pytest
 
 from fpfvm import (
     BoxDomain,
-    ObservationModel,
     ObservationSequence,
     ZeroEvidence,
     assemble,
@@ -11,9 +10,10 @@ from fpfvm import (
     build_grid,
     compute_fluxes,
     constant_field,
+    evolve,
     gaussian_abs_position_model,
     gaussian_pdf,
-    initial_state,
+    moments,
     normalize,
     pendulum_field,
     predict,
@@ -22,6 +22,7 @@ from fpfvm import (
     rotation_field,
     run_filter,
     simulate_truth,
+    step,
     synthesize_observations,
     uniform_density,
     write_observations,
@@ -60,14 +61,14 @@ def test_gaussian_abs_model():
     sigma = 0.1
     model = gaussian_abs_position_model(sigma)
     x = np.array([[0.6, 1.0]])
-    peak = model.log_likelihood(0.6, x)[0]
+    peak = model(0.6, x)[0]
     assert peak == pytest.approx(-np.log(sigma * np.sqrt(2 * PI)), rel=1e-14)
     # half a sigma off costs exactly 1/2 above the normalizer
-    val = model.log_likelihood(0.5, x)[0]
+    val = model(0.5, x)[0]
     assert peak - val == pytest.approx(0.5, rel=1e-12)
     # sign of x1 is invisible
     xs = np.array([[0.37, -1.2], [-0.37, -1.2]])
-    ll = model.log_likelihood(0.9, xs)
+    ll = model(0.9, xs)
     assert ll[0] == ll[1]
     with pytest.raises(ValueError):
         gaussian_abs_position_model(0.0)
@@ -75,60 +76,57 @@ def test_gaussian_abs_model():
 
 def test_bayes_update_constant_likelihood():
     _, g, _, prior = _pendulum_setup(8)
-    state = initial_state(prior)
     c = 2.5
-    model = ObservationModel(lambda z, x: np.full(len(x), np.log(c)))
-    new = bayes_update(state, model, 0.0)
-    assert np.abs(new.posterior.values - prior.values).max() <= 1e-14 * prior.values.max()
-    assert new.log_evidence == pytest.approx(np.log(c), abs=1e-12)
+    post, log_ev = bayes_update(prior.values, g, lambda z, x: np.full(len(x), np.log(c)),
+                                0.0, 0.0)
+    assert np.abs(post - prior.values).max() <= 1e-14 * prior.values.max()
+    assert log_ev == pytest.approx(np.log(c), abs=1e-12)
 
 
 def test_bayes_update_indicator_oracle():
     # 2x2 uniform prior on the unit box; keep the left half plane
     g = build_grid(BoxDomain((0, 0), (1, 1)), (2, 2), ("neumann", "neumann"))
-    state = initial_state(uniform_density(g))
 
     def log_ind(z, x):
         return np.where(np.asarray(x)[..., 0] < 0.5, 0.0, -np.inf)
 
-    new = bayes_update(state, ObservationModel(log_ind), 0.0)
+    post, log_ev = bayes_update(uniform_density(g).values, g, log_ind, 0.0, 0.0)
     # evidence is the prior mass of the half, posterior its renormalization
-    assert new.log_evidence == pytest.approx(np.log(0.5), abs=1e-14)
+    assert log_ev == pytest.approx(np.log(0.5), abs=1e-14)
     left = np.ravel_multi_index(([0, 0], [0, 1]), g.n, order="F")
-    assert np.allclose(new.posterior.values[left], 2.0, rtol=1e-14)
+    assert np.allclose(post[left], 2.0, rtol=1e-14)
     right = np.ravel_multi_index(([1, 1], [0, 1]), g.n, order="F")
-    assert np.all(new.posterior.values[right] == 0.0)
-    assert new.posterior.mass == pytest.approx(1.0, abs=1e-13)
+    assert np.all(post[right] == 0.0)
+    assert post.sum() * g.cell_volume == pytest.approx(1.0, abs=1e-13)
 
 
 def test_bayes_update_zero_evidence():
     _, g, _, prior = _pendulum_setup(6)
-    state = initial_state(prior)
-    impossible = ObservationModel(lambda z, x: np.full(len(x), -np.inf))
     with pytest.raises(ZeroEvidence):
-        bayes_update(state, impossible, 1.0)
+        bayes_update(prior.values, g, lambda z, x: np.full(len(x), -np.inf), 1.0, 0.0)
 
 
 def test_predict_basics():
     _, g, op, prior = _pendulum_setup(12)
-    state = initial_state(prior)
-    same = predict(state, op, 0.0)
-    assert same is state
-    moved = predict(state, op, 10 * op.dt)
-    assert moved.time == pytest.approx(10 * op.dt, rel=1e-12)
-    assert len(moved.history) == 11  # initial record plus one per step
-    assert moved.posterior.mass == pytest.approx(1.0, abs=1e-12)
-    assert moved.posterior.values.min() >= 0.0
-    with pytest.raises(ValueError):
-        predict(moved, op, 0.0)
+    vol = g.cell_volume
+    # exactly one step of the mass
+    one = predict(prior.values, op)
+    assert np.array_equal(one, step(op, prior.values * vol) / vol)
+    moved = prior.values
+    for _ in range(10):
+        moved = predict(moved, op)
+    assert moved.sum() * vol == pytest.approx(1.0, abs=1e-12)
+    assert moved.min() >= 0.0
 
 
 def test_predict_identity_operator():
     g = build_grid(BoxDomain((-1, -1), (1, 1)), (6, 6), ("neumann", "neumann"))
     op = _zero_op(g)
     prior = uniform_density(g)
-    state = predict(initial_state(prior), op, 40 * op.dt)
-    assert np.array_equal(state.posterior.values, prior.values)
+    values = prior.values
+    for _ in range(40):
+        values = predict(values, op)
+    assert np.array_equal(values, prior.values)
 
 
 def test_run_filter_no_observations():
@@ -154,9 +152,8 @@ def test_run_filter_symmetry_and_means():
     assert np.abs(final - final[::-1]).max() <= 1e-10
     for t, dens in state.snapshots:
         assert np.abs(dens.values - dens.values[::-1]).max() <= 1e-10
-    for rec in state.history:
-        assert abs(rec.mean[0]) <= 2 * g.h[0]
-        assert abs(rec.mean[1]) <= 2 * g.h[1]
+    assert np.abs(state.history.mean[:, 0]).max() <= 2 * g.h[0]
+    assert np.abs(state.history.mean[:, 1]).max() <= 2 * g.h[1]
     assert state.posterior.mass == pytest.approx(1.0, abs=1e-10)
 
 
@@ -182,6 +179,8 @@ def test_run_filter_validation():
     unnormalized = project(gaussian_pdf((0.0, 0.0), 0.64), g)
     with pytest.raises(ValueError):
         run_filter(unnormalized, op, model, ObservationSequence((), ()), t_end=1.0)
+    with pytest.raises(ValueError, match="t_end"):
+        run_filter(prior, op, model, ObservationSequence((), ()), t_end=-1.0)
 
 
 def test_run_filter_history_and_snaps():
@@ -195,10 +194,65 @@ def test_run_filter_history_and_snaps():
     snap = state.snap_log[0]
     assert snap.used == pytest.approx(7 * op.dt, rel=1e-12)
     assert snap.dist == pytest.approx(0.3 * op.dt, rel=1e-9)
-    # observation inserts a second record at the same time (the jump)
-    ts = [r.time for r in state.history]
-    assert ts.count(pytest.approx(7 * op.dt)) == 2
+    # observation inserts a second row at the same time (the jump)
+    assert np.count_nonzero(state.history.time == 7 * op.dt) == 2
     assert state.snapshots[0][0] == 0.0
+
+
+def test_run_filter_history_on_the_step_lattice():
+    _, g, op, prior = _pendulum_setup(10)
+    dt = op.dt
+    # both observations snap to step 7, the end to step 12
+    obs = ObservationSequence((6.8 * dt, 7.3 * dt, 9.6 * dt), (0.3, 0.5, 0.4))
+    state = run_filter(prior, op, gaussian_abs_position_model(0.2), obs,
+                       t_end=11.7 * dt)
+    h = state.history
+    k_end = 12
+    assert len(h.time) == 1 + k_end + len(obs)
+    # one row per step, plus one per update at its snapped step
+    expected = sorted([k * dt for k in range(k_end + 1)] + [7 * dt, 7 * dt, 10 * dt])
+    assert h.time.tolist() == expected
+    assert h.mode_count.dtype == np.int64
+    # each update row sits at its snap record's time and moves the evidence
+    update_rows = np.flatnonzero(np.diff(h.time) == 0) + 1
+    used = [s.used for s in state.snap_log if s.kind == "observation"]
+    assert h.time[update_rows].tolist() == used
+    assert np.all(h.log_evidence[update_rows] != h.log_evidence[update_rows - 1])
+    assert np.count_nonzero(h.time == 7 * dt) == 3
+    t_end_snap = state.snap_log[-1]
+    assert t_end_snap.kind == "t_end"
+    assert state.time == t_end_snap.used == h.time[-1]
+    assert state.log_evidence == h.log_evidence[-1]
+
+
+def test_run_filter_snapshot_at_observation_is_post_update():
+    _, g, op, prior = _pendulum_setup(10)
+    model = gaussian_abs_position_model(0.2)
+    obs = ObservationSequence((5 * op.dt,), (0.4,))
+    late = run_filter(prior, op, model, obs, t_end=9 * op.dt,
+                      snapshot_times=(5 * op.dt,))
+    # a run that ends at the observation step ends on its update
+    at = run_filter(prior, op, model, obs, t_end=5 * op.dt)
+    none = run_filter(prior, op, model, ObservationSequence((), ()), t_end=5 * op.dt)
+    t, snap = late.snapshots[0]
+    assert t == 5 * op.dt
+    assert np.array_equal(snap.values, at.posterior.values)
+    assert not np.array_equal(snap.values, none.posterior.values)
+
+
+def test_run_filter_history_matches_evolve_without_observations():
+    _, g, op, prior = _pendulum_setup(12)
+    state = run_filter(prior, op, gaussian_abs_position_model(0.1),
+                       ObservationSequence((), ()), t_end=15 * op.dt)
+    h = state.history
+    assert len(h.time) == 16
+    # evolve carries the mass vector, so values agree to rounding only;
+    # mode counts are not compared because tied peaks flip on an ulp
+    for k in range(16):
+        mom = moments(evolve(op, prior, k * op.dt))
+        assert np.abs(h.mean[k] - mom.mean).max() <= 1e-12
+        assert np.abs(h.std[k] - np.sqrt(np.diag(mom.covariance))).max() <= 1e-12
+    assert np.all(h.log_evidence == 0.0)
 
 
 def test_simulate_truth_constant_and_rotation():
@@ -265,6 +319,6 @@ def test_run_report_columns(tmp_path):
     write_run_report(state, path)
     lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     assert lines[0] == "t,mean_1,mean_2,std_1,std_2,mode_count_axis1,log_evidence"
-    assert len(lines) - 1 == len(state.history)
+    assert len(lines) - 1 == len(state.history.time)
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[-1]) == 0.0

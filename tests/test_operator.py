@@ -7,6 +7,7 @@ from fpfvm import (
     CflViolation,
     Density,
     NoConvergence,
+    ObservationSequence,
     TransitionOperator,
     VelocityField,
     assemble,
@@ -15,13 +16,13 @@ from fpfvm import (
     constant_field,
     evolve,
     export_operator,
+    gaussian_abs_position_model,
     gaussian_pdf,
-    initial_state,
     max_stable_dt,
     normalize,
     pendulum_field,
-    predict,
     project,
+    run_filter,
     stationary,
     step,
     uniform_density,
@@ -337,7 +338,8 @@ def test_grid_mismatch_errors():
         step(op, d.values * other.cell_volume)
     with pytest.raises(ValueError):
         evolve(op, d, 0.0)
-    with pytest.raises(ValueError):
-        predict(initial_state(d), op, op.dt)
+    with pytest.raises(ValueError, match="different grids"):
+        run_filter(d, op, gaussian_abs_position_model(0.1), ObservationSequence((), ()),
+                   t_end=op.dt)
     with pytest.raises(ValueError):
         assemble(fx, other, 0.001)
