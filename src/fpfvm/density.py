@@ -186,18 +186,35 @@ def moments(density: Density) -> Moments:
     grid = density.grid
     d = grid.domain.d
     arr = density.values.reshape(grid.n, order="F")
-    cv = grid.cell_volume
-    mids = [_axis_grid(grid, a).cell_midpoints[:, 0] for a in range(d)]
     mean = np.empty(d)
-    second = np.empty((d, d))
+    cov = np.empty((d, d))
     for a in range(d):
-        p = _sum_except(arr, (a,)) * cv  # slab masses along axis a
-        mean[a] = p @ mids[a]
-        second[a, a] = p @ (mids[a] * mids[a]) + (grid.h[a] ** 2 / 12.0) * p.sum()
+        mean[a], cov[a, a] = _axis_moments(_sum_except(arr, (a,)), grid, a)
+    mids = [_axis_grid(grid, a).cell_midpoints[:, 0] for a in range(d)]
+    for a in range(d):
         for b in range(a + 1, d):
-            second[a, b] = second[b, a] = (
-                mids[a] @ _sum_except(arr, (a, b)) @ mids[b]) * cv
-    return Moments(mean=mean, covariance=second - np.outer(mean, mean))
+            cov[a, b] = cov[b, a] = (
+                (mids[a] @ _sum_except(arr, (a, b)) @ mids[b]) * grid.cell_volume
+                - mean[a] * mean[b])
+    return Moments(mean=mean, covariance=cov)
+
+
+def _axis_moments(sums: np.ndarray, grid: Grid, axis: int):
+    """Mean and variance along ``axis`` of densities given by slab sums.
+
+    ``sums`` is ``(..., n_axis)``: cell values summed over every other axis,
+    one profile per leading index.  The variance includes the within-cell
+    h^2/12.
+    """
+    x = _axis_grid(grid, axis).cell_midpoints[:, 0]
+    p = sums * grid.cell_volume  # slab masses
+    # a stack of (1, n) @ (n, 1) products is one dot per profile, rounded as
+    # for a single profile; (k, n) @ (n,) would round differently
+    rows = p[..., None, :]
+    mean = (rows @ x[:, None])[..., 0, 0]
+    second = ((rows @ (x * x)[:, None])[..., 0, 0]
+              + (grid.h[axis] ** 2 / 12.0) * p.sum(axis=-1))
+    return mean, second - mean * mean
 
 
 def _sum_except(arr: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
@@ -218,6 +235,15 @@ def _axis_grid(grid: Grid, axis: int) -> Grid:
     return sub
 
 
+def _slab_width(grid: Grid, axis: int) -> float:
+    """Product of the cell widths of every axis but ``axis``."""
+    scale = 1.0
+    for j, h in enumerate(grid.h):
+        if j != axis:
+            scale *= h
+    return scale
+
+
 def marginal(density: Density, axis: int) -> Density:
     """Integrate out all axes except ``axis``; mass is preserved."""
     grid = density.grid
@@ -225,17 +251,38 @@ def marginal(density: Density, axis: int) -> Density:
     if not 0 <= axis < d:
         raise ValueError(f"axis {axis} out of range for dimension {d}")
     arr = density.values.reshape(grid.n, order="F")
-    scale = 1.0
-    for j in range(d):
-        if j != axis:
-            scale *= grid.h[j]
-    return Density(_sum_except(arr, (axis,)) * scale, _axis_grid(grid, axis))
+    return Density(_sum_except(arr, (axis,)) * _slab_width(grid, axis),
+                   _axis_grid(grid, axis))
+
+
+def _slab_diagnostics(sums: list[np.ndarray], grid: Grid, min_prominence: float):
+    """Means, stds and axis-0 mode counts of ``k`` densities on ``grid``.
+
+    ``sums[a]`` is ``(k, n_a)``: each density's values summed over every axis
+    but ``a``.  Row ``i`` of the results equals :func:`moments` (mean and
+    square root of the covariance diagonal) and
+    ``count_modes(marginal(density_i, 0), min_prominence)``, with the numpy
+    calls paid once for all ``k``.  ``min_prominence`` is not checked here.
+    """
+    k = sums[0].shape[0]
+    mean = np.empty((k, len(sums)))
+    var = np.empty((k, len(sums)))
+    for a, s in enumerate(sums):
+        mean[:, a], var[:, a] = _axis_moments(s, grid, a)
+    modes = _count_modes_rows(sums[0] * _slab_width(grid, 0), grid.bc[0] == PERIODIC,
+                              min_prominence)
+    return mean, np.sqrt(np.clip(var, 0.0, None)), modes
+
+
+def _check_prominence(min_prominence: float) -> None:
+    if not 0.0 <= min_prominence <= 1.0:
+        raise ValueError(f"min_prominence must lie in [0, 1], got {min_prominence}")
 
 
 def count_modes(density: Density, min_prominence: float) -> int:
     """Number of modes of a 1D density by topographic prominence.
 
-    Exact plateaus are merged first (a uniform density has one mode).  A
+    Exact plateaus count as one point (a uniform density has one mode).  A
     local maximum counts as a mode when it rises at least
     ``min_prominence * max(values)`` above the highest saddle separating it
     from strictly higher terrain; the global maximum is measured against the
@@ -245,36 +292,61 @@ def count_modes(density: Density, min_prominence: float) -> int:
     """
     if density.grid.domain.d != 1:
         raise ValueError("count_modes expects a 1D density")
-    if not 0.0 <= min_prominence <= 1.0:
-        raise ValueError(f"min_prominence must lie in [0, 1], got {min_prominence}")
-    v = density.values
-    gmax = float(v.max())
-    if not gmax > 0:
-        return 0
-    if density.grid.bc[0] == PERIODIC:
-        i = int(v.argmin())
-        v = np.concatenate((v[i:], v[:i]))
-    c = v[np.concatenate(([True], v[1:] != v[:-1]))]
-    if c.size == 1:
-        return 1
+    _check_prominence(min_prominence)
+    return int(_count_modes_rows(density.values[None, :], density.grid.bc[0] == PERIODIC,
+                                 min_prominence)[0])
+
+
+_SADDLE_CELLS = 1 << 18  # bounds the per-peak temporaries to 2 MB of float64
+
+
+def _count_modes_rows(rows: np.ndarray, periodic: bool,
+                      min_prominence: float) -> np.ndarray:
+    """Mode counts of each row of a ``(k, n)`` stack of 1D profiles."""
+    k, n = rows.shape
+    gmax = rows.max(axis=1)
+    if periodic:  # cut each ring at its own global minimum
+        rows = np.take_along_axis(rows, (np.arange(n) + rows.argmin(axis=1)[:, None]) % n,
+                                  axis=1)
+    vmin = rows.min(axis=1, keepdims=True)
     # Walls of +inf behind the global minimum on both ends: every peak then
     # has strictly higher terrain on each side, and a side that reaches it
     # only at a wall gets the global minimum as its saddle, which never
     # beats a real saddle on the other side.
-    cmin = c.min()
-    e = np.concatenate(([np.inf, cmin], c, [cmin, np.inf]))
-    pk = np.flatnonzero((c > e[1:-3]) & (c > e[3:-1]))[:, None] + 2  # strict maxima
-    top = e[pk]
-    idx = np.arange(e.size)
-    higher = e > top
-    before = idx < pk
-    # one row per peak: nearest higher point on each side, lowest point between
-    left = np.where(higher & before, idx, -1).max(axis=1, keepdims=True)
-    right = np.where(higher & ~before, idx, e.size).min(axis=1, keepdims=True)
-    low = np.where((idx > left) & (idx < right), e, np.inf)
-    saddle = np.maximum(np.where(before, low, top).min(axis=1, keepdims=True),
-                        np.where(before, top, low).min(axis=1, keepdims=True))
-    return int(np.count_nonzero(top - saddle >= min_prominence * gmax))
+    wall = np.full((k, 1), np.inf)
+    e = np.concatenate((wall, vmin, rows, vmin, wall), axis=1)
+    idx = np.arange(e.shape[1])
+    # first index after each point where the height changes (the walls bound it)
+    changes = np.where(e[:, 1:] != e[:, :-1], idx[1:], idx.size)
+    nxt = np.minimum.accumulate(changes[:, ::-1], axis=1)[:, ::-1]
+    # a peak is the first point of a plateau that is higher than the point
+    # before it and than the first different point after it
+    mid = e[:, 2:-2]
+    after = np.take_along_axis(e, nxt[:, 2:-1], axis=1)
+    rowi, col = np.nonzero((mid > e[:, 1:-3]) & (mid > after))
+    counts = np.zeros(k, dtype=np.int64)
+    # one row per peak, in passes of at most _SADDLE_CELLS cells: a rough
+    # profile has about n/3 peaks, so all of a block's peaks at once would
+    # take O(k n^2) memory
+    per_pass = max(1, _SADDLE_CELLS // idx.size)
+    for start in range(0, rowi.size, per_pass):
+        r = rowi[start:start + per_pass]
+        pk = col[start:start + per_pass, None] + 2
+        ep = e[r]
+        top = np.take_along_axis(ep, pk, axis=1)
+        higher = ep > top
+        before = idx < pk
+        # nearest higher point on each side, lowest point between
+        left = np.where(higher & before, idx, -1).max(axis=1, keepdims=True)
+        right = np.where(higher & ~before, idx, idx.size).min(axis=1, keepdims=True)
+        low = np.where((idx > left) & (idx < right), ep, np.inf)
+        saddle = np.maximum(np.where(before, low, top).min(axis=1, keepdims=True),
+                            np.where(before, top, low).min(axis=1, keepdims=True))
+        prominent = (top - saddle)[:, 0] >= min_prominence * gmax[r]
+        counts += np.bincount(r[prominent], minlength=k)
+    counts[vmin[:, 0] == gmax] = 1  # one plateau: one mode
+    counts[~(gmax > 0)] = 0
+    return counts
 
 
 def save_density(density: Density, path, t: float = 0.0) -> None:
@@ -285,17 +357,17 @@ def save_density(density: Density, path, t: float = 0.0) -> None:
     """
     grid = density.grid
     dom = grid.domain
-    lines = [
+    header = [
         f"# d={dom.d}",
         "# n=" + ",".join(str(k) for k in grid.n),
         "# domain=" + ";".join(
             f"{lo:.17g},{up:.17g}" for lo, up in zip(dom.lower, dom.upper)),
         f"# t={t:.17g}",
     ]
-    # Python floats format faster than numpy scalars, to the same text
-    lines.extend(f"{x:.17g}" for x in density.values.tolist())
+    # one format call over Python floats: no per-value string objects
+    values = tuple(density.values.tolist())
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n" + "%.17g\n" * len(values) % values)
 
 
 def load_density(path, bc=None) -> tuple[Density, float]:

@@ -8,7 +8,9 @@ at cell midpoints and renormalizes.  Evidence accumulates in log space.
 Because evolution is piecewise constant in time, observation, snapshot and
 end times are snapped to the nearest step index ``k``; every snap is
 recorded, and every summary row is written at ``t = k * dt`` into
-preallocated :class:`History` columns.
+preallocated :class:`History` columns.  A row stores only its time, its
+evidence and the per-axis slab sums of its values; means, stds and mode
+counts are computed from the slab sums once per block of rows.
 """
 
 from __future__ import annotations
@@ -18,12 +20,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .density import Density, count_modes, marginal, moments
+# perfbench/invoke.py wraps moments, marginal, count_modes, predict,
+# bayes_update and step at this module's attributes, so those names stay here
+# even where run_filter no longer calls them
+from .density import (Density, _check_prominence, _slab_diagnostics, _sum_except,
+                      count_modes, marginal, moments)
 from .grid import PERIODIC, Grid
 from .operator import TransitionOperator, step
 from .velocity import VelocityField
 
 LogLikelihood = Callable[[float, np.ndarray], np.ndarray]
+
+_BLOCK = 128  # history rows whose diagnostics are computed together
 
 
 class ZeroEvidence(RuntimeError):
@@ -133,16 +141,6 @@ def gaussian_abs_position_model(sigma: float) -> LogLikelihood:
     return log_likelihood
 
 
-def _record(hist: History, row: int, t: float, dens: Density, log_evidence: float,
-            min_prominence: float) -> None:
-    mom = moments(dens)
-    hist.time[row] = t
-    hist.mean[row] = mom.mean
-    hist.std[row] = np.sqrt(np.clip(np.diag(mom.covariance), 0.0, None))
-    hist.mode_count[row] = count_modes(marginal(dens, 0), min_prominence)
-    hist.log_evidence[row] = log_evidence
-
-
 def run_filter(prior: Density, op: TransitionOperator, log_likelihood: LogLikelihood,
                obs: ObservationSequence, t_end: float,
                min_prominence: float = 0.1,
@@ -159,6 +157,7 @@ def run_filter(prior: Density, op: TransitionOperator, log_likelihood: LogLikeli
     grid = op.grid
     if prior.grid != grid:
         raise ValueError("prior and operator live on different grids")
+    _check_prominence(min_prominence)
     if abs(prior.mass - 1.0) > 1e-8:
         raise ValueError(f"prior must have unit mass, got {prior.mass}")
     dt = op.dt
@@ -186,18 +185,30 @@ def run_filter(prior: Density, op: TransitionOperator, log_likelihood: LogLikeli
     n, d = 1 + k_end + len(obs), grid.domain.d
     hist = History(time=np.empty(n), mean=np.empty((n, d)), std=np.empty((n, d)),
                    mode_count=np.empty(n, dtype=np.int64), log_evidence=np.empty(n))
-    _record(hist, 0, 0.0, prior, 0.0, min_prominence)
+    sums = [np.empty((_BLOCK, m)) for m in grid.n]  # slab sums of the open block
+
+    def record(row, t, values, log_ev):
+        hist.time[row], hist.log_evidence[row] = t, log_ev
+        arr = values.reshape(grid.n, order="F")
+        for a, buf in enumerate(sums):
+            buf[row % _BLOCK] = _sum_except(arr, (a,))
+        if (row + 1) % _BLOCK == 0 or row + 1 == n:
+            lo, hi = row - row % _BLOCK, row + 1
+            hist.mean[lo:hi], hist.std[lo:hi], hist.mode_count[lo:hi] = _slab_diagnostics(
+                [buf[:hi - lo] for buf in sums], grid, min_prominence)
+
+    record(0, 0.0, prior.values, 0.0)
     row, k, values, log_ev = 1, 0, prior.values, 0.0
     snapshots = []
     for k_event, kind, z in events + [(k_end, 2, None)]:
         while k < k_event:
             values = predict(values, op)
             k += 1
-            _record(hist, row, k * dt, Density(values, grid), log_ev, min_prominence)
+            record(row, k * dt, values, log_ev)
             row += 1
         if kind == 0:
             values, log_ev = bayes_update(values, grid, log_likelihood, z, log_ev)
-            _record(hist, row, k * dt, Density(values, grid), log_ev, min_prominence)
+            record(row, k * dt, values, log_ev)
             row += 1
         elif kind == 1:
             snapshots.append((k * dt, Density(values, grid)))

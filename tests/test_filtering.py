@@ -3,6 +3,7 @@ import pytest
 
 from fpfvm import (
     BoxDomain,
+    Density,
     ObservationSequence,
     ZeroEvidence,
     assemble,
@@ -10,9 +11,12 @@ from fpfvm import (
     build_grid,
     compute_fluxes,
     constant_field,
+    count_modes,
     evolve,
     gaussian_abs_position_model,
     gaussian_pdf,
+    marginal,
+    max_stable_dt,
     moments,
     normalize,
     pendulum_field,
@@ -28,6 +32,7 @@ from fpfvm import (
     write_observations,
     write_run_report,
 )
+from fpfvm.filtering import _BLOCK
 
 PI = np.pi
 
@@ -181,6 +186,9 @@ def test_run_filter_validation():
         run_filter(unnormalized, op, model, ObservationSequence((), ()), t_end=1.0)
     with pytest.raises(ValueError, match="t_end"):
         run_filter(prior, op, model, ObservationSequence((), ()), t_end=-1.0)
+    with pytest.raises(ValueError, match="min_prominence"):
+        run_filter(prior, op, model, ObservationSequence((), ()), t_end=1.0,
+                   min_prominence=float("nan"))
 
 
 def test_run_filter_history_and_snaps():
@@ -253,6 +261,62 @@ def test_run_filter_history_matches_evolve_without_observations():
         assert np.abs(h.mean[k] - mom.mean).max() <= 1e-12
         assert np.abs(h.std[k] - np.sqrt(np.diag(mom.covariance))).max() <= 1e-12
     assert np.all(h.log_evidence == 0.0)
+
+
+def _per_row_history(prior, op, log_likelihood, k_obs, z, k_end, min_prominence):
+    """The per-row diagnostics loop ``run_filter`` replaced, as the reference:
+    ``predict``, then ``moments`` and ``count_modes(marginal(...))`` of a
+    ``Density`` after every step and the one update."""
+    grid = op.grid
+    means, stds, modes = [], [], []
+
+    def record(values):
+        dens = Density(values, grid)
+        mom = moments(dens)
+        means.append(mom.mean)
+        stds.append(np.sqrt(np.clip(np.diag(mom.covariance), 0.0, None)))
+        modes.append(count_modes(marginal(dens, 0), min_prominence))
+
+    values = prior.values
+    record(values)
+    for k in range(1, k_end + 1):
+        values = predict(values, op)
+        record(values)
+        if k == k_obs:
+            values, _ = bayes_update(values, grid, log_likelihood, z, 0.0)
+            record(values)
+    return np.array(means), np.array(stds), np.array(modes)
+
+
+@pytest.mark.parametrize("extra", [0, 37])
+@pytest.mark.parametrize("n,drift", [
+    ((40,), (1.0,)),
+    ((24, 5), (1.0, 0.3)),
+    ((16, 4, 3), (1.0, 0.3, -0.2)),
+])
+def test_run_filter_blocks_match_per_row_diagnostics(n, drift, extra):
+    # two bumps ride a constant drift around the periodic axis 0 and cross
+    # its seam many times, so every row's ring is cut somewhere else
+    d = len(n)
+    grid = build_grid(BoxDomain((-PI,) * d, (PI,) * d), n,
+                      ("periodic",) + ("neumann",) * (d - 1))
+    fluxes = compute_fluxes(constant_field(drift), grid)
+    op = assemble(fluxes, grid, 0.97 * max_stable_dt(fluxes, grid, 0.0).dt_max)
+    bumps = [gaussian_pdf((c,) + (0.0,) * (d - 1), 0.3) for c in (-1.5, 1.0)]
+    prior = normalize(project(lambda x: bumps[0](x) + 0.6 * bumps[1](x), grid))
+    model = gaussian_abs_position_model(0.5)
+    # 2 * _BLOCK rows, or two full blocks and a partial one
+    k_end = 2 * _BLOCK - 2 + extra
+    k_obs = _BLOCK + 3
+    obs = ObservationSequence(((k_obs + 0.1) * op.dt,), (0.8,))
+    state = run_filter(prior, op, model, obs, t_end=k_end * op.dt)
+    h = state.history
+    mean, std, modes = _per_row_history(prior, op, model, k_obs, 0.8, k_end, 0.1)
+    assert len(h.time) == len(modes) == k_end + 2
+    assert np.abs(h.mean - mean).max() <= 1e-12
+    assert np.abs(h.std - std).max() <= 1e-12
+    assert np.array_equal(h.mode_count, modes)
+    assert set(modes.tolist()) >= {1, 2}  # the counts vary along the run
 
 
 def test_simulate_truth_constant_and_rotation():

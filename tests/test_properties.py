@@ -9,11 +9,14 @@ bit with repeated ``step`` on the mass vector, and, with a Dirichlet axis,
 the mass a step loses equal to the upwind outflow through the boundary faces.
 
 Diagnostic examples check ``moments`` and ``count_modes`` against the direct
-formulas they replace, kept here as reference implementations, and that the
-mode count on a periodic axis does not depend on where the ring is cut.
+formulas they replace, kept here as reference implementations, that the
+mode count on a periodic axis does not depend on where the ring is cut, and
+that the batched counter the filter uses on a block of profiles gives each
+row the reference's count.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +36,8 @@ from fpfvm import (
     step,
     verify_markov,
 )
+from fpfvm import density as density_module
+from fpfvm.density import _count_modes_rows
 
 BCS = ("periodic", "neumann", "dirichlet")
 MAX_CELLS = {1: 24, 2: 10, 3: 5}
@@ -241,3 +246,41 @@ def test_count_modes_periodic_ignores_the_cut(values, min_prominence, shift):
     # cutting the ring at its global minimum leaves a line with the same count
     cut = np.roll(values, -int(np.argmin(values)))
     assert base == _count_modes_reference(cut, min_prominence)
+
+
+@st.composite
+def profile_stacks(draw):
+    """A (k, n) stack of profiles: plateaus and ties, generic, zero, uniform."""
+    n = draw(st.integers(2, 40))
+    row = st.one_of(
+        st.lists(st.integers(0, 4).map(float), min_size=n, max_size=n),
+        st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=n, max_size=n),
+        st.sampled_from([0.0, 0.5]).map(lambda c: [c] * n),
+    )
+    return np.array(draw(st.lists(row, min_size=1, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=profile_stacks(), min_prominence=prominences, periodic=st.booleans())
+def test_batched_mode_counts_match_saddle_walk(rows, min_prominence, periodic):
+    counts = _count_modes_rows(rows, periodic, min_prominence)
+    assert counts.shape == (len(rows),)
+    for row, count in zip(rows, counts):
+        if periodic:  # a ring is cut at its global minimum
+            row = np.roll(row, -int(np.argmin(row)))
+        assert count == _count_modes_reference(row, min_prominence)
+
+
+@pytest.mark.parametrize("saddle_cells", [64, 200, 1 << 18])
+def test_batched_mode_counts_in_passes(monkeypatch, saddle_cells):
+    # rough profiles have about n/3 peaks each; small pass sizes split the
+    # block's peaks into passes of 1 and 5 peaks
+    monkeypatch.setattr(density_module, "_SADDLE_CELLS", saddle_cells)
+    rng = np.random.default_rng(5)
+    rows = np.vstack([rng.random((20, 30)), rng.integers(0, 4, (20, 30)).astype(float)])
+    for periodic in (False, True):
+        counts = _count_modes_rows(rows, periodic, 0.1)
+        for row, count in zip(rows, counts):
+            if periodic:
+                row = np.roll(row, -int(np.argmin(row)))
+            assert count == _count_modes_reference(row, 0.1)
