@@ -44,6 +44,13 @@ def _validate_levels(n_list: Sequence[int]) -> tuple[int, ...]:
     return n_list
 
 
+def _orders(diffs: Sequence[float]) -> list[float | None]:
+    """``-log2(diffs[i] / diffs[i - 1])`` per entry; None on the first entry
+    and where either difference is zero."""
+    return [None] + [float(-np.log2(b / a)) if a > 0 and b > 0 else None
+                     for a, b in zip(diffs, diffs[1:])]
+
+
 def run_level(field: VelocityField, domain: BoxDomain, bc: Sequence[str],
               prior_pdf, t_final: float, n: int, xi: float,
               dt_fn: Callable[[float], float] | None = None,
@@ -54,10 +61,11 @@ def run_level(field: VelocityField, domain: BoxDomain, bc: Sequence[str],
     The base step is ``dt_fn(max h)`` when given, otherwise the largest
     stable step for ``xi``; it is then reduced so ``t_final`` is an exact
     multiple and no endpoint ambiguity remains.  ``t_final == 0`` returns
-    the projected prior; a negative ``t_final`` raises.
+    the projected prior; a negative or non-finite ``t_final``, or one whose
+    step count overflows, raises.
     """
-    if t_final < 0:
-        raise ValueError(f"t_final must be nonnegative, got {t_final}")
+    if not 0 <= t_final < np.inf:
+        raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
     grid = build_grid(domain, (n,) * domain.d, bc)
     dens = project(prior_pdf, grid, quadrature)
     if normalize_prior:
@@ -71,8 +79,10 @@ def run_level(field: VelocityField, domain: BoxDomain, bc: Sequence[str],
         base = max_stable_dt(fluxes, grid, xi).dt_max
     if not np.isfinite(base):
         base = t_final  # nothing flows: a single identity-like step
-    steps = max(1, int(np.ceil(t_final / base - 1e-9)))
-    dt = t_final / steps
+    steps = np.ceil(t_final / base - 1e-9)
+    if not steps < np.inf:
+        raise ValueError(f"t_final={t_final} takes a non-finite number of steps of {base}")
+    dt = t_final / max(1, int(steps))
     op = assemble(fluxes, grid, dt)
     return evolve(op, dens, t_final)
 
@@ -93,17 +103,9 @@ def convergence_study(field: VelocityField, domain: BoxDomain, bc: Sequence[str]
                   dt_fn, quadrature, normalize_prior)
         for n in n_list
     ]
-    rows: list[ConvergenceRow] = []
-    prev = None
-    for i in range(len(n_list) - 1):
-        diff = l1_distance(levels[i], levels[i + 1])
-        order = None
-        if prev is not None and prev > 0 and diff > 0:
-            order = float(-np.log2(diff / prev))
-        rows.append(ConvergenceRow(n=n_list[i], l1_diff=float(diff),
-                                   effective_order=order))
-        prev = diff
-    return rows
+    diffs = [l1_distance(a, b) for a, b in zip(levels, levels[1:])]
+    return [ConvergenceRow(n=n, l1_diff=float(diff), effective_order=order)
+            for n, diff, order in zip(n_list, diffs, _orders(diffs))]
 
 
 def expectation_convergence(field: VelocityField, domain: BoxDomain,
@@ -123,17 +125,10 @@ def expectation_convergence(field: VelocityField, domain: BoxDomain,
         dens = run_level(field, domain, bc, prior_pdf, t_final, n, xi,
                          dt_fn, quadrature, normalize_prior)
         values.append(expectation(dens, g))
-    rows: list[ExpectationRow] = []
-    prev_diff = None
-    for i, (n, val) in enumerate(zip(n_list, values)):
-        diff = None if i == 0 else abs(val - values[i - 1])
-        order = None
-        if diff is not None and prev_diff is not None and prev_diff > 0 and diff > 0:
-            order = float(-np.log2(diff / prev_diff))
-        rows.append(ExpectationRow(n=n, value=float(val), diff=diff, order=order))
-        if diff is not None:
-            prev_diff = diff
-    return rows
+    diffs = [abs(b - a) for a, b in zip(values, values[1:])]
+    return [ExpectationRow(n=n, value=float(val), diff=diff, order=order)
+            for n, val, diff, order in zip(n_list, values, [None] + diffs,
+                                           [None] + _orders(diffs))]
 
 
 def write_convergence_csv(rows: Sequence[ConvergenceRow], path) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import PERIODIC, BoxDomain, Grid, build_grid
-from .velocity import _parse_quadrature
+from .velocity import tensor_rule
 
 
 class ZeroMass(ValueError):
@@ -60,17 +60,9 @@ def project(pdf, grid: Grid, quadrature: str = "midpoint") -> Density:
     is part of the approximation being measured.  Raises on negative or
     non-finite cell averages.
     """
-    _, k = _parse_quadrature(quadrature)  # midpoint is the 1-point rule
-    nodes, weights = np.polynomial.legendre.leggauss(k)
-    weights = weights / 2.0
-    mids = grid.cell_midpoints
     vals = np.zeros(grid.ncells)
-    pts = np.empty_like(mids)  # every rule node rewrites all columns
-    for combo in np.ndindex(*(k,) * grid.domain.d):
-        w = 1.0
-        for ax, j in enumerate(combo):
-            pts[:, ax] = mids[:, ax] + 0.5 * grid.h[ax] * nodes[j]
-            w *= weights[j]
+    for w, pts in tensor_rule(quadrature, grid.cell_midpoints, grid.h,
+                              range(grid.domain.d)):
         vals += w * _eval_scalar(pdf, pts)
     if not np.all(np.isfinite(vals)):
         raise ValueError("pdf produced non-finite cell averages")
@@ -190,7 +182,7 @@ def moments(density: Density) -> Moments:
     cov = np.empty((d, d))
     for a in range(d):
         mean[a], cov[a, a] = _axis_moments(_sum_except(arr, (a,)), grid, a)
-    mids = [_axis_grid(grid, a).cell_midpoints[:, 0] for a in range(d)]
+    mids = [_axis_centres(grid, a) for a in range(d)]
     for a in range(d):
         for b in range(a + 1, d):
             cov[a, b] = cov[b, a] = (
@@ -206,7 +198,7 @@ def _axis_moments(sums: np.ndarray, grid: Grid, axis: int):
     one profile per leading index.  The variance includes the within-cell
     h^2/12.
     """
-    x = _axis_grid(grid, axis).cell_midpoints[:, 0]
+    x = _axis_centres(grid, axis)
     p = sums * grid.cell_volume  # slab masses
     # a stack of (1, n) @ (n, 1) products is one dot per profile, rounded as
     # for a single profile; (k, n) @ (n,) would round differently
@@ -217,22 +209,15 @@ def _axis_moments(sums: np.ndarray, grid: Grid, axis: int):
     return mean, second - mean * mean
 
 
+def _axis_centres(grid: Grid, axis: int) -> np.ndarray:
+    """Cell centres along ``axis``, computed as ``Grid.cell_midpoints`` does."""
+    return grid.domain.lower[axis] + (np.arange(grid.n[axis]) + 0.5) * grid.h[axis]
+
+
 def _sum_except(arr: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     """Sum over every axis not in ``keep``; ``arr`` itself when none remain."""
     others = tuple(j for j in range(arr.ndim) if j not in keep)
     return arr.sum(axis=others) if others else arr
-
-
-def _axis_grid(grid: Grid, axis: int) -> Grid:
-    """The 1D grid of one axis, built once per parent grid and axis."""
-    sub = grid._axis_grids.get(axis)
-    if sub is None:
-        sub = grid._axis_grids[axis] = build_grid(
-            BoxDomain((grid.domain.lower[axis],), (grid.domain.upper[axis],)),
-            (grid.n[axis],),
-            (grid.bc[axis],),
-        )
-    return sub
 
 
 def _slab_width(grid: Grid, axis: int) -> float:
@@ -252,7 +237,9 @@ def marginal(density: Density, axis: int) -> Density:
         raise ValueError(f"axis {axis} out of range for dimension {d}")
     arr = density.values.reshape(grid.n, order="F")
     return Density(_sum_except(arr, (axis,)) * _slab_width(grid, axis),
-                   _axis_grid(grid, axis))
+                   build_grid(BoxDomain((grid.domain.lower[axis],),
+                                        (grid.domain.upper[axis],)),
+                              (grid.n[axis],), (grid.bc[axis],)))
 
 
 def _slab_diagnostics(sums: list[np.ndarray], grid: Grid, min_prominence: float):

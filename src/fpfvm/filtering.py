@@ -52,8 +52,8 @@ class ObservationSequence:
         object.__setattr__(self, "values", values)
         if len(times) != len(values):
             raise ValueError("times and values must have equal length")
-        if times and times[0] <= 0:
-            raise ValueError("observation times must be positive")
+        if times and not 0 < times[0] <= times[-1] < np.inf:
+            raise ValueError("observation times must be positive and finite")
         for a, b in zip(times, times[1:]):
             if not b > a:
                 raise ValueError(f"observation times must increase strictly ({a} !< {b})")
@@ -161,10 +161,12 @@ def run_filter(prior: Density, op: TransitionOperator, log_likelihood: LogLikeli
     if abs(prior.mass - 1.0) > 1e-8:
         raise ValueError(f"prior must have unit mass, got {prior.mass}")
     dt = op.dt
+    if not np.isfinite(t_end / dt):
+        raise ValueError(f"t_end must be finite with finite t_end / dt, got {t_end}")
     if len(obs) and obs.times[-1] > t_end + 1e-12:
         raise ValueError("observations extend beyond t_end")
     for s in snapshot_times:
-        if s < 0 or s > t_end + 1e-12:
+        if not 0 <= s <= t_end + 1e-12:
             raise ValueError(f"snapshot time {s} outside [0, t_end]")
 
     snap_log = []
@@ -235,8 +237,9 @@ def simulate_truth(field: VelocityField, x0, times: Sequence[float],
     themselves are integrated unwrapped).
     """
     times = [float(t) for t in times]
-    if any(t < 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("times must be nonnegative and strictly increasing")
+    if (any(not 0 <= t < np.inf for t in times)
+            or any(b <= a for a, b in zip(times, times[1:]))):
+        raise ValueError("times must be finite, nonnegative and strictly increasing")
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (field.dim,):
         raise ValueError(f"x0 has shape {x.shape}, field dimension is {field.dim}")

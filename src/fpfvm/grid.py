@@ -116,7 +116,6 @@ class Grid:
         self.cell_volume = float(np.prod(self.h))
         self._midpoints: np.ndarray | None = None
         self._edges: EdgeTable | None = None
-        self._axis_grids: dict[int, Grid] = {}  # per-axis 1D grids, see density._axis_grid
 
     def __eq__(self, other) -> bool:
         return (
@@ -155,43 +154,27 @@ def build_grid(domain: BoxDomain, n: Sequence[int], bc: Sequence[str]) -> Grid:
 
 
 def _build_edge_table(n, bc) -> EdgeTable:
-    d = len(n)
-    idx = np.arange(int(np.prod(n)))
-    multi = np.unravel_index(idx, n, order="F")
-
-    def flat(comps):
-        return np.ravel_multi_index(comps, n, order="F")
-
+    idx = np.arange(int(np.prod(n)), dtype=np.int64)
     cell_a, cell_b, offsets = [], [], [0]
-
-    def emit(a, b):
-        cell_a.append(a)
-        cell_b.append(b)
-
-    for a in range(d):
-        na = n[a]
-        ma = multi[a]
-
-        inner = ma < na - 1
-        comps = [multi[j][inner] for j in range(d)]
-        comps[a] = comps[a] + 1
-        emit(idx[inner], flat(comps))
-
+    stride = 1  # flat distance between neighbours along axis a
+    for a, na in enumerate(n):
+        ma = idx // stride % na
+        first, last = idx[ma == 0], idx[ma == na - 1]
+        inner = idx[ma < na - 1]
+        cell_a.append(inner)
+        cell_b.append(inner + stride)
         if bc[a] == PERIODIC:
-            wrap = ma == na - 1
-            comps = [multi[j][wrap] for j in range(d)]
-            comps[a] = np.zeros(int(wrap.sum()), dtype=comps[a].dtype)
-            emit(idx[wrap], flat(comps))
+            cell_a.append(last)
+            cell_b.append(first)
         elif bc[a] == DIRICHLET:
-            low = idx[ma == 0]
-            emit(np.full(low.shape[0], -1), low)
-            high = idx[ma == na - 1]
-            emit(high, np.full(high.shape[0], -1))
+            cell_a += [np.full_like(first, -1), last]
+            cell_b += [first, np.full_like(last, -1)]
         offsets.append(sum(c.shape[0] for c in cell_a))
+        stride *= na
 
     table = EdgeTable(
-        cell_a=np.concatenate(cell_a).astype(np.int64),
-        cell_b=np.concatenate(cell_b).astype(np.int64),
+        cell_a=np.concatenate(cell_a),
+        cell_b=np.concatenate(cell_b),
         offsets=tuple(offsets),
     )
     table.cell_a.flags.writeable = False

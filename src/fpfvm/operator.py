@@ -171,8 +171,8 @@ def evolve(op: TransitionOperator, density: Density, t: float) -> Density:
     """
     if density.grid != op.grid:
         raise ValueError("density and operator live on different grids")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not 0 <= t / op.dt < np.inf:
+        raise ValueError(f"t must be nonnegative with finite t / dt, got t={t}, dt={op.dt}")
     k = int(np.floor(t / op.dt + 1e-9))
     vol = op.grid.cell_volume
     m = density.values * vol

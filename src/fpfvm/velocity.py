@@ -117,6 +117,22 @@ def _parse_quadrature(tag: str) -> tuple[str, int]:
     raise ValueError(f"unknown quadrature {tag!r} (use 'midpoint' or 'gauss<k>')")
 
 
+def tensor_rule(quadrature: str, centres: np.ndarray, h, axes):
+    """Yield ``(weight, points)`` of the averaged tensor Gauss-Legendre rule
+    over ``axes`` of the boxes of sides ``h`` centred at ``centres``; the
+    weights sum to 1 and one ``points`` buffer is rewritten per node."""
+    _, k = _parse_quadrature(quadrature)  # midpoint is the 1-point rule
+    nodes, weights = np.polynomial.legendre.leggauss(k)
+    weights = weights / 2.0
+    pts = centres.copy()
+    for combo in np.ndindex(*(k,) * len(axes)):
+        w = 1.0
+        for j, ax in zip(combo, axes):
+            pts[:, ax] = centres[:, ax] + 0.5 * h[ax] * nodes[j]
+            w *= weights[j]
+        yield w, pts
+
+
 def compute_fluxes(field: VelocityField, grid: Grid,
                    quadrature: str = "midpoint") -> EdgeFluxes:
     """Integrate the velocity component along each face's axis over the face.
@@ -129,8 +145,6 @@ def compute_fluxes(field: VelocityField, grid: Grid,
         raise ValueError(
             f"field dimension {field.dim} != grid dimension {grid.domain.d}")
     kind, k = _parse_quadrature(quadrature)
-    nodes, weights = np.polynomial.legendre.leggauss(k)
-    weights = weights / 2.0  # averaged rule: weights sum to 1
     t = grid.edges
     d = grid.domain.d
     flux = np.empty(len(t))
@@ -143,14 +157,9 @@ def compute_fluxes(field: VelocityField, grid: Grid,
                        np.where(outside, t.cell_b[sel], t.cell_a[sel]), axis=0)
         half = 0.5 * grid.h[a]
         mids[:, a] += np.where(outside, -half, half)
-        trans = [j for j in range(d) if j != a]
         acc = np.zeros(mids.shape[0])
-        pts = mids.copy()  # every rule node rewrites all transverse columns
-        for combo in np.ndindex(*(k,) * len(trans)):
-            w = 1.0
-            for j, ax in zip(combo, trans):
-                pts[:, ax] = mids[:, ax] + 0.5 * grid.h[ax] * nodes[j]
-                w *= weights[j]
+        for w, pts in tensor_rule(quadrature, mids, grid.h,
+                                  [j for j in range(d) if j != a]):
             acc += w * np.asarray(field(pts), dtype=float)[:, a]
         flux[sel] = (grid.cell_volume / grid.h[a]) * acc
 

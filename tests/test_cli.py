@@ -169,6 +169,10 @@ def test_filter_rejects_negative_file_prior(tmp_path, capsys):
     ["filter", "--n", "8,8", "--prior_cov", "-1"],
     ["filter", "--n", "8,8", "--min_prominence", "nan"],
     ["converge", "--n_list", "4,8", "--t_final", "-1"],
+    ["converge", "--n_list", "4,8", "--t_final", "inf"],
+    ["converge", "--n_list", "4,8", "--t_final", "1e308"],  # t_final / dt overflows
+    ["filter", "--n", "8,8", "--t_end", "inf"],
+    ["filter", "--n", "8,8", "--obs_times", "1,inf", "--t_end", "5"],
 ])
 def test_library_rejections_exit_two(tmp_path, capsys, args):
     rc = main(args + ["--out", str(tmp_path)])

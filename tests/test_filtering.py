@@ -60,6 +60,9 @@ def test_observation_sequence_validation():
         ObservationSequence((0.0, 1.0), (0.1, 0.2))
     with pytest.raises(ValueError):
         ObservationSequence((1.0,), (0.1, 0.2))
+    for times in ((1.0, np.inf), (np.nan,)):
+        with pytest.raises(ValueError, match="finite"):
+            ObservationSequence(times, (0.1,) * len(times))
 
 
 def test_gaussian_abs_model():
@@ -184,8 +187,12 @@ def test_run_filter_validation():
     unnormalized = project(gaussian_pdf((0.0, 0.0), 0.64), g)
     with pytest.raises(ValueError):
         run_filter(unnormalized, op, model, ObservationSequence((), ()), t_end=1.0)
-    with pytest.raises(ValueError, match="t_end"):
-        run_filter(prior, op, model, ObservationSequence((), ()), t_end=-1.0)
+    for t_end in (-1.0, np.inf, np.nan, 1e308):  # 1e308 / dt overflows
+        with pytest.raises(ValueError, match="t_end"):
+            run_filter(prior, op, model, ObservationSequence((), ()), t_end=t_end)
+    with pytest.raises(ValueError, match="snapshot"):
+        run_filter(prior, op, model, ObservationSequence((), ()), t_end=1.0,
+                   snapshot_times=(np.nan,))
     with pytest.raises(ValueError, match="min_prominence"):
         run_filter(prior, op, model, ObservationSequence((), ()), t_end=1.0,
                    min_prominence=float("nan"))
@@ -326,6 +333,8 @@ def test_simulate_truth_constant_and_rotation():
     assert np.abs(quarter[0] - np.array([0.0, 1.0])).max() <= 1e-9
     with pytest.raises(ValueError):
         simulate_truth(rotation_field(), (1.0, 0.0), [1.0, 0.5])
+    with pytest.raises(ValueError, match="finite"):
+        simulate_truth(rotation_field(), (1.0, 0.0), [1.0, np.inf])
 
 
 def test_simulate_truth_energy_conservation():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpfvm import BoxDomain, build_grid
 
 PI = np.pi
+BCS = ("periodic", "neumann", "dirichlet")
 
 
 def test_reference_grid_counts():
@@ -199,6 +202,42 @@ def test_face_table_is_two_index_arrays(n, bc):
         assert np.all(_multi(g, low)[:, a] == 0)
         assert np.all(_multi(g, high)[:, a] == g.n[a] - 1)
         assert not ((ca == -1) & (cb == -1)).any()
+
+
+def _reference_edge_table(n, bc):
+    """(cell_a, cell_b, offsets) by stepping multi-indices along each axis."""
+    idx = np.arange(int(np.prod(n)))
+    multi = np.unravel_index(idx, n, order="F")
+    cell_a, cell_b, offsets = [], [], [0]
+    for a, na in enumerate(n):
+        ma = multi[a]
+        # interior faces step +1 along a; a periodic wrap steps from na - 1 to 0
+        steps = [(ma < na - 1, 1)] + ([(ma == na - 1, 1 - na)] if bc[a] == "periodic" else [])
+        for sel, shift in steps:
+            comps = [m[sel] for m in multi]
+            comps[a] = comps[a] + shift
+            cell_a.append(idx[sel])
+            cell_b.append(np.ravel_multi_index(comps, n, order="F"))
+        if bc[a] == "dirichlet":
+            low, high = idx[ma == 0], idx[ma == na - 1]
+            cell_a += [np.full(low.size, -1), high]
+            cell_b += [low, np.full(high.size, -1)]
+        offsets.append(sum(c.size for c in cell_a))
+    return np.concatenate(cell_a), np.concatenate(cell_b), tuple(offsets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_edge_table_matches_multi_index_enumeration(data):
+    d = data.draw(st.integers(1, 3))
+    n = tuple(data.draw(st.lists(st.integers(2, 7), min_size=d, max_size=d)))
+    bc = tuple(data.draw(st.lists(st.sampled_from(BCS), min_size=d, max_size=d)))
+    t = build_grid(BoxDomain((0.0,) * d, (1.0,) * d), n, bc).edges
+    cell_a, cell_b, offsets = _reference_edge_table(n, bc)
+    assert t.cell_a.dtype == t.cell_b.dtype == np.int64
+    assert np.array_equal(t.cell_a, cell_a)
+    assert np.array_equal(t.cell_b, cell_b)
+    assert t.offsets == offsets
 
 
 def test_validation_errors():

@@ -169,8 +169,23 @@ def test_evolve_step_counts():
     m = d.values * g.cell_volume
     three = step(op, step(op, step(op, m)))
     assert np.array_equal(evolve(op, d, 3 * 0.01).values, three / g.cell_volume)
-    with pytest.raises(ValueError):
-        evolve(op, d, -1.0)
+    for t in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            evolve(op, d, t)
+
+
+def test_evolve_rejects_a_time_that_overflows():
+    # a near-zero field allows a step near the float maximum, so 4 * dt is inf
+    g = build_grid(BoxDomain((0.0,), (2.0,)), (2,), ("periodic",))
+    fx = compute_fluxes(constant_field([np.finfo(float).tiny]), g)
+    op = assemble(fx, g, max_stable_dt(fx, g, 0.0).dt_max)
+    assert 4.4e307 < op.dt < 4.5e307
+    d = Density(np.array([0.25, 0.75]), g)
+    with pytest.raises(ValueError, match="finite"):
+        evolve(op, d, 4 * op.dt)
+    m = d.values * g.cell_volume
+    three = step(op, step(op, step(op, m)))
+    assert np.array_equal(evolve(op, d, 3 * op.dt).values, three / g.cell_volume)
 
 
 def test_evolve_semigroup_bit_identical():

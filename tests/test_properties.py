@@ -5,14 +5,16 @@ in any dimension; rotation or pendulum in 2D) and a step ``dt <= dt_max``,
 then check the paper's invariants: nonnegative entries, stochastic rows
 without Dirichlet outflow and substochastic ones with it (both accepted by
 ``verify_markov``), conserved mass, positivity, ``evolve`` agreeing bit for
-bit with repeated ``step`` on the mass vector, and, with a Dirichlet axis,
-the mass a step loses equal to the upwind outflow through the boundary faces.
+bit with repeated ``step`` on the mass vector (and rejecting a time whose
+step count overflows), and, with a Dirichlet axis, the mass a step loses
+equal to the upwind outflow through the boundary faces.
 
 Diagnostic examples check ``moments`` and ``count_modes`` against the direct
 formulas they replace, kept here as reference implementations, that the
-mode count on a periodic axis does not depend on where the ring is cut, and
-that the batched counter the filter uses on a block of profiles gives each
-row the reference's count.
+cell centres ``moments`` uses along an axis are the cell midpoints of that
+axis's 1D grid bit for bit, that the mode count on a periodic axis does not
+depend on where the ring is cut, and that the batched counter the filter
+uses on a block of profiles gives each row the reference's count.
 """
 
 import numpy as np
@@ -37,7 +39,7 @@ from fpfvm import (
     verify_markov,
 )
 from fpfvm import density as density_module
-from fpfvm.density import _count_modes_rows
+from fpfvm.density import _axis_centres, _count_modes_rows
 
 BCS = ("periodic", "neumann", "dirichlet")
 MAX_CELLS = {1: 24, 2: 10, 3: 5}
@@ -115,6 +117,10 @@ def test_mass_and_positivity_over_20_steps(op, seed):
 @given(op=operators(), seed=st.integers(0, 2**32 - 1), k=st.integers(0, 20))
 def test_evolve_matches_repeated_step(op, seed, k):
     d = _random_density(op.grid, seed)
+    if not np.isfinite(k * op.dt):  # a near-zero field allows a huge dt_max
+        with pytest.raises(ValueError):
+            evolve(op, d, k * op.dt)
+        return
     vol = op.grid.cell_volume
     m = d.values * vol
     for _ in range(k):
@@ -177,6 +183,20 @@ def test_moments_match_midpoint_formula(dens):
     assert np.abs(got.mean - mean).max() <= 1e-12 * 4
     assert np.abs(got.covariance - cov).max() <= 1e-12 * 16
     assert np.array_equal(got.covariance, got.covariance.T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dens=densities())
+def test_moment_centres_are_axis_grid_midpoints(dens):
+    g = dens.grid
+    stride = 1
+    for a in range(g.domain.d):
+        line = build_grid(BoxDomain((g.domain.lower[a],), (g.domain.upper[a],)),
+                          (g.n[a],), (g.bc[a],))
+        assert np.array_equal(_axis_centres(g, a), line.cell_midpoints[:, 0])
+        # the cells (0, .., m, .., 0) of the full grid sit at flat index m * stride
+        assert np.array_equal(_axis_centres(g, a), g.cell_midpoints[::stride, a][:g.n[a]])
+        stride *= g.n[a]
 
 
 def _count_modes_reference(values, min_prominence):
