@@ -30,7 +30,7 @@ rows = F.convergence_study(
     t_final=pi,
     n_list=(50, 100, 200, 400),
     xi=pi / (2 * pi + 1),
-    dt_fn=lambda h: h / (2 * pi + 1),
+    dt_over_h=1 / (2 * pi + 1),
 )
 
 print(F.format_convergence_table(rows))

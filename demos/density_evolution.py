@@ -18,12 +18,12 @@ grid = F.build_grid(domain, (100, 100), ("periodic", "neumann"))
 field = F.pendulum_field()
 
 fluxes = F.compute_fluxes(field, grid)
-report = F.max_stable_dt(fluxes, grid, xi=pi / (2 * pi + 1))
+report = F.max_stable_dt(fluxes, xi=pi / (2 * pi + 1))
 dt = grid.h[0] / (2 * pi + 1)
 print(f"grid: {grid.n[0]}x{grid.n[1]} cells, h = {grid.h[0]:.5f}")
 print(f"largest stable step {report.dt_max:.6f}, using dt = {dt:.6f}")
 
-op = F.assemble(fluxes, grid, dt)
+op = F.assemble(fluxes, dt)
 mk = F.verify_markov(op)
 print(f"stochastic matrix: min entry {mk.min_entry:.3e}, "
       f"row-sum error {mk.max_row_sum_err:.1e}\n")

@@ -20,7 +20,7 @@ seed = 7
 domain = F.BoxDomain((-pi, -pi), (pi, pi))
 grid = F.build_grid(domain, (200, 200), ("periodic", "neumann"))
 field = F.pendulum_field()
-op = F.assemble(F.compute_fluxes(field, grid), grid, grid.h[0] / (2 * pi + 1))
+op = F.assemble(F.compute_fluxes(field, grid), grid.h[0] / (2 * pi + 1))
 
 prior = F.normalize(F.project(F.gaussian_pdf((0.0, 0.0), 0.64), grid))
 model = F.gaussian_abs_position_model(0.1)

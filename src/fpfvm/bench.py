@@ -9,7 +9,7 @@ prolongation of the coarser result.  Effective orders are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,16 +53,16 @@ def _orders(diffs: Sequence[float]) -> list[float | None]:
 
 def run_level(field: VelocityField, domain: BoxDomain, bc: Sequence[str],
               prior_pdf, t_final: float, n: int, xi: float,
-              dt_fn: Callable[[float], float] | None = None,
+              dt_over_h: float | None = None,
               quadrature: str = "midpoint",
               normalize_prior: bool = False) -> Density:
     """Project the prior on an n-per-axis grid and evolve to ``t_final``.
 
-    The base step is ``dt_fn(max h)`` when given, otherwise the largest
-    stable step for ``xi``; it is then reduced so ``t_final`` is an exact
-    multiple and no endpoint ambiguity remains.  ``t_final == 0`` returns
-    the projected prior; a negative or non-finite ``t_final``, or one whose
-    step count overflows, raises.
+    The base step is ``dt_over_h * max(h)``, or with ``dt_over_h=None`` the
+    largest stable step for ``xi``; it is then reduced so ``t_final`` is an
+    exact multiple and no endpoint ambiguity remains.  ``t_final == 0``
+    returns the projected prior; a negative or non-finite ``t_final``, or
+    one whose step count overflows, raises.
     """
     if not 0 <= t_final < np.inf:
         raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
@@ -73,34 +73,35 @@ def run_level(field: VelocityField, domain: BoxDomain, bc: Sequence[str],
     if t_final == 0:
         return dens
     fluxes = compute_fluxes(field, grid, quadrature)
-    if dt_fn is not None:
-        base = float(dt_fn(max(grid.h)))
+    if dt_over_h is not None:
+        base = float(dt_over_h) * max(grid.h)
     else:
-        base = max_stable_dt(fluxes, grid, xi).dt_max
+        base = max_stable_dt(fluxes, xi).dt_max
     if not np.isfinite(base):
         base = t_final  # nothing flows: a single identity-like step
     steps = np.ceil(t_final / base - 1e-9)
     if not steps < np.inf:
         raise ValueError(f"t_final={t_final} takes a non-finite number of steps of {base}")
     dt = t_final / max(1, int(steps))
-    op = assemble(fluxes, grid, dt)
+    op = assemble(fluxes, dt)
     return evolve(op, dens, t_final)
 
 
 def convergence_study(field: VelocityField, domain: BoxDomain, bc: Sequence[str],
                       prior_pdf, t_final: float, n_list: Sequence[int], xi: float,
-                      dt_fn: Callable[[float], float] | None = None,
+                      dt_over_h: float | None = None,
                       quadrature: str = "midpoint",
                       normalize_prior: bool = False) -> list[ConvergenceRow]:
     """Inter-level L1 differences and effective orders.
 
     Row i compares levels ``n_list[i]`` and ``n_list[i+1]``, so the result
     has one row fewer than ``n_list``; the first row carries no order.
+    Each level is a :func:`run_level` with step rule ``dt_over_h``.
     """
     n_list = _validate_levels(n_list)
     levels = [
         run_level(field, domain, bc, prior_pdf, t_final, n, xi,
-                  dt_fn, quadrature, normalize_prior)
+                  dt_over_h, quadrature, normalize_prior)
         for n in n_list
     ]
     diffs = [l1_distance(a, b) for a, b in zip(levels, levels[1:])]
@@ -111,7 +112,7 @@ def convergence_study(field: VelocityField, domain: BoxDomain, bc: Sequence[str]
 def expectation_convergence(field: VelocityField, domain: BoxDomain,
                             bc: Sequence[str], prior_pdf, t_final: float, g,
                             n_list: Sequence[int], xi: float,
-                            dt_fn: Callable[[float], float] | None = None,
+                            dt_over_h: float | None = None,
                             quadrature: str = "midpoint",
                             normalize_prior: bool = True) -> list[ExpectationRow]:
     """E[g] per level with successive differences and their decay orders.
@@ -123,7 +124,7 @@ def expectation_convergence(field: VelocityField, domain: BoxDomain,
     values = []
     for n in n_list:
         dens = run_level(field, domain, bc, prior_pdf, t_final, n, xi,
-                         dt_fn, quadrature, normalize_prior)
+                         dt_over_h, quadrature, normalize_prior)
         values.append(expectation(dens, g))
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     return [ExpectationRow(n=n, value=float(val), diff=diff, order=order)

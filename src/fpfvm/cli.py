@@ -127,7 +127,7 @@ def _parse_bool(s: str) -> bool:
 
 def _parse_dt_over_h(s: str):
     if s.strip().lower() == "auto":
-        return "auto"
+        return None  # the largest stable step, as in bench.run_level
     return parse_real(s)
 
 
@@ -281,12 +281,12 @@ def _grid_from(cfg, domain):
     return build_grid(domain, n, cfg["bc"])
 
 
-def _pick_dt(cfg, fluxes, grid):
-    report = max_stable_dt(fluxes, grid, cfg["xi"])
-    if cfg["dt_over_h"] == "auto":
+def _pick_dt(cfg, fluxes):
+    report = max_stable_dt(fluxes, cfg["xi"])
+    if cfg["dt_over_h"] is None:
         dt = report.dt_max if np.isfinite(report.dt_max) else 1.0
     else:
-        dt = float(cfg["dt_over_h"]) * max(grid.h)
+        dt = float(cfg["dt_over_h"]) * max(fluxes.grid.h)
     return dt, report
 
 
@@ -333,11 +333,11 @@ def cmd_operator(cfg) -> int:
     domain, field = _build_geometry(cfg)
     grid = _grid_from(cfg, domain)
     fluxes = compute_fluxes(field, grid, cfg["quadrature"])
-    dt, report = _pick_dt(cfg, fluxes, grid)
+    dt, report = _pick_dt(cfg, fluxes)
     print(f"cfl: dt_max={report.dt_max:.17g} xi={report.xi:.17g} "
           f"binding_cell={report.binding_cell}")
     print(f"dt: {dt:.17g}")
-    op = assemble(fluxes, grid, dt)
+    op = assemble(fluxes, dt)
     mk = verify_markov(op, tol=1e-12)
     print(f"markov: min_entry={mk.min_entry:.17g} "
           f"max_row_sum_err={mk.max_row_sum_err:.17g} is_markov={mk.is_markov}")
@@ -361,11 +361,9 @@ def cmd_operator(cfg) -> int:
 def cmd_converge(cfg) -> int:
     domain, field = _build_geometry(cfg)
     pdf = _prior_pdf(cfg, domain)
-    c = cfg["dt_over_h"]
-    dt_fn = None if c == "auto" else (lambda h: float(c) * h)
     rows = convergence_study(
         field, domain, cfg["bc"], pdf, cfg["t_final"], cfg["n_list"], cfg["xi"],
-        dt_fn=dt_fn, quadrature=cfg["quadrature"],
+        dt_over_h=cfg["dt_over_h"], quadrature=cfg["quadrature"],
         normalize_prior=cfg["normalize_prior"],
     )
     out = _outdir(cfg)
@@ -381,8 +379,8 @@ def cmd_filter(cfg) -> int:
     domain, field = _build_geometry(cfg)
     grid = _grid_from(cfg, domain)
     fluxes = compute_fluxes(field, grid, cfg["quadrature"])
-    dt, _ = _pick_dt(cfg, fluxes, grid)
-    op = assemble(fluxes, grid, dt)
+    dt, _ = _pick_dt(cfg, fluxes)
+    op = assemble(fluxes, dt)
     prior = _prior_density(cfg, grid)
 
     source = cfg["obs"]

@@ -15,6 +15,7 @@ counts are computed from the slab sums once per block of rows.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -185,6 +186,9 @@ def run_filter(prior: Density, op: TransitionOperator, log_likelihood: LogLikeli
         raise ValueError(f"t_end {t_end} snaps to step {k_end}, before an event or 0")
 
     n, d = 1 + k_end + len(obs), grid.domain.d
+    if n * 8 * (3 + 2 * d) > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise ValueError(f"t_end={t_end} needs {float(n):.4g} history rows, "
+                         "more than the machine's memory holds")
     hist = History(time=np.empty(n), mean=np.empty((n, d)), std=np.empty((n, d)),
                    mode_count=np.empty(n, dtype=np.int64), log_evidence=np.empty(n))
     sums = [np.empty((_BLOCK, m)) for m in grid.n]  # slab sums of the open block
@@ -248,6 +252,8 @@ def simulate_truth(field: VelocityField, x0, times: Sequence[float],
     for i, tk in enumerate(times):
         span = tk - t
         if span > 0:
+            if not span / max_step < np.inf:
+                raise ValueError(f"time {tk} takes a non-finite RK4 step count")
             nsub = max(1, int(np.ceil(span / max_step - 1e-12)))
             h = span / nsub
             for _ in range(nsub):

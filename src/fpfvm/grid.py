@@ -135,6 +135,13 @@ class Grid:
             self._edges = _build_edge_table(self.n, self.bc)
         return self._edges
 
+    def face_sums(self, at_a: np.ndarray, at_b: np.ndarray) -> np.ndarray:
+        """Sum ``at_a`` into each face's ``cell_a`` and ``at_b`` into its ``cell_b``."""
+        out = np.zeros(self.ncells + 1)  # index -1, the outside, is the last slot
+        np.add.at(out, self.edges.cell_a, at_a)
+        np.add.at(out, self.edges.cell_b, at_b)
+        return out[:-1]
+
     @property
     def cell_midpoints(self) -> np.ndarray:
         """(ncells, d) array of cell centers, canonical flat order."""

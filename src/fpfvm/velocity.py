@@ -170,18 +170,12 @@ def compute_fluxes(field: VelocityField, grid: Grid,
     return EdgeFluxes(values=flux, quadrature=tag, grid=grid)
 
 
-def discrete_divergence(fluxes: EdgeFluxes, grid: Grid) -> np.ndarray:
-    """Per-cell sum of outward face fluxes.
+def discrete_divergence(fluxes: EdgeFluxes) -> np.ndarray:
+    """Per-cell sum of outward face fluxes on ``fluxes.grid``.
 
     Zero (to rounding) wherever the discrete fluxes of a divergence-free
     field balance; nonzero next to Neumann walls that truncate a field with
     nonzero normal component there.
     """
-    if fluxes.grid != grid:
-        raise ValueError("fluxes were computed on a different grid")
-    t = grid.edges
     f = fluxes.values
-    div = np.zeros(grid.ncells + 1)  # index -1, the outside, is the last slot
-    np.add.at(div, t.cell_a, f)
-    np.add.at(div, t.cell_b, -f)
-    return div[:-1]
+    return fluxes.grid.face_sums(f, -f)

@@ -40,7 +40,7 @@ PI = np.pi
 DOM = BoxDomain((-PI, -PI), (PI, PI))
 BC = ("periodic", "neumann")
 XI = PI / (2 * PI + 1)
-DT_FN = lambda h: h / (2 * PI + 1)
+DT_OVER_H = 1 / (2 * PI + 1)
 
 TABLE_DIFFS = (0.25398, 0.19553, 0.14697)
 TABLE_ORDERS = (0.3855, 0.4037)
@@ -56,7 +56,7 @@ def reference_operator():
     g = build_grid(DOM, (50, 50), BC)
     fx = compute_fluxes(pendulum_field(), g)
     t0 = time.time()
-    op = assemble(fx, g, g.h[0] / (2 * PI + 1))
+    op = assemble(fx, g.h[0] / (2 * PI + 1))
     rep = verify_markov(op, tol=1e-12)
     return g, fx, op, rep, time.time() - t0
 
@@ -66,7 +66,7 @@ def long_evolution():
     """1000 steps of the centered truncated-Gaussian prior on N=100."""
     g = build_grid(DOM, (100, 100), BC)
     fx = compute_fluxes(pendulum_field(), g)
-    op = assemble(fx, g, g.h[0] / (2 * PI + 1))
+    op = assemble(fx, g.h[0] / (2 * PI + 1))
     prior = normalize(project(gaussian_pdf((0.0, 0.0), 0.64), g))
     t0 = time.time()
     m = prior.values * g.cell_volume
@@ -91,7 +91,7 @@ def table_study():
     for label, (t_final, var) in configs.items():
         pdf = gaussian_pdf((0.6 * PI, 0.0), var)
         rows = convergence_study(pendulum_field(), DOM, BC, pdf, t_final,
-                                 (50, 100, 200, 400), xi=XI, dt_fn=DT_FN)
+                                 (50, 100, 200, 400), xi=XI, dt_over_h=DT_OVER_H)
         results[label] = rows
     return results
 
@@ -113,7 +113,7 @@ def matching_table_rows(table_study):
 def filter_run():
     g = build_grid(DOM, (200, 200), BC)
     fx = compute_fluxes(pendulum_field(), g)
-    op = assemble(fx, g, g.h[0] / (2 * PI + 1))
+    op = assemble(fx, g.h[0] / (2 * PI + 1))
     prior = normalize(project(gaussian_pdf((0.0, 0.0), 0.64), g))
     times = [k * 2 * PI / 7 for k in range(1, 7)]
     truth = simulate_truth(pendulum_field(), (0.2 * PI, 0.0), times,
@@ -148,8 +148,8 @@ def test_criterion_03_positivity(long_evolution):
     g, fx, prior, _, mins, _ = long_evolution
     assert mins.min() >= 0.0, "negative cell value under the step-size bound"
     # doubling the largest stable step breaks positivity within ten steps
-    dt_max = max_stable_dt(fx, g, 0.0).dt_max
-    bad = assemble(fx, g, 2.0 * dt_max, check_cfl=False)
+    dt_max = max_stable_dt(fx, 0.0).dt_max
+    bad = assemble(fx, 2.0 * dt_max, check_cfl=False)
     m = prior.values * g.cell_volume
     first_negative = None
     for k in range(1, 11):
@@ -166,7 +166,7 @@ def test_criterion_04_circulant_oracle():
     n, nu, c = 8, 0.5, 1.0
     g = build_grid(BoxDomain((0.0,), (1.0,)), (n,), ("periodic",))
     fx = compute_fluxes(constant_field([c]), g)
-    op = assemble(fx, g, nu * g.h[0] / c)
+    op = assemble(fx, nu * g.h[0] / c)
     expected = np.zeros((n, n))
     for i in range(n):
         expected[i, i] = 1.0 - nu
@@ -183,7 +183,7 @@ def test_criterion_05_uniform_stationarity():
     # and is not flux-balanced at the wall rows.
     g = build_grid(DOM, (50, 50), ("periodic", "periodic"))
     fx = compute_fluxes(pendulum_field(), g)
-    op = assemble(fx, g, g.h[0] / (2 * PI + 1))
+    op = assemble(fx, g.h[0] / (2 * PI + 1))
     m = uniform_density(g).values * g.cell_volume
     worst = 0.0
     for _ in range(5):
@@ -227,7 +227,7 @@ def test_criterion_08_expectation_convergence():
     pdf = gaussian_pdf((0.6 * PI, 0.0), 0.64)
     g2 = lambda x: np.asarray(x)[..., 0] ** 2 + np.asarray(x)[..., 1] ** 2
     rows = expectation_convergence(pendulum_field(), DOM, BC, pdf, PI / 4, g2,
-                                   (50, 100, 200, 400), xi=XI, dt_fn=DT_FN)
+                                   (50, 100, 200, 400), xi=XI, dt_over_h=DT_OVER_H)
     diffs = [r.diff for r in rows if r.diff is not None]
     assert all(b < a for a, b in zip(diffs, diffs[1:])), "differences not monotone"
     orders = [r.order for r in rows if r.order is not None]

@@ -21,7 +21,7 @@ PI = np.pi
 DOM = BoxDomain((-PI, -PI), (PI, PI))
 BC = ("periodic", "neumann")
 XI = PI / (2 * PI + 1)
-DT_FN = lambda h: h / (2 * PI + 1)
+DT_OVER_H = 1 / (2 * PI + 1)
 PDF = gaussian_pdf((0.6 * PI, 0.0), 0.64)
 
 
@@ -53,7 +53,7 @@ def test_level_validation():
 
 def test_effective_order_arrangement():
     rows = convergence_study(pendulum_field(), DOM, BC, PDF, PI / 4,
-                             (10, 20, 40, 80), xi=XI, dt_fn=DT_FN)
+                             (10, 20, 40, 80), xi=XI, dt_over_h=DT_OVER_H)
     assert len(rows) == 3
     assert rows[0].effective_order is None
     for prev, cur in zip(rows, rows[1:]):
@@ -66,7 +66,7 @@ def test_levels_stay_markov_clean():
     # every evolved level keeps unit mass and nonnegative values
     for n in (10, 20):
         dens = run_level(pendulum_field(), DOM, BC, PDF, PI / 4, n, XI,
-                         dt_fn=DT_FN, normalize_prior=True)
+                         dt_over_h=DT_OVER_H, normalize_prior=True)
         assert dens.mass == pytest.approx(1.0, abs=1e-10)
         assert dens.values.min() >= 0.0
 
@@ -75,15 +75,16 @@ def test_time_error_subdominant():
     # halving dt (same h) moves the inter-level difference far less than the
     # difference itself
     base = convergence_study(pendulum_field(), DOM, BC, PDF, PI / 4, (20, 40),
-                             xi=XI, dt_fn=DT_FN)[0].l1_diff
+                             xi=XI, dt_over_h=DT_OVER_H)[0].l1_diff
     halved = convergence_study(pendulum_field(), DOM, BC, PDF, PI / 4, (20, 40),
-                               xi=XI, dt_fn=lambda h: DT_FN(h) / 2)[0].l1_diff
+                               xi=XI, dt_over_h=DT_OVER_H / 2)[0].l1_diff
     assert abs(base - halved) < 0.5 * base
 
 
 def test_expectation_convergence_constant_g():
     rows = expectation_convergence(pendulum_field(), DOM, BC, PDF, PI / 8,
-                                   lambda x: 1.0, (8, 16, 32), xi=XI, dt_fn=DT_FN)
+                                   lambda x: 1.0, (8, 16, 32), xi=XI,
+                                   dt_over_h=DT_OVER_H)
     for r in rows:
         assert r.value == pytest.approx(1.0, abs=1e-12)
 
@@ -92,7 +93,7 @@ def test_expectation_convergence_symmetric_mean():
     centered = gaussian_pdf((0.0, 0.0), 0.64)
     g1 = lambda x: np.asarray(x)[..., 0]
     rows = expectation_convergence(pendulum_field(), DOM, BC, centered, PI / 4,
-                                   g1, (10, 20, 40), xi=XI, dt_fn=DT_FN)
+                                   g1, (10, 20, 40), xi=XI, dt_over_h=DT_OVER_H)
     for r in rows:
         h = 2 * PI / r.n
         assert abs(r.value) <= 2 * h
@@ -101,7 +102,7 @@ def test_expectation_convergence_symmetric_mean():
 def test_expectation_convergence_orders():
     g2 = lambda x: np.asarray(x)[..., 0] ** 2 + np.asarray(x)[..., 1] ** 2
     rows = expectation_convergence(pendulum_field(), DOM, BC, PDF, PI / 4, g2,
-                                   (10, 20, 40, 80), xi=XI, dt_fn=DT_FN)
+                                   (10, 20, 40, 80), xi=XI, dt_over_h=DT_OVER_H)
     diffs = [r.diff for r in rows if r.diff is not None]
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
     orders = [r.order for r in rows if r.order is not None]

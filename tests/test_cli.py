@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fpfvm import Density, load_density, save_density, uniform_density
+import fpfvm
+from fpfvm import (Density, convergence_study, gaussian_pdf, load_density,
+                   pendulum_field, save_density, uniform_density)
 from fpfvm.cli import ConfigError, load_config, main, parse_real
 from fpfvm.grid import BoxDomain, build_grid
 
@@ -55,6 +62,21 @@ def test_operator_dirichlet_outflow_exit_zero(tmp_path, capsys):
 def test_operator_cfl_violation_exit_three(tmp_path):
     rc = main(["operator", "--out", str(tmp_path), "--dt_over_h", "1.0"])
     assert rc == 3
+
+
+def test_dt_over_h_auto_takes_the_stable_step(tmp_path, capsys):
+    assert main(["operator", "--out", str(tmp_path), "--n", "8,8",
+                 "--dt_over_h", "auto"]) == 0
+    out = capsys.readouterr().out
+    assert out.split("dt_max=")[1].split()[0] == out.split("dt: ")[1].split()[0]
+    assert main(["converge", "--out", str(tmp_path), "--n_list", "8,16",
+                 "--t_final", "pi/8", "--dt_over_h", "auto"]) == 0
+    prior = gaussian_pdf((0.6 * PI, 0.0), 0.32)  # the converge defaults
+    rows = convergence_study(pendulum_field(), BoxDomain((-PI, -PI), (PI, PI)),
+                             ("periodic", "neumann"), prior, PI / 8, (8, 16),
+                             xi=PI / (2 * PI + 1), dt_over_h=None)
+    row = (tmp_path / "convergence.csv").read_text().splitlines()[1]
+    assert row == f"8,{rows[0].l1_diff:.17g},"
 
 
 def test_operator_zero_field_stationary_uniform(tmp_path):
@@ -173,6 +195,11 @@ def test_filter_rejects_negative_file_prior(tmp_path, capsys):
     ["converge", "--n_list", "4,8", "--t_final", "1e308"],  # t_final / dt overflows
     ["filter", "--n", "8,8", "--t_end", "inf"],
     ["filter", "--n", "8,8", "--obs_times", "1,inf", "--t_end", "5"],
+    # a history larger than the machine's memory, rejected before allocation
+    ["filter", "--n", "8,8", "--t_end", "1e12"],
+    ["filter", "--n", "8,8", "--t_end", "1e300"],
+    # the truth's RK4 substep count overflows
+    ["filter", "--n", "8,8", "--obs_times", "1,1e306", "--t_end", "1e306"],
 ])
 def test_library_rejections_exit_two(tmp_path, capsys, args):
     rc = main(args + ["--out", str(tmp_path)])
@@ -180,9 +207,22 @@ def test_library_rejections_exit_two(tmp_path, capsys, args):
     assert rc == 2
     assert err.startswith("config error:")
     assert "Traceback" not in err
-    assert not (tmp_path / "report.csv").exists()
-    assert not (tmp_path / "convergence.csv").exists()
-    assert not (tmp_path / "observations.csv").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_exit_codes_through_a_process(tmp_path):
+    """``python -m fpfvm.cli`` hands main()'s return code to the process."""
+    src = str(Path(fpfvm.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "fpfvm.cli", "operator", "--n", "8,8",
+           "--out", str(tmp_path)]
+    for extra, code, stderr in (([], 0, ""), (["--xi", "1.5"], 2, "config error:"),
+                                (["--dt_over_h", "1"], 3, "cfl violation:")):
+        proc = subprocess.run(cmd + extra, cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(stderr)
 
 
 def test_unknown_cli_flag_exits_two(tmp_path):

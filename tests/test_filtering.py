@@ -41,7 +41,7 @@ def _pendulum_setup(n=24):
     dom = BoxDomain((-PI, -PI), (PI, PI))
     g = build_grid(dom, (n, n), ("periodic", "neumann"))
     fx = compute_fluxes(pendulum_field(), g)
-    op = assemble(fx, g, g.h[0] / (2 * PI + 1))
+    op = assemble(fx, g.h[0] / (2 * PI + 1))
     prior = normalize(project(gaussian_pdf((0.0, 0.0), 0.64), g))
     return dom, g, op, prior
 
@@ -49,7 +49,7 @@ def _pendulum_setup(n=24):
 def _zero_op(g):
     d = g.domain.d
     fx = compute_fluxes(constant_field([0.0] * d), g)
-    return assemble(fx, g, 0.05)
+    return assemble(fx, 0.05)
 
 
 def test_observation_sequence_validation():
@@ -190,6 +190,9 @@ def test_run_filter_validation():
     for t_end in (-1.0, np.inf, np.nan, 1e308):  # 1e308 / dt overflows
         with pytest.raises(ValueError, match="t_end"):
             run_filter(prior, op, model, ObservationSequence((), ()), t_end=t_end)
+    for t_end in (1e12, 1e300):  # a history larger than the machine's memory
+        with pytest.raises(ValueError, match="t_end=.* history rows"):
+            run_filter(prior, op, model, ObservationSequence((), ()), t_end=t_end)
     with pytest.raises(ValueError, match="snapshot"):
         run_filter(prior, op, model, ObservationSequence((), ()), t_end=1.0,
                    snapshot_times=(np.nan,))
@@ -308,7 +311,7 @@ def test_run_filter_blocks_match_per_row_diagnostics(n, drift, extra):
     grid = build_grid(BoxDomain((-PI,) * d, (PI,) * d), n,
                       ("periodic",) + ("neumann",) * (d - 1))
     fluxes = compute_fluxes(constant_field(drift), grid)
-    op = assemble(fluxes, grid, 0.97 * max_stable_dt(fluxes, grid, 0.0).dt_max)
+    op = assemble(fluxes, 0.97 * max_stable_dt(fluxes, 0.0).dt_max)
     bumps = [gaussian_pdf((c,) + (0.0,) * (d - 1), 0.3) for c in (-1.5, 1.0)]
     prior = normalize(project(lambda x: bumps[0](x) + 0.6 * bumps[1](x), grid))
     model = gaussian_abs_position_model(0.5)
@@ -335,6 +338,8 @@ def test_simulate_truth_constant_and_rotation():
         simulate_truth(rotation_field(), (1.0, 0.0), [1.0, 0.5])
     with pytest.raises(ValueError, match="finite"):
         simulate_truth(rotation_field(), (1.0, 0.0), [1.0, np.inf])
+    with pytest.raises(ValueError, match=r"time 1e\+306 .* non-finite"):
+        simulate_truth(rotation_field(), (1.0, 0.0), [1.0, 1e306])
 
 
 def test_simulate_truth_energy_conservation():

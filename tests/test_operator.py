@@ -42,7 +42,7 @@ def _pendulum_op(n=50, bc=("periodic", "neumann")):
     g = build_grid(BoxDomain((-PI, -PI), (PI, PI)), (n, n), bc)
     fx = compute_fluxes(pendulum_field(), g)
     dt = g.h[0] / (2 * PI + 1)
-    return g, fx, assemble(fx, g, dt)
+    return g, fx, assemble(fx, dt)
 
 
 def _circulant(n, nu):
@@ -58,14 +58,14 @@ def test_circulant_oracle():
     n, nu, c = 8, 0.5, 1.0
     g, fx = _ring(n, c)
     dt = nu * g.h[0] / c
-    op = assemble(fx, g, dt)
+    op = assemble(fx, dt)
     assert np.abs(op.matrix.toarray() - _circulant(n, nu)).max() <= 1e-15
 
 
 def test_zero_field_is_identity():
     g = build_grid(BoxDomain((0, 0), (1, 1)), (3, 3), ("periodic", "neumann"))
     fx = compute_fluxes(constant_field([0.0, 0.0]), g)
-    op = assemble(fx, g, 123.0)
+    op = assemble(fx, 123.0)
     assert np.array_equal(op.matrix.toarray(), np.eye(9))
     m = np.random.default_rng(0).random(9)
     assert np.array_equal(step(op, m), m)
@@ -86,53 +86,53 @@ def test_operator_stores_one_matrix():
 def test_max_stable_dt():
     g, fx = _ring(4, c=2.0)
     xi = 0.25
-    rep = max_stable_dt(fx, g, xi)
+    rep = max_stable_dt(fx, xi)
     assert rep.dt_max == pytest.approx((1 - xi) * g.h[0] / 2.0, rel=1e-14)
     assert rep.binding_cell is not None
 
     gz = build_grid(BoxDomain((0.0,), (1.0,)), (4,), ("periodic",))
     fz = compute_fluxes(constant_field([0.0]), gz)
-    repz = max_stable_dt(fz, gz, 0.0)
+    repz = max_stable_dt(fz, 0.0)
     assert repz.dt_max == np.inf and repz.binding_cell is None
 
     with pytest.raises(ValueError):
-        max_stable_dt(fx, g, 1.0)
+        max_stable_dt(fx, 1.0)
     with pytest.raises(ValueError):
-        max_stable_dt(fx, g, -0.1)
+        max_stable_dt(fx, -0.1)
 
 
 def test_pendulum_cfl_bound():
     g, fx, _ = _pendulum_op()
     xi = PI / (2 * PI + 1)
-    rep = max_stable_dt(fx, g, xi)
+    rep = max_stable_dt(fx, xi)
     # the analytic outflow bound (pi+1)h is conservative, so the realized
     # dt_max is at least (1-xi) h / (pi+1)
     assert rep.dt_max >= (1 - xi) * g.h[0] / (PI + 1)
 
 
 def test_assemble_rejects_cfl_violation():
-    g, fx = _ring(4)
-    dt_max = max_stable_dt(fx, g, 0.0).dt_max
+    _, fx = _ring(4)
+    dt_max = max_stable_dt(fx, 0.0).dt_max
     with pytest.raises(CflViolation) as exc:
-        assemble(fx, g, 1.5 * dt_max)
+        assemble(fx, 1.5 * dt_max)
     assert exc.value.binding_cell is not None
-    op = assemble(fx, g, 1.5 * dt_max, check_cfl=False)  # negative diagonal kept
+    op = assemble(fx, 1.5 * dt_max, check_cfl=False)  # negative diagonal kept
     assert op.matrix.diagonal().min() < 0
     with pytest.raises(ValueError):
-        assemble(fx, g, 0.0)
+        assemble(fx, 0.0)
 
 
 def test_dt_equal_dt_max_assembles():
-    g, fx = _ring(8, c=3.0)
-    dt = max_stable_dt(fx, g, 0.0).dt_max  # nu = 1 exactly
-    op = assemble(fx, g, dt)
+    _, fx = _ring(8, c=3.0)
+    dt = max_stable_dt(fx, 0.0).dt_max  # nu = 1 exactly
+    op = assemble(fx, dt)
     assert op.matrix.data.min() >= 0.0
 
 
 def test_step_cyclic_shift_at_unit_courant():
     n, c = 8, 1.0
     g, fx = _ring(n, c)
-    op = assemble(fx, g, g.h[0] / c)  # nu = 1: pure shift
+    op = assemble(fx, g.h[0] / c)  # nu = 1: pure shift
     m = np.arange(1.0, n + 1)
     assert np.array_equal(step(op, m), np.roll(m, 1))
 
@@ -163,7 +163,7 @@ def test_point_mass_split_matches_fluxes():
 
 def test_evolve_step_counts():
     g, fx = _ring(8)
-    op = assemble(fx, g, 0.01)
+    op = assemble(fx, 0.01)
     d = Density(np.random.default_rng(1).random(8), g)
     assert np.array_equal(evolve(op, d, 0.005).values, d.values)  # t < dt
     m = d.values * g.cell_volume
@@ -178,7 +178,7 @@ def test_evolve_rejects_a_time_that_overflows():
     # a near-zero field allows a step near the float maximum, so 4 * dt is inf
     g = build_grid(BoxDomain((0.0,), (2.0,)), (2,), ("periodic",))
     fx = compute_fluxes(constant_field([np.finfo(float).tiny]), g)
-    op = assemble(fx, g, max_stable_dt(fx, g, 0.0).dt_max)
+    op = assemble(fx, max_stable_dt(fx, 0.0).dt_max)
     assert 4.4e307 < op.dt < 4.5e307
     d = Density(np.array([0.25, 0.75]), g)
     with pytest.raises(ValueError, match="finite"):
@@ -202,7 +202,7 @@ def test_evolve_semigroup_bit_identical():
 def test_verify_markov():
     gz = build_grid(BoxDomain((0.0,), (1.0,)), (4,), ("periodic",))
     fz = compute_fluxes(constant_field([0.0]), gz)
-    ident = assemble(fz, gz, 1.0)
+    ident = assemble(fz, 1.0)
     rep = verify_markov(ident)
     assert rep.is_markov and rep.min_entry == 1.0 and rep.max_row_sum_err == 0.0
 
@@ -215,8 +215,8 @@ def test_verify_markov():
 
 def test_verify_markov_counterexample():
     g, fx, _ = _pendulum_op(n=20)
-    dt_max = max_stable_dt(fx, g, 0.0).dt_max
-    bad = assemble(fx, g, 2 * dt_max, check_cfl=False)
+    dt_max = max_stable_dt(fx, 0.0).dt_max
+    bad = assemble(fx, 2 * dt_max, check_cfl=False)
     rep = verify_markov(bad)
     assert rep.min_entry < 0.0
     assert not rep.is_markov
@@ -224,10 +224,10 @@ def test_verify_markov_counterexample():
     # or on a row sum above one
     g = build_grid(BoxDomain((0.0,), (1.0,)), (8,), ("dirichlet",))
     fx = compute_fluxes(constant_field([1.0]), g)
-    dt_max = max_stable_dt(fx, g, 0.0).dt_max
-    rep = verify_markov(assemble(fx, g, 2 * dt_max, check_cfl=False))
+    dt_max = max_stable_dt(fx, 0.0).dt_max
+    rep = verify_markov(assemble(fx, 2 * dt_max, check_cfl=False))
     assert rep.min_entry < 0.0 and not rep.is_markov
-    op = assemble(fx, g, 0.5 * dt_max)
+    op = assemble(fx, 0.5 * dt_max)
     over = TransitionOperator(op.dt, op._left * 1.01, g, mass_conserving=False)
     rep = verify_markov(over)
     assert rep.max_row_sum_err == pytest.approx(0.01, rel=1e-12)
@@ -239,8 +239,8 @@ def test_mass_conservation_without_cfl():
     # (few steps only: unstable modes grow and the mass sum loses digits
     # to cancellation once cell values reach ~1e10)
     g, fx, _ = _pendulum_op(n=16)
-    dt_max = max_stable_dt(fx, g, 0.0).dt_max
-    op = assemble(fx, g, 3.0 * dt_max, check_cfl=False)
+    dt_max = max_stable_dt(fx, 0.0).dt_max
+    op = assemble(fx, 3.0 * dt_max, check_cfl=False)
     m = np.random.default_rng(2).random(g.ncells)
     out = m
     for _ in range(6):
@@ -271,7 +271,7 @@ def test_uniform_stationary_divergence_free():
     for field, bc in ((pendulum_field(), ("periodic", "periodic")),):
         g = build_grid(BoxDomain((-PI, -PI), (PI, PI)), (20, 20), bc)
         fx = compute_fluxes(field, g)
-        op = assemble(fx, g, g.h[0] / (2 * PI + 1))
+        op = assemble(fx, g.h[0] / (2 * PI + 1))
         u = uniform_density(g).values * g.cell_volume
         assert np.abs(step(op, u) - u).sum() <= 1e-12
 
@@ -279,12 +279,12 @@ def test_uniform_stationary_divergence_free():
 def test_stationary_uniform_cases():
     gz = build_grid(BoxDomain((0.0,), (1.0,)), (4,), ("periodic",))
     fz = compute_fluxes(constant_field([0.0]), gz)
-    ident = assemble(fz, gz, 1.0)
+    ident = assemble(fz, 1.0)
     pi_dens = stationary(ident)  # returns the uniform start immediately
     assert np.allclose(pi_dens.values, 1.0, rtol=1e-14)
 
     g, fx = _ring(8, c=2.0)
-    op = assemble(fx, g, 0.3 * g.h[0] / 2.0)
+    op = assemble(fx, 0.3 * g.h[0] / 2.0)
     pi_dens = stationary(op)
     assert np.allclose(pi_dens.values, 1.0, rtol=1e-10)
     assert pi_dens.mass == pytest.approx(1.0, abs=1e-13)
@@ -300,8 +300,8 @@ def test_stationary_nonuniform_and_no_convergence():
 
     field = VelocityField(func=func, dim=1)
     fx = compute_fluxes(field, g)
-    dt = max_stable_dt(fx, g, 0.5).dt_max
-    op = assemble(fx, g, dt)
+    dt = max_stable_dt(fx, 0.5).dt_max
+    op = assemble(fx, dt)
     with pytest.raises(NoConvergence):
         stationary(op, tol=1e-12, max_iter=1)
     pi_dens = stationary(op, tol=1e-13, max_iter=200000)
@@ -313,7 +313,7 @@ def test_stationary_nonuniform_and_no_convergence():
 def test_dirichlet_outflow_loses_mass():
     g = build_grid(BoxDomain((0.0,), (1.0,)), (8,), ("dirichlet",))
     fx = compute_fluxes(constant_field([1.0]), g)
-    op = assemble(fx, g, 0.5 * g.h[0])
+    op = assemble(fx, 0.5 * g.h[0])
     assert not op.mass_conserving
     # substochastic last row: checked as row sums <= 1
     rep = verify_markov(op)
@@ -331,7 +331,7 @@ def test_dirichlet_outflow_loses_mass():
 def test_export_operator(tmp_path):
     n, nu = 4, 0.25
     g, fx = _ring(n)
-    op = assemble(fx, g, nu * g.h[0])
+    op = assemble(fx, nu * g.h[0])
     path = tmp_path / "op.txt"
     export_operator(op, path)
     lines = path.read_text().strip().splitlines()
@@ -346,7 +346,7 @@ def test_export_operator(tmp_path):
 
 
 def test_grid_mismatch_errors():
-    g, fx, op = _pendulum_op(n=10)
+    _, _, op = _pendulum_op(n=10)
     other = build_grid(BoxDomain((-PI, -PI), (PI, PI)), (12, 12), ("periodic", "neumann"))
     d = uniform_density(other)
     with pytest.raises(ValueError):
@@ -356,5 +356,3 @@ def test_grid_mismatch_errors():
     with pytest.raises(ValueError, match="different grids"):
         run_filter(d, op, gaussian_abs_position_model(0.1), ObservationSequence((), ()),
                    t_end=op.dt)
-    with pytest.raises(ValueError):
-        assemble(fx, other, 0.001)

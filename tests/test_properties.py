@@ -4,10 +4,12 @@ Operator examples draw a 1-3D box, per-axis boundary kinds, a field (constant
 in any dimension; rotation or pendulum in 2D) and a step ``dt <= dt_max``,
 then check the paper's invariants: nonnegative entries, stochastic rows
 without Dirichlet outflow and substochastic ones with it (both accepted by
-``verify_markov``), conserved mass, positivity, ``evolve`` agreeing bit for
-bit with repeated ``step`` on the mass vector (and rejecting a time whose
-step count overflows), and, with a Dirichlet axis, the mass a step loses
-equal to the upwind outflow through the boundary faces.
+``verify_markov``), a canonical CSR matrix (also where both faces of a
+2-cell periodic axis join the same cells), conserved mass, positivity,
+``evolve`` agreeing bit for bit with repeated ``step`` on the mass vector
+(and rejecting a time whose step count overflows), and, with a Dirichlet
+axis, the mass a step loses equal to the upwind outflow through the
+boundary faces.
 
 Diagnostic examples check ``moments`` and ``count_modes`` against the direct
 formulas they replace, kept here as reference implementations, that the
@@ -19,7 +21,7 @@ uses on a block of profiles gives each row the reference's count.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpfvm import (
@@ -39,6 +41,7 @@ from fpfvm import (
     verify_markov,
 )
 from fpfvm import density as density_module
+from fpfvm.velocity import VelocityField
 from fpfvm.density import _axis_centres, _count_modes_rows
 
 BCS = ("periodic", "neumann", "dirichlet")
@@ -70,14 +73,22 @@ def flux_operators(draw, dirichlet=False):
             field = constant_field(comps)
     grid = build_grid(BoxDomain(lower, upper), n, bc)
     fluxes = compute_fluxes(field, grid, draw(st.sampled_from(["midpoint", "gauss2"])))
-    dt_max = max_stable_dt(fluxes, grid, 0.0).dt_max
+    dt_max = max_stable_dt(fluxes, 0.0).dt_max
     frac = draw(st.floats(0.01, 1.0))
     dt = frac * dt_max if np.isfinite(dt_max) else frac
-    return fluxes, assemble(fluxes, grid, dt)
+    return fluxes, assemble(fluxes, dt)
 
 
 def operators():
     return flux_operators().map(lambda pair: pair[1])
+
+
+def _two_cell_ring_op():
+    """A 2-cell periodic axis whose two faces both carry mass from cell 1 to
+    cell 0: the assembly sees two triplets for one matrix entry."""
+    grid = build_grid(BoxDomain((-1.0,), (1.0,)), (2,), ("periodic",))
+    field = VelocityField(lambda x: np.asarray(x, dtype=float) - 0.5, dim=1)
+    return assemble(compute_fluxes(field, grid), 0.5)
 
 
 def _random_density(grid, seed):
@@ -87,7 +98,9 @@ def _random_density(grid, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(op=operators())
+@example(op=_two_cell_ring_op())
 def test_entries_nonnegative_rows_stochastic(op):
+    assert op._left.has_canonical_format  # sorted indices, duplicates summed
     S = op.matrix
     assert S.data.min() >= 0.0
     row_sums = np.asarray(S.sum(axis=1)).ravel()
