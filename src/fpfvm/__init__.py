@@ -74,7 +74,6 @@ from .velocity import (
     VelocityField,
     compute_fluxes,
     constant_field,
-    discrete_divergence,
     field_from_name,
     pendulum_field,
     rotation_field,

@@ -357,11 +357,11 @@ def save_density(density: Density, path, t: float = 0.0) -> None:
         fh.write("\n".join(header) + "\n" + "%.17g\n" * len(values) % values)
 
 
-def load_density(path, bc=None) -> tuple[Density, float]:
+def load_density(path, bc) -> tuple[Density, float]:
     """Read a density snapshot written by :func:`save_density`.
 
-    The file stores geometry but not boundary kinds; pass ``bc`` to set them
-    (default: Neumann on every axis).  Returns the density and its time tag.
+    The file stores geometry but not boundary kinds, so ``bc`` gives them.
+    Returns the density and its time tag.
     """
     header = {}
     values = []
@@ -385,8 +385,6 @@ def load_density(path, bc=None) -> tuple[Density, float]:
         raise ValueError(f"malformed density file {path}: {exc}") from exc
     if len(n) != d or len(bounds) != d:
         raise ValueError(f"inconsistent header in density file {path}")
-    if bc is None:
-        bc = ("neumann",) * d
     grid = build_grid(
         BoxDomain(tuple(b[0] for b in bounds), tuple(b[1] for b in bounds)), n, bc)
     return Density(np.asarray(values), grid), t

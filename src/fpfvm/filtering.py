@@ -33,6 +33,7 @@ from .velocity import VelocityField
 LogLikelihood = Callable[[float, np.ndarray], np.ndarray]
 
 _BLOCK = 128  # history rows whose diagnostics are computed together
+_RK4_MAX_STEP = 1e-3  # largest substep of simulate_truth
 
 
 class ZeroEvidence(RuntimeError):
@@ -142,6 +143,38 @@ def gaussian_abs_position_model(sigma: float) -> LogLikelihood:
     return log_likelihood
 
 
+def _schedule(op: TransitionOperator, obs_times: Sequence[float], t_end: float,
+              snapshot_times: Sequence[float]):
+    """Check a run's times against ``op.dt`` and snap them to step indices;
+    returns the snap records and the observation, snapshot and end steps."""
+    dt, d = op.dt, op.grid.domain.d
+    if not np.isfinite(t_end / dt):
+        raise ValueError(f"t_end must be finite with finite t_end / dt, got {t_end}")
+    if len(obs_times) and obs_times[-1] > t_end + 1e-12:
+        raise ValueError("observations extend beyond t_end")
+    for s in snapshot_times:
+        if not 0 <= s <= t_end + 1e-12:
+            raise ValueError(f"snapshot time {s} outside [0, t_end]")
+
+    snap_log = []
+
+    def snap(kind, t):
+        k = int(round(t / dt))
+        snap_log.append(SnapRecord(kind, t, k * dt, abs(k * dt - t)))
+        return k
+
+    k_obs = [snap("observation", t) for t in obs_times]
+    k_snap = [snap("snapshot", t) for t in snapshot_times]
+    k_end = snap("t_end", t_end)
+    if k_end < max(k_obs + k_snap, default=0):
+        raise ValueError(f"t_end {t_end} snaps to step {k_end}, before an event or 0")
+    n = 1 + k_end + len(obs_times)
+    if n * 8 * (3 + 2 * d) > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise ValueError(f"t_end={t_end} needs {float(n):.4g} history rows, "
+                         "more than the machine's memory holds")
+    return snap_log, k_obs, k_snap, k_end
+
+
 def run_filter(prior: Density, op: TransitionOperator, log_likelihood: LogLikelihood,
                obs: ObservationSequence, t_end: float,
                min_prominence: float = 0.1,
@@ -161,34 +194,17 @@ def run_filter(prior: Density, op: TransitionOperator, log_likelihood: LogLikeli
     _check_prominence(min_prominence)
     if abs(prior.mass - 1.0) > 1e-8:
         raise ValueError(f"prior must have unit mass, got {prior.mass}")
+    if prior.values.min() < 0:
+        cell = int(np.argmin(prior.values))
+        raise ValueError(f"prior has a negative value at cell {cell}")
     dt = op.dt
-    if not np.isfinite(t_end / dt):
-        raise ValueError(f"t_end must be finite with finite t_end / dt, got {t_end}")
-    if len(obs) and obs.times[-1] > t_end + 1e-12:
-        raise ValueError("observations extend beyond t_end")
-    for s in snapshot_times:
-        if not 0 <= s <= t_end + 1e-12:
-            raise ValueError(f"snapshot time {s} outside [0, t_end]")
-
-    snap_log = []
-
-    def snap(kind, t):
-        k = int(round(t / dt))
-        snap_log.append(SnapRecord(kind, t, k * dt, abs(k * dt - t)))
-        return k
-
+    snap_log, k_obs, k_snap, k_end = _schedule(op, obs.times, t_end, snapshot_times)
     # kind 0 (observation) sorts before kind 1 (snapshot) at the same step
-    events = [(snap("observation", t), 0, z) for t, z in zip(obs.times, obs.values)]
-    events += [(snap("snapshot", t), 1, None) for t in snapshot_times]
+    events = [(k, 0, z) for k, z in zip(k_obs, obs.values)]
+    events += [(k, 1, None) for k in k_snap]
     events.sort(key=lambda e: (e[0], e[1]))
-    k_end = snap("t_end", t_end)
-    if k_end < max((e[0] for e in events), default=0):
-        raise ValueError(f"t_end {t_end} snaps to step {k_end}, before an event or 0")
 
     n, d = 1 + k_end + len(obs), grid.domain.d
-    if n * 8 * (3 + 2 * d) > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
-        raise ValueError(f"t_end={t_end} needs {float(n):.4g} history rows, "
-                         "more than the machine's memory holds")
     hist = History(time=np.empty(n), mean=np.empty((n, d)), std=np.empty((n, d)),
                    mode_count=np.empty(n, dtype=np.int64), log_evidence=np.empty(n))
     sums = [np.empty((_BLOCK, m)) for m in grid.n]  # slab sums of the open block
@@ -232,10 +248,10 @@ def _rk4(field: VelocityField, x: np.ndarray, h: float) -> np.ndarray:
 
 
 def simulate_truth(field: VelocityField, x0, times: Sequence[float],
-                   max_step: float = 1e-3, domain=None, bc=None) -> np.ndarray:
+                   domain=None, bc=None) -> np.ndarray:
     """Reference trajectory by classical fixed-step RK4.
 
-    Each interval is subdivided so the step never exceeds ``max_step`` and
+    Each interval is subdivided so the step never exceeds 1e-3 and
     the requested times are hit exactly.  If ``domain`` and ``bc`` are given,
     reported states are wrapped into the box on periodic axes (the dynamics
     themselves are integrated unwrapped).
@@ -252,9 +268,9 @@ def simulate_truth(field: VelocityField, x0, times: Sequence[float],
     for i, tk in enumerate(times):
         span = tk - t
         if span > 0:
-            if not span / max_step < np.inf:
+            if not span / _RK4_MAX_STEP < np.inf:
                 raise ValueError(f"time {tk} takes a non-finite RK4 step count")
-            nsub = max(1, int(np.ceil(span / max_step - 1e-12)))
+            nsub = max(1, int(np.ceil(span / _RK4_MAX_STEP - 1e-12)))
             h = span / nsub
             for _ in range(nsub):
                 x = _rk4(field, x, h)

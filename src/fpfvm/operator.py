@@ -29,14 +29,11 @@ from .grid import Grid
 from .velocity import EdgeFluxes
 
 _CFL_SLACK = 1e-12  # relative slack so dt == dt_max assembles cleanly
+_MARKOV_TOL = 1e-12  # entry and row-sum tolerance of verify_markov
 
 
 class CflViolation(ValueError):
     """The requested time step would make a diagonal entry negative."""
-
-    def __init__(self, msg: str, binding_cell: int | None = None):
-        super().__init__(msg)
-        self.binding_cell = binding_cell
 
 
 class NoConvergence(RuntimeError):
@@ -107,13 +104,10 @@ def max_stable_dt(fluxes: EdgeFluxes, xi: float) -> CflReport:
     )
 
 
-def assemble(fluxes: EdgeFluxes, dt: float,
-             check_cfl: bool = True) -> TransitionOperator:
+def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
     """Build the upwind transition matrix for time step ``dt`` on ``fluxes.grid``.
 
-    With ``check_cfl`` (the default) a step that would produce a negative
-    diagonal raises :class:`CflViolation`; disabling the check is for
-    negative tests of the positivity property only.
+    A step that would produce a negative diagonal raises :class:`CflViolation`.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -125,13 +119,11 @@ def assemble(fluxes: EdgeFluxes, dt: float,
 
     outflow = _cell_outflow(fluxes)
     load = dt * outflow / vol
-    if check_cfl and np.any(load > 1.0 + _CFL_SLACK):
+    if np.any(load > 1.0 + _CFL_SLACK):
         binding = int(np.argmax(load))
         raise CflViolation(
             f"dt={dt} violates the step-size bound at cell {binding}: "
-            f"dt * outflow / |K| = {load[binding]:.6g} > 1",
-            binding_cell=binding,
-        )
+            f"dt * outflow / |K| = {load[binding]:.6g} > 1")
     diag = 1.0 - load
     tiny = (diag < 0.0) & (diag >= -_CFL_SLACK)
     diag[tiny] = 0.0
@@ -175,9 +167,10 @@ def evolve(op: TransitionOperator, density: Density, t: float) -> Density:
     return Density(m / vol, op.grid)
 
 
-def verify_markov(op: TransitionOperator, tol: float = 1e-12) -> MarkovReport:
-    """Check entries >= -tol and row sums within tol of one; with Dirichlet
-    outflow (not mass conserving), row sums at most 1 + tol, the excess reported."""
+def verify_markov(op: TransitionOperator) -> MarkovReport:
+    """Check entries >= -tol and row sums within tol of one, tol = 1e-12; with
+    Dirichlet outflow (not mass conserving), row sums at most 1 + tol, the
+    excess reported."""
     left = op._left
     data = left.data
     min_entry = float(data.min()) if data.size else 1.0
@@ -190,7 +183,7 @@ def verify_markov(op: TransitionOperator, tol: float = 1e-12) -> MarkovReport:
     return MarkovReport(
         min_entry=min_entry,
         max_row_sum_err=err,
-        is_markov=bool(min_entry >= -tol and err <= tol),
+        is_markov=bool(min_entry >= -_MARKOV_TOL and err <= _MARKOV_TOL),
     )
 
 

@@ -26,7 +26,6 @@ class VelocityField:
 
     func: Callable[[np.ndarray], np.ndarray]
     dim: int
-    name: str = "custom"
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.func(x)
@@ -60,7 +59,7 @@ def pendulum_field(g_over_l: float = 1.0) -> VelocityField:
         x = np.asarray(x, dtype=float)
         return np.stack([x[..., 1], -g * np.sin(x[..., 0])], axis=-1)
 
-    return VelocityField(func=func, dim=2, name="pendulum")
+    return VelocityField(func=func, dim=2)
 
 
 def rotation_field() -> VelocityField:
@@ -70,7 +69,7 @@ def rotation_field() -> VelocityField:
         x = np.asarray(x, dtype=float)
         return np.stack([-x[..., 1], x[..., 0]], axis=-1)
 
-    return VelocityField(func=func, dim=2, name="rotation")
+    return VelocityField(func=func, dim=2)
 
 
 def constant_field(c) -> VelocityField:
@@ -85,7 +84,7 @@ def constant_field(c) -> VelocityField:
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(cc, x.shape).copy()
 
-    return VelocityField(func=func, dim=int(c.size), name="constant")
+    return VelocityField(func=func, dim=int(c.size))
 
 
 def field_from_name(name: str) -> VelocityField:
@@ -169,13 +168,3 @@ def compute_fluxes(field: VelocityField, grid: Grid,
     tag = "midpoint" if kind == "midpoint" else f"gauss{k}"
     return EdgeFluxes(values=flux, quadrature=tag, grid=grid)
 
-
-def discrete_divergence(fluxes: EdgeFluxes) -> np.ndarray:
-    """Per-cell sum of outward face fluxes on ``fluxes.grid``.
-
-    Zero (to rounding) wherever the discrete fluxes of a divergence-free
-    field balance; nonzero next to Neumann walls that truncate a field with
-    nonzero normal component there.
-    """
-    f = fluxes.values
-    return fluxes.grid.face_sums(f, -f)

@@ -161,8 +161,8 @@ def test_filter_file_prior_roundtrip(tmp_path):
                "--obs_times", "", "--t_end", "0", "--snapshot_times", "0",
                "--prior", f"file:{run1 / 'snapshot_00.csv'}"])
     assert rc == 0
-    a, _ = load_density(run1 / "snapshot_00.csv")
-    b, _ = load_density(run2 / "snapshot_00.csv")
+    a, _ = load_density(run1 / "snapshot_00.csv", bc=("periodic", "neumann"))
+    b, _ = load_density(run2 / "snapshot_00.csv", bc=("periodic", "neumann"))
     assert np.abs(a.values - b.values).max() <= 1e-12 * a.values.max()
 
 
@@ -200,6 +200,8 @@ def test_filter_rejects_negative_file_prior(tmp_path, capsys):
     ["filter", "--n", "8,8", "--t_end", "1e300"],
     # the truth's RK4 substep count overflows
     ["filter", "--n", "8,8", "--obs_times", "1,1e306", "--t_end", "1e306"],
+    # t_end is checked before the truth's 1e15 RK4 substeps are run
+    ["filter", "--n", "8,8", "--obs_times", "1,1e12", "--t_end", "1e12"],
 ])
 def test_library_rejections_exit_two(tmp_path, capsys, args):
     rc = main(args + ["--out", str(tmp_path)])

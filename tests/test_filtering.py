@@ -187,6 +187,11 @@ def test_run_filter_validation():
     unnormalized = project(gaussian_pdf((0.0, 0.0), 0.64), g)
     with pytest.raises(ValueError):
         run_filter(unnormalized, op, model, ObservationSequence((), ()), t_end=1.0)
+    vals = prior.values.copy()
+    vals[5] = -0.5 * vals.max()
+    negative = normalize(Density(vals, g))  # unit mass, one negative cell
+    with pytest.raises(ValueError, match="negative value at cell 5"):
+        run_filter(negative, op, model, ObservationSequence((), ()), t_end=1.0)
     for t_end in (-1.0, np.inf, np.nan, 1e308):  # 1e308 / dt overflows
         with pytest.raises(ValueError, match="t_end"):
             run_filter(prior, op, model, ObservationSequence((), ()), t_end=t_end)
