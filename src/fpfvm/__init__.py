@@ -18,7 +18,6 @@ from .bench import (
 from .density import (
     Density,
     Moments,
-    ZeroMass,
     count_modes,
     expectation,
     gaussian_pdf,

@@ -58,14 +58,17 @@ def run_level(field: VelocityField, domain: BoxDomain, bc: Sequence[str],
               normalize_prior: bool = False) -> Density:
     """Project the prior on an n-per-axis grid and evolve to ``t_final``.
 
-    The base step is ``dt_over_h * max(h)``, or with ``dt_over_h=None`` the
-    largest stable step for ``xi``; it is then reduced so ``t_final`` is an
-    exact multiple and no endpoint ambiguity remains.  ``t_final == 0``
-    returns the projected prior; a negative or non-finite ``t_final``, or
-    one whose step count overflows, raises.
+    The base step is ``dt_over_h * max(h)`` (``dt_over_h`` positive and
+    finite), or with ``dt_over_h=None`` the largest stable step for ``xi``;
+    it is then reduced so ``t_final`` is an exact multiple and no endpoint
+    ambiguity remains.  ``t_final == 0`` returns the projected prior; a
+    negative or non-finite ``t_final``, or one whose step count overflows,
+    raises.
     """
     if not 0 <= t_final < np.inf:
         raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
+    if dt_over_h is not None and not 0 < dt_over_h < np.inf:
+        raise ValueError(f"dt_over_h must be positive and finite, got {dt_over_h}")
     grid = build_grid(domain, (n,) * domain.d, bc)
     dens = project(prior_pdf, grid, quadrature)
     if normalize_prior:

@@ -17,10 +17,6 @@ from .grid import PERIODIC, BoxDomain, Grid, build_grid
 from .velocity import tensor_rule
 
 
-class ZeroMass(ValueError):
-    """Raised when a density with no mass is asked to be normalized."""
-
-
 @dataclass(frozen=True)
 class Density:
     """Piecewise-constant density on a grid; immutable snapshot."""
@@ -110,10 +106,10 @@ def gaussian_pdf(mean, cov):
 
 
 def normalize(density: Density) -> Density:
-    """Scale to unit mass; raises :class:`ZeroMass` on mass <= 0."""
+    """Scale to unit mass; raises ``ValueError`` on mass <= 0."""
     m = density.mass
     if not m > 0:
-        raise ZeroMass(f"density mass {m} is not positive")
+        raise ValueError(f"density mass {m} is not positive")
     return Density(density.values / m, density.grid)
 
 
@@ -182,7 +178,7 @@ def moments(density: Density) -> Moments:
     cov = np.empty((d, d))
     for a in range(d):
         mean[a], cov[a, a] = _axis_moments(_sum_except(arr, (a,)), grid, a)
-    mids = [_axis_centres(grid, a) for a in range(d)]
+    mids = [grid.centres(a) for a in range(d)]
     for a in range(d):
         for b in range(a + 1, d):
             cov[a, b] = cov[b, a] = (
@@ -198,7 +194,7 @@ def _axis_moments(sums: np.ndarray, grid: Grid, axis: int):
     one profile per leading index.  The variance includes the within-cell
     h^2/12.
     """
-    x = _axis_centres(grid, axis)
+    x = grid.centres(axis)
     p = sums * grid.cell_volume  # slab masses
     # a stack of (1, n) @ (n, 1) products is one dot per profile, rounded as
     # for a single profile; (k, n) @ (n,) would round differently
@@ -207,11 +203,6 @@ def _axis_moments(sums: np.ndarray, grid: Grid, axis: int):
     second = ((rows @ (x * x)[:, None])[..., 0, 0]
               + (grid.h[axis] ** 2 / 12.0) * p.sum(axis=-1))
     return mean, second - mean * mean
-
-
-def _axis_centres(grid: Grid, axis: int) -> np.ndarray:
-    """Cell centres along ``axis``, computed as ``Grid.cell_midpoints`` does."""
-    return grid.domain.lower[axis] + (np.arange(grid.n[axis]) + 0.5) * grid.h[axis]
 
 
 def _sum_except(arr: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:

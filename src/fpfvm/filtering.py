@@ -56,6 +56,8 @@ class ObservationSequence:
             raise ValueError("times and values must have equal length")
         if times and not 0 < times[0] <= times[-1] < np.inf:
             raise ValueError("observation times must be positive and finite")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("observation values must be finite")
         for a, b in zip(times, times[1:]):
             if not b > a:
                 raise ValueError(f"observation times must increase strictly ({a} !< {b})")

@@ -142,14 +142,16 @@ class Grid:
         np.add.at(out, self.edges.cell_b, at_b)
         return out[:-1]
 
+    def centres(self, axis: int) -> np.ndarray:
+        """Cell centres along ``axis``, lowest first."""
+        return self.domain.lower[axis] + (np.arange(self.n[axis]) + 0.5) * self.h[axis]
+
     @property
     def cell_midpoints(self) -> np.ndarray:
         """(ncells, d) array of cell centers, canonical flat order."""
         if self._midpoints is None:
             multi = np.unravel_index(np.arange(self.ncells), self.n, order="F")
-            mid = np.empty((self.ncells, self.domain.d))
-            for i in range(self.domain.d):
-                mid[:, i] = self.domain.lower[i] + (multi[i] + 0.5) * self.h[i]
+            mid = np.stack([self.centres(a)[m] for a, m in enumerate(multi)], axis=1)
             mid.flags.writeable = False
             self._midpoints = mid
         return self._midpoints

@@ -109,8 +109,8 @@ def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
 
     A step that would produce a negative diagonal raises :class:`CflViolation`.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     grid = fluxes.grid
     t = grid.edges
     f = fluxes.values

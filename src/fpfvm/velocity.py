@@ -111,7 +111,7 @@ def _parse_quadrature(tag: str) -> tuple[str, int]:
     if m:
         k = int(m.group(1))
         if k < 1:
-            raise ValueError("gauss order must be >= 1")
+            raise ValueError(f"quadrature {tag!r}: gauss order must be >= 1")
         return "gauss", k
     raise ValueError(f"unknown quadrature {tag!r} (use 'midpoint' or 'gauss<k>')")
 

@@ -49,6 +49,9 @@ def test_level_validation():
         convergence_study(field, DOM, BC, PDF, 0.1, (10, 30), xi=XI)
     with pytest.raises(ValueError):
         run_level(field, DOM, BC, PDF, -1.0, 10, xi=XI)
+    for dt_over_h in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt_over_h"):
+            run_level(field, DOM, BC, PDF, 0.01, 8, xi=XI, dt_over_h=dt_over_h)
 
 
 def test_effective_order_arrangement():

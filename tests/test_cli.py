@@ -9,7 +9,7 @@ import pytest
 import fpfvm
 from fpfvm import (Density, convergence_study, gaussian_pdf, load_density,
                    pendulum_field, save_density, uniform_density)
-from fpfvm.cli import ConfigError, load_config, main, parse_real
+from fpfvm.cli import load_config, main, parse_real
 from fpfvm.grid import BoxDomain, build_grid
 
 PI = np.pi
@@ -22,7 +22,7 @@ def test_parse_real():
     assert parse_real("0.6pi") == pytest.approx(0.6 * PI, rel=1e-15)
     assert parse_real("pi/4") == pytest.approx(PI / 4, rel=1e-15)
     assert parse_real("2pi/7") == pytest.approx(2 * PI / 7, rel=1e-15)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="cannot parse real value 'two'"):
         parse_real("two")
 
 
@@ -32,14 +32,14 @@ def test_load_config_layers(tmp_path):
     cfg = load_config("operator", cfg_file, {"xi": "0.5"})
     assert cfg["n"] == (10, 10)
     assert cfg["xi"] == 0.5
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="unknown key 'volume' for command 'operator'"):
         load_config("operator", None, {"volume": "3"})
     bad = tmp_path / "bad.cfg"
     bad.write_text("obs_sigma = 0.1\n")  # filter key, not an operator key
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="unknown key 'obs_sigma' for command 'operator'"):
         load_config("operator", bad, None)
     for command in ("operator", "converge"):  # only filter draws random numbers
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=f"unknown key 'seed' for command '{command}'"):
             load_config(command, None, {"seed": "3"})
 
 
@@ -142,6 +142,18 @@ def test_filter_rejects_bad_observation_file(tmp_path):
     assert rc == 2
 
 
+def test_filter_rejects_non_finite_observation_value(tmp_path, capsys):
+    obs = tmp_path / "obs.csv"
+    obs.write_text("t,z\n1,inf\n")
+    rc = main(["filter", "--out", str(tmp_path / "run"), "--n", "8,8",
+               "--obs", f"file:{obs}"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"config error: bad observation file {obs}: ")
+    assert "observation values must be finite" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_filter_empty_observations_pure_evolution(tmp_path):
     rc = main(["filter", "--out", str(tmp_path), "--n", "8,8",
                "--obs_times", "", "--t_end", "0.2", "--snapshot_times", "0"])
@@ -202,6 +214,15 @@ def test_filter_rejects_negative_file_prior(tmp_path, capsys):
     ["filter", "--n", "8,8", "--obs_times", "1,1e306", "--t_end", "1e306"],
     # t_end is checked before the truth's 1e15 RK4 substeps are run
     ["filter", "--n", "8,8", "--obs_times", "1,1e12", "--t_end", "1e12"],
+    # no flow means no CFL bound, so only the step check stops an infinite dt
+    ["operator", "--n", "8,8", "--field", "constant:0,0", "--dt_over_h", "inf"],
+    ["filter", "--n", "8,8", "--field", "constant:0,0", "--dt_over_h", "inf"],
+    ["converge", "--n_list", "8,16", "--t_final", "0.01", "--dt_over_h", "-1"],
+    ["converge", "--n_list", "8,16", "--t_final", "0.01", "--dt_over_h", "0"],
+    ["converge", "--n_list", "8,16", "--t_final", "0.01", "--dt_over_h", "nan"],
+    ["converge", "--n_list", "8,16", "--t_final", "0.01", "--dt_over_h", "inf"],
+    # an empty covariance reaches gaussian_pdf's shape check
+    ["converge", "--n_list", "4,8", "--t_final", "0.1", "--prior_cov", ""],
 ])
 def test_library_rejections_exit_two(tmp_path, capsys, args):
     rc = main(args + ["--out", str(tmp_path)])
@@ -209,6 +230,33 @@ def test_library_rejections_exit_two(tmp_path, capsys, args):
     assert rc == 2
     assert err.startswith("config error:")
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("operator", "n", "8,x"),
+    ("operator", "xi", "two"),
+    ("operator", "xi", "pi/0"),  # a ZeroDivisionError, not a ValueError
+    ("operator", "domain", "0"),
+    ("operator", "write_matrix", "maybe"),
+    ("filter", "seed", "1.5"),
+    ("operator", "dt_over_h", "two"),
+    ("filter", "obs_times", "1,x"),
+])
+def test_parse_failure_names_its_key(tmp_path, capsys, command, key, value):
+    rc = main([command, f"--{key}", value, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"config error: bad value for '{key}': ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tag", ["gauss0", "bogus"])
+def test_bad_quadrature_names_the_key(tmp_path, capsys, tag):
+    rc = main(["operator", "--n", "8,8", "--quadrature", tag, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and "quadrature" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -4,7 +4,6 @@ import pytest
 from fpfvm import (
     BoxDomain,
     Density,
-    ZeroMass,
     build_grid,
     count_modes,
     expectation,
@@ -74,7 +73,7 @@ def test_normalize():
     assert np.allclose(nd.values, d.values / 2.0, rtol=1e-15)
     again = normalize(nd)
     assert np.abs(again.values - nd.values).max() <= 1e-15 * nd.values.max()
-    with pytest.raises(ZeroMass):
+    with pytest.raises(ValueError, match="density mass 0.0 is not positive"):
         normalize(Density(np.zeros(g.ncells), g))
     truncated = project(gaussian_pdf((0.6 * PI, 0.0), 0.64), g)
     assert normalize(truncated).mass == pytest.approx(1.0, abs=1e-14)

@@ -63,6 +63,9 @@ def test_observation_sequence_validation():
     for times in ((1.0, np.inf), (np.nan,)):
         with pytest.raises(ValueError, match="finite"):
             ObservationSequence(times, (0.1,) * len(times))
+    for value in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="observation values must be finite"):
+            ObservationSequence((1.0, 2.0), (0.1, value))
 
 
 def test_gaussian_abs_model():

@@ -127,6 +127,15 @@ def test_assemble_rejects_cfl_violation():
         assemble(fx, 0.0)
 
 
+def test_assemble_rejects_an_infinite_step():
+    # with no flow the CFL bound is infinite, so only the step check stops it
+    g = build_grid(BoxDomain((0.0,), (1.0,)), (4,), ("periodic",))
+    fz = compute_fluxes(constant_field([0.0]), g)
+    for dt in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            assemble(fz, dt)
+
+
 def test_dt_equal_dt_max_assembles():
     _, fx = _ring(8, c=3.0)
     dt = max_stable_dt(fx, 0.0).dt_max  # nu = 1 exactly

@@ -42,7 +42,7 @@ from fpfvm import (
 )
 from fpfvm import density as density_module
 from fpfvm.velocity import VelocityField
-from fpfvm.density import _axis_centres, _count_modes_rows
+from fpfvm.density import _count_modes_rows
 
 BCS = ("periodic", "neumann", "dirichlet")
 MAX_CELLS = {1: 24, 2: 10, 3: 5}
@@ -206,9 +206,9 @@ def test_moment_centres_are_axis_grid_midpoints(dens):
     for a in range(g.domain.d):
         line = build_grid(BoxDomain((g.domain.lower[a],), (g.domain.upper[a],)),
                           (g.n[a],), (g.bc[a],))
-        assert np.array_equal(_axis_centres(g, a), line.cell_midpoints[:, 0])
+        assert np.array_equal(g.centres(a), line.cell_midpoints[:, 0])
         # the cells (0, .., m, .., 0) of the full grid sit at flat index m * stride
-        assert np.array_equal(_axis_centres(g, a), g.cell_midpoints[::stride, a][:g.n[a]])
+        assert np.array_equal(g.centres(a), g.cell_midpoints[::stride, a][:g.n[a]])
         stride *= g.n[a]
 
 
