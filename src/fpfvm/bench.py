@@ -61,9 +61,9 @@ def run_level(field: VelocityField, domain: BoxDomain, bc: Sequence[str],
     The base step is ``dt_over_h * max(h)`` (``dt_over_h`` positive and
     finite), or with ``dt_over_h=None`` the largest stable step for ``xi``;
     it is then reduced so ``t_final`` is an exact multiple and no endpoint
-    ambiguity remains.  ``t_final == 0`` returns the projected prior; a
-    negative or non-finite ``t_final``, or one whose step count overflows,
-    raises.
+    ambiguity remains.  ``xi`` is checked on every call.  ``t_final == 0``
+    returns the projected prior; a negative or non-finite ``t_final``, or
+    one whose step count overflows, raises.
     """
     if not 0 <= t_final < np.inf:
         raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
@@ -73,13 +73,11 @@ def run_level(field: VelocityField, domain: BoxDomain, bc: Sequence[str],
     dens = project(prior_pdf, grid, quadrature)
     if normalize_prior:
         dens = normalize(dens)
+    fluxes = compute_fluxes(field, grid, quadrature)
+    report = max_stable_dt(fluxes, xi)
     if t_final == 0:
         return dens
-    fluxes = compute_fluxes(field, grid, quadrature)
-    if dt_over_h is not None:
-        base = float(dt_over_h) * max(grid.h)
-    else:
-        base = max_stable_dt(fluxes, xi).dt_max
+    base = report.dt_max if dt_over_h is None else float(dt_over_h) * max(grid.h)
     if not np.isfinite(base):
         base = t_final  # nothing flows: a single identity-like step
     steps = np.ceil(t_final / base - 1e-9)

@@ -28,6 +28,7 @@ import numpy as np
 
 from .bench import convergence_study, format_convergence_table, write_convergence_csv
 from .density import (
+    Density,
     gaussian_pdf,
     load_density,
     normalize,
@@ -133,7 +134,6 @@ _PARSERS = {
     "dt_over_h": _parse_dt_over_h,
     "quadrature": str,
     "out": str,
-    "threads": int,
     "seed": int,
     "write_stationary": _parse_bool,
     "stationary_tol": parse_real,
@@ -162,7 +162,6 @@ _COMMON = {
     "dt_over_h": _DEFAULT_DT_OVER_H,
     "quadrature": "midpoint",
     "out": "out",
-    "threads": 1,
 }
 
 
@@ -292,7 +291,8 @@ def _prior_density(cfg, grid):
             raise ValueError(f"cannot load prior from {path}: {exc}") from exc
         if dens.grid != grid:
             raise ValueError(f"prior file {path} does not match the run grid")
-        return normalize(dens)
+        # on the run grid, so the snapshot grid's geometry is not kept alive
+        return normalize(Density(dens.values, grid))
     if kind == "uniform":
         return uniform_density(grid)
     return normalize(project(_prior_pdf(cfg, grid.domain), grid, cfg["quadrature"]))
@@ -410,11 +410,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="key=value config file")
         for key in sorted(_defaults(name)):
-            if key == "threads":
-                p.add_argument("--threads", help="accepted for compatibility; "
-                               "kernels are sequential and results do not depend on it")
-            else:
-                p.add_argument(f"--{key}")
+            p.add_argument(f"--{key}")
     args = parser.parse_args(argv)
 
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -336,11 +337,9 @@ def write_run_report(state: FilterState, path) -> None:
             fh.write(f"# snapped {s.kind} requested={s.requested:.17g} "
                      f"used={s.used:.17g} dist={s.dist:.17g}\n")
         fh.write(",".join(cols) + "\n")
-        for t, mean, std, modes, log_ev in zip(
-                h.time.tolist(), h.mean.tolist(), h.std.tolist(),
-                h.mode_count.tolist(), h.log_evidence.tolist()):
-            row = ([f"{t:.17g}"]
-                   + [f"{x:.17g}" for x in mean]
-                   + [f"{x:.17g}" for x in std]
-                   + [str(modes), f"{log_ev:.17g}"])
-            fh.write(",".join(row) + "\n")
+        rows = zip(h.time.tolist(), h.mean.tolist(), h.std.tolist(),
+                   h.mode_count.tolist(), h.log_evidence.tolist())
+        values = chain.from_iterable((t, *mean, *std, modes, log_ev)
+                                     for t, mean, std, modes, log_ev in rows)
+        fh.write(("%.17g," * (1 + 2 * d) + "%d,%.17g\n") * len(h.time)
+                 % tuple(values))

@@ -91,6 +91,8 @@ class Grid:
     h : tuple of cell side lengths
     ncells : total cell count
     cell_volume : measure of every cell
+    edges : the face table, an :class:`EdgeTable`
+    cell_midpoints : (ncells, d) read-only array of cell centres, flat order
     """
 
     def __init__(self, domain: BoxDomain, n: Sequence[int], bc: Sequence[str]):
@@ -114,8 +116,11 @@ class Grid:
         )
         self.ncells = int(np.prod(n))
         self.cell_volume = float(np.prod(self.h))
-        self._midpoints: np.ndarray | None = None
-        self._edges: EdgeTable | None = None
+        self.edges = _build_edge_table(n, bc)
+        multi = np.unravel_index(np.arange(self.ncells), n, order="F")
+        self.cell_midpoints = np.stack(
+            [self.centres(a)[m] for a, m in enumerate(multi)], axis=1)
+        self.cell_midpoints.flags.writeable = False
 
     def __eq__(self, other) -> bool:
         return (
@@ -128,13 +133,6 @@ class Grid:
     def __repr__(self) -> str:
         return f"Grid(n={self.n}, bc={self.bc}, domain=[{self.domain.lower}, {self.domain.upper}])"
 
-    @property
-    def edges(self) -> EdgeTable:
-        """The face table, built on first access."""
-        if self._edges is None:
-            self._edges = _build_edge_table(self.n, self.bc)
-        return self._edges
-
     def face_sums(self, at_a: np.ndarray, at_b: np.ndarray) -> np.ndarray:
         """Sum ``at_a`` into each face's ``cell_a`` and ``at_b`` into its ``cell_b``."""
         out = np.zeros(self.ncells + 1)  # index -1, the outside, is the last slot
@@ -145,16 +143,6 @@ class Grid:
     def centres(self, axis: int) -> np.ndarray:
         """Cell centres along ``axis``, lowest first."""
         return self.domain.lower[axis] + (np.arange(self.n[axis]) + 0.5) * self.h[axis]
-
-    @property
-    def cell_midpoints(self) -> np.ndarray:
-        """(ncells, d) array of cell centers, canonical flat order."""
-        if self._midpoints is None:
-            multi = np.unravel_index(np.arange(self.ncells), self.n, order="F")
-            mid = np.stack([self.centres(a)[m] for a, m in enumerate(multi)], axis=1)
-            mid.flags.writeable = False
-            self._midpoints = mid
-        return self._midpoints
 
 
 def build_grid(domain: BoxDomain, n: Sequence[int], bc: Sequence[str]) -> Grid:

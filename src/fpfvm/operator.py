@@ -80,11 +80,6 @@ class TransitionOperator:
                 f"nnz={self.matrix.nnz}, mass_conserving={self.mass_conserving})")
 
 
-def _cell_outflow(fluxes: EdgeFluxes) -> np.ndarray:
-    f = fluxes.values
-    return fluxes.grid.face_sums(np.maximum(f, 0.0), np.maximum(-f, 0.0))
-
-
 def max_stable_dt(fluxes: EdgeFluxes, xi: float) -> CflReport:
     """Largest dt with ``dt * outflow_K <= (1 - xi) |K|`` for every cell.
 
@@ -92,11 +87,10 @@ def max_stable_dt(fluxes: EdgeFluxes, xi: float) -> CflReport:
     """
     if not 0.0 <= xi < 1.0:
         raise ValueError(f"xi must lie in [0, 1), got {xi}")
-    outflow = _cell_outflow(fluxes)
-    peak = outflow.max() if outflow.size else 0.0
+    binding = int(np.argmax(fluxes.outflow))
+    peak = fluxes.outflow[binding]
     if peak <= 0.0:
         return CflReport(dt_max=np.inf, xi=float(xi), binding_cell=None)
-    binding = int(np.argmax(outflow))
     return CflReport(
         dt_max=(1.0 - xi) * fluxes.grid.cell_volume / peak,
         xi=float(xi),
@@ -117,8 +111,7 @@ def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
     nc = grid.ncells
     vol = grid.cell_volume
 
-    outflow = _cell_outflow(fluxes)
-    load = dt * outflow / vol
+    load = dt * fluxes.outflow / vol
     if np.any(load > 1.0 + _CFL_SLACK):
         binding = int(np.argmax(load))
         raise CflViolation(

@@ -38,12 +38,15 @@ class EdgeFluxes:
     One signed value is stored per face, positive toward +axis (out of the
     lower cell ``cell_a``, into the upper cell ``cell_b``), so the
     antisymmetry of opposing fluxes is structural.  On a low-side Dirichlet
-    face (``cell_a == -1``) a positive flux enters the box.
+    face (``cell_a == -1``) a positive flux enters the box.  ``outflow`` is
+    the per-cell upwind outflow ``sum_L (v_KL)_+``, the load behind the
+    step-size bound and the diagonal of the transition matrix.
     """
 
     values: np.ndarray
     quadrature: str
     grid: Grid
+    outflow: np.ndarray
 
 
 def pendulum_field(g_over_l: float = 1.0) -> VelocityField:
@@ -165,6 +168,8 @@ def compute_fluxes(field: VelocityField, grid: Grid,
     if not np.all(np.isfinite(flux)):
         raise ValueError("velocity field produced non-finite flux values")
     flux.flags.writeable = False
+    outflow = grid.face_sums(np.maximum(flux, 0.0), np.maximum(-flux, 0.0))
+    outflow.flags.writeable = False
     tag = "midpoint" if kind == "midpoint" else f"gauss{k}"
-    return EdgeFluxes(values=flux, quadrature=tag, grid=grid)
+    return EdgeFluxes(values=flux, quadrature=tag, grid=grid, outflow=outflow)
 

@@ -223,6 +223,10 @@ def test_filter_rejects_negative_file_prior(tmp_path, capsys):
     ["converge", "--n_list", "8,16", "--t_final", "0.01", "--dt_over_h", "inf"],
     # an empty covariance reaches gaussian_pdf's shape check
     ["converge", "--n_list", "4,8", "--t_final", "0.1", "--prior_cov", ""],
+    # converge checks xi at every level, even when no step is taken
+    ["converge", "--n_list", "8,16", "--t_final", "0.1", "--xi", "1.5"],
+    ["converge", "--n_list", "8,16", "--t_final", "0.1", "--xi", "nan"],
+    ["converge", "--n_list", "8,16", "--t_final", "0", "--xi", "1.5"],
 ])
 def test_library_rejections_exit_two(tmp_path, capsys, args):
     rc = main(args + ["--out", str(tmp_path)])
@@ -281,13 +285,13 @@ def test_unknown_cli_flag_exits_two(tmp_path):
     assert exc.value.code == 2
 
 
-def test_byte_identical_reruns_across_threads(tmp_path):
+def test_byte_identical_reruns(tmp_path):
     outs = []
-    for threads, sub in (("1", "r1"), ("4", "r2")):
+    for sub in ("r1", "r2"):
         out = tmp_path / sub
         rc = main(["filter", "--out", str(out), "--n", "12,12",
                    "--obs_times", "2pi/7", "--t_end", "1.5",
-                   "--snapshot_times", "0,1", "--threads", threads])
+                   "--snapshot_times", "0,1"])
         assert rc == 0
         outs.append(out)
     for name in ("report.csv", "observations.csv", "snapshot_00.csv",

@@ -2,7 +2,10 @@
 
 Operator examples draw a 1-3D box, per-axis boundary kinds, a field (constant
 in any dimension; rotation or pendulum in 2D) and a step ``dt <= dt_max``,
-then check the paper's invariants: nonnegative entries, stochastic rows
+then check the paper's invariants: the per-cell upwind outflow
+``fluxes.outflow`` (read-only, its argmax the binding cell of the step
+bound) equal to the face scatter of the flux parts, nonnegative entries,
+stochastic rows
 without Dirichlet outflow and substochastic ones with it (both accepted by
 ``verify_markov``), a canonical CSR matrix (also where both faces of a
 2-cell periodic axis join the same cells), conserved mass, positivity,
@@ -83,12 +86,13 @@ def operators():
     return flux_operators().map(lambda pair: pair[1])
 
 
-def _two_cell_ring_op():
+def _two_cell_ring():
     """A 2-cell periodic axis whose two faces both carry mass from cell 1 to
     cell 0: the assembly sees two triplets for one matrix entry."""
     grid = build_grid(BoxDomain((-1.0,), (1.0,)), (2,), ("periodic",))
     field = VelocityField(lambda x: np.asarray(x, dtype=float) - 0.5, dim=1)
-    return assemble(compute_fluxes(field, grid), 0.5)
+    fluxes = compute_fluxes(field, grid)
+    return fluxes, assemble(fluxes, 0.5)
 
 
 def _random_density(grid, seed):
@@ -97,9 +101,17 @@ def _random_density(grid, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(op=operators())
-@example(op=_two_cell_ring_op())
-def test_entries_nonnegative_rows_stochastic(op):
+@given(pair=flux_operators())
+@example(pair=_two_cell_ring())
+def test_entries_nonnegative_rows_stochastic(pair):
+    fluxes, op = pair
+    # the one outflow pass behind both the step bound and the diagonal
+    f, outflow = fluxes.values, fluxes.outflow
+    assert np.array_equal(
+        outflow, op.grid.face_sums(np.maximum(f, 0.0), np.maximum(-f, 0.0)))
+    assert not outflow.flags.writeable
+    binding = int(np.argmax(outflow)) if outflow.max() > 0.0 else None
+    assert max_stable_dt(fluxes, 0.0).binding_cell == binding
     assert op._left.has_canonical_format  # sorted indices, duplicates summed
     S = op.matrix
     assert S.data.min() >= 0.0
