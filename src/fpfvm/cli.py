@@ -258,13 +258,20 @@ def _grid_from(cfg, domain):
     return build_grid(domain, n, cfg["bc"])
 
 
-def _pick_dt(cfg, fluxes):
+def _assemble_operator(cfg, fluxes):
+    """Pick the step from ``dt_over_h`` and assemble; a step that ``assemble``
+    rejects is reported under that key."""
     report = max_stable_dt(fluxes, cfg["xi"])
     if cfg["dt_over_h"] is None:
         dt = report.dt_max if np.isfinite(report.dt_max) else 1.0
     else:
         dt = float(cfg["dt_over_h"]) * max(fluxes.grid.h)
-    return dt, report
+    try:
+        return assemble(fluxes, dt), report
+    except CflViolation:
+        raise
+    except ValueError as exc:
+        raise ValueError(f"bad value for 'dt_over_h': {exc}") from exc
 
 
 def _prior_pdf(cfg, domain):
@@ -308,11 +315,10 @@ def cmd_operator(cfg) -> int:
     domain, field = _build_geometry(cfg)
     grid = _grid_from(cfg, domain)
     fluxes = compute_fluxes(field, grid, cfg["quadrature"])
-    dt, report = _pick_dt(cfg, fluxes)
+    op, report = _assemble_operator(cfg, fluxes)
     print(f"cfl: dt_max={report.dt_max:.17g} xi={report.xi:.17g} "
           f"binding_cell={report.binding_cell}")
-    print(f"dt: {dt:.17g}")
-    op = assemble(fluxes, dt)
+    print(f"dt: {op.dt:.17g}")
     mk = verify_markov(op)
     print(f"markov: min_entry={mk.min_entry:.17g} "
           f"max_row_sum_err={mk.max_row_sum_err:.17g} is_markov={mk.is_markov}")
@@ -354,8 +360,7 @@ def cmd_filter(cfg) -> int:
     domain, field = _build_geometry(cfg)
     grid = _grid_from(cfg, domain)
     fluxes = compute_fluxes(field, grid, cfg["quadrature"])
-    dt, _ = _pick_dt(cfg, fluxes)
-    op = assemble(fluxes, dt)
+    op, _ = _assemble_operator(cfg, fluxes)
     prior = _prior_density(cfg, grid)
 
     source = cfg["obs"]

@@ -15,6 +15,11 @@ Conventions
   Within an axis: interior faces in flat order of the lower cell, then
   periodic wrap faces, then (Dirichlet axes only) boundary faces on the low
   side, ``(-1, cell)``, followed by the high side, ``(cell, -1)``.
+* Along ``axis`` the flat cell data is the C-order cube
+  ``(prod(n[axis+1:]), n[axis], prod(n[:axis]))`` (:meth:`Grid.cube`); every
+  face block of an axis is a pair of slices of that cube's middle axis
+  (:meth:`Grid.face_blocks`), so the table and the face points are cube
+  slices, not index arithmetic.  Cell indices are int32.
 * Periodic axes identify opposite box faces.  Neumann axes carry no boundary
   faces at all (zero normal flux).  Dirichlet axes keep their boundary faces
   so mass can flow out of the box; nothing flows in.
@@ -22,8 +27,9 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +38,7 @@ NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
 
 _BC_KINDS = (PERIODIC, NEUMANN, DIRICHLET)
+_MAX_CELLS = 2**31 - 1  # int32 cell indices
 
 
 @dataclass(frozen=True)
@@ -67,8 +74,8 @@ class BoxDomain:
 class EdgeTable:
     """All mesh faces as (lower, upper) cell pairs, grouped by axis."""
 
-    cell_a: np.ndarray      # (ne,) int64, lower cell; -1 outside the box
-    cell_b: np.ndarray      # (ne,) int64, upper cell; -1 outside the box
+    cell_a: np.ndarray      # (ne,) int32, lower cell; -1 outside the box
+    cell_b: np.ndarray      # (ne,) int32, upper cell; -1 outside the box
     offsets: tuple[int, ...]  # (d + 1,) faces of axis a: offsets[a]:offsets[a + 1]
 
     def __len__(self) -> int:
@@ -114,13 +121,17 @@ class Grid:
         self.h = tuple(
             (up - lo) / k for lo, up, k in zip(domain.lower, domain.upper, n)
         )
-        self.ncells = int(np.prod(n))
+        self.ncells = math.prod(n)
+        if self.ncells > _MAX_CELLS:
+            raise ValueError(f"{self.ncells} cells exceed the limit of {_MAX_CELLS} "
+                             "(int32 cell indices)")
         self.cell_volume = float(np.prod(self.h))
-        self.edges = _build_edge_table(n, bc)
-        multi = np.unravel_index(np.arange(self.ncells), n, order="F")
-        self.cell_midpoints = np.stack(
-            [self.centres(a)[m] for a, m in enumerate(multi)], axis=1)
-        self.cell_midpoints.flags.writeable = False
+        self.edges = _build_edge_table(self)
+        mids = np.empty((self.ncells, domain.d))
+        for a in range(domain.d):
+            mids.reshape(*self.cube(a), domain.d)[..., a] = self.centres(a)[:, None]
+        mids.flags.writeable = False
+        self.cell_midpoints = mids
 
     def __eq__(self, other) -> bool:
         return (
@@ -144,36 +155,45 @@ class Grid:
         """Cell centres along ``axis``, lowest first."""
         return self.domain.lower[axis] + (np.arange(self.n[axis]) + 0.5) * self.h[axis]
 
+    def cube(self, axis: int) -> tuple[int, int, int]:
+        """Shape ``(high, n[axis], low)`` of flat cell data seen along ``axis``
+        (C order, so cell ``m`` along ``axis`` is ``[:, m, :]``)."""
+        return math.prod(self.n[axis + 1:]), self.n[axis], math.prod(self.n[:axis])
+
+    def face_blocks(self, axis: int) -> Iterator[tuple[slice | None, slice | None, int]]:
+        """Yield the face blocks of ``axis`` in table order as ``(lower, upper,
+        size)``: ``lower`` and ``upper`` slice the middle axis of :meth:`cube`
+        (``None`` is the outside), and the block holds ``size`` faces, one per
+        cell of the sliced cube, in its C order."""
+        high, na, low = self.cube(axis)
+        yield slice(None, -1), slice(1, None), high * (na - 1) * low  # interior
+        if self.bc[axis] == PERIODIC:
+            yield slice(-1, None), slice(None, 1), high * low  # last cell to first
+        elif self.bc[axis] == DIRICHLET:
+            yield None, slice(None, 1), high * low
+            yield slice(-1, None), None, high * low
+
 
 def build_grid(domain: BoxDomain, n: Sequence[int], bc: Sequence[str]) -> Grid:
     """Construct a uniform mesh over ``domain`` with ``n[i]`` cells per axis."""
     return Grid(domain, n, bc)
 
 
-def _build_edge_table(n, bc) -> EdgeTable:
-    idx = np.arange(int(np.prod(n)), dtype=np.int64)
-    cell_a, cell_b, offsets = [], [], [0]
-    stride = 1  # flat distance between neighbours along axis a
-    for a, na in enumerate(n):
-        ma = idx // stride % na
-        first, last = idx[ma == 0], idx[ma == na - 1]
-        inner = idx[ma < na - 1]
-        cell_a.append(inner)
-        cell_b.append(inner + stride)
-        if bc[a] == PERIODIC:
-            cell_a.append(last)
-            cell_b.append(first)
-        elif bc[a] == DIRICHLET:
-            cell_a += [np.full_like(first, -1), last]
-            cell_b += [first, np.full_like(last, -1)]
-        offsets.append(sum(c.shape[0] for c in cell_a))
-        stride *= na
-
-    table = EdgeTable(
-        cell_a=np.concatenate(cell_a),
-        cell_b=np.concatenate(cell_b),
-        offsets=tuple(offsets),
-    )
-    table.cell_a.flags.writeable = False
-    table.cell_b.flags.writeable = False
-    return table
+def _build_edge_table(grid: Grid) -> EdgeTable:
+    sizes = [sum(size for *_, size in grid.face_blocks(a)) for a in range(grid.domain.d)]
+    offsets = tuple(np.cumsum([0] + sizes).tolist())
+    cell_a = np.empty(offsets[-1], dtype=np.int32)
+    cell_b = np.empty(offsets[-1], dtype=np.int32)
+    cells = np.arange(grid.ncells, dtype=np.int32)
+    start = 0
+    for a in range(grid.domain.d):
+        high, _, low = grid.cube(a)
+        cube = cells.reshape(high, -1, low)
+        for lower, upper, size in grid.face_blocks(a):
+            for out, sl in ((cell_a, lower), (cell_b, upper)):
+                block = out[start:start + size].reshape(high, -1, low)
+                block[...] = -1 if sl is None else cube[:, sl]
+            start += size
+    cell_a.flags.writeable = False
+    cell_b.flags.writeable = False
+    return EdgeTable(cell_a=cell_a, cell_b=cell_b, offsets=offsets)

@@ -110,28 +110,43 @@ def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
     f = fluxes.values
     nc = grid.ncells
     vol = grid.cell_volume
-
-    load = dt * fluxes.outflow / vol
-    if np.any(load > 1.0 + _CFL_SLACK):
-        binding = int(np.argmax(load))
-        raise CflViolation(
-            f"dt={dt} violates the step-size bound at cell {binding}: "
-            f"dt * outflow / |K| = {load[binding]:.6g} > 1")
-    diag = 1.0 - load
-    tiny = (diag < 0.0) & (diag >= -_CFL_SLACK)
-    diag[tiny] = 0.0
+    # outflow through a Dirichlet face: up through a high face, down through a low one
+    leaks = np.any((f > 0.0) & (t.cell_b < 0)) or np.any((f < 0.0) & (t.cell_a < 0))
 
     interior = t.interior
     pos = interior & (f > 0.0)   # donor cell_a -> cell_b
     neg = interior & (f < 0.0)   # donor cell_b -> cell_a
-    # left-action triplets (row receives, column donates); tocsr sums duplicates
-    rows = np.concatenate([np.arange(nc), t.cell_b[pos], t.cell_a[neg]])
-    cols = np.concatenate([np.arange(nc), t.cell_a[pos], t.cell_b[neg]])
-    vals = np.concatenate([diag, dt * f[pos] / vol, dt * (-f[neg]) / vol])
-    left = sparse.coo_matrix((vals, (rows, cols)), shape=(nc, nc)).tocsr()
+    # left-action triplets (row receives, column donates), written once at
+    # their final size: the diagonal, then the pos faces, then the neg faces;
+    # tocsr sums duplicates
+    at_pos = slice(nc, nc + np.count_nonzero(pos))
+    at_neg = slice(at_pos.stop, at_pos.stop + np.count_nonzero(neg))
+    rows = np.empty(at_neg.stop, dtype=np.int32)
+    cols = np.empty(at_neg.stop, dtype=np.int32)
+    vals = np.empty(at_neg.stop)
 
-    # outflow through a Dirichlet face: up through a high face, down through a low one
-    leaks = np.any((f > 0.0) & (t.cell_b < 0)) or np.any((f < 0.0) & (t.cell_a < 0))
+    load = vals[:nc]  # becomes the diagonal 1 - load in place
+    np.multiply(dt, fluxes.outflow, out=load)
+    load /= vol
+    binding = int(np.argmax(load))
+    if load[binding] > 1.0 + _CFL_SLACK:
+        raise CflViolation(
+            f"dt={dt} violates the step-size bound at cell {binding}: "
+            f"dt * outflow / |K| = {load[binding]:.6g} > 1")
+    np.subtract(1.0, load, out=load)
+    load[(load < 0.0) & (load >= -_CFL_SLACK)] = 0.0
+    rows[:nc] = cols[:nc] = np.arange(nc, dtype=np.int32)
+
+    np.compress(pos, t.cell_b, out=rows[at_pos])
+    np.compress(pos, t.cell_a, out=cols[at_pos])
+    np.compress(pos, f, out=vals[at_pos])
+    np.compress(neg, t.cell_a, out=rows[at_neg])
+    np.compress(neg, t.cell_b, out=cols[at_neg])
+    np.negative(np.compress(neg, f, out=vals[at_neg]), out=vals[at_neg])
+    del interior, pos, neg  # freed before tocsr allocates the matrix
+    vals[nc:] *= dt  # the same dt * f / vol as one expression gives
+    vals[nc:] /= vol
+    left = sparse.coo_matrix((vals, (rows, cols)), shape=(nc, nc)).tocsr()
     return TransitionOperator(
         dt=dt, left=left, grid=grid, mass_conserving=not bool(leaks),
     )

@@ -60,7 +60,10 @@ def pendulum_field(g_over_l: float = 1.0) -> VelocityField:
 
     def func(x):
         x = np.asarray(x, dtype=float)
-        return np.stack([x[..., 1], -g * np.sin(x[..., 0])], axis=-1)
+        v = np.empty(x.shape)
+        v[..., 0] = x[..., 1]
+        v[..., 1] = -g * np.sin(x[..., 0])
+        return v
 
     return VelocityField(func=func, dim=2)
 
@@ -70,7 +73,10 @@ def rotation_field() -> VelocityField:
 
     def func(x):
         x = np.asarray(x, dtype=float)
-        return np.stack([-x[..., 1], x[..., 0]], axis=-1)
+        v = np.empty(x.shape)
+        v[..., 0] = -x[..., 1]
+        v[..., 1] = x[..., 0]
+        return v
 
     return VelocityField(func=func, dim=2)
 
@@ -147,24 +153,10 @@ def compute_fluxes(field: VelocityField, grid: Grid,
         raise ValueError(
             f"field dimension {field.dim} != grid dimension {grid.domain.d}")
     kind, k = _parse_quadrature(quadrature)
-    t = grid.edges
-    d = grid.domain.d
-    flux = np.empty(len(t))
-    for a in range(d):
-        sel = slice(t.offsets[a], t.offsets[a + 1])
-        # face midpoint: half a cell above the lower cell's centre, or half a
-        # cell below the upper cell's centre where the lower side is outside
-        outside = t.cell_a[sel] < 0
-        mids = np.take(grid.cell_midpoints,
-                       np.where(outside, t.cell_b[sel], t.cell_a[sel]), axis=0)
-        half = 0.5 * grid.h[a]
-        mids[:, a] += np.where(outside, -half, half)
-        acc = np.zeros(mids.shape[0])
-        for w, pts in tensor_rule(quadrature, mids, grid.h,
-                                  [j for j in range(d) if j != a]):
-            acc += w * np.asarray(field(pts), dtype=float)[:, a]
-        flux[sel] = (grid.cell_volume / grid.h[a]) * acc
-
+    offsets = grid.edges.offsets
+    flux = np.empty(offsets[-1])
+    for a in range(grid.domain.d):
+        _axis_fluxes(field, grid, a, quadrature, flux[offsets[a]:offsets[a + 1]])
     if not np.all(np.isfinite(flux)):
         raise ValueError("velocity field produced non-finite flux values")
     flux.flags.writeable = False
@@ -173,3 +165,25 @@ def compute_fluxes(field: VelocityField, grid: Grid,
     tag = "midpoint" if kind == "midpoint" else f"gauss{k}"
     return EdgeFluxes(values=flux, quadrature=tag, grid=grid, outflow=outflow)
 
+
+def _axis_fluxes(field: VelocityField, grid: Grid, axis: int, quadrature: str,
+                 out: np.ndarray) -> None:
+    """Write the fluxes of the faces of ``axis`` into ``out``, in table order."""
+    d = grid.domain.d
+    high, _, low = grid.cube(axis)
+    centres = grid.cell_midpoints.reshape(high, -1, low, d)
+    half = 0.5 * grid.h[axis]
+    mids = np.empty((out.shape[0], d))
+    start = 0
+    for lower, upper, size in grid.face_blocks(axis):
+        block = mids[start:start + size]
+        # face midpoint: half a cell above the lower cell's centre, or half a
+        # cell below the upper cell's centre where the lower side is outside
+        block.reshape(high, -1, low, d)[...] = centres[:, upper if lower is None else lower]
+        block[:, axis] += -half if lower is None else half
+        start += size
+    acc = np.zeros(out.shape[0])
+    for w, pts in tensor_rule(quadrature, mids, grid.h,
+                              [j for j in range(d) if j != axis]):
+        acc += w * np.asarray(field(pts), dtype=float)[:, axis]
+    np.multiply(grid.cell_volume / grid.h[axis], acc, out=out)

@@ -227,6 +227,8 @@ def test_filter_rejects_negative_file_prior(tmp_path, capsys):
     ["converge", "--n_list", "8,16", "--t_final", "0.1", "--xi", "1.5"],
     ["converge", "--n_list", "8,16", "--t_final", "0.1", "--xi", "nan"],
     ["converge", "--n_list", "8,16", "--t_final", "0", "--xi", "1.5"],
+    # more cells than int32 indices reach, rejected before any allocation
+    ["operator", "--n", "65536,65536"],
 ])
 def test_library_rejections_exit_two(tmp_path, capsys, args):
     rc = main(args + ["--out", str(tmp_path)])
@@ -262,6 +264,19 @@ def test_bad_quadrature_names_the_key(tmp_path, capsys, tag):
     assert rc == 2
     assert err.startswith("config error:") and "quadrature" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra, code, err", [
+    (["--dt_over_h", "-1"], 2, "config error: bad value for 'dt_over_h': "),
+    (["--dt_over_h", "1"], 3, "cfl violation: "),
+])
+def test_rejected_step_prints_nothing(tmp_path, capsys, extra, code, err):
+    """``cfl:`` and ``dt:`` are printed only once ``assemble`` has accepted dt."""
+    rc = main(["operator", "--n", "8,8", "--out", str(tmp_path)] + extra)
+    captured = capsys.readouterr()
+    assert rc == code
+    assert captured.out == ""
+    assert captured.err.startswith(err)
 
 
 def test_exit_codes_through_a_process(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,7 +187,7 @@ def test_face_table_is_two_index_arrays(n, bc):
     t = g.edges
     arrays = {k: v for k, v in vars(t).items() if isinstance(v, np.ndarray)}
     assert sorted(arrays) == ["cell_a", "cell_b"]
-    assert all(v.dtype == np.int64 and v.shape == (len(t),) for v in arrays.values())
+    assert all(v.dtype == np.int32 and v.shape == (len(t),) for v in arrays.values())
     # offsets partition the faces into one block per axis, in axis order
     assert len(t.offsets) == g.domain.d + 1
     assert t.offsets[0] == 0 and t.offsets[-1] == len(t)
@@ -234,10 +236,23 @@ def test_edge_table_matches_multi_index_enumeration(data):
     bc = tuple(data.draw(st.lists(st.sampled_from(BCS), min_size=d, max_size=d)))
     t = build_grid(BoxDomain((0.0,) * d, (1.0,) * d), n, bc).edges
     cell_a, cell_b, offsets = _reference_edge_table(n, bc)
-    assert t.cell_a.dtype == t.cell_b.dtype == np.int64
+    assert t.cell_a.dtype == t.cell_b.dtype == np.int32
     assert np.array_equal(t.cell_a, cell_a)
     assert np.array_equal(t.cell_b, cell_b)
     assert t.offsets == offsets
+
+
+@pytest.mark.parametrize("n", [(2**16, 2**15), (2**16, 2**16), (2**11,) * 3])
+def test_cell_count_beyond_int32_rejected_before_allocation(n):
+    dom = BoxDomain((0.0,) * len(n), (1.0,) * len(n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="int32"):
+            build_grid(dom, n, ("periodic",) * len(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_validation_errors():

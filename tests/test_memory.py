@@ -1,0 +1,56 @@
+"""Allocation budgets of the set-up layers on the N=200 pendulum.
+
+``tracemalloc`` sees every numpy allocation, so each peak below is
+deterministic: it counts the arrays a call keeps plus the temporaries it
+holds at its worst moment.  The budgets leave room for a few float working
+arrays per layer, not for index temporaries the size of the face table.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fpfvm import BoxDomain, build_grid
+from fpfvm.operator import assemble, max_stable_dt
+from fpfvm.velocity import compute_fluxes, pendulum_field
+
+N = 200
+DOMAIN = BoxDomain((-np.pi, -np.pi), (np.pi, np.pi))
+BC = ("periodic", "neumann")
+
+
+def _traced(fn, *args):
+    """``fn(*args)`` and the peak bytes allocated while it ran."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def fluxes():
+    return compute_fluxes(pendulum_field(), build_grid(DOMAIN, (N, N), BC))
+
+
+def test_build_grid_allocates_only_what_it_keeps():
+    grid, peak = _traced(build_grid, DOMAIN, (N, N), BC)
+    kept = (grid.cell_midpoints.nbytes + grid.edges.cell_a.nbytes
+            + grid.edges.cell_b.nbytes)
+    assert peak <= 1.05 * kept
+
+
+def test_compute_fluxes_peak(fluxes):
+    out, peak = _traced(compute_fluxes, pendulum_field(), fluxes.grid)
+    assert peak <= 3.6 * (out.values.nbytes + out.outflow.nbytes)
+
+
+def test_assemble_peak(fluxes):
+    dt = max_stable_dt(fluxes, 0.3).dt_max
+    op, peak = _traced(assemble, fluxes, dt)
+    left = op._left
+    assert peak <= 2.5 * (left.data.nbytes + left.indices.nbytes + left.indptr.nbytes)

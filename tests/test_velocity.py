@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpfvm import (
     BoxDomain,
@@ -107,6 +109,30 @@ def test_midpoint_flux_at_face_points(n, bc):
     fx = compute_fluxes(VelocityField(func=_swirl, dim=len(n)), g)
     v = _swirl(_face_points(g))[np.arange(len(g.edges)), _face_axes(g)]
     assert np.abs(fx.values - _face_measures(g) * v).max() <= 1e-14
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_face_points_equal_the_gather_through_the_face_table(data):
+    """The points ``compute_fluxes`` evaluates are, bit for bit, the centre of
+    each face's cell inside the box moved half a cell along the face's axis."""
+    d = data.draw(st.integers(1, 3))
+    n = tuple(data.draw(st.lists(st.integers(2, 6), min_size=d, max_size=d)))
+    bc = tuple(data.draw(st.lists(st.sampled_from(("periodic", "neumann", "dirichlet")),
+                                  min_size=d, max_size=d)))
+    g = build_grid(BoxDomain((-1.0,) * d, (2.0,) * d), n, bc)
+    seen = []
+
+    def record(x):
+        seen.append(x.copy())
+        return np.zeros_like(x)
+
+    compute_fluxes(VelocityField(func=record, dim=d), g)
+    t, axes = g.edges, _face_axes(g)
+    outside = t.cell_a < 0
+    ref = g.cell_midpoints[np.where(outside, t.cell_b, t.cell_a)]
+    ref[np.arange(len(t)), axes] += np.where(outside, -0.5, 0.5) * np.asarray(g.h)[axes]
+    assert np.array_equal(np.concatenate(seen), ref)
 
 
 def test_gauss_agrees_with_midpoint_for_affine_fields():
