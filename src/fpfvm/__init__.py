@@ -8,9 +8,7 @@ studies, and grid-based Bayesian filtering on top of it.
 
 from .bench import (
     ConvergenceRow,
-    ExpectationRow,
     convergence_study,
-    expectation_convergence,
     format_convergence_table,
     run_level,
     write_convergence_csv,
@@ -19,7 +17,6 @@ from .density import (
     Density,
     Moments,
     count_modes,
-    expectation,
     gaussian_pdf,
     l1_distance,
     load_density,
@@ -58,13 +55,11 @@ from .operator import (
     CflReport,
     CflViolation,
     MarkovReport,
-    NoConvergence,
     TransitionOperator,
     assemble,
     evolve,
     export_operator,
     max_stable_dt,
-    stationary,
     step,
     verify_markov,
 )

@@ -8,7 +8,8 @@ Unknown keys are rejected.  Real-valued entries accept multiples of pi
 
 Exit codes: 0 success, 1 verification failed (the assembled matrix has a
 negative entry or a row sum off one; with Dirichlet outflow, a row sum above
-one), 2 configuration error, 3 step-size (CFL) violation, 4 zero evidence.
+one), 2 configuration error (a run that does not fit in memory included),
+3 step-size (CFL) violation, 4 zero evidence.
 The parsers only turn strings into values, and :func:`load_config` names the
 key of any value that does not parse.  Every library argument in a run comes
 from the configuration, so any ``ValueError`` the library raises is reported
@@ -23,8 +24,6 @@ import math
 import re
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .bench import convergence_study, format_convergence_table, write_convergence_csv
 from .density import (
@@ -50,11 +49,10 @@ from .filtering import (
 from .grid import BoxDomain, build_grid
 from .operator import (
     CflViolation,
-    NoConvergence,
     assemble,
+    choose_dt,
     export_operator,
     max_stable_dt,
-    stationary,
     verify_markov,
 )
 from .velocity import compute_fluxes, field_from_name
@@ -135,9 +133,6 @@ _PARSERS = {
     "quadrature": str,
     "out": str,
     "seed": int,
-    "write_stationary": _parse_bool,
-    "stationary_tol": parse_real,
-    "stationary_max_iter": int,
     "write_matrix": _parse_bool,
     "n_list": _parse_ints,
     "t_final": parse_real,
@@ -168,13 +163,7 @@ _COMMON = {
 def _defaults(command: str) -> dict:
     cfg = dict(_COMMON)
     if command == "operator":
-        cfg.update(
-            n=(50, 50),
-            write_stationary=False,
-            stationary_tol=1e-10,
-            stationary_max_iter=20000,
-            write_matrix=False,
-        )
+        cfg.update(n=(50, 50), write_matrix=False)
     elif command == "converge":
         # defaults reproduce the reference table: squared-exponential width
         # 0.64 = 2 sigma^2 (variance 0.32 per axis), evaluated at t = pi
@@ -259,14 +248,11 @@ def _grid_from(cfg, domain):
 
 
 def _assemble_operator(cfg, fluxes):
-    """Pick the step from ``dt_over_h`` and assemble; a step that ``assemble``
-    rejects is reported under that key."""
+    """Pick the step with ``choose_dt`` and assemble; a step that either one
+    rejects is reported under ``dt_over_h``."""
     report = max_stable_dt(fluxes, cfg["xi"])
-    if cfg["dt_over_h"] is None:
-        dt = report.dt_max if np.isfinite(report.dt_max) else 1.0
-    else:
-        dt = float(cfg["dt_over_h"]) * max(fluxes.grid.h)
     try:
+        dt = choose_dt(report, max(fluxes.grid.h), cfg["dt_over_h"])
         return assemble(fluxes, dt), report
     except CflViolation:
         raise
@@ -327,15 +313,6 @@ def cmd_operator(cfg) -> int:
     if cfg["write_matrix"]:
         export_operator(op, out / "operator.txt")
         print(f"wrote {out / 'operator.txt'}")
-    if cfg["write_stationary"]:
-        try:
-            pi_dens = stationary(op, tol=cfg["stationary_tol"],
-                                 max_iter=cfg["stationary_max_iter"])
-        except NoConvergence as exc:
-            print(f"stationary: no convergence ({exc})")
-        else:
-            save_density(pi_dens, out / "stationary.csv")
-            print(f"wrote {out / 'stationary.csv'}")
     return 0 if mk.is_markov else 1
 
 
@@ -435,6 +412,9 @@ def main(argv=None) -> int:
         return 4
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: the run does not fit in memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -2,9 +2,9 @@
 
 Values are per-cell averages (probability per unit volume) stored flat in
 canonical cell order; the mass of a density is ``sum(values) * cell_volume``.
-Scalar functions passed to :func:`project` and :func:`expectation` follow the
-same vectorized contract as velocity fields: ``(m, d)`` points in, ``(m,)``
-values out (a scalar return is broadcast).
+A pdf passed to :func:`project` follows the same vectorized contract as
+velocity fields: ``(m, d)`` points in, ``(m,)`` values out (a scalar return
+is broadcast).
 """
 
 from __future__ import annotations
@@ -142,18 +142,6 @@ def l1_distance(a: Density, b: Density) -> float:
         a, b = b, a
     a = refine(a, b.grid)
     return float(np.abs(a.values - b.values).sum() * b.grid.cell_volume)
-
-
-def expectation(density: Density, g) -> float:
-    """E[g] with g evaluated at cell midpoints.
-
-    Consistent with piecewise-constant densities (O(h^2) quadrature).  The
-    density is assumed to carry unit mass; no normalization is applied.
-    """
-    vals = _eval_scalar(g, density.grid.cell_midpoints)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("g produced non-finite values at cell midpoints")
-    return float((density.values * vals).sum() * density.grid.cell_volume)
 
 
 @dataclass(frozen=True)

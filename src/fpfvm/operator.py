@@ -36,10 +36,6 @@ class CflViolation(ValueError):
     """The requested time step would make a diagonal entry negative."""
 
 
-class NoConvergence(RuntimeError):
-    """Power iteration did not settle within the iteration budget."""
-
-
 @dataclass(frozen=True)
 class CflReport:
     """Largest admissible time step for safety factor ``xi``."""
@@ -96,6 +92,25 @@ def max_stable_dt(fluxes: EdgeFluxes, xi: float) -> CflReport:
         xi=float(xi),
         binding_cell=binding,
     )
+
+
+def choose_dt(report: CflReport, h_max: float, dt_over_h: float | None,
+              span: float | None = None) -> float:
+    """The step ``dt_over_h * h_max``, or with ``dt_over_h=None`` the report's
+    stable step (1.0 where nothing flows); with a ``span``, shortened so that
+    ``span`` is a whole number of steps."""
+    if dt_over_h is None:
+        dt = report.dt_max if np.isfinite(report.dt_max) else 1.0
+    elif 0 < dt_over_h < np.inf:
+        dt = float(dt_over_h) * h_max
+    else:
+        raise ValueError(f"dt_over_h must be positive and finite, got {dt_over_h}")
+    if span is None:
+        return dt
+    steps = np.ceil(span / dt - 1e-9)
+    if not steps < np.inf:
+        raise ValueError(f"a span of {span} takes a non-finite number of steps of {dt}")
+    return span / max(1, int(steps))
 
 
 def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
@@ -193,27 +208,6 @@ def verify_markov(op: TransitionOperator) -> MarkovReport:
         max_row_sum_err=err,
         is_markov=bool(min_entry >= -_MARKOV_TOL and err <= _MARKOV_TOL),
     )
-
-
-def stationary(op: TransitionOperator, tol: float = 1e-10,
-               max_iter: int = 10000) -> Density:
-    """Leading left fixed vector by power iteration from the uniform density.
-
-    Stops when successive iterates differ by less than ``tol`` in L1; raises
-    :class:`NoConvergence` otherwise (periodic or reducible chains may never
-    settle).  Requires a mass-conserving operator.
-    """
-    if not op.mass_conserving:
-        raise ValueError("stationary distribution needs a mass-conserving operator")
-    nc = op.grid.ncells
-    m = np.full(nc, 1.0 / nc)
-    for _ in range(max_iter):
-        m2 = step(op, m)
-        if np.abs(m2 - m).sum() < tol:
-            dens = m2 / (m2.sum() * op.grid.cell_volume)
-            return Density(dens, op.grid)
-        m = m2
-    raise NoConvergence(f"power iteration did not converge in {max_iter} iterations")
 
 
 def export_operator(op: TransitionOperator, path) -> None:

@@ -128,8 +128,12 @@ def _parse_quadrature(tag: str) -> tuple[str, int]:
 def tensor_rule(quadrature: str, centres: np.ndarray, h, axes):
     """Yield ``(weight, points)`` of the averaged tensor Gauss-Legendre rule
     over ``axes`` of the boxes of sides ``h`` centred at ``centres``; the
-    weights sum to 1 and one ``points`` buffer is rewritten per node."""
+    weights sum to 1 and one ``points`` buffer is rewritten per node.  The
+    1-point rule yields ``centres`` itself, uncopied."""
     _, k = _parse_quadrature(quadrature)  # midpoint is the 1-point rule
+    if k == 1:
+        yield 1.0, centres
+        return
     nodes, weights = np.polynomial.legendre.leggauss(k)
     weights = weights / 2.0
     pts = centres.copy()

@@ -22,7 +22,6 @@ from fpfvm import (
     compute_fluxes,
     constant_field,
     convergence_study,
-    expectation_convergence,
     gaussian_abs_position_model,
     gaussian_pdf,
     max_stable_dt,
@@ -30,6 +29,7 @@ from fpfvm import (
     pendulum_field,
     project,
     run_filter,
+    run_level,
     simulate_truth,
     step,
     synthesize_observations,
@@ -234,13 +234,18 @@ def test_criterion_07_order_floor(matching_table_rows):
 
 
 def test_criterion_08_expectation_convergence():
+    # E[g] per level against the normalized evolved density, g at cell midpoints
     pdf = gaussian_pdf((0.6 * PI, 0.0), 0.64)
-    g2 = lambda x: np.asarray(x)[..., 0] ** 2 + np.asarray(x)[..., 1] ** 2
-    rows = expectation_convergence(pendulum_field(), DOM, BC, pdf, PI / 4, g2,
-                                   (50, 100, 200, 400), xi=XI, dt_over_h=DT_OVER_H)
-    diffs = [r.diff for r in rows if r.diff is not None]
+    values = []
+    for n in (50, 100, 200, 400):
+        dens = run_level(pendulum_field(), DOM, BC, pdf, PI / 4, n, xi=XI,
+                         dt_over_h=DT_OVER_H, normalize_prior=True)
+        x = dens.grid.cell_midpoints
+        g2 = x[:, 0] ** 2 + x[:, 1] ** 2
+        values.append(float((dens.values * g2).sum() * dens.grid.cell_volume))
+    diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     assert all(b < a for a, b in zip(diffs, diffs[1:])), "differences not monotone"
-    orders = [r.order for r in rows if r.order is not None]
+    orders = [float(-np.log2(b / a)) for a, b in zip(diffs, diffs[1:])]
     assert all(o >= 0.4 for o in orders)
     _report(8, f"E[x1^2+x2^2] diffs {tuple(round(d, 5) for d in diffs)} "
                f"decay with orders {tuple(round(o, 3) for o in orders)}")

@@ -5,7 +5,6 @@ from fpfvm import (
     BoxDomain,
     constant_field,
     convergence_study,
-    expectation_convergence,
     format_convergence_table,
     gaussian_pdf,
     l1_distance,
@@ -82,34 +81,6 @@ def test_time_error_subdominant():
     halved = convergence_study(pendulum_field(), DOM, BC, PDF, PI / 4, (20, 40),
                                xi=XI, dt_over_h=DT_OVER_H / 2)[0].l1_diff
     assert abs(base - halved) < 0.5 * base
-
-
-def test_expectation_convergence_constant_g():
-    rows = expectation_convergence(pendulum_field(), DOM, BC, PDF, PI / 8,
-                                   lambda x: 1.0, (8, 16, 32), xi=XI,
-                                   dt_over_h=DT_OVER_H)
-    for r in rows:
-        assert r.value == pytest.approx(1.0, abs=1e-12)
-
-
-def test_expectation_convergence_symmetric_mean():
-    centered = gaussian_pdf((0.0, 0.0), 0.64)
-    g1 = lambda x: np.asarray(x)[..., 0]
-    rows = expectation_convergence(pendulum_field(), DOM, BC, centered, PI / 4,
-                                   g1, (10, 20, 40), xi=XI, dt_over_h=DT_OVER_H)
-    for r in rows:
-        h = 2 * PI / r.n
-        assert abs(r.value) <= 2 * h
-
-
-def test_expectation_convergence_orders():
-    g2 = lambda x: np.asarray(x)[..., 0] ** 2 + np.asarray(x)[..., 1] ** 2
-    rows = expectation_convergence(pendulum_field(), DOM, BC, PDF, PI / 4, g2,
-                                   (10, 20, 40, 80), xi=XI, dt_over_h=DT_OVER_H)
-    diffs = [r.diff for r in rows if r.diff is not None]
-    assert all(b < a for a, b in zip(diffs, diffs[1:]))
-    orders = [r.order for r in rows if r.order is not None]
-    assert all(o >= 0.4 for o in orders)
 
 
 def test_writers(tmp_path):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import fpfvm
-from fpfvm import (Density, convergence_study, gaussian_pdf, load_density,
-                   pendulum_field, save_density, uniform_density)
+from fpfvm import (Density, assemble, convergence_study, gaussian_pdf,
+                   load_density, pendulum_field, save_density, uniform_density)
 from fpfvm.cli import load_config, main, parse_real
 from fpfvm.grid import BoxDomain, build_grid
 
@@ -79,18 +79,58 @@ def test_dt_over_h_auto_takes_the_stable_step(tmp_path, capsys):
     assert row == f"8,{rows[0].l1_diff:.17g},"
 
 
-def test_operator_zero_field_stationary_uniform(tmp_path):
+def test_operator_zero_field_stationary_uniform(tmp_path, capsys):
+    """Where nothing flows the matrix is the identity, so every density (the
+    uniform one too) is stationary, and ``auto`` steps with 1.0."""
     rc = main([
-        "operator", "--out", str(tmp_path),
-        "--field", "constant:0,0", "--n", "6,6",
-        "--write_stationary", "true", "--write_matrix", "true",
+        "operator", "--out", str(tmp_path), "--field", "constant:0,0",
+        "--n", "6,6", "--dt_over_h", "auto", "--write_matrix", "true",
     ])
     assert rc == 0
-    dens, _ = load_density(tmp_path / "stationary.csv", bc=("periodic", "neumann"))
-    g = build_grid(BoxDomain((-PI, -PI), (PI, PI)), (6, 6), ("periodic", "neumann"))
-    assert np.allclose(dens.values, uniform_density(g).values, rtol=1e-12)
-    header = (tmp_path / "operator.txt").read_text().splitlines()[0]
-    assert header.startswith("# cells=36 dt=")
+    assert "\ndt: 1\n" in capsys.readouterr().out
+    header, *triplets = (tmp_path / "operator.txt").read_text().splitlines()
+    assert header.startswith("# cells=36 dt=1")
+    assert triplets == [f"{i} {i} 1" for i in range(36)]
+
+
+def test_zero_flow_auto_step_is_the_same_in_both_commands(tmp_path, monkeypatch):
+    """``operator`` and every ``converge`` level take the zero-flow step 1.0
+    (``t_final = 3`` is a whole number of such steps)."""
+    seen = []
+
+    def recording(fluxes, dt):
+        seen.append(dt)
+        return assemble(fluxes, dt)
+
+    monkeypatch.setattr("fpfvm.cli.assemble", recording)
+    monkeypatch.setattr("fpfvm.bench.assemble", recording)
+    zero = ["--field", "constant:0,0", "--dt_over_h", "auto", "--out", str(tmp_path)]
+    assert main(["operator", "--n", "8,8"] + zero) == 0
+    assert main(["converge", "--n_list", "8,16", "--t_final", "3"] + zero) == 0
+    assert seen == [1.0, 1.0, 1.0]
+
+
+def test_stationary_keys_are_gone(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("write_stationary = true\n")
+    out = tmp_path / "out"
+    assert main(["operator", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown key 'write_stationary'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 6.71 GiB for an array")
+
+    monkeypatch.setattr("fpfvm.cli.build_grid", no_memory)
+    out = tmp_path / "out"
+    assert main(["operator", "--n", "30000,30000", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert "6.71 GiB" in captured.err
+    assert not out.exists()
 
 
 def test_converge_small_run(tmp_path, capsys):

@@ -6,7 +6,6 @@ from fpfvm import (
     Density,
     build_grid,
     count_modes,
-    expectation,
     gaussian_pdf,
     l1_distance,
     load_density,
@@ -120,31 +119,6 @@ def test_l1_cross_grid_hand_value():
     other = build_grid(BoxDomain((0.0,), (2.0,)), (4,), ("neumann",))
     with pytest.raises(ValueError):
         l1_distance(a, Density(np.ones(4), other))
-
-
-def test_expectation():
-    g = _grid2(50)
-    u = uniform_density(g)
-    assert expectation(u, lambda x: 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert abs(expectation(u, lambda x: np.asarray(x)[..., 0])) <= 1e-12
-    # E[x1^2] under the uniform law on [-pi,pi)^2 is pi^2/3, midpoint error h^2/12
-    e = expectation(u, lambda x: np.asarray(x)[..., 0] ** 2)
-    assert e == pytest.approx(PI ** 2 / 3, abs=2e-3)
-    with pytest.raises(ValueError):
-        expectation(u, lambda x: np.full(len(x), np.nan))
-
-
-def test_expectation_linearity():
-    g = _grid2(6)
-    rng = np.random.default_rng(5)
-    f = Density(rng.random(g.ncells), g)
-    h = Density(rng.random(g.ncells), g)
-    g1 = lambda x: np.asarray(x)[..., 0]
-    g2 = lambda x: np.cos(np.asarray(x)[..., 1])
-    lhs = expectation(Density(2.0 * f.values + 3.0 * h.values, g), g1)
-    assert lhs == pytest.approx(2 * expectation(f, g1) + 3 * expectation(h, g1), rel=1e-12)
-    mix = expectation(f, lambda x: 2.0 * g1(x) + 3.0 * g2(x))
-    assert mix == pytest.approx(2 * expectation(f, g1) + 3 * expectation(f, g2), rel=1e-12)
 
 
 def test_moments_point_mass():

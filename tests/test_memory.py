@@ -46,7 +46,7 @@ def test_build_grid_allocates_only_what_it_keeps():
 
 def test_compute_fluxes_peak(fluxes):
     out, peak = _traced(compute_fluxes, pendulum_field(), fluxes.grid)
-    assert peak <= 3.6 * (out.values.nbytes + out.outflow.nbytes)
+    assert peak <= 2.9 * (out.values.nbytes + out.outflow.nbytes)
 
 
 def test_assemble_peak(fluxes):

@@ -4,12 +4,11 @@ import scipy.sparse as sparse
 
 from fpfvm import (
     BoxDomain,
+    CflReport,
     CflViolation,
     Density,
-    NoConvergence,
     ObservationSequence,
     TransitionOperator,
-    VelocityField,
     assemble,
     build_grid,
     compute_fluxes,
@@ -23,11 +22,11 @@ from fpfvm import (
     pendulum_field,
     project,
     run_filter,
-    stationary,
     step,
     uniform_density,
     verify_markov,
 )
+from fpfvm.operator import choose_dt
 
 PI = np.pi
 
@@ -107,6 +106,23 @@ def test_max_stable_dt():
         max_stable_dt(fx, 1.0)
     with pytest.raises(ValueError):
         max_stable_dt(fx, -0.1)
+
+
+def test_choose_dt_is_the_one_step_rule():
+    flowing = CflReport(dt_max=0.3, xi=0.0, binding_cell=0)
+    still = CflReport(dt_max=np.inf, xi=0.0, binding_cell=None)
+    assert choose_dt(flowing, 0.5, None) == 0.3
+    assert choose_dt(still, 0.5, None) == 1.0  # nothing flows
+    assert choose_dt(still, 0.5, 0.2) == 0.2 * 0.5
+    # a span shortens the base step to a whole number of steps
+    assert choose_dt(flowing, 0.5, None, span=1.0) == 0.25
+    assert choose_dt(still, 0.5, None, span=PI) == PI / 4
+    assert choose_dt(still, 0.5, None, span=0.5) == 0.5
+    for bad in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt_over_h must be positive and finite"):
+            choose_dt(flowing, 0.5, bad)
+    with pytest.raises(ValueError, match="non-finite number of steps"):
+        choose_dt(CflReport(dt_max=1e-300, xi=0.0, binding_cell=0), 0.5, None, span=1e300)
 
 
 def test_pendulum_cfl_bound():
@@ -290,40 +306,6 @@ def test_uniform_stationary_divergence_free():
         assert np.abs(step(op, u) - u).sum() <= 1e-12
 
 
-def test_stationary_uniform_cases():
-    gz = build_grid(BoxDomain((0.0,), (1.0,)), (4,), ("periodic",))
-    fz = compute_fluxes(constant_field([0.0]), gz)
-    ident = assemble(fz, 1.0)
-    pi_dens = stationary(ident)  # returns the uniform start immediately
-    assert np.allclose(pi_dens.values, 1.0, rtol=1e-14)
-
-    g, fx = _ring(8, c=2.0)
-    op = assemble(fx, 0.3 * g.h[0] / 2.0)
-    pi_dens = stationary(op)
-    assert np.allclose(pi_dens.values, 1.0, rtol=1e-10)
-    assert pi_dens.mass == pytest.approx(1.0, abs=1e-13)
-
-
-def test_stationary_nonuniform_and_no_convergence():
-    # varying periodic speed: stationary mass ~ 1/speed, reachable by iteration
-    g = build_grid(BoxDomain((0.0,), (1.0,)), (16,), ("periodic",))
-
-    def func(x):
-        x = np.asarray(x, dtype=float)
-        return (1.5 + np.sin(2 * PI * x[..., 0]))[..., None]
-
-    field = VelocityField(func=func, dim=1)
-    fx = compute_fluxes(field, g)
-    dt = max_stable_dt(fx, 0.5).dt_max
-    op = assemble(fx, dt)
-    with pytest.raises(NoConvergence):
-        stationary(op, tol=1e-12, max_iter=1)
-    pi_dens = stationary(op, tol=1e-13, max_iter=200000)
-    m = pi_dens.values * g.cell_volume
-    res = np.abs(step(op, m) - m).sum()
-    assert res <= 1e-12
-
-
 def test_dirichlet_outflow_loses_mass():
     g = build_grid(BoxDomain((0.0,), (1.0,)), (8,), ("dirichlet",))
     fx = compute_fluxes(constant_field([1.0]), g)
@@ -336,8 +318,6 @@ def test_dirichlet_outflow_loses_mass():
     out = step(op, m)
     assert out.sum() < m.sum()
     assert out.min() >= 0.0
-    with pytest.raises(ValueError):
-        stationary(op)
     # no inflow through the upstream wall: first cell only drains
     assert out[0] == pytest.approx((1 - 0.5) * m[0], rel=1e-14)
 
