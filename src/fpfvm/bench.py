@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .density import Density, l1_distance, normalize, project
-from .grid import BoxDomain, build_grid
+from .grid import BoxDomain, _check_cells, build_grid
 from .operator import assemble, choose_dt, evolve, max_stable_dt
 from .velocity import VelocityField, compute_fluxes
 
@@ -26,13 +26,17 @@ class ConvergenceRow:
     effective_order: float | None  # vs the previous row; None on the first
 
 
-def _validate_levels(n_list: Sequence[int]) -> tuple[int, ...]:
+def _validate_levels(n_list: Sequence[int], d: int) -> tuple[int, ...]:
+    """The levels as ints; raise unless there are at least two, each doubles
+    the last, and each gives a valid ``d``-dimensional grid."""
     n_list = tuple(int(n) for n in n_list)
     if len(n_list) < 2:
         raise ValueError("need at least two refinement levels")
     for a, b in zip(n_list, n_list[1:]):
         if b != 2 * a:
             raise ValueError(f"levels must double at each step; {a} -> {b} does not")
+    for n in n_list:
+        _check_cells((n,) * d)
     return n_list
 
 
@@ -80,7 +84,7 @@ def convergence_study(field: VelocityField, domain: BoxDomain, bc: Sequence[str]
     has one row fewer than ``n_list``; the first row carries no order.
     Each level is a :func:`run_level` with step rule ``dt_over_h``.
     """
-    n_list = _validate_levels(n_list)
+    n_list = _validate_levels(n_list, domain.d)
     levels = [
         run_level(field, domain, bc, prior_pdf, t_final, n, xi,
                   dt_over_h, quadrature, normalize_prior)

@@ -25,7 +25,12 @@ import re
 import sys
 from pathlib import Path
 
-from .bench import convergence_study, format_convergence_table, write_convergence_csv
+from .bench import (
+    _validate_levels,
+    convergence_study,
+    format_convergence_table,
+    write_convergence_csv,
+)
 from .density import (
     Density,
     gaussian_pdf,
@@ -318,6 +323,10 @@ def cmd_operator(cfg) -> int:
 
 def cmd_converge(cfg) -> int:
     domain, field = _build_geometry(cfg)
+    try:  # the study checks the levels too, but its errors name no key
+        _validate_levels(cfg["n_list"], domain.d)
+    except ValueError as exc:
+        raise ValueError(f"bad value for 'n_list': {exc}") from exc
     pdf = _prior_pdf(cfg, domain)
     rows = convergence_study(
         field, domain, cfg["bc"], pdf, cfg["t_final"], cfg["n_list"], cfg["xi"],

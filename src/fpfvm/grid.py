@@ -87,6 +87,17 @@ class EdgeTable:
         return (self.cell_a >= 0) & (self.cell_b >= 0)
 
 
+def _check_cells(n: Sequence[int]) -> None:
+    """Raise unless every axis has at least 2 cells and the cell count fits
+    int32 cell indices."""
+    for k in n:
+        if k < 2:
+            raise ValueError(f"need at least 2 cells per axis, got {k}")
+    if math.prod(n) > _MAX_CELLS:
+        raise ValueError(f"{math.prod(n)} cells exceed the limit of {_MAX_CELLS} "
+                         "(int32 cell indices)")
+
+
 class Grid:
     """Uniform axis-aligned mesh; immutable after construction.
 
@@ -109,9 +120,7 @@ class Grid:
             raise ValueError(f"n has length {len(n)}, domain has dimension {domain.d}")
         if len(bc) != domain.d:
             raise ValueError(f"bc has length {len(bc)}, domain has dimension {domain.d}")
-        for k in n:
-            if k < 2:
-                raise ValueError(f"need at least 2 cells per axis, got {k}")
+        _check_cells(n)
         for b in bc:
             if b not in _BC_KINDS:
                 raise ValueError(f"unknown boundary kind {b!r}")
@@ -122,9 +131,6 @@ class Grid:
             (up - lo) / k for lo, up, k in zip(domain.lower, domain.upper, n)
         )
         self.ncells = math.prod(n)
-        if self.ncells > _MAX_CELLS:
-            raise ValueError(f"{self.ncells} cells exceed the limit of {_MAX_CELLS} "
-                             "(int32 cell indices)")
         self.cell_volume = float(np.prod(self.h))
         self.edges = _build_edge_table(self)
         mids = np.empty((self.ncells, domain.d))

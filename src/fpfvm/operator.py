@@ -14,15 +14,26 @@ one CSR mat-vec ``m' = S^T m``.  ``op.matrix`` is the zero-copy ``S`` view
 of that same matrix.  :func:`step` is that mat-vec on a mass vector and the
 only step path; :func:`evolve` converts a :class:`Density` to mass once and
 back once, so all evolution is a deterministic sequence of mat-vecs.
+
+On an operator of at least ``_SPLIT_ROWS`` rows, in a process allowed more
+than one CPU, :func:`step` computes the rows in two halves at once: the
+calling thread the lower half, and one daemon helper thread, started on the
+first such step, the upper half.  Both run scipy's CSR kernel, which releases
+the GIL, over the unchanged matrix arrays into one output, so every row is
+summed exactly as ``op._left @ m`` sums it and the result is bit-identical.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.sparse._sparsetools import csr_matvec  # the kernel of ``csr @ vector``
 
 from .density import Density
 from .grid import Grid
@@ -30,6 +41,10 @@ from .velocity import EdgeFluxes
 
 _CFL_SLACK = 1e-12  # relative slack so dt == dt_max assembles cleanly
 _MARKOV_TOL = 1e-12  # entry and row-sum tolerance of verify_markov
+# smallest operator whose step is split over two threads; below it (the
+# N=200 filter's 40,000 rows) the hand-off costs more than half a mat-vec saves
+_SPLIT_ROWS = 1 << 16
+_split_lock = threading.Lock()  # held by the one thread inside a split step
 
 
 class CflViolation(ValueError):
@@ -167,9 +182,107 @@ def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
     )
 
 
+class _UpperRows:
+    """The upper rows of one split step.  The first thread to pop ``token``
+    computes them; the helper releases ``done`` once it has."""
+
+    __slots__ = ("token", "args", "done", "error")
+
+    def __init__(self, args: tuple):
+        self.token = [True]
+        self.args = args
+        self.done = threading.Lock()
+        self.done.acquire()
+        self.error: BaseException | None = None
+
+    def claim(self) -> bool:
+        try:
+            self.token.pop()  # atomic: exactly one thread gets the token
+        except IndexError:
+            return False
+        return True
+
+
+class _Helper:
+    """A daemon thread that computes the upper rows of posted split steps."""
+
+    def __init__(self):
+        self._wake = threading.Lock()  # released by post, taken by the thread
+        self._wake.acquire()
+        self._job: _UpperRows | None = None
+        threading.Thread(target=self._serve, name="fpfvm-step", daemon=True).start()
+
+    def post(self, job: _UpperRows) -> None:
+        """Offer ``job`` to the thread, unless it has not yet taken the last
+        offer (then the caller computes the job itself)."""
+        if self._wake.locked():
+            self._job = job
+            self._wake.release()
+
+    def _serve(self) -> None:
+        while True:
+            self._wake.acquire()
+            job = self._job
+            if job.claim():
+                try:
+                    csr_matvec(*job.args)
+                except BaseException as exc:  # re-raised by the waiting caller
+                    job.error = exc
+                job.done.release()
+
+
+@functools.cache
+def _helper() -> _Helper | None:
+    """The process's helper, started on first use; None with one CPU.  A
+    forked child inherits the cached helper but not its thread, so it never
+    takes an offer and the child's caller computes both halves."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return _Helper() if cpus > 1 else None
+
+
+def _split_step(left: sparse.csr_matrix, m: np.ndarray, helper: _Helper) -> np.ndarray:
+    n = left.shape[0]
+    half = n // 2
+    out = np.zeros(n)
+    # the upper rows keep their absolute offsets into indices and data
+    upper = _UpperRows((n - half, n, left.indptr[half:], left.indices, left.data,
+                        m, out[half:]))
+    helper.post(upper)
+    csr_matvec(half, n, left.indptr, left.indices, left.data, m, out)
+    if upper.claim():  # the helper has not started them: compute them here
+        csr_matvec(*upper.args)
+    else:
+        upper.done.acquire()
+        if upper.error is not None:
+            raise upper.error
+    return out
+
+
 def step(op: TransitionOperator, m: np.ndarray) -> np.ndarray:
-    """Advance a cell mass vector one time step, ``m' = m S``: one CSR mat-vec."""
-    return op._left @ m
+    """Advance a cell mass vector one time step, ``m' = m S``: one CSR mat-vec.
+
+    An operator of at least ``_SPLIT_ROWS`` rows splits the rows between the
+    caller and the helper thread; the result is bit-identical to
+    ``op._left @ m``.  The step is ``op._left @ m`` itself with one CPU, below
+    the gate, for any ``m`` other than a C-contiguous float64 vector of the
+    operator's length (so scipy raises for a wrong length), and while another
+    thread is inside a split step.
+    """
+    left = op._left
+    n = left.shape[0]
+    if (n < _SPLIT_ROWS or type(m) is not np.ndarray or m.dtype != np.float64
+            or m.shape != (n,) or not m.flags.c_contiguous):
+        return left @ m
+    if not _split_lock.acquire(blocking=False):
+        return left @ m
+    try:
+        helper = _helper()
+        return left @ m if helper is None else _split_step(left, m, helper)
+    finally:
+        _split_lock.release()
 
 
 def evolve(op: TransitionOperator, density: Density, t: float) -> Density:

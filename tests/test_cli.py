@@ -297,6 +297,23 @@ def test_parse_failure_names_its_key(tmp_path, capsys, command, key, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("n_list", ["0,0", "1,2"])
+def test_bad_levels_name_n_list(tmp_path, capsys, n_list):
+    rc = main(["converge", "--n_list", n_list, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: bad value for 'n_list': ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bad_xi_is_not_reported_under_n_list(tmp_path, capsys):
+    rc = main(["converge", "--n_list", "8,16", "--t_final", "0.1", "--xi", "1.5",
+               "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: xi must lie in [0, 1)")
+
+
 @pytest.mark.parametrize("tag", ["gauss0", "bogus"])
 def test_bad_quadrature_names_the_key(tmp_path, capsys, tag):
     rc = main(["operator", "--n", "8,8", "--quadrature", tag, "--out", str(tmp_path)])

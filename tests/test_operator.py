@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+
+import fpfvm
 
 from fpfvm import (
     BoxDomain,
@@ -26,6 +34,7 @@ from fpfvm import (
     uniform_density,
     verify_markov,
 )
+from fpfvm import operator as operator_module
 from fpfvm.operator import choose_dt
 
 PI = np.pi
@@ -350,3 +359,130 @@ def test_grid_mismatch_errors():
     with pytest.raises(ValueError, match="different grids"):
         run_filter(d, op, gaussian_abs_position_model(0.1), ObservationSequence((), ()),
                    t_end=op.dt)
+
+
+# --- the two-thread step of large operators ---------------------------------
+
+GATE_N = 256  # a pendulum operator of GATE_N**2 = 65,536 rows, at the gate
+
+
+@pytest.fixture(scope="module")
+def gate_op():
+    assert GATE_N ** 2 == operator_module._SPLIT_ROWS
+    return _pendulum_op(n=GATE_N)[2]
+
+
+def _within(seconds, fn, *args):
+    """``fn(*args)`` on a daemon thread; fail if it has not returned in time."""
+    result = []
+
+    def run():
+        try:
+            result.append(("value", fn(*args)))
+        except BaseException as exc:
+            result.append(("error", exc))
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"{fn.__name__} did not return in {seconds} s"
+    kind, value = result[0]
+    if kind == "error":
+        raise value
+    return value
+
+
+def test_evolve_at_the_gate_matches_repeated_mat_vecs(gate_op):
+    op = gate_op
+    d = normalize(project(gaussian_pdf((0.6 * PI, 0.0), 0.32), op.grid))
+    vol = op.grid.cell_volume
+    m = d.values * vol
+    for _ in range(12):
+        m = op._left @ m
+    assert np.array_equal(evolve(op, d, 12 * op.dt).values, m / vol)
+
+
+def test_unsplittable_vectors_step_as_the_mat_vec_does(gate_op):
+    op = gate_op
+    n = op.grid.ncells
+    m = np.random.default_rng(3).random(2 * n)
+    with pytest.raises(ValueError):
+        _within(30, step, op, m[:n - 1])  # scipy's error for a wrong length
+    for v in (m[:n].astype(np.float32), m[::2]):  # float32, strided
+        out = _within(30, step, op, v)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, op._left @ v)
+    # the helper survives: a splittable vector still steps
+    assert np.array_equal(_within(30, step, op, m[:n]), op._left @ m[:n])
+
+
+def test_concurrent_steps_are_bit_identical(gate_op):
+    """More stepping threads than cores, switching often: one splits while
+    the others step alone, and every result is the plain mat-vec's."""
+    op = gate_op
+    workers = 3
+    starts = [np.random.default_rng(seed).random(op.grid.ncells)
+              for seed in range(workers)]
+    expected = []
+    for m in starts:
+        for _ in range(10):
+            m = op._left @ m
+        expected.append(m)
+    results = [None] * workers
+    barrier = threading.Barrier(workers)
+
+    def run(i):
+        m = starts[i]
+        barrier.wait()
+        for _ in range(10):
+            m = step(op, m)
+        results[i] = m
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True)
+               for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, expected):
+        assert np.array_equal(got, want)
+
+
+_HELPER_PROBE = """
+import os, sys, threading
+import numpy as np
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from fpfvm import BoxDomain, assemble, build_grid, compute_fluxes, pendulum_field, step
+g = build_grid(BoxDomain((-np.pi, -np.pi), (np.pi, np.pi)), (256, 256),
+               ("periodic", "neumann"))
+fx = compute_fluxes(pendulum_field(), g)
+op = assemble(fx, g.h[0] / (2 * np.pi + 1))
+m = np.random.default_rng(0).random(g.ncells)
+for _ in range(3):
+    assert np.array_equal(step(op, m), op._left @ m)
+print(threading.active_count(), len(os.sched_getaffinity(0)))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+@pytest.mark.parametrize("cpus", ["one", "inherited"])
+def test_helper_threads_per_process(cpus):
+    """One CPU starts no helper, more start exactly one, and a process whose
+    helper is waiting still exits."""
+    src = str(Path(fpfvm.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _HELPER_PROBE, cpus], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    threads, allowed = map(int, proc.stdout.split())
+    assert threads == (2 if allowed > 1 else 1)
+    if cpus == "one":
+        assert allowed == 1

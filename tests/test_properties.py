@@ -12,7 +12,10 @@ without Dirichlet outflow and substochastic ones with it (both accepted by
 ``evolve`` agreeing bit for bit with repeated ``step`` on the mass vector
 (and rejecting a time whose step count overflows), and, with a Dirichlet
 axis, the mass a step loses equal to the upwind outflow through the
-boundary faces.
+boundary faces.  With the split gate lowered to one row, ``step`` splits every
+operator's rows between the caller and a helper thread, and its result equals
+``op._left @ m`` bit for bit, both when the helper computes the upper half
+and when it never wakes and the caller computes both halves.
 
 Diagnostic examples check ``moments`` and ``count_modes`` against the direct
 formulas they replace, kept here as reference implementations, that the
@@ -21,6 +24,10 @@ axis's 1D grid bit for bit, that the mode count on a periodic axis does not
 depend on where the ring is cut, and that the batched counter the filter
 uses on a block of profiles gives each row the reference's count.
 """
+
+import contextlib
+import functools
+import time
 
 import numpy as np
 import pytest
@@ -44,6 +51,7 @@ from fpfvm import (
     verify_markov,
 )
 from fpfvm import density as density_module
+from fpfvm import operator as operator_module
 from fpfvm.velocity import VelocityField
 from fpfvm.density import _count_modes_rows
 
@@ -169,6 +177,53 @@ def test_dirichlet_loss_is_upwind_boundary_outflow(pair, seed):
     lost = m.sum() - step(op, m).sum()
     assert abs(lost - op.dt * outflow) <= 1e-12
     assert op.mass_conserving == (outflow == 0.0)  # p > 0 in every cell
+
+
+class _Recording:
+    """A stand-in for the step helper that records each posted job.  It
+    hands the job on to ``helper`` and returns only once the helper has taken
+    the upper rows, or, with ``None``, never wakes, so the caller takes them."""
+
+    def __init__(self, helper):
+        self.helper = helper
+        self.jobs = []
+
+    def post(self, job):
+        self.jobs.append(job)
+        deadline = time.monotonic() + 30
+        while self.helper is not None and job.token:
+            assert time.monotonic() < deadline, "the helper did not take the job"
+            self.helper.post(job)  # a no-op until the helper takes its last offer
+            time.sleep(1e-4)
+
+
+@contextlib.contextmanager
+def _split_every_step(awake):
+    """Split the rows of every operator, whatever the CPU count."""
+    helper = operator_module._helper() or _one_helper()
+    recorder = _Recording(helper if awake else None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operator_module, "_SPLIT_ROWS", 1)
+        mp.setattr(operator_module, "_helper", lambda: recorder)
+        yield recorder
+
+
+@functools.cache
+def _one_helper():
+    return operator_module._Helper()  # on one CPU the module starts none
+
+
+@pytest.mark.parametrize("awake", [True, False], ids=["helper", "caller-takeover"])
+@settings(max_examples=60, deadline=None)
+@given(op=operators(), seed=st.integers(0, 2**32 - 1))
+def test_split_step_is_bit_identical(awake, op, seed):
+    rng = np.random.default_rng(seed)
+    # cells without mass leave rows that sum to exactly zero
+    m = rng.random(op.grid.ncells) * (rng.random(op.grid.ncells) < 0.5)
+    with _split_every_step(awake) as recorder:
+        out = step(op, m)
+    assert len(recorder.jobs) == 1  # the split path ran
+    assert np.array_equal(out, op._left @ m)
 
 
 def _moments_reference(density):
