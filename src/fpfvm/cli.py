@@ -51,7 +51,7 @@ from .filtering import (
     write_observations,
     write_run_report,
 )
-from .grid import BoxDomain, build_grid
+from .grid import BoxDomain, _check_cells, build_grid
 from .operator import (
     CflViolation,
     assemble,
@@ -249,6 +249,10 @@ def _grid_from(cfg, domain):
     n = cfg["n"]
     if len(n) == 1:
         n = n * domain.d
+    try:  # build_grid checks the counts too, but its errors name no key
+        _check_cells(n)
+    except ValueError as exc:
+        raise ValueError(f"bad value for 'n': {exc}") from exc
     return build_grid(domain, n, cfg["bc"])
 
 

@@ -11,15 +11,16 @@ Conventions
   outside of the box.  A periodic wrap face has the last cell of the axis
   as ``cell_a`` and the first as ``cell_b``.
 * Faces are enumerated once each, grouped by axis in increasing axis order;
-  ``EdgeTable.offsets[a]:offsets[a + 1]`` is the block of axis ``a``.
+  ``Grid.face_offsets[a]:face_offsets[a + 1]`` is the block of axis ``a``.
   Within an axis: interior faces in flat order of the lower cell, then
   periodic wrap faces, then (Dirichlet axes only) boundary faces on the low
   side, ``(-1, cell)``, followed by the high side, ``(cell, -1)``.
 * Along ``axis`` the flat cell data is the C-order cube
   ``(prod(n[axis+1:]), n[axis], prod(n[:axis]))`` (:meth:`Grid.cube`); every
   face block of an axis is a pair of slices of that cube's middle axis
-  (:meth:`Grid.face_blocks`), so the table and the face points are cube
-  slices, not index arithmetic.  Cell indices are int32.
+  (:meth:`Grid.face_blocks`), so face data is read and written through cube
+  slices, not index arithmetic.  The face table ``Grid.edges`` (int32 cell
+  pairs) is built on first access; no set-up layer reads it.
 * Periodic axes identify opposite box faces.  Neumann axes carry no boundary
   faces at all (zero normal flux).  Dirichlet axes keep their boundary faces
   so mass can flow out of the box; nothing flows in.
@@ -27,6 +28,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -81,11 +83,6 @@ class EdgeTable:
     def __len__(self) -> int:
         return int(self.cell_a.shape[0])
 
-    @property
-    def interior(self) -> np.ndarray:
-        """Mask of faces shared by two cells (includes periodic wraps)."""
-        return (self.cell_a >= 0) & (self.cell_b >= 0)
-
 
 def _check_cells(n: Sequence[int]) -> None:
     """Raise unless every axis has at least 2 cells and the cell count fits
@@ -109,7 +106,8 @@ class Grid:
     h : tuple of cell side lengths
     ncells : total cell count
     cell_volume : measure of every cell
-    edges : the face table, an :class:`EdgeTable`
+    face_offsets : (d + 1,) faces of axis a: face_offsets[a]:face_offsets[a + 1]
+    edges : the face table, an :class:`EdgeTable`, built on first access
     cell_midpoints : (ncells, d) read-only array of cell centres, flat order
     """
 
@@ -132,7 +130,8 @@ class Grid:
         )
         self.ncells = math.prod(n)
         self.cell_volume = float(np.prod(self.h))
-        self.edges = _build_edge_table(self)
+        sizes = [sum(size for *_, size in self.face_blocks(a)) for a in range(domain.d)]
+        self.face_offsets = tuple(np.cumsum([0] + sizes).tolist())
         mids = np.empty((self.ncells, domain.d))
         for a in range(domain.d):
             mids.reshape(*self.cube(a), domain.d)[..., a] = self.centres(a)[:, None]
@@ -150,12 +149,9 @@ class Grid:
     def __repr__(self) -> str:
         return f"Grid(n={self.n}, bc={self.bc}, domain=[{self.domain.lower}, {self.domain.upper}])"
 
-    def face_sums(self, at_a: np.ndarray, at_b: np.ndarray) -> np.ndarray:
-        """Sum ``at_a`` into each face's ``cell_a`` and ``at_b`` into its ``cell_b``."""
-        out = np.zeros(self.ncells + 1)  # index -1, the outside, is the last slot
-        np.add.at(out, self.edges.cell_a, at_a)
-        np.add.at(out, self.edges.cell_b, at_b)
-        return out[:-1]
+    @functools.cached_property
+    def edges(self) -> EdgeTable:
+        return _build_edge_table(self)
 
     def centres(self, axis: int) -> np.ndarray:
         """Cell centres along ``axis``, lowest first."""
@@ -186,8 +182,7 @@ def build_grid(domain: BoxDomain, n: Sequence[int], bc: Sequence[str]) -> Grid:
 
 
 def _build_edge_table(grid: Grid) -> EdgeTable:
-    sizes = [sum(size for *_, size in grid.face_blocks(a)) for a in range(grid.domain.d)]
-    offsets = tuple(np.cumsum([0] + sizes).tolist())
+    offsets = grid.face_offsets
     cell_a = np.empty(offsets[-1], dtype=np.int32)
     cell_b = np.empty(offsets[-1], dtype=np.int32)
     cells = np.arange(grid.ncells, dtype=np.int32)

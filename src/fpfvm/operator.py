@@ -11,7 +11,10 @@ preserving upwind step of the continuity equation.
 A :class:`TransitionOperator` stores a single CSR matrix, the left-action
 form ``S^T`` (row L gathers the mass that flows into cell L), so a step is
 one CSR mat-vec ``m' = S^T m``.  ``op.matrix`` is the zero-copy ``S`` view
-of that same matrix.  :func:`step` is that mat-vec on a mass vector and the
+of that same matrix.  :func:`assemble` writes its CSR arrays straight from
+the face blocks of the grid, in row order and at their final size, so no
+triplets, face table or second copy of the matrix exist while it runs.
+:func:`step` is that mat-vec on a mass vector and the
 only step path; :func:`evolve` converts a :class:`Density` to mass once and
 back once, so all evolution is a deterministic sequence of mat-vecs.
 
@@ -41,6 +44,7 @@ from .velocity import EdgeFluxes
 
 _CFL_SLACK = 1e-12  # relative slack so dt == dt_max assembles cleanly
 _MARKOV_TOL = 1e-12  # entry and row-sum tolerance of verify_markov
+_WRITE_CHUNK = 1 << 16  # faces or rows per write pass of assemble
 # smallest operator whose step is split over two threads; below it (the
 # N=200 filter's 40,000 rows) the hand-off costs more than half a mat-vec saves
 _SPLIT_ROWS = 1 << 16
@@ -136,50 +140,118 @@ def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     grid = fluxes.grid
-    t = grid.edges
-    f = fluxes.values
     nc = grid.ncells
     vol = grid.cell_volume
-    # outflow through a Dirichlet face: up through a high face, down through a low one
-    leaks = np.any((f > 0.0) & (t.cell_b < 0)) or np.any((f < 0.0) & (t.cell_a < 0))
-
-    interior = t.interior
-    pos = interior & (f > 0.0)   # donor cell_a -> cell_b
-    neg = interior & (f < 0.0)   # donor cell_b -> cell_a
-    # left-action triplets (row receives, column donates), written once at
-    # their final size: the diagonal, then the pos faces, then the neg faces;
-    # tocsr sums duplicates
-    at_pos = slice(nc, nc + np.count_nonzero(pos))
-    at_neg = slice(at_pos.stop, at_pos.stop + np.count_nonzero(neg))
-    rows = np.empty(at_neg.stop, dtype=np.int32)
-    cols = np.empty(at_neg.stop, dtype=np.int32)
-    vals = np.empty(at_neg.stop)
-
-    load = vals[:nc]  # becomes the diagonal 1 - load in place
-    np.multiply(dt, fluxes.outflow, out=load)
-    load /= vol
-    binding = int(np.argmax(load))
-    if load[binding] > 1.0 + _CFL_SLACK:
+    outflow = fluxes.outflow
+    if dt * outflow.max() / vol > 1.0 + _CFL_SLACK:
+        load = dt * outflow / vol
+        binding = int(np.argmax(load))
         raise CflViolation(
             f"dt={dt} violates the step-size bound at cell {binding}: "
             f"dt * outflow / |K| = {load[binding]:.6g} > 1")
-    np.subtract(1.0, load, out=load)
-    load[(load < 0.0) & (load >= -_CFL_SLACK)] = 0.0
-    rows[:nc] = cols[:nc] = np.arange(nc, dtype=np.int32)
+    slots, leaks = _inflow_slots(grid, fluxes.values)
+    slots[0] = None  # the diagonal
+    slots = sorted(slots.items())  # by column offset: each row in column order
 
-    np.compress(pos, t.cell_b, out=rows[at_pos])
-    np.compress(pos, t.cell_a, out=cols[at_pos])
-    np.compress(pos, f, out=vals[at_pos])
-    np.compress(neg, t.cell_a, out=rows[at_neg])
-    np.compress(neg, t.cell_b, out=cols[at_neg])
-    np.negative(np.compress(neg, f, out=vals[at_neg]), out=vals[at_neg])
-    del interior, pos, neg  # freed before tocsr allocates the matrix
-    vals[nc:] *= dt  # the same dt * f / vol as one expression gives
-    vals[nc:] /= vol
-    left = sparse.coo_matrix((vals, (rows, cols)), shape=(nc, nc)).tocsr()
-    return TransitionOperator(
-        dt=dt, left=left, grid=grid, mass_conserving=not bool(leaks),
-    )
+    # int32, as scipy picks it, unless the entries could pass int32 indices
+    idx = sparse.get_index_dtype(maxval=nc + len(fluxes.values))
+    indptr = np.zeros(nc + 1, dtype=idx)
+    counts = indptr[1:]
+    counts += 1  # the diagonal
+    for _, slot in slots:
+        if slot is not None:
+            (high, na, low), rows, sources = slot
+            present = np.zeros(len(sources[0][0]), dtype=bool)
+            for f, sign in sources:
+                present |= f > 0.0 if sign > 0 else f < 0.0
+            counts.reshape(high, na, low)[:, rows, :] += present.reshape(high, -1, low)
+    np.cumsum(indptr, out=indptr)
+
+    indices = np.empty(indptr[-1], dtype=idx)
+    data = np.empty(indptr[-1])
+    at = indptr[:-1].astype(np.intp)  # where each row's next entry goes
+    for offset, slot in slots:
+        if slot is None:
+            _write_diagonal(outflow, dt, vol, at, indices, data)
+        else:
+            _write_inflow(slot, offset, dt, vol, at, indices, data)
+    left = sparse.csr_matrix((data, indices, indptr), shape=(nc, nc))
+    return TransitionOperator(dt=dt, left=left, grid=grid, mass_conserving=not leaks)
+
+
+def _inflow_slots(grid: Grid, flux: np.ndarray) -> tuple[dict, bool]:
+    """The off-diagonal entries of the left-action matrix, by column offset.
+
+    Along axis ``a`` (cube ``(high, na, low)``, so neighbours are ``low``
+    apart) each face block with both sides in the box feeds two slots: where
+    ``f > 0`` the upper cells gather from the lower ones, where ``f < 0`` the
+    reverse.  A slot is ``(cube, rows, sources)``: ``rows`` slices the cube's
+    middle axis to the receiving cells and each source ``(f, sign)`` is a
+    face block with one face per receiving cell, in C order, feeding an entry
+    where ``sign * f > 0``.  The two faces of a 2-cell periodic axis share an
+    offset and so a slot.  Also returns whether any Dirichlet face lets mass
+    out of the box: up through a high face, down through a low one.
+    """
+    slots: dict = {}
+    leaks = False
+    start = 0
+    for a in range(grid.domain.d):
+        high, na, low = grid.cube(a)
+        for lower, upper, size in grid.face_blocks(a):
+            f = flux[start:start + size]
+            start += size
+            if lower is None or upper is None:
+                leaks = leaks or bool(np.any(f < 0.0 if lower is None else f > 0.0))
+                continue
+            lower, upper = range(na)[lower], range(na)[upper]
+            for sign, rows, donors in ((1.0, upper, lower), (-1.0, lower, upper)):
+                slot = slots.setdefault((donors.start - rows.start) * low,
+                                        ((high, na, low), slice(rows.start, rows.stop), []))
+                slot[2].append((f, sign))
+    return slots, leaks
+
+
+def _write_diagonal(outflow, dt, vol, at, indices, data) -> None:
+    """Write every row's diagonal ``1 - dt * outflow / |K|``, clamped to 0
+    within the CFL slack, at the row's next free place."""
+    for r0 in range(0, len(at), _WRITE_CHUNK):
+        r1 = min(r0 + _WRITE_CHUNK, len(at))
+        diag = np.multiply(dt, outflow[r0:r1])
+        diag /= vol
+        np.subtract(1.0, diag, out=diag)
+        diag[(diag < 0.0) & (diag >= -_CFL_SLACK)] = 0.0
+        place = at[r0:r1]
+        indices[place] = np.arange(r0, r1)
+        data[place] = diag
+        place += 1
+
+
+def _write_inflow(slot, offset, dt, vol, at, indices, data) -> None:
+    """Write the entries ``|f| * dt / |K|`` of one slot at their rows' next
+    free places; where two faces feed one entry, their values are summed."""
+    (high, na, low), rows, sources = slot
+    span = (rows.stop - rows.start) * low  # faces per layer of the cube
+    gap = na * low - span  # cells of a layer this slot skips
+    size = len(sources[0][0])
+    for j0 in range(0, size, _WRITE_CHUNK):
+        j1 = min(j0 + _WRITE_CHUNK, size)
+        take = np.zeros(j1 - j0, dtype=bool)
+        for f, sign in sources:
+            take |= f[j0:j1] > 0.0 if sign > 0 else f[j0:j1] < 0.0
+        j = np.flatnonzero(take)
+        vals = np.zeros(len(j))
+        for f, sign in sources:
+            v = sign * f[j0:j1][j]
+            fed = v > 0.0
+            v *= dt
+            v /= vol
+            np.add(vals, v, out=vals, where=fed)
+        j += j0
+        j += j // span * gap + rows.start * low  # face to receiving row
+        place = at[j]
+        indices[place] = j + offset
+        data[place] = vals
+        at[j] = place + 1
 
 
 class _UpperRows:
@@ -310,11 +382,12 @@ def verify_markov(op: TransitionOperator) -> MarkovReport:
     left = op._left
     data = left.data
     min_entry = float(data.min()) if data.size else 1.0
-    # rows of S are the columns of the stored left-action matrix
-    row_sums = np.bincount(left.indices, weights=data, minlength=left.shape[1])
-    excess = row_sums - 1.0
+    # rows of S are the columns of the stored left-action matrix; the
+    # transposed mat-vec adds each column's entries in storage order
+    excess = left.T @ np.ones(left.shape[0])
+    excess -= 1.0
     if op.mass_conserving:
-        excess = np.abs(excess)
+        np.abs(excess, out=excess)
     err = max(float(excess.max()), 0.0)
     return MarkovReport(
         min_entry=min_entry,

@@ -3,10 +3,11 @@
 A field evaluates vectorized: an ``(m, d)`` array of points yields an
 ``(m, d)`` array of velocities (and a single ``(d,)`` point a ``(d,)``
 velocity).  Face fluxes are the integrals of the velocity component along
-each face's axis over the face, stored once per face in the order of
-``grid.edges``.  A flux is positive when mass flows toward +axis, from the
-face's lower cell ``cell_a`` into its upper cell ``cell_b``; the two sides
-see opposite signs by construction.
+each face's axis over the face, stored once per face in the face order of
+the grid (``grid.face_blocks``, the order of ``grid.edges``).  A flux is
+positive when mass flows toward +axis, from the face's lower cell ``cell_a``
+into its upper cell ``cell_b``; the two sides see opposite signs by
+construction.
 """
 
 from __future__ import annotations
@@ -157,17 +158,38 @@ def compute_fluxes(field: VelocityField, grid: Grid,
         raise ValueError(
             f"field dimension {field.dim} != grid dimension {grid.domain.d}")
     kind, k = _parse_quadrature(quadrature)
-    offsets = grid.edges.offsets
+    offsets = grid.face_offsets
     flux = np.empty(offsets[-1])
     for a in range(grid.domain.d):
         _axis_fluxes(field, grid, a, quadrature, flux[offsets[a]:offsets[a + 1]])
     if not np.all(np.isfinite(flux)):
         raise ValueError("velocity field produced non-finite flux values")
     flux.flags.writeable = False
-    outflow = grid.face_sums(np.maximum(flux, 0.0), np.maximum(-flux, 0.0))
+    outflow = _upwind_outflow(grid, flux)
     outflow.flags.writeable = False
     tag = "midpoint" if kind == "midpoint" else f"gauss{k}"
     return EdgeFluxes(values=flux, quadrature=tag, grid=grid, outflow=outflow)
+
+
+def _upwind_outflow(grid: Grid, flux: np.ndarray) -> np.ndarray:
+    """Per-cell ``sum_L (v_KL)_+``: each face's positive part added to its
+    lower cell, then each face's negative part subtracted from its upper cell,
+    face block by face block through cube slices.  Every cell adds its terms
+    in face order, so the sums are those of a scatter over the face table."""
+    out = np.zeros(grid.ncells)
+    for lower_side in (True, False):
+        start = 0
+        for a in range(grid.domain.d):
+            high, _, low = grid.cube(a)
+            cube = out.reshape(high, -1, low)
+            for lower, upper, size in grid.face_blocks(a):
+                f = flux[start:start + size].reshape(high, -1, low)
+                start += size
+                if lower_side and lower is not None:
+                    np.add(cube[:, lower], f, out=cube[:, lower], where=f > 0.0)
+                elif not lower_side and upper is not None:
+                    np.subtract(cube[:, upper], f, out=cube[:, upper], where=f < 0.0)
+    return out
 
 
 def _axis_fluxes(field: VelocityField, grid: Grid, axis: int, quadrature: str,

@@ -1,0 +1,72 @@
+"""Reference builders the tests compare the set-up layers against.
+
+Each one works on the face table ``grid.edges`` with direct scatters: the
+per-cell face sums and upwind outflow as two ``np.add.at`` passes, the
+transition matrix as one set of ``(row, col, value)`` triplets summed by
+scipy's COO-to-CSR conversion, and the row sums of ``verify_markov`` as a
+``bincount`` over the column indices.  The library builds the same arrays
+from cube slices of the face blocks, without the table.
+"""
+
+import numpy as np
+import scipy.sparse as sparse
+
+from fpfvm.operator import (
+    _CFL_SLACK,
+    _MARKOV_TOL,
+    CflViolation,
+    MarkovReport,
+    TransitionOperator,
+)
+
+
+def face_sums(grid, at_a, at_b):
+    """Sum ``at_a`` into each face's ``cell_a`` and ``at_b`` into its ``cell_b``."""
+    t = grid.edges
+    out = np.zeros(grid.ncells + 1)  # index -1, the outside, is the last slot
+    np.add.at(out, t.cell_a, at_a)
+    np.add.at(out, t.cell_b, at_b)
+    return out[:-1]
+
+
+def upwind_outflow(grid, flux):
+    """Per-cell ``sum_L (v_KL)_+`` of the face fluxes ``flux``."""
+    return face_sums(grid, np.maximum(flux, 0.0), np.maximum(-flux, 0.0))
+
+
+def triplet_assemble(fluxes, dt):
+    """The upwind transition operator from left-action triplets: the
+    diagonal, then the faces with ``f > 0``, then those with ``f < 0``."""
+    grid = fluxes.grid
+    t = grid.edges
+    f = fluxes.values
+    nc = grid.ncells
+    vol = grid.cell_volume
+    leaks = np.any((f > 0.0) & (t.cell_b < 0)) or np.any((f < 0.0) & (t.cell_a < 0))
+    load = dt * fluxes.outflow / vol
+    binding = int(np.argmax(load))
+    if load[binding] > 1.0 + _CFL_SLACK:
+        raise CflViolation(f"dt={dt} violates the step-size bound at cell {binding}")
+    diag = 1.0 - load
+    diag[(diag < 0.0) & (diag >= -_CFL_SLACK)] = 0.0
+    interior = (t.cell_a >= 0) & (t.cell_b >= 0)
+    pos = interior & (f > 0.0)  # donor cell_a -> cell_b
+    neg = interior & (f < 0.0)  # donor cell_b -> cell_a
+    cells = np.arange(nc, dtype=np.int32)
+    rows = np.concatenate([cells, t.cell_b[pos], t.cell_a[neg]])
+    cols = np.concatenate([cells, t.cell_a[pos], t.cell_b[neg]])
+    vals = np.concatenate([diag, f[pos] * dt / vol, -f[neg] * dt / vol])
+    left = sparse.coo_matrix((vals, (rows, cols)), shape=(nc, nc)).tocsr()
+    return TransitionOperator(dt=dt, left=left, grid=grid, mass_conserving=not leaks)
+
+
+def bincount_markov(op):
+    """``verify_markov``'s report with the row sums of ``S`` from ``bincount``."""
+    left = op._left
+    min_entry = float(left.data.min()) if left.data.size else 1.0
+    excess = np.bincount(left.indices, weights=left.data, minlength=left.shape[1]) - 1.0
+    if op.mass_conserving:
+        excess = np.abs(excess)
+    err = max(float(excess.max()), 0.0)
+    return MarkovReport(min_entry=min_entry, max_row_sum_err=err,
+                        is_markov=bool(min_entry >= -_MARKOV_TOL and err <= _MARKOV_TOL))

@@ -306,6 +306,17 @@ def test_bad_levels_name_n_list(tmp_path, capsys, n_list):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, n", [
+    ("operator", "0,0"), ("filter", "1,1"), ("operator", "1"), ("operator", "65536,65536"),
+])
+def test_bad_cell_counts_name_n(tmp_path, capsys, command, n):
+    rc = main([command, "--n", n, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: bad value for 'n': ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_xi_is_not_reported_under_n_list(tmp_path, capsys):
     rc = main(["converge", "--n_list", "8,16", "--t_final", "0.1", "--xi", "1.5",
                "--out", str(tmp_path)])

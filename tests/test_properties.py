@@ -12,7 +12,11 @@ without Dirichlet outflow and substochastic ones with it (both accepted by
 ``evolve`` agreeing bit for bit with repeated ``step`` on the mass vector
 (and rejecting a time whose step count overflows), and, with a Dirichlet
 axis, the mass a step loses equal to the upwind outflow through the
-boundary faces.  With the split gate lowered to one row, ``step`` splits every
+boundary faces.  On random signed face fluxes (exact zeros included, every
+boundary mix, 2-cell periodic axes drawn often) the outflow, the CSR arrays
+and flags of ``assemble`` and the report of ``verify_markov`` equal, bit for
+bit, those of the face-table reference builders in ``reference_builders``.
+With the split gate lowered to one row, ``step`` splits every
 operator's rows between the caller and a helper thread, and its result equals
 ``op._left @ m`` bit for bit, both when the helper computes the upper half
 and when it never wakes and the caller computes both halves.
@@ -52,8 +56,9 @@ from fpfvm import (
 )
 from fpfvm import density as density_module
 from fpfvm import operator as operator_module
-from fpfvm.velocity import VelocityField
+from fpfvm.velocity import EdgeFluxes, VelocityField, _upwind_outflow
 from fpfvm.density import _count_modes_rows
+from reference_builders import bincount_markov, triplet_assemble, upwind_outflow
 
 BCS = ("periodic", "neumann", "dirichlet")
 MAX_CELLS = {1: 24, 2: 10, 3: 5}
@@ -115,8 +120,7 @@ def test_entries_nonnegative_rows_stochastic(pair):
     fluxes, op = pair
     # the one outflow pass behind both the step bound and the diagonal
     f, outflow = fluxes.values, fluxes.outflow
-    assert np.array_equal(
-        outflow, op.grid.face_sums(np.maximum(f, 0.0), np.maximum(-f, 0.0)))
+    assert np.array_equal(outflow, upwind_outflow(op.grid, f))
     assert not outflow.flags.writeable
     binding = int(np.argmax(outflow)) if outflow.max() > 0.0 else None
     assert max_stable_dt(fluxes, 0.0).binding_cell == binding
@@ -129,6 +133,42 @@ def test_entries_nonnegative_rows_stochastic(pair):
     else:
         assert np.abs(row_sums - 1.0).max() <= 1e-12
     assert verify_markov(op).is_markov
+
+
+@st.composite
+def random_fluxes(draw):
+    """EdgeFluxes of random signed values, exact zeros included, on a 1-3D
+    grid with any boundary mix; 2-cell axes are drawn often."""
+    d = draw(st.integers(1, 3))
+    sizes = st.one_of(st.just(2), st.integers(2, MAX_CELLS[d]))
+    n = tuple(draw(st.lists(sizes, min_size=d, max_size=d)))
+    bc = draw(st.lists(st.sampled_from(BCS), min_size=d, max_size=d))
+    grid = build_grid(BoxDomain((0.0,) * d, (1.0,) * d), n, bc)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flux = rng.standard_normal(grid.face_offsets[-1])
+    flux[rng.random(flux.shape) < draw(st.floats(0.0, 0.5))] = 0.0
+    return EdgeFluxes(values=flux, quadrature="midpoint", grid=grid,
+                      outflow=_upwind_outflow(grid, flux))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(fluxes=random_fluxes(), frac=st.sampled_from([1.0, 0.5, 0.01]))
+@example(fluxes=_two_cell_ring()[0], frac=1.0)
+def test_setup_matches_face_table_references(fluxes, frac):
+    grid, f = fluxes.grid, fluxes.values
+    assert _same_bits(fluxes.outflow, upwind_outflow(grid, f))
+    dt_max = max_stable_dt(fluxes, 0.0).dt_max
+    dt = frac * dt_max if np.isfinite(dt_max) else frac
+    op, ref = assemble(fluxes, dt), triplet_assemble(fluxes, dt)
+    for name in ("indptr", "indices", "data"):
+        assert _same_bits(getattr(op._left, name), getattr(ref._left, name))
+    assert op._left.has_canonical_format == ref._left.has_canonical_format
+    assert op.mass_conserving == ref.mass_conserving
+    assert verify_markov(op) == bincount_markov(ref)
 
 
 @settings(max_examples=60, deadline=None)
