@@ -245,7 +245,11 @@ def _build_geometry(cfg):
     return domain, field_from_name(cfg["field"])
 
 
-def _grid_from(cfg, domain):
+def _operator_from(cfg):
+    """The run's domain, field, operator and CFL report: the grid, its fluxes
+    and the step that ``choose_dt`` picks and ``assemble`` accepts.  A bad
+    cell count is reported under ``n``, a rejected step under ``dt_over_h``."""
+    domain, field = _build_geometry(cfg)
     n = cfg["n"]
     if len(n) == 1:
         n = n * domain.d
@@ -253,16 +257,12 @@ def _grid_from(cfg, domain):
         _check_cells(n)
     except ValueError as exc:
         raise ValueError(f"bad value for 'n': {exc}") from exc
-    return build_grid(domain, n, cfg["bc"])
-
-
-def _assemble_operator(cfg, fluxes):
-    """Pick the step with ``choose_dt`` and assemble; a step that either one
-    rejects is reported under ``dt_over_h``."""
+    grid = build_grid(domain, n, cfg["bc"])
+    fluxes = compute_fluxes(field, grid, cfg["quadrature"])
     report = max_stable_dt(fluxes, cfg["xi"])
     try:
-        dt = choose_dt(report, max(fluxes.grid.h), cfg["dt_over_h"])
-        return assemble(fluxes, dt), report
+        dt = choose_dt(report, max(grid.h), cfg["dt_over_h"])
+        return domain, field, assemble(fluxes, dt), report
     except CflViolation:
         raise
     except ValueError as exc:
@@ -307,10 +307,7 @@ def _outdir(cfg) -> Path:
 
 
 def cmd_operator(cfg) -> int:
-    domain, field = _build_geometry(cfg)
-    grid = _grid_from(cfg, domain)
-    fluxes = compute_fluxes(field, grid, cfg["quadrature"])
-    op, report = _assemble_operator(cfg, fluxes)
+    _, _, op, report = _operator_from(cfg)
     print(f"cfl: dt_max={report.dt_max:.17g} xi={report.xi:.17g} "
           f"binding_cell={report.binding_cell}")
     print(f"dt: {op.dt:.17g}")
@@ -347,18 +344,15 @@ def cmd_converge(cfg) -> int:
 
 
 def cmd_filter(cfg) -> int:
-    domain, field = _build_geometry(cfg)
-    grid = _grid_from(cfg, domain)
-    fluxes = compute_fluxes(field, grid, cfg["quadrature"])
-    op, _ = _assemble_operator(cfg, fluxes)
-    prior = _prior_density(cfg, grid)
+    domain, field, op, _ = _operator_from(cfg)
+    prior = _prior_density(cfg, op.grid)
 
     source = cfg["obs"]
     if source == "synthesize":
         times = cfg["obs_times"]
         # the truth's RK4 cost grows with the times, so check them first
         _schedule(op, times, cfg["t_end"], cfg["snapshot_times"])
-        truth = simulate_truth(field, cfg["obs_x0"], times, domain=domain, bc=grid.bc)
+        truth = simulate_truth(field, cfg["obs_x0"], times, domain=domain, bc=op.grid.bc)
         obs = synthesize_observations(times, truth, cfg["obs_sigma"], cfg["seed"])
     elif source.startswith("file:"):
         path = source.split(":", 1)[1]

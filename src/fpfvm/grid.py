@@ -16,11 +16,13 @@ Conventions
   periodic wrap faces, then (Dirichlet axes only) boundary faces on the low
   side, ``(-1, cell)``, followed by the high side, ``(cell, -1)``.
 * Along ``axis`` the flat cell data is the C-order cube
-  ``(prod(n[axis+1:]), n[axis], prod(n[:axis]))`` (:meth:`Grid.cube`); every
-  face block of an axis is a pair of slices of that cube's middle axis
-  (:meth:`Grid.face_blocks`), so face data is read and written through cube
-  slices, not index arithmetic.  The face table ``Grid.edges`` (int32 cell
-  pairs) is built on first access; no set-up layer reads it.
+  ``(prod(n[axis+1:]), n[axis], prod(n[:axis]))`` (:meth:`Grid.cube`).
+  :meth:`Grid.face_blocks` is the one statement of the face order: it yields
+  every face block with its axis, its cube, the pair of slices of the cube's
+  middle axis that give its lower and upper cells, and its slice of the flat
+  face arrays, so face data is read and written through cube slices, not
+  index arithmetic.  The face table ``Grid.edges`` (int32 cell pairs) is
+  built on first access; no set-up layer reads it.
 * Periodic axes identify opposite box faces.  Neumann axes carry no boundary
   faces at all (zero normal flux).  Dirichlet axes keep their boundary faces
   so mass can flow out of the box; nothing flows in.
@@ -74,11 +76,10 @@ class BoxDomain:
 
 @dataclass(frozen=True)
 class EdgeTable:
-    """All mesh faces as (lower, upper) cell pairs, grouped by axis."""
+    """All mesh faces as (lower, upper) cell pairs, in the grid's face order."""
 
-    cell_a: np.ndarray      # (ne,) int32, lower cell; -1 outside the box
-    cell_b: np.ndarray      # (ne,) int32, upper cell; -1 outside the box
-    offsets: tuple[int, ...]  # (d + 1,) faces of axis a: offsets[a]:offsets[a + 1]
+    cell_a: np.ndarray  # (ne,) int32, lower cell; -1 outside the box
+    cell_b: np.ndarray  # (ne,) int32, upper cell; -1 outside the box
 
     def __len__(self) -> int:
         return int(self.cell_a.shape[0])
@@ -130,8 +131,8 @@ class Grid:
         )
         self.ncells = math.prod(n)
         self.cell_volume = float(np.prod(self.h))
-        sizes = [sum(size for *_, size in self.face_blocks(a)) for a in range(domain.d)]
-        self.face_offsets = tuple(np.cumsum([0] + sizes).tolist())
+        stops = {a: faces.stop for a, *_, faces in self.face_blocks()}
+        self.face_offsets = (0, *stops.values())  # each axis's last block ends it
         mids = np.empty((self.ncells, domain.d))
         for a in range(domain.d):
             mids.reshape(*self.cube(a), domain.d)[..., a] = self.centres(a)[:, None]
@@ -162,18 +163,25 @@ class Grid:
         (C order, so cell ``m`` along ``axis`` is ``[:, m, :]``)."""
         return math.prod(self.n[axis + 1:]), self.n[axis], math.prod(self.n[:axis])
 
-    def face_blocks(self, axis: int) -> Iterator[tuple[slice | None, slice | None, int]]:
-        """Yield the face blocks of ``axis`` in table order as ``(lower, upper,
-        size)``: ``lower`` and ``upper`` slice the middle axis of :meth:`cube`
-        (``None`` is the outside), and the block holds ``size`` faces, one per
-        cell of the sliced cube, in its C order."""
-        high, na, low = self.cube(axis)
-        yield slice(None, -1), slice(1, None), high * (na - 1) * low  # interior
-        if self.bc[axis] == PERIODIC:
-            yield slice(-1, None), slice(None, 1), high * low  # last cell to first
-        elif self.bc[axis] == DIRICHLET:
-            yield None, slice(None, 1), high * low
-            yield slice(-1, None), None, high * low
+    def face_blocks(self) -> Iterator[tuple[int, tuple[int, int, int],
+                                            slice | None, slice | None, slice]]:
+        """Yield every face block in table order as ``(axis, cube, lower,
+        upper, faces)``: ``cube`` is :meth:`cube` of ``axis``, ``lower`` and
+        ``upper`` slice its middle axis (``None`` is the outside), and the
+        block's faces, one per cell of the sliced cube in its C order, are
+        ``faces`` of the flat face arrays."""
+        start = 0
+        for axis in range(self.domain.d):
+            high, na, low = cube = self.cube(axis)
+            blocks = [(slice(None, -1), slice(1, None), na - 1)]  # interior
+            if self.bc[axis] == PERIODIC:
+                blocks.append((slice(-1, None), slice(None, 1), 1))  # last cell to first
+            elif self.bc[axis] == DIRICHLET:
+                blocks += [(None, slice(None, 1), 1), (slice(-1, None), None, 1)]
+            for lower, upper, k in blocks:
+                size = high * k * low
+                yield axis, cube, lower, upper, slice(start, start + size)
+                start += size
 
 
 def build_grid(domain: BoxDomain, n: Sequence[int], bc: Sequence[str]) -> Grid:
@@ -182,19 +190,13 @@ def build_grid(domain: BoxDomain, n: Sequence[int], bc: Sequence[str]) -> Grid:
 
 
 def _build_edge_table(grid: Grid) -> EdgeTable:
-    offsets = grid.face_offsets
-    cell_a = np.empty(offsets[-1], dtype=np.int32)
-    cell_b = np.empty(offsets[-1], dtype=np.int32)
+    cell_a = np.empty(grid.face_offsets[-1], dtype=np.int32)
+    cell_b = np.empty(grid.face_offsets[-1], dtype=np.int32)
     cells = np.arange(grid.ncells, dtype=np.int32)
-    start = 0
-    for a in range(grid.domain.d):
-        high, _, low = grid.cube(a)
-        cube = cells.reshape(high, -1, low)
-        for lower, upper, size in grid.face_blocks(a):
-            for out, sl in ((cell_a, lower), (cell_b, upper)):
-                block = out[start:start + size].reshape(high, -1, low)
-                block[...] = -1 if sl is None else cube[:, sl]
-            start += size
+    for _, (high, na, low), lower, upper, faces in grid.face_blocks():
+        cube = cells.reshape(high, na, low)
+        for out, sl in ((cell_a, lower), (cell_b, upper)):
+            out[faces].reshape(high, -1, low)[...] = -1 if sl is None else cube[:, sl]
     cell_a.flags.writeable = False
     cell_b.flags.writeable = False
-    return EdgeTable(cell_a=cell_a, cell_b=cell_b, offsets=offsets)
+    return EdgeTable(cell_a=cell_a, cell_b=cell_b)

@@ -194,20 +194,17 @@ def _inflow_slots(grid: Grid, flux: np.ndarray) -> tuple[dict, bool]:
     """
     slots: dict = {}
     leaks = False
-    start = 0
-    for a in range(grid.domain.d):
-        high, na, low = grid.cube(a)
-        for lower, upper, size in grid.face_blocks(a):
-            f = flux[start:start + size]
-            start += size
-            if lower is None or upper is None:
-                leaks = leaks or bool(np.any(f < 0.0 if lower is None else f > 0.0))
-                continue
-            lower, upper = range(na)[lower], range(na)[upper]
-            for sign, rows, donors in ((1.0, upper, lower), (-1.0, lower, upper)):
-                slot = slots.setdefault((donors.start - rows.start) * low,
-                                        ((high, na, low), slice(rows.start, rows.stop), []))
-                slot[2].append((f, sign))
+    for _, cube, lower, upper, faces in grid.face_blocks():
+        f = flux[faces]
+        if lower is None or upper is None:
+            leaks = leaks or bool(np.any(f < 0.0 if lower is None else f > 0.0))
+            continue
+        _, na, low = cube
+        lower, upper = range(na)[lower], range(na)[upper]
+        for sign, rows, donors in ((1.0, upper, lower), (-1.0, lower, upper)):
+            slot = slots.setdefault((donors.start - rows.start) * low,
+                                    (cube, slice(rows.start, rows.stop), []))
+            slot[2].append((f, sign))
     return slots, leaks
 
 

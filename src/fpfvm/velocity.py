@@ -3,11 +3,11 @@
 A field evaluates vectorized: an ``(m, d)`` array of points yields an
 ``(m, d)`` array of velocities (and a single ``(d,)`` point a ``(d,)``
 velocity).  Face fluxes are the integrals of the velocity component along
-each face's axis over the face, stored once per face in the face order of
-the grid (``grid.face_blocks``, the order of ``grid.edges``).  A flux is
-positive when mass flows toward +axis, from the face's lower cell ``cell_a``
-into its upper cell ``cell_b``; the two sides see opposite signs by
-construction.
+each face's axis over the face, computed one face block at a time and stored
+once per face in the face order of the grid (``grid.face_blocks()``, the
+order of ``grid.edges``).  A flux is positive when mass flows toward +axis,
+from the face's lower cell ``cell_a`` into its upper cell ``cell_b``; the
+two sides see opposite signs by construction.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class VelocityField:
 
 @dataclass(frozen=True)
 class EdgeFluxes:
-    """Per-face flux, aligned with ``grid.edges``.
+    """Per-face flux in ``grid.face_blocks()`` order, aligned with ``grid.edges``.
 
     One signed value is stored per face, positive toward +axis (out of the
     lower cell ``cell_a``, into the upper cell ``cell_b``), so the
@@ -158,10 +158,9 @@ def compute_fluxes(field: VelocityField, grid: Grid,
         raise ValueError(
             f"field dimension {field.dim} != grid dimension {grid.domain.d}")
     kind, k = _parse_quadrature(quadrature)
-    offsets = grid.face_offsets
-    flux = np.empty(offsets[-1])
-    for a in range(grid.domain.d):
-        _axis_fluxes(field, grid, a, quadrature, flux[offsets[a]:offsets[a + 1]])
+    flux = np.empty(grid.face_offsets[-1])
+    for block in grid.face_blocks():
+        _block_fluxes(field, grid, quadrature, block, flux)
     if not np.all(np.isfinite(flux)):
         raise ValueError("velocity field produced non-finite flux values")
     flux.flags.writeable = False
@@ -178,38 +177,31 @@ def _upwind_outflow(grid: Grid, flux: np.ndarray) -> np.ndarray:
     in face order, so the sums are those of a scatter over the face table."""
     out = np.zeros(grid.ncells)
     for lower_side in (True, False):
-        start = 0
-        for a in range(grid.domain.d):
-            high, _, low = grid.cube(a)
-            cube = out.reshape(high, -1, low)
-            for lower, upper, size in grid.face_blocks(a):
-                f = flux[start:start + size].reshape(high, -1, low)
-                start += size
-                if lower_side and lower is not None:
-                    np.add(cube[:, lower], f, out=cube[:, lower], where=f > 0.0)
-                elif not lower_side and upper is not None:
-                    np.subtract(cube[:, upper], f, out=cube[:, upper], where=f < 0.0)
+        for _, (high, na, low), lower, upper, faces in grid.face_blocks():
+            cube = out.reshape(high, na, low)
+            f = flux[faces].reshape(high, -1, low)
+            if lower_side and lower is not None:
+                np.add(cube[:, lower], f, out=cube[:, lower], where=f > 0.0)
+            elif not lower_side and upper is not None:
+                np.subtract(cube[:, upper], f, out=cube[:, upper], where=f < 0.0)
     return out
 
 
-def _axis_fluxes(field: VelocityField, grid: Grid, axis: int, quadrature: str,
-                 out: np.ndarray) -> None:
-    """Write the fluxes of the faces of ``axis`` into ``out``, in table order."""
+def _block_fluxes(field: VelocityField, grid: Grid, quadrature: str, block,
+                  flux: np.ndarray) -> None:
+    """Write the fluxes of one face block of ``grid.face_blocks()`` into its
+    faces of ``flux``."""
+    axis, (high, _, low), lower, upper, faces = block
     d = grid.domain.d
-    high, _, low = grid.cube(axis)
     centres = grid.cell_midpoints.reshape(high, -1, low, d)
     half = 0.5 * grid.h[axis]
-    mids = np.empty((out.shape[0], d))
-    start = 0
-    for lower, upper, size in grid.face_blocks(axis):
-        block = mids[start:start + size]
-        # face midpoint: half a cell above the lower cell's centre, or half a
-        # cell below the upper cell's centre where the lower side is outside
-        block.reshape(high, -1, low, d)[...] = centres[:, upper if lower is None else lower]
-        block[:, axis] += -half if lower is None else half
-        start += size
-    acc = np.zeros(out.shape[0])
+    mids = np.empty((faces.stop - faces.start, d))
+    # face midpoint: half a cell above the lower cell's centre, or half a
+    # cell below the upper cell's centre where the lower side is outside
+    mids.reshape(high, -1, low, d)[...] = centres[:, upper if lower is None else lower]
+    mids[:, axis] += -half if lower is None else half
+    acc = np.zeros(len(mids))
     for w, pts in tensor_rule(quadrature, mids, grid.h,
                               [j for j in range(d) if j != axis]):
         acc += w * np.asarray(field(pts), dtype=float)[:, axis]
-    np.multiply(grid.cell_volume / grid.h[axis], acc, out=out)
+    np.multiply(grid.cell_volume / grid.h[axis], acc, out=flux[faces])

@@ -32,8 +32,8 @@ def _neighbours(g, cell):
 
 
 def _axis(g, k):
-    """Axis of face k: the block of ``offsets`` it falls in."""
-    return int(np.searchsorted(g.edges.offsets, k, side="right")) - 1
+    """Axis of face k: the block of ``face_offsets`` it falls in."""
+    return int(np.searchsorted(g.face_offsets, k, side="right")) - 1
 
 
 def _flat(g, *multi):
@@ -63,7 +63,7 @@ def test_1d_periodic_ring():
     assert len(t) == 4
     # every face is shared by two cells; each cell appears twice
     assert _interior(t).all()
-    assert t.offsets == (0, 4)
+    assert g.face_offsets == (0, 4)
     assert g.cell_volume / g.h[0] == 1.0  # 0-dimensional faces carry measure one
     counts = np.bincount(t.cell_a, minlength=4) + np.bincount(t.cell_b, minlength=4)
     assert (counts == 2).all()
@@ -75,7 +75,7 @@ def test_2d_periodic_neumann_edge_count():
     # 4 wrapped faces along axis 0, 2 interior faces along axis 1,
     # Neumann boundary faces dropped
     assert len(t) == 6
-    assert t.offsets == (0, 4, 6)
+    assert g.face_offsets == (0, 4, 6)
     assert _interior(t).all()
 
 
@@ -101,7 +101,7 @@ def test_2d_dirichlet_edge_counts():
             centre = g.cell_midpoints[t.cell_a[k], a]
             assert centre + 0.5 * g.h[a] == pytest.approx(coord, abs=1e-15)
     for a in range(2):
-        block = slice(t.offsets[a], t.offsets[a + 1])
+        block = slice(g.face_offsets[a], g.face_offsets[a + 1])
         assert (t.cell_a[block] == -1).sum() == 2
         assert (t.cell_b[block] == -1).sum() == 2
 
@@ -151,7 +151,7 @@ def test_neighbors_share_one_face():
 def test_face_measure_sum_fully_periodic():
     g = build_grid(BoxDomain((0, 0), (2, 3)), (4, 6), ("periodic", "periodic"))
     t = g.edges
-    measure = np.repeat([g.cell_volume / h for h in g.h], np.diff(t.offsets))
+    measure = np.repeat([g.cell_volume / h for h in g.h], np.diff(g.face_offsets))
     per_cell = np.zeros(g.ncells)
     np.add.at(per_cell, t.cell_a, measure)
     np.add.at(per_cell, t.cell_b, measure)
@@ -194,10 +194,10 @@ def test_face_table_is_two_index_arrays(n, bc):
     assert sorted(arrays) == ["cell_a", "cell_b"]
     assert all(v.dtype == np.int32 and v.shape == (len(t),) for v in arrays.values())
     # offsets partition the faces into one block per axis, in axis order
-    assert len(t.offsets) == g.domain.d + 1
-    assert t.offsets[0] == 0 and t.offsets[-1] == len(t)
+    assert len(g.face_offsets) == g.domain.d + 1
+    assert g.face_offsets[0] == 0 and g.face_offsets[-1] == len(t)
     for a in range(g.domain.d):
-        block = slice(t.offsets[a], t.offsets[a + 1])
+        block = slice(g.face_offsets[a], g.face_offsets[a + 1])
         ca, cb = t.cell_a[block], t.cell_b[block]
         inside = (ca >= 0) & (cb >= 0)
         ma, mb = _multi(g, ca[inside]), _multi(g, cb[inside])
@@ -239,12 +239,24 @@ def test_edge_table_matches_multi_index_enumeration(data):
     d = data.draw(st.integers(1, 3))
     n = tuple(data.draw(st.lists(st.integers(2, 7), min_size=d, max_size=d)))
     bc = tuple(data.draw(st.lists(st.sampled_from(BCS), min_size=d, max_size=d)))
-    t = build_grid(BoxDomain((0.0,) * d, (1.0,) * d), n, bc).edges
+    g = build_grid(BoxDomain((0.0,) * d, (1.0,) * d), n, bc)
+    t = g.edges
     cell_a, cell_b, offsets = _reference_edge_table(n, bc)
     assert t.cell_a.dtype == t.cell_b.dtype == np.int32
     assert np.array_equal(t.cell_a, cell_a)
     assert np.array_equal(t.cell_b, cell_b)
-    assert t.offsets == offsets
+    assert g.face_offsets == offsets
+    # the face slices of face_blocks() tile range(face_offsets[-1]) in order,
+    # axis by axis, one face per cell of each block's sliced cube
+    stop, axis, ends = 0, 0, {}
+    for a, (high, na, low), lower, upper, faces in g.face_blocks():
+        assert a >= axis and faces.start == stop
+        picked = [len(range(na)[sl]) for sl in (lower, upper) if sl is not None]
+        assert len(set(picked)) == 1
+        assert faces.stop - faces.start == high * picked[0] * low
+        stop, axis, ends[a] = faces.stop, a, faces.stop
+    assert stop == g.face_offsets[-1]
+    assert ends == {a: g.face_offsets[a + 1] for a in range(d)}
 
 
 @pytest.mark.parametrize("n", [(2**16, 2**15), (2**16, 2**16), (2**11,) * 3])

@@ -19,8 +19,8 @@ PI = np.pi
 
 
 def _face_axes(g):
-    """(ne,) axis of every face, from the per-axis blocks of ``offsets``."""
-    return np.repeat(np.arange(g.domain.d), np.diff(g.edges.offsets))
+    """(ne,) axis of every face, from the per-axis blocks of ``face_offsets``."""
+    return np.repeat(np.arange(g.domain.d), np.diff(g.face_offsets))
 
 
 def _face_measures(g):
@@ -89,7 +89,7 @@ def test_pendulum_flux_matches_midpoint_rule():
         expected = measures[k] * v[k, axes[k]]
         assert fx.values[k] == pytest.approx(expected, abs=1e-15)
     # spot check: an axis-0 face at height x2 carries flux x2 * h
-    k = g.edges.offsets[0]
+    k = g.face_offsets[0]
     assert fx.values[k] == pytest.approx(mids[k][1] * g.h[1], rel=1e-13)
 
 
@@ -155,7 +155,7 @@ def test_gauss_beats_midpoint_on_curved_flux():
     f = pendulum_field()
     mid = compute_fluxes(f, g, "midpoint").values
     g3 = compute_fluxes(f, g, "gauss3").values
-    sel = slice(g.edges.offsets[1], g.edges.offsets[2])
+    sel = slice(g.face_offsets[1], g.face_offsets[2])
     # exact: integral of -sin over [x-h/2, x+h/2] = -2 sin(x) sin(h/2)
     x1 = _face_points(g)[sel, 0]
     exact = -2.0 * np.sin(x1) * np.sin(g.h[0] / 2)
