@@ -31,13 +31,17 @@ print(f"stochastic matrix: min entry {mk.min_entry:.3e}, "
 # an uncertain initial state, displaced from the resting point
 prior = F.normalize(F.project(F.gaussian_pdf((0.6 * pi, 0.0), 0.64), grid))
 
+# walk whole steps: each target time snaps to its nearest step k, and the
+# time printed is the one reached, k * dt
 dens = prior
-t = 0.0
+k = 0
 print(f"{'t':>6} {'mass':>18} {'min':>10} {'mean x1':>9} {'mean x2':>9} "
       f"{'std x1':>7} {'std x2':>7}")
 for target in (0.0, pi / 4, pi / 2, pi, 2 * pi):
-    dens = F.evolve(op, dens, target - t)
-    t = target
+    k_next = F.step_count(target, op.dt)
+    dens = F.evolve(op, dens, (k_next - k) * op.dt)
+    k = k_next
+    t = k * op.dt
     m = F.moments(dens)
     sd = np.sqrt(np.diag(m.covariance))
     print(f"{t:6.3f} {dens.mass:18.15f} {dens.values.min():10.2e} "

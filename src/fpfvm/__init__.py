@@ -61,6 +61,7 @@ from .operator import (
     export_operator,
     max_stable_dt,
     step,
+    step_count,
     verify_markov,
 )
 from .velocity import (

@@ -6,11 +6,11 @@ observations it applies :func:`predict`, one operator step at a time, and at
 each observation :func:`bayes_update` reweights the values by the likelihood
 at cell midpoints and renormalizes.  Evidence accumulates in log space.
 Because evolution is piecewise constant in time, observation, snapshot and
-end times are snapped to the nearest step index ``k``; every snap is
-recorded, and every summary row is written at ``t = k * dt`` into
-preallocated :class:`History` columns.  A row stores only its time, its
-evidence and the per-axis slab sums of its values; means, stds and mode
-counts are computed from the slab sums once per block of rows.
+end times are snapped to the nearest step index ``k`` (``step_count``, as
+``evolve`` snaps); every snap is recorded, and every summary row is written
+at ``t = k * dt`` into preallocated :class:`History` columns.  A row stores
+only its time, its evidence and the per-axis slab sums of its values; means,
+stds and mode counts are computed from the slab sums once per block of rows.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .density import (Density, _check_prominence, _slab_diagnostics, _sum_except,
                       count_modes, marginal, moments)
 from .grid import PERIODIC, Grid
-from .operator import TransitionOperator, step
+from .operator import TransitionOperator, step, step_count
 from .velocity import VelocityField
 
 LogLikelihood = Callable[[float, np.ndarray], np.ndarray]
@@ -151,18 +151,15 @@ def _schedule(op: TransitionOperator, obs_times: Sequence[float], t_end: float,
     """Check a run's times against ``op.dt`` and snap them to step indices;
     returns the snap records and the observation, snapshot and end steps."""
     dt, d = op.dt, op.grid.domain.d
-    if not np.isfinite(t_end / dt):
-        raise ValueError(f"t_end must be finite with finite t_end / dt, got {t_end}")
-    if len(obs_times) and obs_times[-1] > t_end + 1e-12:
-        raise ValueError("observations extend beyond t_end")
-    for s in snapshot_times:
-        if not 0 <= s <= t_end + 1e-12:
-            raise ValueError(f"snapshot time {s} outside [0, t_end]")
+    step_count(t_end, dt, "t_end")  # checked before the times it bounds
+    # snap rejects a negative or NaN time; a time past t_end is rejected here
+    if max((*obs_times, *snapshot_times), default=0.0) > t_end + 1e-12:
+        raise ValueError(f"an observation or snapshot time lies beyond t_end={t_end}")
 
     snap_log = []
 
     def snap(kind, t):
-        k = int(round(t / dt))
+        k = step_count(t, dt, kind)
         snap_log.append(SnapRecord(kind, t, k * dt, abs(k * dt - t)))
         return k
 
@@ -170,7 +167,7 @@ def _schedule(op: TransitionOperator, obs_times: Sequence[float], t_end: float,
     k_snap = [snap("snapshot", t) for t in snapshot_times]
     k_end = snap("t_end", t_end)
     if k_end < max(k_obs + k_snap, default=0):
-        raise ValueError(f"t_end {t_end} snaps to step {k_end}, before an event or 0")
+        raise ValueError(f"t_end {t_end} snaps to step {k_end}, before an event")
     n = 1 + k_end + len(obs_times)
     if n * 8 * (3 + 2 * d) > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
         raise ValueError(f"t_end={t_end} needs {float(n):.4g} history rows, "

@@ -14,9 +14,10 @@ one CSR mat-vec ``m' = S^T m``.  ``op.matrix`` is the zero-copy ``S`` view
 of that same matrix.  :func:`assemble` writes its CSR arrays straight from
 the face blocks of the grid, in row order and at their final size, so no
 triplets, face table or second copy of the matrix exist while it runs.
-:func:`step` is that mat-vec on a mass vector and the
-only step path; :func:`evolve` converts a :class:`Density` to mass once and
-back once, so all evolution is a deterministic sequence of mat-vecs.
+:func:`step` is that mat-vec on a mass vector and the only step path.
+:func:`evolve` converts a :class:`Density` to mass once, takes the
+:func:`step_count` of its time in steps and converts back once; that count,
+the nearest whole number of steps, is also the filter's and ``choose_dt``'s.
 
 On an operator of at least ``_SPLIT_ROWS`` rows, in a process allowed more
 than one CPU, :func:`step` computes the rows in two halves at once: the
@@ -113,11 +114,19 @@ def max_stable_dt(fluxes: EdgeFluxes, xi: float) -> CflReport:
     )
 
 
+def step_count(t: float, dt: float, name: str = "t") -> int:
+    """The whole number of steps of ``dt`` nearest ``t``, ties to even; raises
+    ``ValueError`` naming ``name`` unless ``t >= 0`` and ``t / dt`` is finite."""
+    if not 0 <= t / dt < np.inf:
+        raise ValueError(f"{name}={t} is negative or takes a non-finite number of steps of {dt}")
+    return round(t / dt)
+
+
 def choose_dt(report: CflReport, h_max: float, dt_over_h: float | None,
               span: float | None = None) -> float:
     """The step ``dt_over_h * h_max``, or with ``dt_over_h=None`` the report's
-    stable step (1.0 where nothing flows); with a ``span``, shortened so that
-    ``span`` is a whole number of steps."""
+    stable step (1.0 where nothing flows); with a ``span``, ``span`` over its
+    :func:`step_count`, or over one more if that would exceed the CFL slack."""
     if dt_over_h is None:
         dt = report.dt_max if np.isfinite(report.dt_max) else 1.0
     elif 0 < dt_over_h < np.inf:
@@ -126,10 +135,8 @@ def choose_dt(report: CflReport, h_max: float, dt_over_h: float | None,
         raise ValueError(f"dt_over_h must be positive and finite, got {dt_over_h}")
     if span is None:
         return dt
-    steps = np.ceil(span / dt - 1e-9)
-    if not steps < np.inf:
-        raise ValueError(f"a span of {span} takes a non-finite number of steps of {dt}")
-    return span / max(1, int(steps))
+    k = max(1, step_count(span, dt, "span"))
+    return span / (k + 1 if span / k > dt * (1.0 + _CFL_SLACK) else k)
 
 
 def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
@@ -355,16 +362,11 @@ def step(op: TransitionOperator, m: np.ndarray) -> np.ndarray:
 
 
 def evolve(op: TransitionOperator, density: Density, t: float) -> Density:
-    """Apply ``floor(t / dt)`` :func:`step` calls to the density's mass vector.
-
-    Times within a relative 1e-9 below a step boundary snap up, so callers
-    that compute t as a float multiple of dt get the intended step count.
-    """
+    """Apply ``step_count(t, dt)`` :func:`step` calls to the density's mass
+    vector: ``t`` snaps to the nearest step, as a filter snaps its times."""
     if density.grid != op.grid:
         raise ValueError("density and operator live on different grids")
-    if not 0 <= t / op.dt < np.inf:
-        raise ValueError(f"t must be nonnegative with finite t / dt, got t={t}, dt={op.dt}")
-    k = int(np.floor(t / op.dt + 1e-9))
+    k = step_count(t, op.dt)
     vol = op.grid.cell_volume
     m = density.values * vol
     for _ in range(k):

@@ -150,6 +150,14 @@ def test_converge_rejects_non_doubling(tmp_path):
     assert rc == 2
 
 
+def test_converge_span_just_past_whole_stable_steps(tmp_path):
+    """``t_final`` is ten stable N=50 steps and a hair more, so ``choose_dt``
+    must add a step, not stretch ten past the step bound (exit 3)."""
+    assert main(["converge", "--out", str(tmp_path), "--xi", "0",
+                 "--dt_over_h", "auto", "--t_final", "0.30809285540892",
+                 "--n_list", "50,100"]) == 0
+
+
 def test_converge_t_zero_projection_only(tmp_path):
     rc = main(["converge", "--out", str(tmp_path),
                "--n_list", "8,16", "--t_final", "0"])

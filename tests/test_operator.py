@@ -134,6 +134,17 @@ def test_choose_dt_is_the_one_step_rule():
         choose_dt(CflReport(dt_max=1e-300, xi=0.0, binding_cell=0), 0.5, None, span=1e300)
 
 
+def test_choose_dt_lengthens_a_step_only_within_the_cfl_slack():
+    """A span just past a whole number of stable steps takes one step more:
+    stretching ten steps to cover it would exceed the slack of ``assemble``."""
+    _, fx, _ = _pendulum_op()
+    report = max_stable_dt(fx, 0.0)
+    span = 10 * report.dt_max * (1 + 1e-10)
+    dt = choose_dt(report, 1.0, None, span=span)
+    assert verify_markov(assemble(fx, dt)).is_markov  # CflViolation if stretched
+    assert dt == span / 11
+
+
 def test_pendulum_cfl_bound():
     g, fx, _ = _pendulum_op()
     xi = PI / (2 * PI + 1)
@@ -208,6 +219,10 @@ def test_evolve_step_counts():
     m = d.values * g.cell_volume
     three = step(op, step(op, step(op, m)))
     assert np.array_equal(evolve(op, d, 3 * 0.01).values, three / g.cell_volume)
+    # a time snaps to the nearest step, a tie to the even one
+    one, two = step(op, m), step(op, step(op, m))
+    assert np.array_equal(evolve(op, d, 0.006).values, one / g.cell_volume)
+    assert np.array_equal(evolve(op, d, 0.025).values, two / g.cell_volume)
     for t in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             evolve(op, d, t)

@@ -10,7 +10,9 @@ without Dirichlet outflow and substochastic ones with it (both accepted by
 ``verify_markov``), a canonical CSR matrix (also where both faces of a
 2-cell periodic axis join the same cells), conserved mass, positivity,
 ``evolve`` agreeing bit for bit with repeated ``step`` on the mass vector
-(and rejecting a time whose step count overflows), and, with a Dirichlet
+(and rejecting a time whose step count overflows), ``evolve`` and a filter
+run without observations both taking the ``step_count`` of a time between
+two steps (ties included) in steps, and, with a Dirichlet
 axis, the mass a step loses equal to the upwind outflow through the
 boundary faces.  On random signed face fluxes (exact zeros included, every
 boundary mix, 2-cell periodic axes drawn often) the outflow, the CSR arrays
@@ -41,20 +43,25 @@ from hypothesis import strategies as st
 from fpfvm import (
     BoxDomain,
     Density,
+    ObservationSequence,
     assemble,
     build_grid,
     compute_fluxes,
     constant_field,
     count_modes,
     evolve,
+    gaussian_abs_position_model,
     max_stable_dt,
     moments,
     pendulum_field,
     rotation_field,
+    run_filter,
     step,
+    step_count,
     verify_markov,
 )
 from fpfvm import density as density_module
+from fpfvm import filtering as filtering_module
 from fpfvm import operator as operator_module
 from fpfvm.velocity import EdgeFluxes, VelocityField, _upwind_outflow
 from fpfvm.density import _count_modes_rows
@@ -199,6 +206,29 @@ def test_evolve_matches_repeated_step(op, seed, k):
     for _ in range(k):
         m = step(op, m)
     assert np.array_equal(evolve(op, d, k * op.dt).values, m / vol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=operators(), seed=st.integers(0, 2**32 - 1), k=st.integers(0, 20),
+       f=st.one_of(st.just(0.5), st.floats(0.0, 1.0, exclude_max=True)))
+def test_evolve_and_filter_take_step_count_steps(op, seed, k, f):
+    t = (k + f) * op.dt
+    if not np.isfinite(t / op.dt):  # a near-zero field allows a huge dt_max
+        return
+    n = step_count(t, op.dt)
+    assert n in (k, k + 1) and abs(n - t / op.dt) <= 0.5
+    d = _random_density(op.grid, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = []
+        for module in (operator_module, filtering_module):
+            mp.setattr(module, "step", lambda op, m: calls.append(1) or step(op, m))
+        evolve(op, d, t)
+        assert len(calls) == n
+        calls.clear()
+        state = run_filter(d, op, gaussian_abs_position_model(0.1),
+                           ObservationSequence((), ()), t_end=t)
+        assert len(calls) == n
+    assert len(state.history.time) == 1 + n and state.time == n * op.dt
 
 
 @settings(max_examples=60, deadline=None)
