@@ -22,9 +22,13 @@ the nearest whole number of steps, is also the filter's and ``choose_dt``'s.
 On an operator of at least ``_SPLIT_ROWS`` rows, in a process allowed more
 than one CPU, :func:`step` computes the rows in two halves at once: the
 calling thread the lower half, and one daemon helper thread, started on the
-first such step, the upper half.  Both run scipy's CSR kernel, which releases
-the GIL, over the unchanged matrix arrays into one output, so every row is
-summed exactly as ``op._left @ m`` sums it and the result is bit-identical.
+first such step, the upper half.  The caller hands the upper half over with
+one lock and waits on a second for the helper to finish it.  Both run scipy's
+CSR kernel, which releases the GIL, over the unchanged matrix arrays into one
+output, so every row is summed exactly as ``op._left @ m`` sums it and the
+result is bit-identical.  An exception in the helper's half is re-raised by
+the caller.  A caller whose own half raises, or whose wait is interrupted,
+drops the helper, and so does a forked child; the next split starts a new one.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ _WRITE_CHUNK = 1 << 16  # faces or rows per write pass of assemble
 # N=200 filter's 40,000 rows) the hand-off costs more than half a mat-vec saves
 _SPLIT_ROWS = 1 << 16
 _split_lock = threading.Lock()  # held by the one thread inside a split step
+_EXPORT_ROWS = 1 << 13  # matrix rows per write of export_operator
 
 
 class CflViolation(ValueError):
@@ -258,60 +263,34 @@ def _write_inflow(slot, offset, dt, vol, at, indices, data) -> None:
         at[j] = place + 1
 
 
-class _UpperRows:
-    """The upper rows of one split step.  The first thread to pop ``token``
-    computes them; the helper releases ``done`` once it has."""
-
-    __slots__ = ("token", "args", "done", "error")
-
-    def __init__(self, args: tuple):
-        self.token = [True]
-        self.args = args
-        self.done = threading.Lock()
-        self.done.acquire()
-        self.error: BaseException | None = None
-
-    def claim(self) -> bool:
-        try:
-            self.token.pop()  # atomic: exactly one thread gets the token
-        except IndexError:
-            return False
-        return True
-
-
 class _Helper:
-    """A daemon thread that computes the upper rows of posted split steps."""
+    """A daemon thread that computes the upper rows of one split step at a
+    time: the caller sets ``args`` and releases ``start``; the thread runs the
+    kernel, keeps any exception in ``error`` and releases ``done``."""
 
     def __init__(self):
-        self._wake = threading.Lock()  # released by post, taken by the thread
-        self._wake.acquire()
-        self._job: _UpperRows | None = None
+        self.start, self.done = threading.Lock(), threading.Lock()
+        self.start.acquire()
+        self.done.acquire()
+        self.args: tuple = ()
+        self.error: BaseException | None = None
         threading.Thread(target=self._serve, name="fpfvm-step", daemon=True).start()
-
-    def post(self, job: _UpperRows) -> None:
-        """Offer ``job`` to the thread, unless it has not yet taken the last
-        offer (then the caller computes the job itself)."""
-        if self._wake.locked():
-            self._job = job
-            self._wake.release()
 
     def _serve(self) -> None:
         while True:
-            self._wake.acquire()
-            job = self._job
-            if job.claim():
-                try:
-                    csr_matvec(*job.args)
-                except BaseException as exc:  # re-raised by the waiting caller
-                    job.error = exc
-                job.done.release()
+            self.start.acquire()
+            try:
+                csr_matvec(*self.args)
+                self.error = None
+            except BaseException as exc:  # re-raised by the waiting caller
+                self.error = exc
+            self.args = ()  # hold no step's arrays between steps
+            self.done.release()
 
 
 @functools.cache
 def _helper() -> _Helper | None:
-    """The process's helper, started on first use; None with one CPU.  A
-    forked child inherits the cached helper but not its thread, so it never
-    takes an offer and the child's caller computes both halves."""
+    """The process's helper, started on first use; None with one CPU."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -319,33 +298,42 @@ def _helper() -> _Helper | None:
     return _Helper() if cpus > 1 else None
 
 
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the cached helper but not its thread
+    os.register_at_fork(after_in_child=_helper.cache_clear)
+
+
 def _split_step(left: sparse.csr_matrix, m: np.ndarray, helper: _Helper) -> np.ndarray:
     n = left.shape[0]
     half = n // 2
     out = np.zeros(n)
-    # the upper rows keep their absolute offsets into indices and data
-    upper = _UpperRows((n - half, n, left.indptr[half:], left.indices, left.data,
-                        m, out[half:]))
-    helper.post(upper)
-    csr_matvec(half, n, left.indptr, left.indices, left.data, m, out)
-    if upper.claim():  # the helper has not started them: compute them here
-        csr_matvec(*upper.args)
-    else:
-        upper.done.acquire()
-        if upper.error is not None:
-            raise upper.error
+    try:
+        # the upper rows keep their absolute offsets into indices and data
+        helper.args = (n - half, n, left.indptr[half:], left.indices, left.data,
+                       m, out[half:])
+        helper.start.release()
+        csr_matvec(half, n, left.indptr, left.indices, left.data, m, out)
+        helper.done.acquire()
+    except BaseException:
+        # the helper may yet signal this step: the next split starts a new one
+        _helper.cache_clear()
+        raise
+    if helper.error is not None:
+        raise helper.error
     return out
 
 
 def step(op: TransitionOperator, m: np.ndarray) -> np.ndarray:
     """Advance a cell mass vector one time step, ``m' = m S``: one CSR mat-vec.
 
-    An operator of at least ``_SPLIT_ROWS`` rows splits the rows between the
-    caller and the helper thread; the result is bit-identical to
-    ``op._left @ m``.  The step is ``op._left @ m`` itself with one CPU, below
-    the gate, for any ``m`` other than a C-contiguous float64 vector of the
-    operator's length (so scipy raises for a wrong length), and while another
-    thread is inside a split step.
+    An operator of at least ``_SPLIT_ROWS`` rows hands the upper half of its
+    rows to the helper thread, computes the lower half and waits for the
+    helper; the result is bit-identical to ``op._left @ m``, and an exception
+    in either half reaches the caller.  A forked child starts a helper of its
+    own.  The step is ``op._left @ m`` itself with one CPU, below the gate,
+    for any ``m`` other than a C-contiguous float64 vector of the operator's
+    length (so scipy raises for a wrong length), and while another thread is
+    inside a split step.
     """
     left = op._left
     n = left.shape[0]
@@ -396,10 +384,14 @@ def verify_markov(op: TransitionOperator) -> MarkovReport:
 
 
 def export_operator(op: TransitionOperator, path) -> None:
-    """Write the matrix as sorted ``row col value`` triplets (debug aid)."""
+    """Write the matrix as sorted ``row col value`` triplets (debug aid), a
+    block of ``_EXPORT_ROWS`` rows at a time."""
     S = op.matrix.tocsr()
-    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
-    triplets = zip(rows.tolist(), S.indices.tolist(), S.data.tolist())
     with open(path, "w") as fh:
         fh.write(f"# cells={op.grid.ncells} dt={op.dt:.17g}\n")
-        fh.write("%d %d %.17g\n" * S.nnz % tuple(chain.from_iterable(triplets)))
+        for r0 in range(0, S.shape[0], _EXPORT_ROWS):
+            ptr = S.indptr[r0:r0 + _EXPORT_ROWS + 1]
+            rows = np.repeat(np.arange(r0, r0 + len(ptr) - 1), np.diff(ptr))
+            block = slice(ptr[0], ptr[-1])
+            triplets = zip(rows.tolist(), S.indices[block].tolist(), S.data[block].tolist())
+            fh.write("%d %d %.17g\n" * len(rows) % tuple(chain.from_iterable(triplets)))

@@ -1,4 +1,4 @@
-"""Allocation budgets of the set-up layers on the N=200 pendulum.
+"""Allocation budgets of the set-up layers and the matrix export on the N=200 pendulum.
 
 ``tracemalloc`` sees every numpy allocation, so each peak below is
 deterministic: it counts the arrays a call keeps plus the temporaries it
@@ -14,7 +14,7 @@ import pytest
 
 from fpfvm import BoxDomain, build_grid
 from fpfvm.cli import main
-from fpfvm.operator import assemble, max_stable_dt, verify_markov
+from fpfvm.operator import assemble, export_operator, max_stable_dt, verify_markov
 from fpfvm.velocity import compute_fluxes, pendulum_field
 
 N = 200
@@ -61,6 +61,12 @@ def test_verify_markov_peak(fluxes):
     op = assemble(fluxes, max_stable_dt(fluxes, 0.3).dt_max)
     _, peak = _traced(verify_markov, op)
     assert peak <= 2.1 * 8 * op.grid.ncells  # the row sums and a vector of ones
+
+
+def test_export_operator_peak(fluxes, tmp_path):
+    op = assemble(fluxes, max_stable_dt(fluxes, 0.3).dt_max)
+    _, peak = _traced(export_operator, op, tmp_path / "operator.txt")
+    assert peak <= 8e6  # a block of rows as text, not every triplet at once
 
 
 def test_operator_command_builds_no_face_table(tmp_path, monkeypatch, capsys):

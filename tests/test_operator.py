@@ -1,7 +1,9 @@
+import functools
 import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -469,6 +471,43 @@ def test_concurrent_steps_are_bit_identical(gate_op):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_a_raising_half_fails_its_step_only(gate_op, where, monkeypatch):
+    """An exception in either half of a split step reaches the caller, and
+    the next step returns and is bit-identical.  The helper is slow, so a
+    completion signal of the failed step, read as the next one's, would
+    return rows not yet written."""
+    op = gate_op
+    m = np.random.default_rng(5).random(op.grid.ncells)
+    kernel = operator_module.csr_matvec
+    raised = []
+
+    def raise_once(*args):
+        on_helper = threading.current_thread().name == "fpfvm-step"
+        if on_helper:
+            time.sleep(0.1)
+        if not raised and on_helper == (where == "helper"):
+            raised.append(where)
+            raise RuntimeError(f"in the {where}'s half")
+        kernel(*args)
+
+    # a helper of the test's own, started on one CPU too
+    monkeypatch.setattr(operator_module, "_helper", functools.cache(operator_module._Helper))
+    monkeypatch.setattr(operator_module, "csr_matvec", raise_once)
+    with pytest.raises(RuntimeError, match=f"in the {where}'s half"):
+        _within(30, step, op, m)
+    assert np.array_equal(_within(30, step, op, m), op._left @ m)
+
+
+def _probe(code, *args):
+    """Run ``code`` in a new interpreter that imports this checkout's fpfvm."""
+    src = str(Path(fpfvm.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 _HELPER_PROBE = """
 import os, sys, threading
 import numpy as np
@@ -491,13 +530,57 @@ print(threading.active_count(), len(os.sched_getaffinity(0)))
 def test_helper_threads_per_process(cpus):
     """One CPU starts no helper, more start exactly one, and a process whose
     helper is waiting still exits."""
-    src = str(Path(fpfvm.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _HELPER_PROBE, cpus], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _probe(_HELPER_PROBE, cpus)
     assert proc.returncode == 0, proc.stderr
     threads, allowed = map(int, proc.stdout.split())
     assert threads == (2 if allowed > 1 else 1)
     if cpus == "one":
         assert allowed == 1
+
+
+_FORK_PROBE = """
+import os, threading, time, traceback, warnings
+import numpy as np
+from fpfvm import BoxDomain, assemble, build_grid, compute_fluxes, pendulum_field, step
+from fpfvm import operator
+if len(os.sched_getaffinity(0)) == 1:  # start the helper on the one core too
+    os.sched_getaffinity = lambda pid: {0, 1}
+g = build_grid(BoxDomain((-np.pi, -np.pi), (np.pi, np.pi)), (256, 256),
+               ("periodic", "neumann"))
+fx = compute_fluxes(pendulum_field(), g)
+op = assemble(fx, g.h[0] / (2 * np.pi + 1))
+m = np.random.default_rng(0).random(g.ncells)
+assert np.array_equal(step(op, m), op._left @ m)
+assert operator._helper() is not None and threading.active_count() == 2
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+    pid = os.fork()
+if pid == 0:
+    code = 1
+    try:
+        for _ in range(3):
+            want = op._left @ m
+            m = step(op, m)
+            assert np.array_equal(m, want)
+        code = 0 if threading.active_count() == 2 else 3  # a helper of its own
+    except BaseException:
+        traceback.print_exc()
+    os._exit(code)
+deadline = time.monotonic() + 30
+while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+    if time.monotonic() > deadline:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        raise SystemExit("the child did not finish its steps in 30 s")
+    time.sleep(0.01)
+raise SystemExit(os.waitstatus_to_exitcode(done[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+                    reason="no fork or no CPU affinity call")
+def test_forked_child_steps_with_a_helper_of_its_own():
+    """A child forked after the helper started inherits the helper but not
+    its thread; its split steps start a new helper and stay bit-identical."""
+    proc = _probe(_FORK_PROBE)
+    assert proc.returncode == 0, proc.stderr

@@ -19,9 +19,8 @@ boundary mix, 2-cell periodic axes drawn often) the outflow, the CSR arrays
 and flags of ``assemble`` and the report of ``verify_markov`` equal, bit for
 bit, those of the face-table reference builders in ``reference_builders``.
 With the split gate lowered to one row, ``step`` splits every
-operator's rows between the caller and a helper thread, and its result equals
-``op._left @ m`` bit for bit, both when the helper computes the upper half
-and when it never wakes and the caller computes both halves.
+operator's rows between the caller and a helper thread (one started for the
+test on one CPU), and its result equals ``op._left @ m`` bit for bit.
 
 Diagnostic examples check ``moments`` and ``count_modes`` against the direct
 formulas they replace, kept here as reference implementations, that the
@@ -33,7 +32,6 @@ uses on a block of profiles gives each row the reference's count.
 
 import contextlib
 import functools
-import time
 
 import numpy as np
 import pytest
@@ -249,50 +247,39 @@ def test_dirichlet_loss_is_upwind_boundary_outflow(pair, seed):
     assert op.mass_conserving == (outflow == 0.0)  # p > 0 in every cell
 
 
-class _Recording:
-    """A stand-in for the step helper that records each posted job.  It
-    hands the job on to ``helper`` and returns only once the helper has taken
-    the upper rows, or, with ``None``, never wakes, so the caller takes them."""
-
-    def __init__(self, helper):
-        self.helper = helper
-        self.jobs = []
-
-    def post(self, job):
-        self.jobs.append(job)
-        deadline = time.monotonic() + 30
-        while self.helper is not None and job.token:
-            assert time.monotonic() < deadline, "the helper did not take the job"
-            self.helper.post(job)  # a no-op until the helper takes its last offer
-            time.sleep(1e-4)
-
-
 @contextlib.contextmanager
-def _split_every_step(awake):
-    """Split the rows of every operator, whatever the CPU count."""
-    helper = operator_module._helper() or _one_helper()
-    recorder = _Recording(helper if awake else None)
+def _split_every_step():
+    """Split the rows of every operator, whatever the CPU count; yields the
+    list of split steps taken."""
+    splits = []
+    split_step = operator_module._split_step
+
+    def counted(*args):
+        splits.append(args)
+        return split_step(*args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operator_module, "_SPLIT_ROWS", 1)
-        mp.setattr(operator_module, "_helper", lambda: recorder)
-        yield recorder
+        mp.setattr(operator_module, "_split_step", counted)
+        if operator_module._helper() is None:  # on one CPU the module starts none
+            mp.setattr(operator_module, "_helper", _one_helper)
+        yield splits
 
 
 @functools.cache
 def _one_helper():
-    return operator_module._Helper()  # on one CPU the module starts none
+    return operator_module._Helper()
 
 
-@pytest.mark.parametrize("awake", [True, False], ids=["helper", "caller-takeover"])
 @settings(max_examples=60, deadline=None)
 @given(op=operators(), seed=st.integers(0, 2**32 - 1))
-def test_split_step_is_bit_identical(awake, op, seed):
+def test_split_step_is_bit_identical(op, seed):
     rng = np.random.default_rng(seed)
     # cells without mass leave rows that sum to exactly zero
     m = rng.random(op.grid.ncells) * (rng.random(op.grid.ncells) < 0.5)
-    with _split_every_step(awake) as recorder:
+    with _split_every_step() as splits:
         out = step(op, m)
-    assert len(recorder.jobs) == 1  # the split path ran
+    assert len(splits) == 1  # the split path ran
     assert np.array_equal(out, op._left @ m)
 
 
