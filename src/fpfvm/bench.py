@@ -57,14 +57,14 @@ def run_level(field: VelocityField, domain: BoxDomain, bc: Sequence[str],
     The step is :func:`choose_dt` of the CFL report for ``xi`` (computed on
     every call, so a bad ``xi`` is rejected even at ``t_final == 0``) over
     the span ``t_final``, so no endpoint ambiguity remains.  ``t_final == 0``
-    returns the projected prior; a negative or non-finite ``t_final``, or
-    one whose step count overflows, raises.
+    returns the projected prior; a massless prior, a negative or non-finite
+    ``t_final``, or one whose step count overflows, raises.
     """
     if not 0 <= t_final < np.inf:
         raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
     grid = build_grid(domain, (n,) * domain.d, bc)
     dens = project(prior_pdf, grid, quadrature)
-    if normalize_prior:
+    if normalize_prior or not dens.mass > 0:  # normalize raises on a massless prior
         dens = normalize(dens)
     fluxes = compute_fluxes(field, grid, quadrature)
     dt = choose_dt(max_stable_dt(fluxes, xi), max(grid.h), dt_over_h, t_final)

@@ -8,13 +8,13 @@ nonnegative and (without Dirichlet outflow) every row sums to one, so S is a
 stochastic matrix and one application performs one conservative, positivity
 preserving upwind step of the continuity equation.
 
-A :class:`TransitionOperator` stores a single CSR matrix, the left-action
-form ``S^T`` (row L gathers the mass that flows into cell L), so a step is
-one CSR mat-vec ``m' = S^T m``.  ``op.matrix`` is the zero-copy ``S`` view
-of that same matrix.  :func:`assemble` writes its CSR arrays straight from
-the face blocks of the grid, in row order and at their final size, so no
-triplets, face table or second copy of the matrix exist while it runs.
-:func:`step` is that mat-vec on a mass vector and the only step path.
+A :class:`TransitionOperator` holds the CSR arrays ``indptr``, ``indices``
+and ``data`` of the left-action form ``S^T`` (row L gathers the mass that
+flows into cell L); ``op.matrix`` builds the zero-copy scipy ``S`` view of
+them on each access.  :func:`assemble` writes the arrays straight from the
+face blocks of the grid, in row order and at their final size, so no
+triplets, face table or second matrix copy exist while it runs.  :func:`step`,
+the only step path, is one ``csr_matvec`` call on them, ``m' = S^T m``.
 :func:`evolve` converts a :class:`Density` to mass once, takes the
 :func:`step_count` of its time in steps and converts back once; that count,
 the nearest whole number of steps, is also the filter's and ``choose_dt``'s.
@@ -23,12 +23,12 @@ On an operator of at least ``_SPLIT_ROWS`` rows, in a process allowed more
 than one CPU, :func:`step` computes the rows in two halves at once: the
 calling thread the lower half, and one daemon helper thread, started on the
 first such step, the upper half.  The caller hands the upper half over with
-one lock and waits on a second for the helper to finish it.  Both run scipy's
-CSR kernel, which releases the GIL, over the unchanged matrix arrays into one
-output, so every row is summed exactly as ``op._left @ m`` sums it and the
-result is bit-identical.  An exception in the helper's half is re-raised by
-the caller.  A caller whose own half raises, or whose wait is interrupted,
-drops the helper, and so does a forked child; the next split starts a new one.
+one lock and waits on a second for the helper to finish it.  Both run the
+kernel, which releases the GIL, over the unchanged arrays into one output,
+so every row is summed as one call sums it and the result is bit-identical.
+An exception in the helper's half is re-raised by the caller.  A caller
+whose own half raises, or whose wait is interrupted, drops the helper, and
+so does a forked child; the next split starts a new one.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from itertools import chain
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse._sparsetools import csr_matvec  # the kernel of ``csr @ vector``
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec  # csc/csr @ vector
 
 from .density import Density
 from .grid import Grid
@@ -80,25 +80,26 @@ class MarkovReport:
 class TransitionOperator:
     """One-step transition matrix; immutable after assembly.
 
-    ``left`` is ``S^T`` in CSR form with sorted indices, the row-gather form
-    of the left action ``m -> m S``.
+    ``indptr``, ``indices`` and ``data`` are ``S^T`` in CSR form with sorted
+    indices, the row-gather form of the left action ``m -> m S``.
     """
 
-    def __init__(self, dt: float, left: sparse.csr_matrix, grid: Grid,
-                 mass_conserving: bool):
+    def __init__(self, dt: float, indptr, indices, data, grid: Grid, mass_conserving: bool):
+        if len(indptr) != grid.ncells + 1 or not len(indices) == len(data) >= indptr[-1]:
+            raise ValueError("indptr, indices and data are not a CSR matrix of the grid's cells")
         self.dt = float(dt)
-        self._left = left
+        self.indptr, self.indices, self.data = indptr, indices, data
         self.grid = grid
         self.mass_conserving = bool(mass_conserving)
 
     @property
     def matrix(self) -> sparse.csc_matrix:
-        """The transition matrix ``S`` (rows are donors), a view of ``left``."""
-        return self._left.T
+        """The transition matrix ``S`` (rows are donors), a new view of the arrays."""
+        return sparse.csc_matrix((self.data, self.indices, self.indptr), (self.grid.ncells,) * 2)
 
     def __repr__(self) -> str:
         return (f"TransitionOperator(cells={self.grid.ncells}, dt={self.dt}, "
-                f"nnz={self.matrix.nnz}, mass_conserving={self.mass_conserving})")
+                f"nnz={len(self.data)}, mass_conserving={self.mass_conserving})")
 
 
 def max_stable_dt(fluxes: EdgeFluxes, xi: float) -> CflReport:
@@ -109,7 +110,7 @@ def max_stable_dt(fluxes: EdgeFluxes, xi: float) -> CflReport:
     if not 0.0 <= xi < 1.0:
         raise ValueError(f"xi must lie in [0, 1), got {xi}")
     binding = int(np.argmax(fluxes.outflow))
-    peak = fluxes.outflow[binding]
+    peak = float(fluxes.outflow[binding])  # a subnormal one: inf, no warning
     if peak <= 0.0:
         return CflReport(dt_max=np.inf, xi=float(xi), binding_cell=None)
     return CflReport(
@@ -166,7 +167,7 @@ def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
     slots = sorted(slots.items())  # by column offset: each row in column order
 
     # int32, as scipy picks it, unless the entries could pass int32 indices
-    idx = sparse.get_index_dtype(maxval=nc + len(fluxes.values))
+    idx = np.int32 if nc + len(fluxes.values) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(nc + 1, dtype=idx)
     counts = indptr[1:]
     counts += 1  # the diagonal
@@ -187,8 +188,7 @@ def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
             _write_diagonal(outflow, dt, vol, at, indices, data)
         else:
             _write_inflow(slot, offset, dt, vol, at, indices, data)
-    left = sparse.csr_matrix((data, indices, indptr), shape=(nc, nc))
-    return TransitionOperator(dt=dt, left=left, grid=grid, mass_conserving=not leaks)
+    return TransitionOperator(dt, indptr, indices, data, grid, mass_conserving=not leaks)
 
 
 def _inflow_slots(grid: Grid, flux: np.ndarray) -> tuple[dict, bool]:
@@ -303,16 +303,14 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_helper.cache_clear)
 
 
-def _split_step(left: sparse.csr_matrix, m: np.ndarray, helper: _Helper) -> np.ndarray:
-    n = left.shape[0]
+def _split_step(op: TransitionOperator, m, out, helper: _Helper) -> None:
+    n = len(out)
     half = n // 2
-    out = np.zeros(n)
     try:
         # the upper rows keep their absolute offsets into indices and data
-        helper.args = (n - half, n, left.indptr[half:], left.indices, left.data,
-                       m, out[half:])
+        helper.args = (n - half, n, op.indptr[half:], op.indices, op.data, m, out[half:])
         helper.start.release()
-        csr_matvec(half, n, left.indptr, left.indices, left.data, m, out)
+        csr_matvec(half, n, op.indptr, op.indices, op.data, m, out)
         helper.done.acquire()
     except BaseException:
         # the helper may yet signal this step: the next split starts a new one
@@ -320,33 +318,34 @@ def _split_step(left: sparse.csr_matrix, m: np.ndarray, helper: _Helper) -> np.n
         raise
     if helper.error is not None:
         raise helper.error
-    return out
 
 
 def step(op: TransitionOperator, m: np.ndarray) -> np.ndarray:
-    """Advance a cell mass vector one time step, ``m' = m S``: one CSR mat-vec.
+    """Advance a cell mass vector one time step, ``m' = m S``: one CSR mat-vec,
+    bit-identical to scipy's ``op.matrix.T @ m``.
 
-    An operator of at least ``_SPLIT_ROWS`` rows hands the upper half of its
-    rows to the helper thread, computes the lower half and waits for the
-    helper; the result is bit-identical to ``op._left @ m``, and an exception
-    in either half reaches the caller.  A forked child starts a helper of its
-    own.  The step is ``op._left @ m`` itself with one CPU, below the gate,
-    for any ``m`` other than a C-contiguous float64 vector of the operator's
-    length (so scipy raises for a wrong length), and while another thread is
-    inside a split step.
+    ``m`` becomes a C-contiguous float64 vector once; a wrong length raises
+    ``ValueError``.  An operator of at least ``_SPLIT_ROWS`` rows hands the
+    upper half of its rows to the helper thread, computes the lower half and
+    waits for the helper; an exception in either half reaches the caller.
+    With one CPU, below the gate or while another thread is inside a split
+    step, one kernel call computes every row.
     """
-    left = op._left
-    n = left.shape[0]
-    if (n < _SPLIT_ROWS or type(m) is not np.ndarray or m.dtype != np.float64
-            or m.shape != (n,) or not m.flags.c_contiguous):
-        return left @ m
-    if not _split_lock.acquire(blocking=False):
-        return left @ m
-    try:
-        helper = _helper()
-        return left @ m if helper is None else _split_step(left, m, helper)
-    finally:
-        _split_lock.release()
+    n = op.grid.ncells
+    m = np.asarray(m, dtype=np.float64, order="C")
+    if m.shape != (n,):
+        raise ValueError(f"mass vector of shape {m.shape} does not fit {n} cells")
+    out = np.zeros(n)
+    if n >= _SPLIT_ROWS and _split_lock.acquire(blocking=False):
+        try:
+            helper = _helper()
+            if helper is not None:
+                _split_step(op, m, out, helper)
+                return out
+        finally:
+            _split_lock.release()
+    csr_matvec(n, n, op.indptr, op.indices, op.data, m, out)
+    return out
 
 
 def evolve(op: TransitionOperator, density: Density, t: float) -> Density:
@@ -365,13 +364,13 @@ def evolve(op: TransitionOperator, density: Density, t: float) -> Density:
 def verify_markov(op: TransitionOperator) -> MarkovReport:
     """Check entries >= -tol and row sums within tol of one, tol = 1e-12; with
     Dirichlet outflow (not mass conserving), row sums at most 1 + tol, the
-    excess reported."""
-    left = op._left
-    data = left.data
-    min_entry = float(data.min()) if data.size else 1.0
-    # rows of S are the columns of the stored left-action matrix; the
-    # transposed mat-vec adds each column's entries in storage order
-    excess = left.T @ np.ones(left.shape[0])
+    excess reported.  The row sums are scipy's ``op.matrix @ ones``."""
+    min_entry = float(op.data.min()) if op.data.size else 1.0
+    # rows of S are the columns of the stored left-action arrays; the CSC
+    # kernel adds each column's entries in storage order
+    n = op.grid.ncells
+    excess = np.zeros(n)
+    csc_matvec(n, n, op.indptr, op.indices, op.data, np.ones(n), excess)
     excess -= 1.0
     if op.mass_conserving:
         np.abs(excess, out=excess)

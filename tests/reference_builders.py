@@ -57,14 +57,14 @@ def triplet_assemble(fluxes, dt):
     cols = np.concatenate([cells, t.cell_a[pos], t.cell_b[neg]])
     vals = np.concatenate([diag, f[pos] * dt / vol, -f[neg] * dt / vol])
     left = sparse.coo_matrix((vals, (rows, cols)), shape=(nc, nc)).tocsr()
-    return TransitionOperator(dt=dt, left=left, grid=grid, mass_conserving=not leaks)
+    return TransitionOperator(dt, left.indptr, left.indices, left.data, grid,
+                              mass_conserving=not leaks)
 
 
 def bincount_markov(op):
     """``verify_markov``'s report with the row sums of ``S`` from ``bincount``."""
-    left = op._left
-    min_entry = float(left.data.min()) if left.data.size else 1.0
-    excess = np.bincount(left.indices, weights=left.data, minlength=left.shape[1]) - 1.0
+    min_entry = float(op.data.min()) if op.data.size else 1.0
+    excess = np.bincount(op.indices, weights=op.data, minlength=op.grid.ncells) - 1.0
     if op.mass_conserving:
         excess = np.abs(excess)
     err = max(float(excess.max()), 0.0)

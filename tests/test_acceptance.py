@@ -57,7 +57,8 @@ def _overstepped(op, c):
     """The operator for step ``c * op.dt``: the entries are linear in dt, so
     S(c dt)^T = I + c (S(dt)^T - I), also past the CFL bound."""
     eye = sparse.identity(op.grid.ncells, format="csr")
-    return TransitionOperator(c * op.dt, (eye + c * (op._left - eye)).tocsr(),
+    left = (eye + c * (op.matrix.T - eye)).tocsr()
+    return TransitionOperator(c * op.dt, left.indptr, left.indices, left.data,
                               op.grid, op.mass_conserving)
 
 

@@ -277,6 +277,8 @@ def test_filter_rejects_negative_file_prior(tmp_path, capsys):
     ["converge", "--n_list", "8,16", "--t_final", "0", "--xi", "1.5"],
     # more cells than int32 indices reach, rejected before any allocation
     ["operator", "--n", "65536,65536"],
+    # a prior that underflows to zero on every cell has no mass to compare
+    ["converge", "--n_list", "8,16", "--prior_mean", "100,100"],
 ])
 def test_library_rejections_exit_two(tmp_path, capsys, args):
     rc = main(args + ["--out", str(tmp_path)])

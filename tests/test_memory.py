@@ -53,8 +53,7 @@ def test_compute_fluxes_peak(fluxes):
 def test_assemble_peak(fluxes):
     dt = max_stable_dt(fluxes, 0.3).dt_max
     op, peak = _traced(assemble, fluxes, dt)
-    left = op._left
-    assert peak <= 1.95 * (left.data.nbytes + left.indices.nbytes + left.indptr.nbytes)
+    assert peak <= 1.95 * (op.data.nbytes + op.indices.nbytes + op.indptr.nbytes)
 
 
 def test_verify_markov_peak(fluxes):

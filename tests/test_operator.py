@@ -46,7 +46,8 @@ def _overstepped(op, c):
     """The operator for step ``c * op.dt``, past the CFL bound for large c:
     the entries are linear in dt, so S(c dt)^T = I + c (S(dt)^T - I)."""
     eye = sparse.identity(op.grid.ncells, format="csr")
-    return TransitionOperator(c * op.dt, (eye + c * (op._left - eye)).tocsr(),
+    left = (eye + c * (op.matrix.T - eye)).tocsr()
+    return TransitionOperator(c * op.dt, left.indptr, left.indices, left.data,
                               op.grid, op.mass_conserving)
 
 
@@ -91,11 +92,15 @@ def test_zero_field_is_identity():
 
 def test_operator_stores_one_matrix():
     g, fx, op = _pendulum_op(n=10)
-    stored = [v for v in vars(op).values() if sparse.issparse(v)]
-    assert len(stored) == 1
-    S = op.matrix  # a view of the stored matrix, not a copy
-    assert np.shares_memory(S.data, stored[0].data)
-    assert S.shape == (g.ncells, g.ncells) and S.nnz == stored[0].nnz
+    assert not any(sparse.issparse(v) for v in vars(op).values())
+    arrays = {k for k, v in vars(op).items() if isinstance(v, np.ndarray)}
+    assert arrays == {"indptr", "indices", "data"}
+    S = op.matrix  # a view of the three arrays, not a copy
+    assert np.shares_memory(S.data, op.data)
+    assert S.shape == (g.ncells, g.ncells) and S.nnz == len(op.data)
+    for bad in ((op.indptr[:-1], op.indices, op.data), (op.indptr, op.indices, op.data[:-1])):
+        with pytest.raises(ValueError, match="not a CSR matrix"):
+            TransitionOperator(op.dt, *bad, g, True)
     # step is m' = m S on a mass vector, with op.matrix as S
     m = np.random.default_rng(3).random(g.ncells)
     assert np.abs(step(op, m) - m @ S.toarray()).max() <= 1e-15
@@ -112,6 +117,10 @@ def test_max_stable_dt():
     fz = compute_fluxes(constant_field([0.0]), gz)
     repz = max_stable_dt(fz, 0.0)
     assert repz.dt_max == np.inf and repz.binding_cell is None
+
+    # a subnormal flux overflows the bound to inf, without an overflow warning
+    _, fs = _ring(8, c=1e-320)
+    assert max_stable_dt(fs, 0.0).dt_max == np.inf
 
     with pytest.raises(ValueError):
         max_stable_dt(fx, 1.0)
@@ -284,7 +293,8 @@ def test_verify_markov_counterexample():
     rep = verify_markov(_overstepped(assemble(fx, dt_max), 2))
     assert rep.min_entry < 0.0 and not rep.is_markov
     op = assemble(fx, 0.5 * dt_max)
-    over = TransitionOperator(op.dt, op._left * 1.01, g, mass_conserving=False)
+    over = TransitionOperator(op.dt, op.indptr, op.indices, op.data * 1.01, g,
+                              mass_conserving=False)
     rep = verify_markov(over)
     assert rep.max_row_sum_err == pytest.approx(0.01, rel=1e-12)
     assert not rep.is_markov
@@ -415,7 +425,7 @@ def test_evolve_at_the_gate_matches_repeated_mat_vecs(gate_op):
     vol = op.grid.cell_volume
     m = d.values * vol
     for _ in range(12):
-        m = op._left @ m
+        m = op.matrix.T @ m
     assert np.array_equal(evolve(op, d, 12 * op.dt).values, m / vol)
 
 
@@ -424,13 +434,13 @@ def test_unsplittable_vectors_step_as_the_mat_vec_does(gate_op):
     n = op.grid.ncells
     m = np.random.default_rng(3).random(2 * n)
     with pytest.raises(ValueError):
-        _within(30, step, op, m[:n - 1])  # scipy's error for a wrong length
+        _within(30, step, op, m[:n - 1])  # a wrong length
     for v in (m[:n].astype(np.float32), m[::2]):  # float32, strided
         out = _within(30, step, op, v)
         assert out.dtype == np.float64
-        assert np.array_equal(out, op._left @ v)
-    # the helper survives: a splittable vector still steps
-    assert np.array_equal(_within(30, step, op, m[:n]), op._left @ m[:n])
+        assert np.array_equal(out, op.matrix.T @ v)
+    # the helper survives: a float64 vector still steps
+    assert np.array_equal(_within(30, step, op, m[:n]), op.matrix.T @ m[:n])
 
 
 def test_concurrent_steps_are_bit_identical(gate_op):
@@ -443,7 +453,7 @@ def test_concurrent_steps_are_bit_identical(gate_op):
     expected = []
     for m in starts:
         for _ in range(10):
-            m = op._left @ m
+            m = op.matrix.T @ m
         expected.append(m)
     results = [None] * workers
     barrier = threading.Barrier(workers)
@@ -496,7 +506,7 @@ def test_a_raising_half_fails_its_step_only(gate_op, where, monkeypatch):
     monkeypatch.setattr(operator_module, "csr_matvec", raise_once)
     with pytest.raises(RuntimeError, match=f"in the {where}'s half"):
         _within(30, step, op, m)
-    assert np.array_equal(_within(30, step, op, m), op._left @ m)
+    assert np.array_equal(_within(30, step, op, m), op.matrix.T @ m)
 
 
 def _probe(code, *args):
@@ -520,7 +530,7 @@ fx = compute_fluxes(pendulum_field(), g)
 op = assemble(fx, g.h[0] / (2 * np.pi + 1))
 m = np.random.default_rng(0).random(g.ncells)
 for _ in range(3):
-    assert np.array_equal(step(op, m), op._left @ m)
+    assert np.array_equal(step(op, m), op.matrix.T @ m)
 print(threading.active_count(), len(os.sched_getaffinity(0)))
 """
 
@@ -550,7 +560,7 @@ g = build_grid(BoxDomain((-np.pi, -np.pi), (np.pi, np.pi)), (256, 256),
 fx = compute_fluxes(pendulum_field(), g)
 op = assemble(fx, g.h[0] / (2 * np.pi + 1))
 m = np.random.default_rng(0).random(g.ncells)
-assert np.array_equal(step(op, m), op._left @ m)
+assert np.array_equal(step(op, m), op.matrix.T @ m)
 assert operator._helper() is not None and threading.active_count() == 2
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
@@ -559,7 +569,7 @@ if pid == 0:
     code = 1
     try:
         for _ in range(3):
-            want = op._left @ m
+            want = op.matrix.T @ m
             m = step(op, m)
             assert np.array_equal(m, want)
         code = 0 if threading.active_count() == 2 else 3  # a helper of its own

@@ -18,9 +18,9 @@ boundary faces.  On random signed face fluxes (exact zeros included, every
 boundary mix, 2-cell periodic axes drawn often) the outflow, the CSR arrays
 and flags of ``assemble`` and the report of ``verify_markov`` equal, bit for
 bit, those of the face-table reference builders in ``reference_builders``.
-With the split gate lowered to one row, ``step`` splits every
-operator's rows between the caller and a helper thread (one started for the
-test on one CPU), and its result equals ``op._left @ m`` bit for bit.
+With the split gate lowered to one row, ``step`` splits every operator's
+rows between the caller and a helper thread (one started for the test on
+one CPU), and its result equals scipy's ``op.matrix.T @ m`` bit for bit.
 
 Diagnostic examples check ``moments`` and ``count_modes`` against the direct
 formulas they replace, kept here as reference implementations, that the
@@ -129,8 +129,8 @@ def test_entries_nonnegative_rows_stochastic(pair):
     assert not outflow.flags.writeable
     binding = int(np.argmax(outflow)) if outflow.max() > 0.0 else None
     assert max_stable_dt(fluxes, 0.0).binding_cell == binding
-    assert op._left.has_canonical_format  # sorted indices, duplicates summed
     S = op.matrix
+    assert S.has_canonical_format  # sorted indices, duplicates summed
     assert S.data.min() >= 0.0
     row_sums = np.asarray(S.sum(axis=1)).ravel()
     if "dirichlet" in op.grid.bc:
@@ -170,8 +170,8 @@ def test_setup_matches_face_table_references(fluxes, frac):
     dt = frac * dt_max if np.isfinite(dt_max) else frac
     op, ref = assemble(fluxes, dt), triplet_assemble(fluxes, dt)
     for name in ("indptr", "indices", "data"):
-        assert _same_bits(getattr(op._left, name), getattr(ref._left, name))
-    assert op._left.has_canonical_format == ref._left.has_canonical_format
+        assert _same_bits(getattr(op, name), getattr(ref, name))
+    assert op.matrix.has_canonical_format == ref.matrix.has_canonical_format
     assert op.mass_conserving == ref.mass_conserving
     assert verify_markov(op) == bincount_markov(ref)
 
@@ -280,7 +280,7 @@ def test_split_step_is_bit_identical(op, seed):
     with _split_every_step() as splits:
         out = step(op, m)
     assert len(splits) == 1  # the split path ran
-    assert np.array_equal(out, op._left @ m)
+    assert np.array_equal(out, op.matrix.T @ m)
 
 
 def _moments_reference(density):
