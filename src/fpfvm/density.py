@@ -50,15 +50,15 @@ def _eval_scalar(f, points: np.ndarray) -> np.ndarray:
 
 
 def project(pdf, grid: Grid, quadrature: str = "midpoint") -> Density:
-    """Cell averages of an analytic pdf.
+    """Cell averages of an analytic pdf, by ``quadrature`` around the ``centres``.
 
     Not normalized: truncating a pdf to the box may lose mass, and that loss
     is part of the approximation being measured.  Raises on negative or
     non-finite cell averages.
     """
     vals = np.zeros(grid.ncells)
-    for w, pts in tensor_rule(quadrature, grid.cell_midpoints, grid.h,
-                              range(grid.domain.d)):
+    axes = range(grid.domain.d)
+    for w, pts in tensor_rule(quadrature, [grid.centres(a) for a in axes], grid.h, axes):
         vals += w * _eval_scalar(pdf, pts)
     if not np.all(np.isfinite(vals)):
         raise ValueError("pdf produced non-finite cell averages")
@@ -76,7 +76,8 @@ def gaussian_pdf(mean, cov):
     """Multivariate normal pdf as a vectorized callable.
 
     ``cov`` may be a scalar (isotropic), a length-d vector (diagonal), or a
-    full (d, d) matrix; it must be symmetric positive definite.
+    full (d, d) matrix; it must be symmetric positive definite, with a
+    normalizing constant that is finite and positive in floating point.
     """
     mean = np.asarray(mean, dtype=float).ravel()
     d = mean.size
@@ -94,7 +95,10 @@ def gaussian_pdf(mean, cov):
             and np.linalg.eigvalsh(cov).min() > 0):
         raise ValueError(f"covariance {cov.tolist()} is not symmetric positive definite")
     prec = np.linalg.inv(cov)
-    norm = 1.0 / np.sqrt(((2.0 * np.pi) ** d) * np.linalg.det(cov))
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        norm = 1.0 / np.sqrt(((2.0 * np.pi) ** d) * np.linalg.det(cov))
+    if not 0 < norm < np.inf:
+        raise ValueError(f"covariance {cov.tolist()} has a determinant outside the float range")
 
     def pdf(x):
         x = np.asarray(x, dtype=float)

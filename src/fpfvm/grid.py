@@ -16,13 +16,15 @@ Conventions
   periodic wrap faces, then (Dirichlet axes only) boundary faces on the low
   side, ``(-1, cell)``, followed by the high side, ``(cell, -1)``.
 * Along ``axis`` the flat cell data is the C-order cube
-  ``(prod(n[axis+1:]), n[axis], prod(n[:axis]))`` (:meth:`Grid.cube`).
+  ``(prod(n[axis+1:]), n[axis], prod(n[:axis]))``.
   :meth:`Grid.face_blocks` is the one statement of the face order: it yields
   every face block with its axis, its cube, the pair of slices of the cube's
   middle axis that give its lower and upper cells, and its slice of the flat
   face arrays, so face data is read and written through cube slices, not
   index arithmetic.  The face table ``Grid.edges`` (int32 cell pairs) is
   built on first access; no set-up layer reads it.
+* Every point set (cell centres, face points, Gauss nodes) is the
+  :func:`lattice` of per-axis coordinates; a grid holds no per-cell array.
 * Periodic axes identify opposite box faces.  Neumann axes carry no boundary
   faces at all (zero normal flux).  Dirichlet axes keep their boundary faces
   so mass can flow out of the box; nothing flows in.
@@ -109,7 +111,6 @@ class Grid:
     cell_volume : measure of every cell
     face_offsets : (d + 1,) faces of axis a: face_offsets[a]:face_offsets[a + 1]
     edges : the face table, an :class:`EdgeTable`, built on first access
-    cell_midpoints : (ncells, d) read-only array of cell centres, flat order
     """
 
     def __init__(self, domain: BoxDomain, n: Sequence[int], bc: Sequence[str]):
@@ -133,11 +134,6 @@ class Grid:
         self.cell_volume = float(np.prod(self.h))
         stops = {a: faces.stop for a, *_, faces in self.face_blocks()}
         self.face_offsets = (0, *stops.values())  # each axis's last block ends it
-        mids = np.empty((self.ncells, domain.d))
-        for a in range(domain.d):
-            mids.reshape(*self.cube(a), domain.d)[..., a] = self.centres(a)[:, None]
-        mids.flags.writeable = False
-        self.cell_midpoints = mids
 
     def __eq__(self, other) -> bool:
         return (
@@ -154,25 +150,27 @@ class Grid:
     def edges(self) -> EdgeTable:
         return _build_edge_table(self)
 
+    @functools.cached_property
+    def cell_midpoints(self) -> np.ndarray:
+        """(ncells, d) read-only cell centres in flat order, built on first access."""
+        mids = lattice([self.centres(a) for a in range(self.domain.d)])
+        mids.flags.writeable = False
+        return mids
+
     def centres(self, axis: int) -> np.ndarray:
         """Cell centres along ``axis``, lowest first."""
         return self.domain.lower[axis] + (np.arange(self.n[axis]) + 0.5) * self.h[axis]
 
-    def cube(self, axis: int) -> tuple[int, int, int]:
-        """Shape ``(high, n[axis], low)`` of flat cell data seen along ``axis``
-        (C order, so cell ``m`` along ``axis`` is ``[:, m, :]``)."""
-        return math.prod(self.n[axis + 1:]), self.n[axis], math.prod(self.n[:axis])
-
     def face_blocks(self) -> Iterator[tuple[int, tuple[int, int, int],
                                             slice | None, slice | None, slice]]:
-        """Yield every face block in table order as ``(axis, cube, lower,
-        upper, faces)``: ``cube`` is :meth:`cube` of ``axis``, ``lower`` and
-        ``upper`` slice its middle axis (``None`` is the outside), and the
-        block's faces, one per cell of the sliced cube in its C order, are
-        ``faces`` of the flat face arrays."""
+        """Yield every face block in table order as ``(axis, cube, lower, upper,
+        faces)``: ``lower`` and ``upper`` slice the middle axis of the C-order
+        ``cube`` ``(high, n[axis], low)`` of cell data (``None`` is the outside),
+        and ``faces`` slices the flat face arrays to the block's faces, one per
+        cell of the sliced cube in its C order."""
         start = 0
-        for axis in range(self.domain.d):
-            high, na, low = cube = self.cube(axis)
+        for axis, na in enumerate(self.n):
+            high, low = math.prod(self.n[axis + 1:]), math.prod(self.n[:axis])
             blocks = [(slice(None, -1), slice(1, None), na - 1)]  # interior
             if self.bc[axis] == PERIODIC:
                 blocks.append((slice(-1, None), slice(None, 1), 1))  # last cell to first
@@ -180,8 +178,17 @@ class Grid:
                 blocks += [(None, slice(None, 1), 1), (slice(-1, None), None, 1)]
             for lower, upper, k in blocks:
                 size = high * k * low
-                yield axis, cube, lower, upper, slice(start, start + size)
+                yield axis, (high, na, low), lower, upper, slice(start, start + size)
                 start += size
+
+
+def lattice(coords: Sequence[np.ndarray]) -> np.ndarray:
+    """The ``(m, d)`` points of the tensor grid of ``coords``, axis 0 fastest."""
+    n = [len(c) for c in coords]
+    pts = np.empty((math.prod(n), len(n)))
+    for a, c in enumerate(coords):
+        pts.reshape(-1, n[a], math.prod(n[:a]), len(n))[..., a] = c[:, None]
+    return pts
 
 
 def build_grid(domain: BoxDomain, n: Sequence[int], bc: Sequence[str]) -> Grid:

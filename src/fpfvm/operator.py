@@ -81,11 +81,17 @@ class TransitionOperator:
     """One-step transition matrix; immutable after assembly.
 
     ``indptr``, ``indices`` and ``data`` are ``S^T`` in CSR form with sorted
-    indices, the row-gather form of the left action ``m -> m S``.
+    indices, the row-gather form of the left action ``m -> m S``.  Arrays
+    that the compiled kernels would read out of bounds raise ``ValueError``:
+    ``indptr`` must start at 0 and never decrease, and every index must lie
+    in ``[0, ncells)``.
     """
 
     def __init__(self, dt: float, indptr, indices, data, grid: Grid, mass_conserving: bool):
-        if len(indptr) != grid.ncells + 1 or not len(indices) == len(data) >= indptr[-1]:
+        n = grid.ncells
+        if (len(indptr) != n + 1 or not len(indices) == len(data) >= indptr[-1]
+                or indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1])
+                or len(indices) and not 0 <= indices.min() <= indices.max() < n):
             raise ValueError("indptr, indices and data are not a CSR matrix of the grid's cells")
         self.dt = float(dt)
         self.indptr, self.indices, self.data = indptr, indices, data
@@ -105,19 +111,17 @@ class TransitionOperator:
 def max_stable_dt(fluxes: EdgeFluxes, xi: float) -> CflReport:
     """Largest dt with ``dt * outflow_K <= (1 - xi) |K|`` for every cell.
 
-    Returns an infinite dt (and no binding cell) when nothing flows.
+    Returns an infinite dt and no binding cell when nothing flows, or when
+    the outflow is so small (subnormal) that the bound overflows.
     """
     if not 0.0 <= xi < 1.0:
         raise ValueError(f"xi must lie in [0, 1), got {xi}")
     binding = int(np.argmax(fluxes.outflow))
-    peak = float(fluxes.outflow[binding])  # a subnormal one: inf, no warning
-    if peak <= 0.0:
-        return CflReport(dt_max=np.inf, xi=float(xi), binding_cell=None)
-    return CflReport(
-        dt_max=(1.0 - xi) * fluxes.grid.cell_volume / peak,
-        xi=float(xi),
-        binding_cell=binding,
-    )
+    peak = float(fluxes.outflow[binding])
+    # a subnormal peak overflows to inf, without a warning, and binds nothing
+    dt_max = (1.0 - xi) * fluxes.grid.cell_volume / peak if peak > 0.0 else np.inf
+    return CflReport(dt_max=dt_max, xi=float(xi),
+                     binding_cell=binding if dt_max < np.inf else None)
 
 
 def step_count(t: float, dt: float, name: str = "t") -> int:

@@ -12,13 +12,14 @@ two sides see opposite signs by construction.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, lattice
 
 
 @dataclass(frozen=True)
@@ -126,24 +127,18 @@ def _parse_quadrature(tag: str) -> tuple[str, int]:
     raise ValueError(f"unknown quadrature {tag!r} (use 'midpoint' or 'gauss<k>')")
 
 
-def tensor_rule(quadrature: str, centres: np.ndarray, h, axes):
-    """Yield ``(weight, points)`` of the averaged tensor Gauss-Legendre rule
-    over ``axes`` of the boxes of sides ``h`` centred at ``centres``; the
-    weights sum to 1 and one ``points`` buffer is rewritten per node.  The
-    1-point rule yields ``centres`` itself, uncopied."""
+def tensor_rule(quadrature: str, coords, h, axes):
+    """Yield ``(weight, points)`` of the averaged tensor Gauss-Legendre rule over
+    ``axes`` of the boxes of sides ``h`` around the :func:`lattice` of ``coords``:
+    a node's points are the lattice with each ``coords[ax]`` moved by ``0.5 *
+    h[ax] * node``.  The weights sum to 1; midpoint is the 1-point rule, node 0."""
     _, k = _parse_quadrature(quadrature)  # midpoint is the 1-point rule
-    if k == 1:
-        yield 1.0, centres
-        return
-    nodes, weights = np.polynomial.legendre.leggauss(k)
-    weights = weights / 2.0
-    pts = centres.copy()
+    nodes, weights = ((0.0,), (2.0,)) if k == 1 else np.polynomial.legendre.leggauss(k)
     for combo in np.ndindex(*(k,) * len(axes)):
-        w = 1.0
+        shifted = list(coords)
         for j, ax in zip(combo, axes):
-            pts[:, ax] = centres[:, ax] + 0.5 * h[ax] * nodes[j]
-            w *= weights[j]
-        yield w, pts
+            shifted[ax] = coords[ax] + 0.5 * h[ax] * nodes[j]
+        yield math.prod((weights[j] / 2.0 for j in combo), start=1.0), lattice(shifted)
 
 
 def compute_fluxes(field: VelocityField, grid: Grid,
@@ -190,18 +185,16 @@ def _upwind_outflow(grid: Grid, flux: np.ndarray) -> np.ndarray:
 def _block_fluxes(field: VelocityField, grid: Grid, quadrature: str, block,
                   flux: np.ndarray) -> None:
     """Write the fluxes of one face block of ``grid.face_blocks()`` into its
-    faces of ``flux``."""
-    axis, (high, _, low), lower, upper, faces = block
+    faces of ``flux``.  The face midpoints are the lattice of the grid's
+    ``centres``, those of the face axis cut to the block's lower cells and
+    moved half a cell up, or where the lower side is outside, to its upper
+    cells and moved half a cell down."""
+    axis, _, lower, upper, faces = block
     d = grid.domain.d
-    centres = grid.cell_midpoints.reshape(high, -1, low, d)
     half = 0.5 * grid.h[axis]
-    mids = np.empty((faces.stop - faces.start, d))
-    # face midpoint: half a cell above the lower cell's centre, or half a
-    # cell below the upper cell's centre where the lower side is outside
-    mids.reshape(high, -1, low, d)[...] = centres[:, upper if lower is None else lower]
-    mids[:, axis] += -half if lower is None else half
-    acc = np.zeros(len(mids))
-    for w, pts in tensor_rule(quadrature, mids, grid.h,
-                              [j for j in range(d) if j != axis]):
+    coords = [grid.centres(a) for a in range(d)]
+    coords[axis] = coords[axis][upper] - half if lower is None else coords[axis][lower] + half
+    acc = np.zeros(faces.stop - faces.start)
+    for w, pts in tensor_rule(quadrature, coords, grid.h, [j for j in range(d) if j != axis]):
         acc += w * np.asarray(field(pts), dtype=float)[:, axis]
     np.multiply(grid.cell_volume / grid.h[axis], acc, out=flux[faces])

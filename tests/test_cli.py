@@ -279,6 +279,11 @@ def test_filter_rejects_negative_file_prior(tmp_path, capsys):
     ["operator", "--n", "65536,65536"],
     # a prior that underflows to zero on every cell has no mass to compare
     ["converge", "--n_list", "8,16", "--prior_mean", "100,100"],
+    # a prior whose normalizing constant leaves the float range: det(cov)
+    # overflows, or underflows to zero, without a warning escaping
+    ["converge", "--n_list", "8,16", "--prior_cov", "1e308"],
+    ["filter", "--n", "8,8", "--prior_cov", "1e308"],
+    ["converge", "--n_list", "8,16", "--t_final", "0.1", "--prior_cov", "1e-200"],
 ])
 def test_library_rejections_exit_two(tmp_path, capsys, args):
     rc = main(args + ["--out", str(tmp_path)])

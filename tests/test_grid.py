@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpfvm import BoxDomain, build_grid
+from fpfvm.grid import lattice
 
 PI = np.pi
 BCS = ("periodic", "neumann", "dirichlet")
@@ -257,6 +258,32 @@ def test_edge_table_matches_multi_index_enumeration(data):
         stop, axis, ends[a] = faces.stop, a, faces.stop
     assert stop == g.face_offsets[-1]
     assert ends == {a: g.face_offsets[a + 1] for a in range(d)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lattice_row_is_the_coordinate_of_each_axis(data):
+    """Row ``i`` of ``lattice(coords)`` takes, on each axis ``a``, entry
+    ``m[a]`` of ``coords[a]``, where ``m`` is the multi-index of flat cell
+    ``i`` (axis 0 fastest)."""
+    d = data.draw(st.integers(1, 3))
+    coords = [np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6)))
+              for _ in range(d)]
+    n = tuple(len(c) for c in coords)
+    pts = lattice(coords)
+    assert pts.shape == (np.prod(n), d)
+    for i in range(len(pts)):
+        m = np.unravel_index(i, n, order="F")
+        assert [pts[i, a] for a in range(d)] == [coords[a][m[a]] for a in range(d)]
+
+
+def test_cell_midpoints_built_on_first_access():
+    g = build_grid(BoxDomain((-1.0, 0.0, 2.0), (1.0, 3.0, 2.5)), (3, 4, 2),
+                   ("periodic", "neumann", "dirichlet"))
+    assert "cell_midpoints" not in vars(g)
+    mids = g.cell_midpoints
+    assert mids is g.cell_midpoints and not mids.flags.writeable
+    assert np.array_equal(mids, lattice([g.centres(a) for a in range(3)]))
 
 
 @pytest.mark.parametrize("n", [(2**16, 2**15), (2**16, 2**16), (2**11,) * 3])

@@ -4,7 +4,8 @@
 deterministic: it counts the arrays a call keeps plus the temporaries it
 holds at its worst moment.  The budgets leave room for a few float working
 arrays per layer, not for index temporaries the size of the face table, nor
-for a second copy of the matrix.  No set-up layer builds the face table.
+for a second copy of the matrix.  No set-up layer builds the face table, and
+only the filter's Bayes update builds the ``(ncells, d)`` cell midpoints.
 """
 
 import tracemalloc
@@ -14,6 +15,7 @@ import pytest
 
 from fpfvm import BoxDomain, build_grid
 from fpfvm.cli import main
+from fpfvm.grid import Grid
 from fpfvm.operator import assemble, export_operator, max_stable_dt, verify_markov
 from fpfvm.velocity import compute_fluxes, pendulum_field
 
@@ -41,8 +43,11 @@ def fluxes():
 
 def test_build_grid_allocates_only_what_it_keeps():
     grid, peak = _traced(build_grid, DOMAIN, (N, N), BC)
-    assert "edges" not in vars(grid)  # only the cell midpoints: no face table yet
-    assert peak <= 1.05 * grid.cell_midpoints.nbytes
+    assert "edges" not in vars(grid)  # no face table yet
+    assert "cell_midpoints" not in vars(grid)  # and no per-cell array
+    # a few Python objects (2.1 KB measured at N=200 and at N=800), against
+    # the 640 KB of the (ncells, 2) midpoints
+    assert peak <= 2560
 
 
 def test_compute_fluxes_peak(fluxes):
@@ -75,3 +80,14 @@ def test_operator_command_builds_no_face_table(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("fpfvm.grid._build_edge_table", no_table)
     for bc in ("periodic,neumann", "periodic,periodic", "dirichlet,dirichlet"):
         assert main(["operator", "--n", "16,16", "--bc", bc, "--out", str(tmp_path)]) == 0
+
+
+def test_setup_commands_build_no_cell_midpoints(tmp_path, monkeypatch, capsys):
+    def no_midpoints(grid):
+        raise AssertionError("the (ncells, d) cell midpoints were built")
+
+    monkeypatch.setattr(Grid, "cell_midpoints", property(no_midpoints))
+    assert main(["operator", "--n", "16,16", "--out", str(tmp_path)]) == 0
+    for quadrature in ("midpoint", "gauss2"):
+        assert main(["converge", "--n_list", "8,16", "--t_final", "pi/8",
+                     "--quadrature", quadrature, "--out", str(tmp_path)]) == 0

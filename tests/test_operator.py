@@ -98,7 +98,18 @@ def test_operator_stores_one_matrix():
     S = op.matrix  # a view of the three arrays, not a copy
     assert np.shares_memory(S.data, op.data)
     assert S.shape == (g.ncells, g.ncells) and S.nnz == len(op.data)
-    for bad in ((op.indptr[:-1], op.indices, op.data), (op.indptr, op.indices, op.data[:-1])):
+    falling = op.indptr.copy()
+    falling[[1, 2]] = falling[[2, 1]]
+    shifted = op.indptr.copy()
+    shifted[0] = 1
+    for bad in ((op.indptr[:-1], op.indices, op.data), (op.indptr, op.indices, op.data[:-1]),
+                # indices or row pointers the compiled kernels would follow
+                # out of bounds: constructed only, never stepped
+                (op.indptr, op.indices + 10**9, op.data),
+                (op.indptr, op.indices - 1, op.data),
+                (op.indptr, np.where(op.indices == g.ncells - 1, g.ncells, op.indices), op.data),
+                (falling, op.indices, op.data),
+                (shifted, op.indices, op.data)):
         with pytest.raises(ValueError, match="not a CSR matrix"):
             TransitionOperator(op.dt, *bad, g, True)
     # step is m' = m S on a mass vector, with op.matrix as S
@@ -118,9 +129,11 @@ def test_max_stable_dt():
     repz = max_stable_dt(fz, 0.0)
     assert repz.dt_max == np.inf and repz.binding_cell is None
 
-    # a subnormal flux overflows the bound to inf, without an overflow warning
+    # a subnormal flux overflows the bound to inf, without an overflow
+    # warning, and then no cell binds
     _, fs = _ring(8, c=1e-320)
-    assert max_stable_dt(fs, 0.0).dt_max == np.inf
+    reps = max_stable_dt(fs, 0.0)
+    assert reps.dt_max == np.inf and reps.binding_cell is None
 
     with pytest.raises(ValueError):
         max_stable_dt(fx, 1.0)

@@ -113,10 +113,12 @@ def test_midpoint_flux_at_face_points(n, bc):
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_face_points_equal_the_gather_through_the_face_table(data):
+@given(data=st.data(), quadrature=st.sampled_from(("midpoint", "gauss2", "gauss3")))
+def test_face_points_equal_the_gather_through_the_face_table(data, quadrature):
     """The points ``compute_fluxes`` evaluates are, bit for bit, the centre of
-    each face's cell inside the box moved half a cell along the face's axis."""
+    each face's cell inside the box moved half a cell along the face's axis,
+    and for each quadrature node moved ``0.5 * h * node`` along the face's
+    other axes, node by node in ``np.ndindex`` order within each face block."""
     d = data.draw(st.integers(1, 3))
     n = tuple(data.draw(st.lists(st.integers(2, 6), min_size=d, max_size=d)))
     bc = tuple(data.draw(st.lists(st.sampled_from(("periodic", "neumann", "dirichlet")),
@@ -128,12 +130,24 @@ def test_face_points_equal_the_gather_through_the_face_table(data):
         seen.append(x.copy())
         return np.zeros_like(x)
 
-    compute_fluxes(VelocityField(func=record, dim=d), g)
+    compute_fluxes(VelocityField(func=record, dim=d), g, quadrature)
     t, axes = g.edges, _face_axes(g)
     outside = t.cell_a < 0
     ref = g.cell_midpoints[np.where(outside, t.cell_b, t.cell_a)]
     ref[np.arange(len(t)), axes] += np.where(outside, -0.5, 0.5) * np.asarray(g.h)[axes]
-    assert np.array_equal(np.concatenate(seen), ref)
+    k = 1 if quadrature == "midpoint" else int(quadrature[5:])
+    nodes = [0.0] if k == 1 else np.polynomial.legendre.leggauss(k)[0]
+    expected = []
+    for axis, _, _, _, faces in g.face_blocks():
+        others = [j for j in range(d) if j != axis]
+        for combo in np.ndindex(*(k,) * len(others)):
+            pts = ref[faces].copy()
+            for j, ax in zip(combo, others):
+                pts[:, ax] = ref[faces, ax] + 0.5 * g.h[ax] * nodes[j]
+            expected.append(pts)
+    assert len(seen) == len(expected)
+    for got, want in zip(seen, expected):
+        assert np.array_equal(got, want)
 
 
 def test_gauss_agrees_with_midpoint_for_affine_fields():
