@@ -128,76 +128,42 @@ def _parse_dt_over_h(s: str):
     return parse_real(s)
 
 
-_PARSERS = {
-    "field": str,
-    "domain": _parse_domain,
-    "n": _parse_ints,
-    "bc": _parse_bc,
-    "xi": parse_real,
-    "dt_over_h": _parse_dt_over_h,
-    "quadrature": str,
-    "out": str,
-    "seed": int,
-    "write_matrix": _parse_bool,
-    "n_list": _parse_ints,
-    "t_final": parse_real,
-    "prior": str,
-    "prior_mean": _parse_reals,
-    "prior_cov": _parse_reals,
-    "normalize_prior": _parse_bool,
-    "obs": str,
-    "obs_x0": _parse_reals,
-    "obs_times": _parse_reals,
-    "obs_sigma": parse_real,
-    "t_end": parse_real,
-    "snapshot_times": _parse_reals,
-    "min_prominence": parse_real,
-}
-
-_COMMON = {
-    "field": "pendulum",
-    "domain": ((-_PI, _PI), (-_PI, _PI)),
-    "bc": ("periodic", "neumann"),
-    "xi": _DEFAULT_XI,
-    "dt_over_h": _DEFAULT_DT_OVER_H,
-    "quadrature": "midpoint",
-    "out": "out",
+# Each key's parser, and its default in each command that takes it; a key
+# under "*" is taken by every command with that one default.
+_KEYS = {
+    "field": (str, {"*": "pendulum"}),
+    "domain": (_parse_domain, {"*": ((-_PI, _PI), (-_PI, _PI))}),
+    "bc": (_parse_bc, {"*": ("periodic", "neumann")}),
+    "xi": (parse_real, {"*": _DEFAULT_XI}),
+    "dt_over_h": (_parse_dt_over_h, {"*": _DEFAULT_DT_OVER_H}),
+    "quadrature": (str, {"*": "midpoint"}),
+    "out": (str, {"*": "out"}),
+    "n": (_parse_ints, {"operator": (50, 50), "filter": (200, 200)}),
+    "write_matrix": (_parse_bool, {"operator": False}),
+    # converge's defaults reproduce the reference table: squared-exponential
+    # width 0.64 = 2 sigma^2 (variance 0.32 per axis), evaluated at t = pi
+    "n_list": (_parse_ints, {"converge": (50, 100, 200, 400)}),
+    "t_final": (parse_real, {"converge": _PI}),
+    "prior": (str, {"converge": "gaussian", "filter": "gaussian"}),
+    "prior_mean": (_parse_reals, {"converge": (0.6 * _PI, 0.0), "filter": (0.0, 0.0)}),
+    "prior_cov": (_parse_reals, {"converge": (0.32,), "filter": (0.64,)}),
+    "normalize_prior": (_parse_bool, {"converge": False}),
+    "obs": (str, {"filter": "synthesize"}),
+    "obs_x0": (_parse_reals, {"filter": (0.2 * _PI, 0.0)}),
+    "obs_times": (_parse_reals, {"filter": tuple(k * 2.0 * _PI / 7.0 for k in range(1, 7))}),
+    "obs_sigma": (parse_real, {"filter": 0.1}),
+    "t_end": (parse_real, {"filter": 2.0 * _PI}),
+    "snapshot_times": (_parse_reals, {"filter": (0.0, _PI / 6.0, _PI / 3.0, _PI)}),
+    "min_prominence": (parse_real, {"filter": 0.1}),
+    "seed": (int, {"filter": DEFAULT_SEED}),
 }
 
 
 def _defaults(command: str) -> dict:
-    cfg = dict(_COMMON)
-    if command == "operator":
-        cfg.update(n=(50, 50), write_matrix=False)
-    elif command == "converge":
-        # defaults reproduce the reference table: squared-exponential width
-        # 0.64 = 2 sigma^2 (variance 0.32 per axis), evaluated at t = pi
-        cfg.update(
-            n_list=(50, 100, 200, 400),
-            t_final=_PI,
-            prior="gaussian",
-            prior_mean=(0.6 * _PI, 0.0),
-            prior_cov=(0.32,),
-            normalize_prior=False,
-        )
-    elif command == "filter":
-        cfg.update(
-            n=(200, 200),
-            prior="gaussian",
-            prior_mean=(0.0, 0.0),
-            prior_cov=(0.64,),
-            obs="synthesize",
-            obs_x0=(0.2 * _PI, 0.0),
-            obs_times=tuple(k * 2.0 * _PI / 7.0 for k in range(1, 7)),
-            obs_sigma=0.1,
-            t_end=2.0 * _PI,
-            snapshot_times=(0.0, _PI / 6.0, _PI / 3.0, _PI),
-            min_prominence=0.1,
-            seed=DEFAULT_SEED,
-        )
-    else:
+    if command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    return cfg
+    return {key: defaults[c] for key, (_, defaults) in _KEYS.items()
+            for c in ("*", command) if c in defaults}
 
 
 def _read_config_file(path) -> dict:
@@ -231,7 +197,7 @@ def load_config(command: str, config_path=None, overrides=None) -> dict:
             if key not in cfg:
                 raise ValueError(f"unknown key {key!r} for command {command!r}")
             try:
-                cfg[key] = _PARSERS[key](raw)
+                cfg[key] = _KEYS[key][0](raw)
             except (ValueError, ZeroDivisionError) as exc:  # parse_real('pi/0')
                 raise ValueError(f"bad value for {key!r}: {exc}") from exc
     return cfg
@@ -347,6 +313,8 @@ def cmd_filter(cfg) -> int:
     domain, field, op, _ = _operator_from(cfg)
     prior = _prior_density(cfg, op.grid)
 
+    # the model checks sigma before it scales the synthetic noise
+    model = gaussian_abs_position_model(cfg["obs_sigma"])
     source = cfg["obs"]
     if source == "synthesize":
         times = cfg["obs_times"]
@@ -363,7 +331,6 @@ def cmd_filter(cfg) -> int:
     else:
         raise ValueError(f"obs must be 'synthesize' or 'file:<path>', got {source!r}")
 
-    model = gaussian_abs_position_model(cfg["obs_sigma"])
     state = run_filter(prior, op, model, obs, cfg["t_end"],
                        min_prominence=cfg["min_prominence"],
                        snapshot_times=cfg["snapshot_times"])
@@ -384,6 +351,13 @@ def cmd_filter(cfg) -> int:
     return 0
 
 
+_COMMANDS = {
+    "operator": (cmd_operator, "assemble the transition matrix and verify stochasticity"),
+    "converge": (cmd_converge, "mesh-refinement study of the evolved density"),
+    "filter": (cmd_filter, "sequential inference run with synthetic or file observations"),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fpfvm",
@@ -391,11 +365,7 @@ def main(argv=None) -> int:
                     "convergence studies, and pendulum tracking.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("operator", "assemble the transition matrix and verify stochasticity"),
-        ("converge", "mesh-refinement study of the evolved density"),
-        ("filter", "sequential inference run with synthetic or file observations"),
-    ):
+    for name, (_, helptext) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="key=value config file")
         for key in sorted(_defaults(name)):
@@ -405,11 +375,7 @@ def main(argv=None) -> int:
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         cfg = load_config(args.command, args.config, overrides)
-        if args.command == "operator":
-            return cmd_operator(cfg)
-        if args.command == "converge":
-            return cmd_converge(cfg)
-        return cmd_filter(cfg)
+        return _COMMANDS[args.command][0](cfg)
     # CflViolation is a ValueError, so it must be caught first
     except CflViolation as exc:
         print(f"cfl violation: {exc}", file=sys.stderr)

@@ -133,15 +133,16 @@ def bayes_update(values: np.ndarray, grid: Grid, log_likelihood: LogLikelihood, 
 
 def gaussian_abs_position_model(sigma: float) -> LogLikelihood:
     """Log likelihood of z ~ N(|x_1|, sigma^2): magnitude seen, sign lost."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
     s = float(sigma)
+    if not (s > 0 and np.finfo(float).tiny <= 2.0 * s * s < np.inf):
+        raise ValueError(f"sigma={s!r} must be positive, with 2 sigma^2 a normal float")
     log_norm = float(np.log(s * np.sqrt(2.0 * np.pi)))
 
     def log_likelihood(z, x):
         x = np.asarray(x, dtype=float)
         r = float(z) - np.abs(x[..., 0])
-        return -r * r / (2.0 * s * s) - log_norm
+        with np.errstate(over="ignore"):  # a huge residual is -inf
+            return -r * r / (2.0 * s * s) - log_norm
 
     return log_likelihood
 

@@ -56,8 +56,8 @@ def pendulum_field(g_over_l: float = 1.0) -> VelocityField:
 
     v(x) = (x2, -(g/l) sin x1), divergence free.
     """
-    if not g_over_l > 0:
-        raise ValueError("g_over_l must be positive")
+    if not 0 < g_over_l < np.inf:
+        raise ValueError(f"g_over_l={g_over_l!r} must be positive and finite")
     g = float(g_over_l)
 
     def func(x):

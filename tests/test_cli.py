@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,35 @@ def test_load_config_layers(tmp_path):
     for command in ("operator", "converge"):  # only filter draws random numbers
         with pytest.raises(ValueError, match=f"unknown key 'seed' for command '{command}'"):
             load_config(command, None, {"seed": "3"})
+
+
+_COMMON = {"field": "pendulum", "domain": ((-PI, PI), (-PI, PI)),
+           "bc": ("periodic", "neumann"), "xi": PI / (2 * PI + 1),
+           "dt_over_h": 1 / (2 * PI + 1), "quadrature": "midpoint", "out": "out"}
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("operator", dict(_COMMON, n=(50, 50), write_matrix=False)),
+    ("converge", dict(_COMMON, n_list=(50, 100, 200, 400), t_final=PI, prior="gaussian",
+                      prior_mean=(0.6 * PI, 0.0), prior_cov=(0.32,),
+                      normalize_prior=False)),
+    ("filter", dict(_COMMON, n=(200, 200), prior="gaussian", prior_mean=(0.0, 0.0),
+                    prior_cov=(0.64,), obs="synthesize", obs_x0=(0.2 * PI, 0.0),
+                    obs_times=tuple(k * 2 * PI / 7 for k in range(1, 7)), obs_sigma=0.1,
+                    t_end=2 * PI, snapshot_times=(0.0, PI / 6, PI / 3, PI),
+                    min_prominence=0.1, seed=7)),
+])
+def test_config_schema(capsys, command, expected):
+    """Each command takes exactly these keys, with exactly these defaults,
+    and each key is a flag of the command."""
+    cfg = load_config(command)
+    assert sorted(cfg) == sorted(expected)
+    for key, value in expected.items():
+        assert cfg[key] == value, key
+        assert type(cfg[key]) is type(value), key
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert set(re.findall(r"--(\w+)", capsys.readouterr().out)) == {*expected, "help", "config"}
 
 
 def test_operator_defaults_exit_zero(tmp_path, capsys):
@@ -291,6 +321,23 @@ def test_library_rejections_exit_two(tmp_path, capsys, args):
     assert rc == 2
     assert err.startswith("config error:")
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, name", [
+    # 2 sigma^2 underflows to zero, or to a subnormal that the residual's
+    # square overflows against; or overflows to inf
+    (["filter", "--obs_sigma", "1e-170"], "sigma"),
+    (["filter", "--obs_sigma", "1e-154"], "sigma"),
+    (["filter", "--obs_sigma", "1e200"], "sigma"),
+    (["filter", "--obs_sigma", "inf"], "sigma"),
+    (["operator", "--field", "pendulum:inf"], "g_over_l"),
+])
+def test_out_of_range_model_parameters_exit_two(tmp_path, capsys, args, name):
+    rc = main(args + ["--n", "8,8", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and name in err
     assert list(tmp_path.iterdir()) == []
 
 

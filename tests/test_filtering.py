@@ -85,6 +85,22 @@ def test_gaussian_abs_model():
         gaussian_abs_position_model(0.0)
 
 
+@pytest.mark.parametrize("sigma", [1e-170, 1e-154, 1e200, np.inf, np.nan, -1.0])
+def test_gaussian_abs_model_rejects_sigma_outside_the_float_range(sigma):
+    # 2 sigma^2 must be a normal float: zero, subnormal or inf is rejected
+    with pytest.raises(ValueError, match="sigma"):
+        gaussian_abs_position_model(sigma)
+
+
+def test_gaussian_abs_model_huge_residual_is_minus_inf():
+    """A residual whose square overflows, or overflows against 2 sigma^2,
+    has log likelihood -inf, and no warning escapes."""
+    x = np.array([[0.0, 0.0], [10.0, 0.0]])
+    assert np.all(gaussian_abs_position_model(1.0)(1e200, x) == -np.inf)
+    ll = gaussian_abs_position_model(1.1e-154)(10.0, x)
+    assert ll[0] == -np.inf and np.isfinite(ll[1])
+
+
 def test_bayes_update_constant_likelihood():
     _, g, _, prior = _pendulum_setup(8)
     c = 2.5

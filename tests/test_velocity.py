@@ -49,8 +49,9 @@ def test_pendulum_values():
     assert np.allclose(f(np.zeros(2)), [0.0, 0.0])
     assert np.allclose(f(np.array([PI / 2, 1.0])), [1.0, -1.0], atol=1e-15)
     assert np.allclose(f(np.array([-PI / 2, 2.0])), [2.0, 1.0], atol=1e-15)
-    with pytest.raises(ValueError):
-        pendulum_field(0.0)
+    for g_over_l in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="g_over_l"):
+            pendulum_field(g_over_l)
 
 
 def test_field_from_name():
