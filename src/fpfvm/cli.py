@@ -2,7 +2,8 @@
 
 Configuration is a flat set of ``key=value`` pairs.  Values come from
 per-command defaults (the pendulum experiment), then an optional config
-file (``--config``), then per-key command-line overrides (``--key value``).
+file (``--config``), then per-key command-line overrides (``--key value`` or
+``--key=value``; the value may start with ``-``).
 Unknown keys are rejected.  Real-valued entries accept multiples of pi
 ("pi/4", "0.6pi", "2pi/7") alongside plain decimals.
 
@@ -370,7 +371,16 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="key=value config file")
         for key in sorted(_defaults(name)):
             p.add_argument(f"--{key}")
-    args = parser.parse_args(argv)
+    # every key takes one value, so the token after a key is its value, also
+    # where it starts with "-" (argparse would take it for an option)
+    flags = {"--config", *(f"--{key}" for key in _KEYS)}
+    joined: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in flags:
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    args = parser.parse_args(joined)
 
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:

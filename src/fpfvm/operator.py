@@ -19,6 +19,11 @@ the only step path, is one ``csr_matvec`` call on them, ``m' = S^T m``.
 :func:`step_count` of its time in steps and converts back once; that count,
 the nearest whole number of steps, is also the filter's and ``choose_dt``'s.
 
+The two kernels come from scipy's compiled ``_sparsetools`` extension,
+loaded from its file by :func:`_load_sparsetools`, so importing this module
+does not import ``scipy.sparse`` (0.2 s and about 20 MB); only ``op.matrix``,
+and so :func:`export_operator`, imports it, on first use.
+
 On an operator of at least ``_SPLIT_ROWS`` rows, in a process allowed more
 than one CPU, :func:`step` computes the rows in two halves at once: the
 calling thread the lower half, and one daemon helper thread, started on the
@@ -34,14 +39,15 @@ so does a forked child; the next split starts a new one.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec  # csc/csr @ vector
 
 from .density import Density
 from .grid import Grid
@@ -55,6 +61,42 @@ _WRITE_CHUNK = 1 << 16  # faces or rows per write pass of assemble
 _SPLIT_ROWS = 1 << 16
 _split_lock = threading.Lock()  # held by the one thread inside a split step
 _EXPORT_ROWS = 1 << 13  # matrix rows per write of export_operator
+
+
+def _sparsetools_path() -> str | None:
+    """The file of scipy's compiled ``scipy.sparse._sparsetools``, found
+    without importing ``scipy.sparse``; None where it is not there."""
+    spec = importlib.util.find_spec("scipy")
+    for root in spec.submodule_search_locations if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_sparsetools():
+    """scipy's compiled sparse kernels (``csr_matvec``, ``csc_matvec``), loaded
+    from their file so that ``scipy.sparse``'s ``__init__`` never runs.  The
+    module is taken out of ``sys.modules`` again, so a later ``import
+    scipy.sparse`` imports it as it always does, from the interpreter's cache
+    of initialised extensions.  Where scipy is already imported or the file is
+    not found, this is ``scipy.sparse._sparsetools``."""
+    name = "scipy.sparse._sparsetools"
+    path = _sparsetools_path()
+    if name in sys.modules or path is None:
+        from scipy.sparse import _sparsetools
+        return _sparsetools
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    if sys.modules.get(name) is module:  # put there by a single-phase init
+        del sys.modules[name]
+    return module
+
+
+_sparsetools = _load_sparsetools()
+csc_matvec, csr_matvec = _sparsetools.csc_matvec, _sparsetools.csr_matvec  # csc/csr @ vector
 
 
 class CflViolation(ValueError):
@@ -99,8 +141,12 @@ class TransitionOperator:
         self.mass_conserving = bool(mass_conserving)
 
     @property
-    def matrix(self) -> sparse.csc_matrix:
-        """The transition matrix ``S`` (rows are donors), a new view of the arrays."""
+    def matrix(self):
+        """The transition matrix ``S`` (rows are donors), a new zero-copy
+        ``scipy.sparse.csc_matrix`` view of the arrays; the one place the
+        library imports ``scipy.sparse``."""
+        import scipy.sparse as sparse
+
         return sparse.csc_matrix((self.data, self.indices, self.indptr), (self.grid.ncells,) * 2)
 
     def __repr__(self) -> str:

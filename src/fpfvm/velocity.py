@@ -3,11 +3,12 @@
 A field evaluates vectorized: an ``(m, d)`` array of points yields an
 ``(m, d)`` array of velocities (and a single ``(d,)`` point a ``(d,)``
 velocity).  Face fluxes are the integrals of the velocity component along
-each face's axis over the face, computed one face block at a time and stored
-once per face in the face order of the grid (``grid.face_blocks()``, the
-order of ``grid.edges``).  A flux is positive when mass flows toward +axis,
-from the face's lower cell ``cell_a`` into its upper cell ``cell_b``; the
-two sides see opposite signs by construction.
+each face's axis over the face, computed one face block at a time, in passes
+of at most ``_FLUX_CHUNK`` faces, and stored once per face in the face order
+of the grid (``grid.face_blocks()``, the order of ``grid.edges``).  A flux is
+positive when mass flows toward +axis, from the face's lower cell ``cell_a``
+into its upper cell ``cell_b``; the two sides see opposite signs by
+construction.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .grid import Grid, lattice
+
+_FLUX_CHUNK = 1 << 16  # faces per quadrature pass of _block_fluxes
 
 
 @dataclass(frozen=True)
@@ -188,13 +191,22 @@ def _block_fluxes(field: VelocityField, grid: Grid, quadrature: str, block,
     faces of ``flux``.  The face midpoints are the lattice of the grid's
     ``centres``, those of the face axis cut to the block's lower cells and
     moved half a cell up, or where the lower side is outside, to its upper
-    cells and moved half a cell down."""
+    cells and moved half a cell down.  The rule runs over whole layers of the
+    outermost coordinate vector at a time, at most ``_FLUX_CHUNK`` faces (and
+    at least one layer) a pass, summing each pass's faces in place."""
     axis, _, lower, upper, faces = block
     d = grid.domain.d
     half = 0.5 * grid.h[axis]
     coords = [grid.centres(a) for a in range(d)]
     coords[axis] = coords[axis][upper] - half if lower is None else coords[axis][lower] + half
-    acc = np.zeros(faces.stop - faces.start)
-    for w, pts in tensor_rule(quadrature, coords, grid.h, [j for j in range(d) if j != axis]):
-        acc += w * np.asarray(field(pts), dtype=float)[:, axis]
-    np.multiply(grid.cell_volume / grid.h[axis], acc, out=flux[faces])
+    outer = coords[-1]
+    layer = math.prod(len(c) for c in coords[:-1])  # faces per outer coordinate
+    rows = max(1, _FLUX_CHUNK // layer)
+    axes = [j for j in range(d) if j != axis]
+    for r0 in range(0, len(outer), rows):
+        coords[-1] = outer[r0:r0 + rows]
+        acc = flux[faces][r0 * layer:(r0 + rows) * layer]
+        acc.fill(0.0)
+        for w, pts in tensor_rule(quadrature, coords, grid.h, axes):
+            acc += w * np.asarray(field(pts), dtype=float)[:, axis]
+        acc *= grid.cell_volume / grid.h[axis]

@@ -10,6 +10,7 @@ import pytest
 import fpfvm
 from fpfvm import (Density, assemble, convergence_study, gaussian_pdf,
                    load_density, pendulum_field, save_density, uniform_density)
+from fpfvm import cli
 from fpfvm.cli import load_config, main, parse_real
 from fpfvm.grid import BoxDomain, build_grid
 
@@ -428,6 +429,23 @@ def test_unknown_cli_flag_exits_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["operator", "--out", str(tmp_path), "--bogus", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("operator", "domain", "-pi:pi,-pi:pi"),
+    ("filter", "prior_mean", "-1,0"),
+    ("converge", "prior_mean", "-0.5pi,-1"),
+    ("filter", "obs_x0", "-0.2,0"),
+    ("operator", "xi", "-1"),
+])
+def test_a_value_starting_with_a_dash_is_a_value(monkeypatch, command, key, value):
+    """Every key takes one value, so ``--key value`` reads the token after the
+    key as its value even where it starts with ``-``, as ``--key=value`` does."""
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, command, (lambda cfg: seen.append(cfg) or 0, ""))
+    assert main([command, f"--{key}", value]) == 0
+    assert main([command, f"--{key}={value}"]) == 0
+    assert seen[0] == seen[1] == load_config(command, overrides={key: value})
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -607,3 +607,62 @@ def test_forked_child_steps_with_a_helper_of_its_own():
     its thread; its split steps start a new helper and stay bit-identical."""
     proc = _probe(_FORK_PROBE)
     assert proc.returncode == 0, proc.stderr
+
+
+_NO_SPARSE_PROBE = """
+import sys
+import fpfvm.cli
+assert "scipy.sparse" not in sys.modules, "import fpfvm.cli imported scipy.sparse"
+for argv in (["operator", "--n", "8,8"], ["converge", "--n_list", "8,16"],
+             ["filter", "--n", "8,8"]):
+    assert fpfvm.cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
+    assert "scipy.sparse" not in sys.modules, f"{argv} imported scipy.sparse"
+"""
+
+
+def test_commands_never_import_scipy_sparse(tmp_path):
+    """The kernels are loaded from scipy's ``_sparsetools`` file, so neither the
+    import nor a default run of a command imports ``scipy.sparse``; a scipy
+    that moves the file fails here instead of falling back in silence."""
+    proc = _probe(_NO_SPARSE_PROBE, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_kernel_loader_falls_back_to_scipy_sparse(monkeypatch):
+    """Where the file is not found, the loader imports scipy's own
+    ``scipy.sparse._sparsetools``, and a step through it is bit-identical."""
+    monkeypatch.setattr(operator_module, "_sparsetools_path", lambda: None)
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+    kernels = operator_module._load_sparsetools()
+    assert kernels is sparse._sparsetools
+    _, _, op = _pendulum_op()
+    m = np.random.default_rng(2).random(op.grid.ncells)
+    want = step(op, m)
+    monkeypatch.setattr(operator_module, "csr_matvec", kernels.csr_matvec)
+    assert np.array_equal(step(op, m), want)
+    assert np.array_equal(want, op.matrix.T @ m)
+
+
+_SPARSE_AFTER_PROBE = """
+import numpy as np
+import fpfvm.cli
+import scipy.sparse
+from fpfvm import BoxDomain, assemble, build_grid, compute_fluxes, pendulum_field, step
+from fpfvm import verify_markov
+g = build_grid(BoxDomain((-np.pi, -np.pi), (np.pi, np.pi)), (256, 256),
+               ("periodic", "neumann"))
+fx = compute_fluxes(pendulum_field(), g)
+op = assemble(fx, g.h[0] / (2 * np.pi + 1))
+m = np.random.default_rng(0).random(g.ncells)
+assert np.array_equal(step(op, m), op.matrix.T @ m)
+sums = op.matrix @ np.ones(g.ncells)
+assert verify_markov(op).max_row_sum_err == float(np.abs(sums - 1.0).max())
+"""
+
+
+def test_scipy_sparse_imported_after_the_kernels():
+    """``import scipy.sparse`` after the loader leaves one working copy of the
+    kernels: a (split) step is still scipy's ``op.matrix.T @ m`` bit for bit,
+    and ``verify_markov``'s row sums are ``op.matrix @ ones``."""
+    proc = _probe(_SPARSE_AFTER_PROBE)
+    assert proc.returncode == 0, proc.stderr
