@@ -4,8 +4,9 @@ Configuration is a flat set of ``key=value`` pairs.  Values come from
 per-command defaults (the pendulum experiment), then an optional config
 file (``--config``), then per-key command-line overrides (``--key value`` or
 ``--key=value``; the value may start with ``-``).
-Unknown keys are rejected.  Real-valued entries accept multiples of pi
-("pi/4", "0.6pi", "2pi/7") alongside plain decimals.
+Unknown keys are rejected, and so are abbreviations of a key.  Real-valued
+entries accept multiples of pi ("pi/4", "0.6pi", "2pi/7") alongside plain
+decimals.
 
 Exit codes: 0 success, 1 verification failed (the assembled matrix has a
 negative entry or a row sum off one; with Dirichlet outflow, a row sum above
@@ -360,14 +361,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # keys match whole (no argparse prefixes), as the join below matches them
     parser = argparse.ArgumentParser(
         prog="fpfvm",
         description="Upwind finite-volume transition operators: verification, "
                     "convergence studies, and pendulum tracking.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, helptext) in _COMMANDS.items():
-        p = sub.add_parser(name, help=helptext)
+        p = sub.add_parser(name, help=helptext, allow_abbrev=False)
         p.add_argument("--config", help="key=value config file")
         for key in sorted(_defaults(name)):
             p.add_argument(f"--{key}")

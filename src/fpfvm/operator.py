@@ -12,25 +12,32 @@ A :class:`TransitionOperator` holds the CSR arrays ``indptr``, ``indices``
 and ``data`` of the left-action form ``S^T`` (row L gathers the mass that
 flows into cell L); ``op.matrix`` builds the zero-copy scipy ``S`` view of
 them on each access.  :func:`assemble` writes the arrays straight from the
-face blocks of the grid, in row order and at their final size, so no
-triplets, face table or second matrix copy exist while it runs.  :func:`step`,
-the only step path, is one ``csr_matvec`` call on them, ``m' = S^T m``.
+face blocks of the grid, at their final size, so no triplets, face table or
+second matrix copy exist while it runs.  ``indptr`` is its own write cursor:
+it first holds each row's end, and the column slots are written in descending
+column offset, each entry just below its row's end, which it then lowers; after
+the last slot each entry of ``indptr`` is its row's start.  :func:`step`, the
+only step path, is one ``csr_matvec`` call on them, ``m' = S^T m``, into a
+zeroed output.
 :func:`evolve` converts a :class:`Density` to mass once, takes the
 :func:`step_count` of its time in steps and converts back once; that count,
 the nearest whole number of steps, is also the filter's and ``choose_dt``'s.
 
-The two kernels come from scipy's compiled ``_sparsetools`` extension,
+The kernels come from scipy's compiled ``_sparsetools`` extension,
 loaded from its file by :func:`_load_sparsetools`, so importing this module
-does not import ``scipy.sparse`` (0.2 s and about 20 MB); only ``op.matrix``,
-and so :func:`export_operator`, imports it, on first use.
+does not import ``scipy.sparse`` (0.2 s and about 20 MB); only ``op.matrix``
+imports it, on first use.  :func:`export_operator` transposes the arrays with
+the same module's ``csr_tocsc``.
 
 On an operator of at least ``_SPLIT_ROWS`` rows, in a process allowed more
 than one CPU, :func:`step` computes the rows in two halves at once: the
 calling thread the lower half, and one daemon helper thread, started on the
 first such step, the upper half.  The caller hands the upper half over with
-one lock and waits on a second for the helper to finish it.  Both run the
-kernel, which releases the GIL, over the unchanged arrays into one output,
-so every row is summed as one call sums it and the result is bit-identical.
+one lock and waits on a second for the helper to finish it.  The output is
+not zeroed before the hand-off: each thread zeroes its own half just before
+its kernel call.  Both run the kernel, which releases the GIL, over the
+unchanged arrays into one output, so every row is summed as one call sums it
+and the result is bit-identical.
 An exception in the helper's half is re-raised by the caller.  A caller
 whose own half raises, or whose wait is interrupted, drops the helper, and
 so does a forked child; the next split starts a new one.
@@ -76,12 +83,13 @@ def _sparsetools_path() -> str | None:
 
 
 def _load_sparsetools():
-    """scipy's compiled sparse kernels (``csr_matvec``, ``csc_matvec``), loaded
-    from their file so that ``scipy.sparse``'s ``__init__`` never runs.  The
-    module is taken out of ``sys.modules`` again, so a later ``import
-    scipy.sparse`` imports it as it always does, from the interpreter's cache
-    of initialised extensions.  Where scipy is already imported or the file is
-    not found, this is ``scipy.sparse._sparsetools``."""
+    """scipy's compiled sparse kernels (``csr_matvec``, ``csc_matvec`` and
+    ``csr_tocsc``), loaded from their file so that ``scipy.sparse``'s
+    ``__init__`` never runs.  The module is taken out of ``sys.modules``
+    again, so a later ``import scipy.sparse`` imports it as it always does,
+    from the interpreter's cache of initialised extensions.  Where scipy is
+    already imported or the file is not found, this is
+    ``scipy.sparse._sparsetools``."""
     name = "scipy.sparse._sparsetools"
     path = _sparsetools_path()
     if name in sys.modules or path is None:
@@ -162,8 +170,10 @@ def max_stable_dt(fluxes: EdgeFluxes, xi: float) -> CflReport:
     """
     if not 0.0 <= xi < 1.0:
         raise ValueError(f"xi must lie in [0, 1), got {xi}")
-    binding = int(np.argmax(fluxes.outflow))
-    peak = float(fluxes.outflow[binding])
+    # np.argmax would copy the read-only outflow; the first peak of a bool
+    # mask costs one byte per cell
+    peak = float(fluxes.outflow.max())
+    binding = int(np.argmax(fluxes.outflow == peak))
     # a subnormal peak overflows to inf, without a warning, and binds nothing
     dt_max = (1.0 - xi) * fluxes.grid.cell_volume / peak if peak > 0.0 else np.inf
     return CflReport(dt_max=dt_max, xi=float(xi),
@@ -218,26 +228,28 @@ def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
 
     # int32, as scipy picks it, unless the entries could pass int32 indices
     idx = np.int32 if nc + len(fluxes.values) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(nc + 1, dtype=idx)
-    counts = indptr[1:]
-    counts += 1  # the diagonal
+    indptr = np.empty(nc + 1, dtype=idx)
+    ends = indptr[:-1]  # each row's count, then the end of its entries
+    ends[:] = 1  # the diagonal
     for _, slot in slots:
         if slot is not None:
             (high, na, low), rows, sources = slot
             present = np.zeros(len(sources[0][0]), dtype=bool)
             for f, sign in sources:
                 present |= f > 0.0 if sign > 0 else f < 0.0
-            counts.reshape(high, na, low)[:, rows, :] += present.reshape(high, -1, low)
-    np.cumsum(indptr, out=indptr)
+            ends.reshape(high, na, low)[:, rows, :] += present.reshape(high, -1, low)
+    np.cumsum(ends, out=ends)
+    indptr[-1] = indptr[-2]
 
     indices = np.empty(indptr[-1], dtype=idx)
     data = np.empty(indptr[-1])
-    at = indptr[:-1].astype(np.intp)  # where each row's next entry goes
-    for offset, slot in slots:
+    # each row fills back to front, so once the lowest column offset is written
+    # every ends[row] has come down to the row's start
+    for offset, slot in reversed(slots):
         if slot is None:
-            _write_diagonal(outflow, dt, vol, at, indices, data)
+            _write_diagonal(outflow, dt, vol, ends, indices, data)
         else:
-            _write_inflow(slot, offset, dt, vol, at, indices, data)
+            _write_inflow(slot, offset, dt, vol, ends, indices, data)
     return TransitionOperator(dt, indptr, indices, data, grid, mass_conserving=not leaks)
 
 
@@ -270,24 +282,25 @@ def _inflow_slots(grid: Grid, flux: np.ndarray) -> tuple[dict, bool]:
     return slots, leaks
 
 
-def _write_diagonal(outflow, dt, vol, at, indices, data) -> None:
+def _write_diagonal(outflow, dt, vol, ends, indices, data) -> None:
     """Write every row's diagonal ``1 - dt * outflow / |K|``, clamped to 0
-    within the CFL slack, at the row's next free place."""
-    for r0 in range(0, len(at), _WRITE_CHUNK):
-        r1 = min(r0 + _WRITE_CHUNK, len(at))
+    within the CFL slack, just below the row's ``ends``, and lower ``ends``."""
+    for r0 in range(0, len(ends), _WRITE_CHUNK):
+        r1 = min(r0 + _WRITE_CHUNK, len(ends))
         diag = np.multiply(dt, outflow[r0:r1])
         diag /= vol
         np.subtract(1.0, diag, out=diag)
         diag[(diag < 0.0) & (diag >= -_CFL_SLACK)] = 0.0
-        place = at[r0:r1]
+        place = ends[r0:r1]
+        place -= 1
         indices[place] = np.arange(r0, r1)
         data[place] = diag
-        place += 1
 
 
-def _write_inflow(slot, offset, dt, vol, at, indices, data) -> None:
-    """Write the entries ``|f| * dt / |K|`` of one slot at their rows' next
-    free places; where two faces feed one entry, their values are summed."""
+def _write_inflow(slot, offset, dt, vol, ends, indices, data) -> None:
+    """Write the entries ``|f| * dt / |K|`` of one slot just below their rows'
+    ``ends``, and lower ``ends``; where two faces feed one entry, their values
+    are summed."""
     (high, na, low), rows, sources = slot
     span = (rows.stop - rows.start) * low  # faces per layer of the cube
     gap = na * low - span  # cells of a layer this slot skips
@@ -307,10 +320,11 @@ def _write_inflow(slot, offset, dt, vol, at, indices, data) -> None:
             np.add(vals, v, out=vals, where=fed)
         j += j0
         j += j // span * gap + rows.start * low  # face to receiving row
-        place = at[j]
+        place = ends[j]
+        place -= 1
         indices[place] = j + offset
         data[place] = vals
-        at[j] = place + 1
+        ends[j] = place
 
 
 class _Helper:
@@ -330,6 +344,7 @@ class _Helper:
         while True:
             self.start.acquire()
             try:
+                self.args[-1].fill(0.0)  # the upper half of the output
                 csr_matvec(*self.args)
                 self.error = None
             except BaseException as exc:  # re-raised by the waiting caller
@@ -360,6 +375,7 @@ def _split_step(op: TransitionOperator, m, out, helper: _Helper) -> None:
         # the upper rows keep their absolute offsets into indices and data
         helper.args = (n - half, n, op.indptr[half:], op.indices, op.data, m, out[half:])
         helper.start.release()
+        out[:half] = 0.0
         csr_matvec(half, n, op.indptr, op.indices, op.data, m, out)
         helper.done.acquire()
     except BaseException:
@@ -385,15 +401,16 @@ def step(op: TransitionOperator, m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64, order="C")
     if m.shape != (n,):
         raise ValueError(f"mass vector of shape {m.shape} does not fit {n} cells")
-    out = np.zeros(n)
     if n >= _SPLIT_ROWS and _split_lock.acquire(blocking=False):
         try:
             helper = _helper()
             if helper is not None:
+                out = np.empty(n)  # each thread zeroes the half it sums into
                 _split_step(op, m, out, helper)
                 return out
         finally:
             _split_lock.release()
+    out = np.zeros(n)
     csr_matvec(n, n, op.indptr, op.indices, op.data, m, out)
     return out
 
@@ -434,13 +451,16 @@ def verify_markov(op: TransitionOperator) -> MarkovReport:
 
 def export_operator(op: TransitionOperator, path) -> None:
     """Write the matrix as sorted ``row col value`` triplets (debug aid), a
-    block of ``_EXPORT_ROWS`` rows at a time."""
-    S = op.matrix.tocsr()
+    block of ``_EXPORT_ROWS`` rows at a time.  The rows of ``S`` are the
+    transpose of the stored arrays, made by scipy's ``csr_tocsc`` kernel."""
+    n = op.grid.ncells
+    indptr, indices, data = map(np.empty_like, (op.indptr, op.indices, op.data))
+    _sparsetools.csr_tocsc(n, n, op.indptr, op.indices, op.data, indptr, indices, data)
     with open(path, "w") as fh:
-        fh.write(f"# cells={op.grid.ncells} dt={op.dt:.17g}\n")
-        for r0 in range(0, S.shape[0], _EXPORT_ROWS):
-            ptr = S.indptr[r0:r0 + _EXPORT_ROWS + 1]
+        fh.write(f"# cells={n} dt={op.dt:.17g}\n")
+        for r0 in range(0, n, _EXPORT_ROWS):
+            ptr = indptr[r0:r0 + _EXPORT_ROWS + 1]
             rows = np.repeat(np.arange(r0, r0 + len(ptr) - 1), np.diff(ptr))
             block = slice(ptr[0], ptr[-1])
-            triplets = zip(rows.tolist(), S.indices[block].tolist(), S.data[block].tolist())
+            triplets = zip(rows.tolist(), indices[block].tolist(), data[block].tolist())
             fh.write("%d %d %.17g\n" * len(rows) % tuple(chain.from_iterable(triplets)))

@@ -1,8 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from fpfvm import (
     BoxDomain,
+    bench,
     constant_field,
     convergence_study,
     format_convergence_table,
@@ -94,3 +97,24 @@ def test_writers(tmp_path):
     assert lines[1].endswith(",")  # first row has no order
     table = format_convergence_table(rows)
     assert "8" in table and "16" in table
+
+
+def test_the_fluxes_are_gone_before_the_steps(monkeypatch):
+    """A level's fluxes and outflow are set-up only: ``run_level`` lets them
+    go once the operator is assembled, before its first step."""
+    refs, alive = [], []
+
+    def compute_fluxes(*args):
+        fluxes = bench_compute_fluxes(*args)
+        refs.append(weakref.ref(fluxes))
+        return fluxes
+
+    def evolve(*args):
+        alive.append(refs[-1]() is not None)
+        return bench_evolve(*args)
+
+    bench_compute_fluxes, bench_evolve = bench.compute_fluxes, bench.evolve
+    monkeypatch.setattr(bench, "compute_fluxes", compute_fluxes)
+    monkeypatch.setattr(bench, "evolve", evolve)
+    run_level(pendulum_field(), DOM, BC, PDF, 0.5, 16, XI, DT_OVER_H)
+    assert alive == [False]

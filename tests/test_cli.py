@@ -448,6 +448,22 @@ def test_a_value_starting_with_a_dash_is_a_value(monkeypatch, command, key, valu
     assert seen[0] == seen[1] == load_config(command, overrides={key: value})
 
 
+@pytest.mark.parametrize("args", [
+    ["--dom", "-pi:pi,-pi:pi"],
+    ["--dom", "0:1,0:1"],
+    ["--dom=0:1,0:1"],
+    ["--write_mat", "true"],
+])
+def test_a_key_abbreviation_is_an_unknown_flag(tmp_path, capsys, args):
+    """Keys match whole, so a prefix of a key is rejected alike whether or not
+    its value starts with ``-``: no abbreviation runs with a value that the
+    join of a key with the token after it would not have read."""
+    with pytest.raises(SystemExit) as exc:
+        main(["operator", "--n", "8,8", *args, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {args[0]}" in capsys.readouterr().err
+
+
 def test_byte_identical_reruns(tmp_path):
     outs = []
     for sub in ("r1", "r2"):

@@ -388,6 +388,27 @@ def test_export_operator(tmp_path):
     assert np.abs(dense - _circulant(n, nu)).max() <= 1e-15
 
 
+@pytest.mark.parametrize("case", ["pendulum", "box3d"])
+def test_export_operator_is_scipys_csr_as_text(tmp_path, case):
+    """The export transposes the stored arrays with scipy's ``csr_tocsc``
+    kernel; its text is that of ``op.matrix.tocsr()`` byte for byte, over two
+    row blocks on the pendulum and on a 3D box of every boundary kind."""
+    if case == "pendulum":
+        op = _pendulum_op(n=100)[2]
+        assert op.grid.ncells > operator_module._EXPORT_ROWS
+    else:
+        g = build_grid(BoxDomain((0, 0, 0), (1, 1, 1)), (4, 5, 6),
+                       ("periodic", "neumann", "dirichlet"))
+        fx = compute_fluxes(constant_field((1.0, 0.5, -0.25)), g, "gauss2")
+        op = assemble(fx, max_stable_dt(fx, 0.1).dt_max)
+    export_operator(op, tmp_path / "operator.txt")
+    S = op.matrix.tocsr()
+    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    lines = [f"# cells={op.grid.ncells} dt={op.dt:.17g}"]
+    lines += ["%d %d %.17g" % t for t in zip(rows.tolist(), S.indices.tolist(), S.data.tolist())]
+    assert (tmp_path / "operator.txt").read_text() == "\n".join(lines) + "\n"
+
+
 def test_grid_mismatch_errors():
     _, _, op = _pendulum_op(n=10)
     other = build_grid(BoxDomain((-PI, -PI), (PI, PI)), (12, 12), ("periodic", "neumann"))
@@ -492,6 +513,30 @@ def test_concurrent_steps_are_bit_identical(gate_op):
     assert not any(t.is_alive() for t in threads)
     for got, want in zip(results, expected):
         assert np.array_equal(got, want)
+
+
+def test_each_half_of_a_split_step_zeroes_its_rows(gate_op, monkeypatch):
+    """A split step takes its output from ``np.empty``, and each thread zeroes
+    the half it sums into: with ``np.empty`` returning NaN, the step is still
+    one kernel call into zeros, and scipy's ``op.matrix.T @ m``, bit for bit."""
+    op = gate_op
+    n = op.grid.ncells
+    m = np.random.default_rng(6).random(n)
+    want = np.zeros(n)
+    operator_module.csr_matvec(n, n, op.indptr, op.indices, op.data, m, want)
+    assert np.array_equal(want, op.matrix.T @ m)
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    # a helper of the test's own, started on one CPU too
+    monkeypatch.setattr(operator_module, "_helper", functools.cache(operator_module._Helper))
+    monkeypatch.setattr(np, "empty", nan_empty)
+    for _ in range(2):
+        assert np.array_equal(_within(30, step, op, m), want)
 
 
 @pytest.mark.parametrize("where", ["helper", "caller"])
@@ -613,8 +658,8 @@ _NO_SPARSE_PROBE = """
 import sys
 import fpfvm.cli
 assert "scipy.sparse" not in sys.modules, "import fpfvm.cli imported scipy.sparse"
-for argv in (["operator", "--n", "8,8"], ["converge", "--n_list", "8,16"],
-             ["filter", "--n", "8,8"]):
+for argv in (["operator", "--n", "8,8"], ["operator", "--n", "8,8", "--write_matrix", "true"],
+             ["converge", "--n_list", "8,16"], ["filter", "--n", "8,8"]):
     assert fpfvm.cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
     assert "scipy.sparse" not in sys.modules, f"{argv} imported scipy.sparse"
 """
@@ -622,8 +667,9 @@ for argv in (["operator", "--n", "8,8"], ["converge", "--n_list", "8,16"],
 
 def test_commands_never_import_scipy_sparse(tmp_path):
     """The kernels are loaded from scipy's ``_sparsetools`` file, so neither the
-    import nor a default run of a command imports ``scipy.sparse``; a scipy
-    that moves the file fails here instead of falling back in silence."""
+    import nor a run of a command, the matrix export included, imports
+    ``scipy.sparse``; a scipy that moves the file fails here instead of
+    falling back in silence."""
     proc = _probe(_NO_SPARSE_PROBE, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
 
