@@ -10,8 +10,9 @@ decimals.
 
 Exit codes: 0 success, 1 verification failed (the assembled matrix has a
 negative entry or a row sum off one; with Dirichlet outflow, a row sum above
-one), 2 configuration error (a run that does not fit in memory included),
-3 step-size (CFL) violation, 4 zero evidence.
+one), 2 configuration error (a run that does not fit in memory, and an
+``out`` that cannot be made a directory, included), 3 step-size (CFL)
+violation, 4 zero evidence.
 The parsers only turn strings into values, and :func:`load_config` names the
 key of any value that does not parse.  Every library argument in a run comes
 from the configuration, so any ``ValueError`` the library raises is reported
@@ -62,6 +63,7 @@ from .operator import (
     max_stable_dt,
     verify_markov,
 )
+from .snapshots import SnapshotWorker
 from .velocity import compute_fluxes, field_from_name
 
 _PI = math.pi
@@ -270,7 +272,10 @@ def _prior_density(cfg, grid):
 
 def _outdir(cfg) -> Path:
     out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a regular file on the path, or no permission
+        raise ValueError(f"bad value for 'out': {exc}") from exc
     return out
 
 
@@ -333,21 +338,22 @@ def cmd_filter(cfg) -> int:
     else:
         raise ValueError(f"obs must be 'synthesize' or 'file:<path>', got {source!r}")
 
-    state = run_filter(prior, op, model, obs, cfg["t_end"],
-                       min_prominence=cfg["min_prominence"],
-                       snapshot_times=cfg["snapshot_times"])
-
-    # nothing is written until the library has accepted every argument
-    out = _outdir(cfg)
-    if source == "synthesize":
-        write_observations(obs, out / "observations.csv")
-        print(f"wrote {out / 'observations.csv'}")
-    write_run_report(state, out / "report.csv")
-    print(f"wrote {out / 'report.csv'}")
-    for i, (t, dens) in enumerate(state.snapshots):
-        path = out / f"snapshot_{i:02d}.csv"
-        save_density(dens, path, t=t)
-        print(f"wrote {path} (t={t:.17g})")
+    # a worker process formats the snapshots while the run steps; nothing is
+    # written until the library has accepted every argument
+    with SnapshotWorker() as worker:
+        state = run_filter(prior, op, model, obs, cfg["t_end"],
+                           min_prominence=cfg["min_prominence"],
+                           snapshot_times=cfg["snapshot_times"], on_snapshot=worker.send)
+        out = _outdir(cfg)
+        if source == "synthesize":
+            write_observations(obs, out / "observations.csv")
+            print(f"wrote {out / 'observations.csv'}")
+        write_run_report(state, out / "report.csv")
+        print(f"wrote {out / 'report.csv'}")
+        for i, (t, dens) in enumerate(state.snapshots):
+            path = out / f"snapshot_{i:02d}.csv"
+            save_density(dens, path, t=t, body=worker.text())
+            print(f"wrote {path} (t={t:.17g})")
     print(f"final: t={state.time:.17g} log_evidence={state.log_evidence:.17g} "
           f"modes={state.history.mode_count[-1]}")
     return 0

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import PERIODIC, BoxDomain, Grid, build_grid
+from .snapshots import format_values
 from .velocity import tensor_rule
 
 
@@ -319,11 +320,13 @@ def _count_modes_rows(rows: np.ndarray, periodic: bool,
     return counts
 
 
-def save_density(density: Density, path, t: float = 0.0) -> None:
+def save_density(density: Density, path, t: float = 0.0, body=None) -> None:
     """Write a density snapshot as CSV with a geometry header.
 
-    Values carry 17 significant digits, so reading the file back reproduces
-    them exactly.
+    Values carry 17 significant digits (:func:`format_values`), so reading
+    the file back reproduces them exactly.  ``body``, if given, is those
+    lines already formatted, as ASCII byte chunks (the filter's snapshot
+    worker streams them); otherwise they are formatted here.
     """
     grid = density.grid
     dom = grid.domain
@@ -334,10 +337,11 @@ def save_density(density: Density, path, t: float = 0.0) -> None:
             f"{lo:.17g},{up:.17g}" for lo, up in zip(dom.lower, dom.upper)),
         f"# t={t:.17g}",
     ]
-    # one format call over Python floats: no per-value string objects
-    values = tuple(density.values.tolist())
-    with open(path, "w") as fh:
-        fh.write("\n".join(header) + "\n" + "%.17g\n" * len(values) % values)
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode("ascii"))
+        if body is None:
+            body = (format_values(density.values.tolist()).encode("ascii"),)
+        fh.writelines(body)
 
 
 def load_density(path, bc) -> tuple[Density, float]:

@@ -102,7 +102,9 @@ def predict(values: np.ndarray, op: TransitionOperator) -> np.ndarray:
     """Cell values after one :func:`step` of their mass."""
     vol = op.grid.cell_volume
     # back to values every step: an ulp of drift flips mode counts at tied peaks
-    return step(op, values * vol) / vol
+    out = step(op, values * vol)
+    out /= vol
+    return out
 
 
 def bayes_update(values: np.ndarray, grid: Grid, log_likelihood: LogLikelihood, z,
@@ -179,7 +181,8 @@ def _schedule(op: TransitionOperator, obs_times: Sequence[float], t_end: float,
 def run_filter(prior: Density, op: TransitionOperator, log_likelihood: LogLikelihood,
                obs: ObservationSequence, t_end: float,
                min_prominence: float = 0.1,
-               snapshot_times: Sequence[float] = ()) -> FilterState:
+               snapshot_times: Sequence[float] = (),
+               on_snapshot: Callable[[float, Density], None] | None = None) -> FilterState:
     """Alternate one-step predictions and Bayes updates through ``obs`` to ``t_end``.
 
     Observation, snapshot, and end times are snapped to the nearest step
@@ -187,7 +190,8 @@ def run_filter(prior: Density, op: TransitionOperator, log_likelihood: LogLikeli
     order of ``k``.  A history row at ``t = k * dt`` follows every step and
     every update.  Snapshots capture the posterior at the requested times;
     when a snapshot coincides with an observation it captures the
-    post-update posterior.
+    post-update posterior.  ``on_snapshot(t, density)``, if given, is called
+    with each snapshot as it is captured, in order.
     """
     grid = op.grid
     if prior.grid != grid:
@@ -235,6 +239,8 @@ def run_filter(prior: Density, op: TransitionOperator, log_likelihood: LogLikeli
             row += 1
         elif kind == 1:
             snapshots.append((k * dt, Density(values, grid)))
+            if on_snapshot is not None:
+                on_snapshot(*snapshots[-1])
     return FilterState(posterior=Density(values, grid), time=k_end * dt,
                        log_evidence=log_ev, history=hist,
                        snapshots=tuple(snapshots), snap_log=tuple(snap_log))

@@ -476,3 +476,21 @@ def test_byte_identical_reruns(tmp_path):
     for name in ("report.csv", "observations.csv", "snapshot_00.csv",
                  "snapshot_01.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, args, sub", [
+    ("operator", ["--n", "8,8"], ""),
+    ("operator", ["--n", "8,8", "--write_matrix", "true"], "sub"),
+    ("converge", ["--n_list", "8,16", "--t_final", "pi/8"], ""),
+    ("filter", ["--n", "8,8", "--obs_times", "1", "--t_end", "1",
+                "--snapshot_times", "0"], "sub"),
+])
+def test_unusable_out_exits_two(tmp_path, capsys, command, args, sub):
+    """An ``out`` that names a regular file, or a path through one, is a
+    configuration error: exit 2, ``config error:`` naming the key, no traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    out = blocker / sub if sub else blocker
+    assert main([command, *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: bad value for 'out': ")
+    assert blocker.read_text() == "not a directory\n"

@@ -146,6 +146,23 @@ def test_predict_basics():
     assert moved.min() >= 0.0
 
 
+def test_predict_divides_in_place_bit_for_bit():
+    """``predict`` divides the stepped mass in place: the same IEEE operation
+    as ``step(op, values * vol) / vol``, so the same bits, on the filter's
+    default N=200 operator and prior."""
+    from fpfvm import cli
+
+    cfg = cli.load_config("filter")
+    _, _, op, _ = cli._operator_from(cfg)
+    values = cli._prior_density(cfg, op.grid).values
+    vol = op.grid.cell_volume
+    for _ in range(20):
+        new = predict(values, op)
+        old = step(op, values * vol) / vol
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+        values = new
+
+
 def test_predict_identity_operator():
     g = build_grid(BoxDomain((-1, -1), (1, 1)), (6, 6), ("neumann", "neumann"))
     op = _zero_op(g)
@@ -154,6 +171,18 @@ def test_predict_identity_operator():
     for _ in range(40):
         values = predict(values, op)
     assert np.array_equal(values, prior.values)
+
+
+def test_run_filter_on_snapshot_sees_each_snapshot_in_order():
+    _, g, op, prior = _pendulum_setup(12)
+    seen = []
+    state = run_filter(prior, op, gaussian_abs_position_model(0.1),
+                       ObservationSequence((5 * op.dt,), (0.3,)), t_end=9 * op.dt,
+                       snapshot_times=(0.0, 5 * op.dt, 2 * op.dt, 9 * op.dt),
+                       on_snapshot=lambda t, dens: seen.append((t, dens)))
+    assert [t for t, _ in seen] == [0.0, 2 * op.dt, 5 * op.dt, 9 * op.dt]
+    assert len(seen) == len(state.snapshots)
+    assert all(a[1] is b[1] for a, b in zip(seen, state.snapshots))
 
 
 def test_run_filter_no_observations():
