@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PERIODIC, BoxDomain, Grid, build_grid
+from .grid import PERIODIC, BoxDomain, Grid, build_grid, lattice
 from .snapshots import format_values
 from .velocity import tensor_rule
 
@@ -59,8 +59,8 @@ def project(pdf, grid: Grid, quadrature: str = "midpoint") -> Density:
     """
     vals = np.zeros(grid.ncells)
     axes = range(grid.domain.d)
-    for w, pts in tensor_rule(quadrature, [grid.centres(a) for a in axes], grid.h, axes):
-        vals += w * _eval_scalar(pdf, pts)
+    for w, coords in tensor_rule(quadrature, [grid.centres(a) for a in axes], grid.h, axes):
+        vals += w * _eval_scalar(pdf, lattice(coords))
     if not np.all(np.isfinite(vals)):
         raise ValueError("pdf produced non-finite cell averages")
     if np.any(vals < 0):
@@ -321,7 +321,8 @@ def _count_modes_rows(rows: np.ndarray, periodic: bool,
 
 
 def save_density(density: Density, path, t: float = 0.0, body=None) -> None:
-    """Write a density snapshot as CSV with a geometry header.
+    """Write a density snapshot as CSV with a geometry header (dimension, cells,
+    box, boundary kinds and time).
 
     Values carry 17 significant digits (:func:`format_values`), so reading
     the file back reproduces them exactly.  ``body``, if given, is those
@@ -335,6 +336,7 @@ def save_density(density: Density, path, t: float = 0.0, body=None) -> None:
         "# n=" + ",".join(str(k) for k in grid.n),
         "# domain=" + ";".join(
             f"{lo:.17g},{up:.17g}" for lo, up in zip(dom.lower, dom.upper)),
+        "# bc=" + ",".join(grid.bc),
         f"# t={t:.17g}",
     ]
     with open(path, "wb") as fh:
@@ -344,11 +346,12 @@ def save_density(density: Density, path, t: float = 0.0, body=None) -> None:
         fh.writelines(body)
 
 
-def load_density(path, bc) -> tuple[Density, float]:
+def load_density(path, bc=None) -> tuple[Density, float]:
     """Read a density snapshot written by :func:`save_density`.
 
-    The file stores geometry but not boundary kinds, so ``bc`` gives them.
-    Returns the density and its time tag.
+    The boundary kinds come from the file's ``# bc=`` line; a ``bc`` given as
+    well must name the same kinds.  A file without the line (written before
+    it existed) needs ``bc``.  Returns the density and its time tag.
     """
     header = {}
     values = []
@@ -372,6 +375,12 @@ def load_density(path, bc) -> tuple[Density, float]:
         raise ValueError(f"malformed density file {path}: {exc}") from exc
     if len(n) != d or len(bounds) != d:
         raise ValueError(f"inconsistent header in density file {path}")
-    grid = build_grid(
-        BoxDomain(tuple(b[0] for b in bounds), tuple(b[1] for b in bounds)), n, bc)
+    stored = tuple(header["bc"].split(",")) if "bc" in header else None
+    if bc is None and stored is None:
+        raise ValueError(f"density file {path} has no bc line; boundary kinds needed")
+    grid = build_grid(BoxDomain(tuple(b[0] for b in bounds), tuple(b[1] for b in bounds)),
+                      n, stored if bc is None else bc)
+    if stored is not None and grid.bc != stored:
+        raise ValueError(f"bc={','.join(grid.bc)} contradicts the bc={header['bc']} "
+                         f"of density file {path}")
     return Density(np.asarray(values), grid), t

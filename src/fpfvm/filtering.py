@@ -246,12 +246,15 @@ def run_filter(prior: Density, op: TransitionOperator, log_likelihood: LogLikeli
                        snapshots=tuple(snapshots), snap_log=tuple(snap_log))
 
 
-def _rk4(field: VelocityField, x: np.ndarray, h: float) -> np.ndarray:
-    k1 = np.asarray(field(x), dtype=float)
-    k2 = np.asarray(field(x + 0.5 * h * k1), dtype=float)
-    k3 = np.asarray(field(x + 0.5 * h * k2), dtype=float)
-    k4 = np.asarray(field(x + h * k3), dtype=float)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(func, x: tuple, h: float) -> tuple:
+    """One classical RK4 step of the state ``x``, a tuple of coordinates, under a
+    field's ``func``; each coordinate takes the arithmetic of the array step."""
+    k1 = func(x)
+    k2 = func(tuple(xi + 0.5 * h * k for xi, k in zip(x, k1)))
+    k3 = func(tuple(xi + 0.5 * h * k for xi, k in zip(x, k2)))
+    k4 = func(tuple(xi + h * k for xi, k in zip(x, k3)))
+    return tuple(xi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + e)
+                 for xi, a, b, c, e in zip(x, k1, k2, k3, k4))
 
 
 def simulate_truth(field: VelocityField, x0, times: Sequence[float],
@@ -267,9 +270,10 @@ def simulate_truth(field: VelocityField, x0, times: Sequence[float],
     if (any(not 0 <= t < np.inf for t in times)
             or any(b <= a for a, b in zip(times, times[1:]))):
         raise ValueError("times must be finite, nonnegative and strictly increasing")
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     if x.shape != (field.dim,):
         raise ValueError(f"x0 has shape {x.shape}, field dimension is {field.dim}")
+    x = tuple(x.tolist())
     out = np.empty((len(times), field.dim))
     t = 0.0
     for i, tk in enumerate(times):
@@ -280,9 +284,9 @@ def simulate_truth(field: VelocityField, x0, times: Sequence[float],
             nsub = max(1, int(np.ceil(span / _RK4_MAX_STEP - 1e-12)))
             h = span / nsub
             for _ in range(nsub):
-                x = _rk4(field, x, h)
+                x = _rk4(field.func, x, h)
             t = tk
-        y = x.copy()
+        y = np.array(x, dtype=float)
         if domain is not None and bc is not None:
             for a, kind in enumerate(bc):
                 if kind == PERIODIC:

@@ -23,8 +23,9 @@ Conventions
   face arrays, so face data is read and written through cube slices, not
   index arithmetic.  The face table ``Grid.edges`` (int32 cell pairs) is
   built on first access; no set-up layer reads it.
-* Every point set (cell centres, face points, Gauss nodes) is the
-  :func:`lattice` of per-axis coordinates; a grid holds no per-cell array.
+* Every point set (cell centres, face points, Gauss nodes) is the tensor grid
+  of per-axis coordinate vectors: its :func:`mesh`, or as ``(m, d)`` points its
+  :func:`lattice`; a grid holds no per-cell array.
 * Periodic axes identify opposite box faces.  Neumann axes carry no boundary
   faces at all (zero normal flux).  Dirichlet axes keep their boundary faces
   so mass can flow out of the box; nothing flows in.
@@ -182,13 +183,24 @@ class Grid:
                 start += size
 
 
+def mesh(coords: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The open mesh of ``coords``: ``coords[a]`` as a view of length
+    ``len(coords[a])`` on axis ``d - 1 - a`` and 1 on the others, so the arrays
+    broadcast to the tensor grid in C order with axis 0 fastest, the flat
+    order of cells and faces."""
+    d = len(coords)
+    return tuple(np.reshape(c, (1,) * (d - 1 - a) + (-1,) + (1,) * a)
+                 for a, c in enumerate(coords))
+
+
 def lattice(coords: Sequence[np.ndarray]) -> np.ndarray:
-    """The ``(m, d)`` points of the tensor grid of ``coords``, axis 0 fastest."""
-    n = [len(c) for c in coords]
-    pts = np.empty((math.prod(n), len(n)))
-    for a, c in enumerate(coords):
-        pts.reshape(-1, n[a], math.prod(n[:a]), len(n))[..., a] = c[:, None]
-    return pts
+    """The ``(m, d)`` points of the tensor grid of ``coords``, axis 0 fastest:
+    the columns are the :func:`mesh` broadcast and flattened."""
+    open_mesh = mesh(coords)
+    pts = np.empty((*np.broadcast_shapes(*(c.shape for c in open_mesh)), len(coords)))
+    for a, c in enumerate(open_mesh):
+        pts[..., a] = c
+    return pts.reshape(-1, len(coords))
 
 
 def build_grid(domain: BoxDomain, n: Sequence[int], bc: Sequence[str]) -> Grid:

@@ -1,14 +1,18 @@
 """Velocity fields and face fluxes.
 
-A field evaluates vectorized: an ``(m, d)`` array of points yields an
-``(m, d)`` array of velocities (and a single ``(d,)`` point a ``(d,)``
-velocity).  Face fluxes are the integrals of the velocity component along
-each face's axis over the face, computed one face block at a time, in passes
-of at most ``_FLUX_CHUNK`` faces, and stored once per face in the face order
-of the grid (``grid.face_blocks()``, the order of ``grid.edges``).  A flux is
-positive when mass flows toward +axis, from the face's lower cell ``cell_a``
-into its upper cell ``cell_b``; the two sides see opposite signs by
-construction.
+A field's ``func`` takes coordinates, not points: a tuple of ``d`` float
+arrays that broadcast together (``xs[a]`` holds coordinate ``a``), and
+returns ``d`` velocity components, each broadcastable to their shape.  So a
+component is computed on as many values as the coordinates it reads: on the
+open :func:`~fpfvm.grid.mesh` of a face block the pendulum's ``-g sin x1``
+runs once per angle, not once per face.  Calling the field on an ``(..., d)``
+array of points gives the ``(..., d)`` velocities through the same ``func``.
+Face fluxes are the integrals of the velocity component along each face's
+axis over the face, computed one face block at a time, in passes of at most
+``_FLUX_CHUNK`` faces, and stored once per face in the face order of the grid
+(``grid.face_blocks()``, the order of ``grid.edges``).  A flux is positive
+when mass flows toward +axis, from the face's lower cell ``cell_a`` into its
+upper cell ``cell_b``; the two sides see opposite signs by construction.
 """
 
 from __future__ import annotations
@@ -16,24 +20,34 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Grid, lattice
+from .grid import Grid, mesh
 
 _FLUX_CHUNK = 1 << 16  # faces per quadrature pass of _block_fluxes
 
 
 @dataclass(frozen=True)
 class VelocityField:
-    """Evaluable vector field of dimension ``dim``."""
+    """Vector field of dimension ``dim``.
 
-    func: Callable[[np.ndarray], np.ndarray]
+    ``func(xs)`` maps a tuple of ``dim`` float coordinate arrays that
+    broadcast together to ``dim`` components, each broadcastable to their
+    shape.  Calling the field on an ``(..., dim)`` array of points returns the
+    ``(..., dim)`` velocities: ``func`` of the points' coordinate columns.
+    """
+
+    func: Callable[[tuple[np.ndarray, ...]], Sequence]
     dim: int
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.func(x)
+        x = np.asarray(x, dtype=float)
+        v = np.empty(x.shape)
+        for a, comp in enumerate(self.func(tuple(x.T))):
+            v.T[a] = comp
+        return v
 
 
 @dataclass(frozen=True)
@@ -62,28 +76,12 @@ def pendulum_field(g_over_l: float = 1.0) -> VelocityField:
     if not 0 < g_over_l < np.inf:
         raise ValueError(f"g_over_l={g_over_l!r} must be positive and finite")
     g = float(g_over_l)
-
-    def func(x):
-        x = np.asarray(x, dtype=float)
-        v = np.empty(x.shape)
-        v[..., 0] = x[..., 1]
-        v[..., 1] = -g * np.sin(x[..., 0])
-        return v
-
-    return VelocityField(func=func, dim=2)
+    return VelocityField(func=lambda xs: (xs[1], -g * np.sin(xs[0])), dim=2)
 
 
 def rotation_field() -> VelocityField:
     """Rigid rotation v(x) = (-x2, x1)."""
-
-    def func(x):
-        x = np.asarray(x, dtype=float)
-        v = np.empty(x.shape)
-        v[..., 0] = -x[..., 1]
-        v[..., 1] = x[..., 0]
-        return v
-
-    return VelocityField(func=func, dim=2)
+    return VelocityField(func=lambda xs: (-xs[1], xs[0]), dim=2)
 
 
 def constant_field(c) -> VelocityField:
@@ -91,14 +89,8 @@ def constant_field(c) -> VelocityField:
     c = np.asarray(c, dtype=float).ravel()
     if c.size == 0:
         raise ValueError("constant field needs at least one component")
-    cc = c.copy()
-    cc.flags.writeable = False
-
-    def func(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(cc, x.shape).copy()
-
-    return VelocityField(func=func, dim=int(c.size))
+    cc = tuple(c)
+    return VelocityField(func=lambda xs: cc, dim=len(cc))
 
 
 def field_from_name(name: str) -> VelocityField:
@@ -131,17 +123,20 @@ def _parse_quadrature(tag: str) -> tuple[str, int]:
 
 
 def tensor_rule(quadrature: str, coords, h, axes):
-    """Yield ``(weight, points)`` of the averaged tensor Gauss-Legendre rule over
-    ``axes`` of the boxes of sides ``h`` around the :func:`lattice` of ``coords``:
-    a node's points are the lattice with each ``coords[ax]`` moved by ``0.5 *
-    h[ax] * node``.  The weights sum to 1; midpoint is the 1-point rule, node 0."""
+    """Yield ``(weight, coords)`` of the averaged tensor Gauss-Legendre rule over
+    ``axes`` of the boxes of sides ``h`` around the points of the per-axis
+    coordinate vectors ``coords``: a node's coordinates are ``coords`` with each
+    ``coords[ax]`` moved by ``0.5 * h[ax] * node``, for the caller to make
+    points of (:func:`~fpfvm.grid.lattice`) or a mesh of
+    (:func:`~fpfvm.grid.mesh`).  The weights sum to 1; midpoint is the 1-point
+    rule, node 0."""
     _, k = _parse_quadrature(quadrature)  # midpoint is the 1-point rule
     nodes, weights = ((0.0,), (2.0,)) if k == 1 else np.polynomial.legendre.leggauss(k)
     for combo in np.ndindex(*(k,) * len(axes)):
         shifted = list(coords)
         for j, ax in zip(combo, axes):
             shifted[ax] = coords[ax] + 0.5 * h[ax] * nodes[j]
-        yield math.prod((weights[j] / 2.0 for j in combo), start=1.0), lattice(shifted)
+        yield math.prod((weights[j] / 2.0 for j in combo), start=1.0), shifted
 
 
 def compute_fluxes(field: VelocityField, grid: Grid,
@@ -188,12 +183,15 @@ def _upwind_outflow(grid: Grid, flux: np.ndarray) -> np.ndarray:
 def _block_fluxes(field: VelocityField, grid: Grid, quadrature: str, block,
                   flux: np.ndarray) -> None:
     """Write the fluxes of one face block of ``grid.face_blocks()`` into its
-    faces of ``flux``.  The face midpoints are the lattice of the grid's
-    ``centres``, those of the face axis cut to the block's lower cells and
+    faces of ``flux``.  The face midpoints have the grid's ``centres`` as
+    coordinates, those of the face axis cut to the block's lower cells and
     moved half a cell up, or where the lower side is outside, to its upper
     cells and moved half a cell down.  The rule runs over whole layers of the
     outermost coordinate vector at a time, at most ``_FLUX_CHUNK`` faces (and
-    at least one layer) a pass, summing each pass's faces in place."""
+    at least one layer) a pass.  Each node's coordinates go to the field as
+    their open :func:`~fpfvm.grid.mesh`, whose C order is the face order, and
+    the component along the face axis is summed, broadcast, into the pass's
+    faces in place, viewed as that mesh's shape."""
     axis, _, lower, upper, faces = block
     d = grid.domain.d
     half = 0.5 * grid.h[axis]
@@ -207,6 +205,7 @@ def _block_fluxes(field: VelocityField, grid: Grid, quadrature: str, block,
         coords[-1] = outer[r0:r0 + rows]
         acc = flux[faces][r0 * layer:(r0 + rows) * layer]
         acc.fill(0.0)
-        for w, pts in tensor_rule(quadrature, coords, grid.h, axes):
-            acc += w * np.asarray(field(pts), dtype=float)[:, axis]
+        cube = acc.reshape([len(c) for c in reversed(coords)])
+        for w, node in tensor_rule(quadrature, coords, grid.h, axes):
+            cube += w * field.func(mesh(node))[axis]
         acc *= grid.cell_volume / grid.h[axis]

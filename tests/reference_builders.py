@@ -1,12 +1,17 @@
 """Reference builders the tests compare the set-up layers against.
 
-Each one works on the face table ``grid.edges`` with direct scatters: the
+Each one works on the face table ``grid.edges``: the face fluxes from the
+field evaluated at ``(m, d)`` face points gathered through the table, node
+by node (the library evaluates it on the coordinate vectors of each face
+block's mesh instead), and with direct scatters the
 per-cell face sums and upwind outflow as two ``np.add.at`` passes, the
 transition matrix as one set of ``(row, col, value)`` triplets summed by
 scipy's COO-to-CSR conversion, and the row sums of ``verify_markov`` as a
 ``bincount`` over the column indices.  The library builds the same arrays
 from cube slices of the face blocks, without the table.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sparse
@@ -32,6 +37,39 @@ def face_sums(grid, at_a, at_b):
 def upwind_outflow(grid, flux):
     """Per-cell ``sum_L (v_KL)_+`` of the face fluxes ``flux``."""
     return face_sums(grid, np.maximum(flux, 0.0), np.maximum(-flux, 0.0))
+
+
+def face_points(grid, quadrature):
+    """Yield ``(axis, faces, weight, points)`` for every face block and node of
+    ``quadrature``, node by node in ``np.ndindex`` order within each block:
+    the ``(m, d)`` points are the centre of each face's cell inside the box
+    moved half a cell along the face's axis, and moved ``0.5 * h * node``
+    along the face's other axes."""
+    t = grid.edges
+    d = grid.domain.d
+    axes = np.repeat(np.arange(d), np.diff(grid.face_offsets))
+    outside = t.cell_a < 0
+    mids = grid.cell_midpoints[np.where(outside, t.cell_b, t.cell_a)]
+    mids[np.arange(len(t)), axes] += np.where(outside, -0.5, 0.5) * np.asarray(grid.h)[axes]
+    k = 1 if quadrature == "midpoint" else int(quadrature[5:])
+    nodes, weights = ((0.0,), (2.0,)) if k == 1 else np.polynomial.legendre.leggauss(k)
+    for axis, _, _, _, faces in grid.face_blocks():
+        others = [j for j in range(d) if j != axis]
+        for combo in np.ndindex(*(k,) * len(others)):
+            pts = mids[faces].copy()
+            for j, ax in zip(combo, others):
+                pts[:, ax] = mids[faces, ax] + 0.5 * grid.h[ax] * nodes[j]
+            yield axis, faces, math.prod((weights[j] / 2.0 for j in combo), start=1.0), pts
+
+
+def point_fluxes(field, grid, quadrature):
+    """Face fluxes and upwind outflow with ``field`` called on the ``(m, d)``
+    points of :func:`face_points`."""
+    flux = np.zeros(grid.face_offsets[-1])
+    for axis, faces, w, pts in face_points(grid, quadrature):
+        flux[faces] += w * field(pts)[:, axis]
+    flux *= grid.cell_volume / np.repeat(grid.h, np.diff(grid.face_offsets))
+    return flux, upwind_outflow(grid, flux)
 
 
 def triplet_assemble(fluxes, dt):

@@ -257,6 +257,20 @@ def test_filter_file_prior_roundtrip(tmp_path):
     assert np.abs(a.values - b.values).max() <= 1e-12 * a.values.max()
 
 
+def test_filter_rejects_file_prior_of_other_boundary_kinds(tmp_path, capsys):
+    """A snapshot records its boundary kinds, so a prior file from a
+    periodic,neumann run cannot start a periodic,periodic one."""
+    run1 = tmp_path / "a"
+    args = ["filter", "--n", "8,8", "--obs_times", "", "--t_end", "0", "--snapshot_times", "0"]
+    assert main(args + ["--out", str(run1)]) == 0
+    capsys.readouterr()
+    rc = main(args + ["--out", str(tmp_path / "b"), "--bc", "periodic,periodic",
+                      "--prior", f"file:{run1 / 'snapshot_00.csv'}"])
+    assert rc == 2
+    assert "contradicts the bc=periodic,neumann" in capsys.readouterr().err
+    assert not (tmp_path / "b" / "report.csv").exists()
+
+
 def test_filter_rejects_negative_file_prior(tmp_path, capsys):
     g = build_grid(BoxDomain((-PI, -PI), (PI, PI)), (6, 6), ("periodic", "neumann"))
     vals = uniform_density(g).values.copy()

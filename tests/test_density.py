@@ -254,6 +254,25 @@ def test_density_file_roundtrip(tmp_path):
     assert t == PI / 3
     assert back.grid == g
     assert np.array_equal(back.values, d.values)  # 17 digits round-trip exactly
+    assert f"# bc={','.join(g.bc)}\n" in path.read_text()
+    assert load_density(path)[0].grid == g  # the kinds come from the file
+
+
+def test_density_file_bc_line(tmp_path):
+    g = _grid2(4)
+    path = tmp_path / "dens.csv"
+    save_density(uniform_density(g), path)
+    other = tuple(reversed(g.bc))
+    assert other != g.bc
+    with pytest.raises(ValueError, match="contradicts"):
+        load_density(path, bc=other)
+    # a file written before the bc line existed still needs bc
+    old = tmp_path / "old.csv"
+    old.write_text("".join(ln for ln in path.read_text().splitlines(keepends=True)
+                           if not ln.startswith("# bc=")))
+    with pytest.raises(ValueError, match="no bc line"):
+        load_density(old)
+    assert load_density(old, bc=other)[0].grid.bc == other
 
 
 def test_density_validation():

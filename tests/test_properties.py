@@ -108,7 +108,7 @@ def _two_cell_ring():
     """A 2-cell periodic axis whose two faces both carry mass from cell 1 to
     cell 0: the assembly sees two triplets for one matrix entry."""
     grid = build_grid(BoxDomain((-1.0,), (1.0,)), (2,), ("periodic",))
-    field = VelocityField(lambda x: np.asarray(x, dtype=float) - 0.5, dim=1)
+    field = VelocityField(lambda xs: (xs[0] - 0.5,), dim=1)
     fluxes = compute_fluxes(field, grid)
     return fluxes, assemble(fluxes, 0.5)
 

@@ -78,7 +78,8 @@ def _edge_density():
 def test_save_density_edge_values(tmp_path):
     save_density(_edge_density(), tmp_path / "d.csv", t=1 / 3)
     text = (tmp_path / "d.csv").read_text()
-    assert text == ("# d=1\n# n=5\n# domain=0,1\n# t=0.33333333333333331\n" + EDGE_LINES)
+    assert text == ("# d=1\n# n=5\n# domain=0,1\n# bc=periodic\n# t=0.33333333333333331\n"
+                    + EDGE_LINES)
 
 
 def test_worker_formats_edge_values(tmp_path):

@@ -13,7 +13,7 @@ from fpfvm import (
     rotation_field,
     VelocityField,
 )
-from reference_builders import face_sums
+from reference_builders import face_points, face_sums, point_fluxes
 
 PI = np.pi
 
@@ -94,11 +94,10 @@ def test_pendulum_flux_matches_midpoint_rule():
     assert fx.values[k] == pytest.approx(mids[k][1] * g.h[1], rel=1e-13)
 
 
-def _swirl(x):
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    return np.stack([np.sin(2 * x[..., (i + 1) % d] + i) * (1 + x[..., i])
-                     for i in range(d)], axis=-1)
+def _swirl(xs):
+    """A field whose every component reads two coordinates (one in 1D)."""
+    d = len(xs)
+    return tuple(np.sin(2 * xs[(i + 1) % d] + i) * (1 + xs[i]) for i in range(d))
 
 
 @pytest.mark.parametrize("n,bc", [
@@ -108,53 +107,117 @@ def _swirl(x):
 def test_midpoint_flux_at_face_points(n, bc):
     # 1D and 3D faces, including low-side Dirichlet faces (lower cell outside)
     g = build_grid(BoxDomain((-1.0,) * len(n), (2.0,) * len(n)), n, bc)
-    fx = compute_fluxes(VelocityField(func=_swirl, dim=len(n)), g)
-    v = _swirl(_face_points(g))[np.arange(len(g.edges)), _face_axes(g)]
+    field = VelocityField(func=_swirl, dim=len(n))
+    fx = compute_fluxes(field, g)
+    v = field(_face_points(g))[np.arange(len(g.edges)), _face_axes(g)]
     assert np.abs(fx.values - _face_measures(g) * v).max() <= 1e-14
 
 
+QUADRATURES = ("midpoint", "gauss2", "gauss3")
+
+
+@st.composite
+def boxes(draw):
+    """A 1-3D grid of 2-6 cells per axis with any boundary mix."""
+    d = draw(st.integers(1, 3))
+    n = tuple(draw(st.lists(st.integers(2, 6), min_size=d, max_size=d)))
+    bc = tuple(draw(st.lists(st.sampled_from(("periodic", "neumann", "dirichlet")),
+                             min_size=d, max_size=d)))
+    lower = tuple(draw(st.lists(st.floats(-4.0, 0.0), min_size=d, max_size=d)))
+    widths = draw(st.lists(st.floats(0.5, 8.0), min_size=d, max_size=d))
+    return build_grid(BoxDomain(lower, tuple(lo + w for lo, w in zip(lower, widths))), n, bc)
+
+
+def _mesh_points(xs):
+    """The ``(m, d)`` points of a coordinate tuple, broadcast and flattened in
+    C order."""
+    return np.stack([x.ravel() for x in np.broadcast_arrays(*xs)], axis=-1)
+
+
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), quadrature=st.sampled_from(("midpoint", "gauss2", "gauss3")))
-def test_face_points_equal_the_gather_through_the_face_table(data, quadrature):
-    """The points ``compute_fluxes`` evaluates are, bit for bit, the centre of
-    each face's cell inside the box moved half a cell along the face's axis,
-    and for each quadrature node moved ``0.5 * h * node`` along the face's
-    other axes, node by node in ``np.ndindex`` order within each face block."""
-    d = data.draw(st.integers(1, 3))
-    n = tuple(data.draw(st.lists(st.integers(2, 6), min_size=d, max_size=d)))
-    bc = tuple(data.draw(st.lists(st.sampled_from(("periodic", "neumann", "dirichlet")),
-                                  min_size=d, max_size=d)))
-    g = build_grid(BoxDomain((-1.0,) * d, (2.0,) * d), n, bc)
+@given(g=boxes(), quadrature=st.sampled_from(QUADRATURES))
+def test_face_points_equal_the_gather_through_the_face_table(g, quadrature):
+    """The coordinates ``compute_fluxes`` hands the field, broadcast to points,
+    are, bit for bit, the centre of each face's cell inside the box moved half
+    a cell along the face's axis, and for each quadrature node moved ``0.5 * h
+    * node`` along the face's other axes, node by node in ``np.ndindex`` order
+    within each face block."""
+    d = g.domain.d
     seen = []
 
-    def record(x):
-        seen.append(x.copy())
-        return np.zeros_like(x)
+    def record(xs):
+        seen.append(_mesh_points(xs))
+        return (0.0,) * d
 
     compute_fluxes(VelocityField(func=record, dim=d), g, quadrature)
-    t, axes = g.edges, _face_axes(g)
-    outside = t.cell_a < 0
-    ref = g.cell_midpoints[np.where(outside, t.cell_b, t.cell_a)]
-    ref[np.arange(len(t)), axes] += np.where(outside, -0.5, 0.5) * np.asarray(g.h)[axes]
-    k = 1 if quadrature == "midpoint" else int(quadrature[5:])
-    nodes = [0.0] if k == 1 else np.polynomial.legendre.leggauss(k)[0]
-    expected = []
-    for axis, _, _, _, faces in g.face_blocks():
-        others = [j for j in range(d) if j != axis]
-        for combo in np.ndindex(*(k,) * len(others)):
-            pts = ref[faces].copy()
-            for j, ax in zip(combo, others):
-                pts[:, ax] = ref[faces, ax] + 0.5 * g.h[ax] * nodes[j]
-            expected.append(pts)
+    expected = [pts for *_, pts in face_points(g, quadrature)]
     assert len(seen) == len(expected)
     for got, want in zip(seen, expected):
         assert np.array_equal(got, want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), g=boxes(), quadrature=st.sampled_from(QUADRATURES))
+def test_mesh_fluxes_equal_the_point_path(data, g, quadrature):
+    """Fluxes and outflow of a field evaluated on each face block's coordinate
+    mesh equal, bit for bit, those of the same field called on the ``(m, d)``
+    face points of the face-table reference."""
+    d = g.domain.d
+    kinds = ["constant", "swirl"] + (["pendulum", "rotation"] if d == 2 else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "constant":
+        field = constant_field(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=d,
+                                                  max_size=d)))
+    elif kind == "swirl":
+        field = VelocityField(func=_swirl, dim=d)
+    elif kind == "pendulum":
+        field = pendulum_field(data.draw(st.floats(0.1, 10.0)))
+    else:
+        field = rotation_field()
+    fx = compute_fluxes(field, g, quadrature)
+    flux, outflow = point_fluxes(field, g, quadrature)
+    assert fx.values.tobytes() == flux.tobytes()
+    assert fx.outflow.tobytes() == outflow.tobytes()
+
+
+@pytest.mark.parametrize("quadrature", QUADRATURES)
+def test_pendulum_field_sees_coordinate_vectors(quadrature):
+    """On an N x N pendulum grid every coordinate array the field receives
+    has two axes, at most one of them longer than 1, and at most N values
+    (a wrap block's own axis has one): the sine runs per angle, not per
+    face."""
+    N = 40
+    g = build_grid(BoxDomain((-PI, -PI), (PI, PI)), (N, N), ("periodic", "neumann"))
+    pendulum = pendulum_field()
+    seen = []
+
+    def record(xs):
+        assert isinstance(xs, tuple) and len(xs) == 2
+        seen.extend(xs)
+        return pendulum.func(xs)
+
+    fx = compute_fluxes(VelocityField(func=record, dim=2), g, quadrature)
+    assert np.array_equal(fx.values, compute_fluxes(pendulum, g, quadrature).values)
+    assert seen
+    for x in seen:
+        assert x.ndim == 2 and sum(k > 1 for k in x.shape) <= 1 and x.size <= N
+
+
+def test_point_call_takes_coordinate_columns():
+    """Called on ``(..., d)`` points, a field returns ``(..., d)`` velocities,
+    scalar components broadcast, one point giving a ``(d,)`` velocity."""
+    pts = np.random.default_rng(3).uniform(-2.0, 2.0, (4, 5, 2))
+    v = pendulum_field(2.0)(pts)
+    assert v.shape == pts.shape
+    assert np.array_equal(v[..., 0], pts[..., 1])
+    assert np.array_equal(v[..., 1], -2.0 * np.sin(pts[..., 0]))
+    assert np.array_equal(constant_field([1.5, -2.0])(pts), np.broadcast_to([1.5, -2.0], pts.shape))
+    assert np.array_equal(rotation_field()(pts[0, 0]), [-pts[0, 0, 1], pts[0, 0, 0]])
+
+
 def test_gauss_agrees_with_midpoint_for_affine_fields():
-    def affine(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([0.3 + 1.7 * x[..., 1], -0.2 + 0.9 * x[..., 0]], axis=-1)
+    def affine(xs):
+        return 0.3 + 1.7 * xs[1], -0.2 + 0.9 * xs[0]
 
     field = VelocityField(func=affine, dim=2)
     g = build_grid(BoxDomain((-1, -1), (1, 1)), (5, 7), ("dirichlet", "periodic"))
@@ -206,6 +269,6 @@ def test_dimension_mismatch_and_nonfinite():
     g = build_grid(BoxDomain((0.0,), (1.0,)), (4,), ("periodic",))
     with pytest.raises(ValueError):
         compute_fluxes(pendulum_field(), g)
-    bad = VelocityField(func=lambda x: np.full_like(np.asarray(x, float), np.nan), dim=1)
+    bad = VelocityField(func=lambda xs: tuple(np.full_like(x, np.nan) for x in xs), dim=1)
     with pytest.raises(ValueError):
         compute_fluxes(bad, g)
