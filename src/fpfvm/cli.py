@@ -249,7 +249,7 @@ def _prior_pdf(cfg, domain):
         return gaussian_pdf(mean, cov)
     if kind == "uniform":
         vol = domain.volume
-        return lambda x: 1.0 / vol
+        return lambda xs: 1.0 / vol
     raise ValueError(f"prior {kind!r} not usable here (need gaussian or uniform)")
 
 

@@ -2,9 +2,10 @@
 
 Values are per-cell averages (probability per unit volume) stored flat in
 canonical cell order; the mass of a density is ``sum(values) * cell_volume``.
-A pdf passed to :func:`project` follows the same vectorized contract as
-velocity fields: ``(m, d)`` points in, ``(m,)`` values out (a scalar return
-is broadcast).
+A pdf passed to :func:`project` takes coordinates, as a velocity field's
+``func`` does: a tuple of ``d`` float arrays that broadcast together (the open
+:func:`~fpfvm.grid.mesh` of the cells' quadrature nodes), and returns values
+broadcastable to their shape (a scalar is broadcast).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PERIODIC, BoxDomain, Grid, build_grid, lattice
+from .grid import PERIODIC, BoxDomain, Grid, build_grid, mesh
 from .snapshots import format_values
 from .velocity import tensor_rule
 
@@ -40,27 +41,21 @@ class Density:
         return float(self.values.sum() * self.grid.cell_volume)
 
 
-def _eval_scalar(f, points: np.ndarray) -> np.ndarray:
-    out = np.asarray(f(points), dtype=float)
-    if out.ndim == 0:
-        out = np.full(points.shape[0], float(out))
-    if out.shape != (points.shape[0],):
-        raise ValueError(
-            f"scalar function returned shape {out.shape}, expected ({points.shape[0]},)")
-    return out
-
-
 def project(pdf, grid: Grid, quadrature: str = "midpoint") -> Density:
     """Cell averages of an analytic pdf, by ``quadrature`` around the ``centres``.
 
+    ``pdf`` is called once per node on the node's open mesh; its values,
+    broadcast, are summed into the C-order cube ``grid.n[::-1]`` of cells.
     Not normalized: truncating a pdf to the box may lose mass, and that loss
-    is part of the approximation being measured.  Raises on negative or
-    non-finite cell averages.
+    is part of the approximation being measured.  Raises on a result that
+    does not broadcast to the cube, and on negative or non-finite cell
+    averages.
     """
-    vals = np.zeros(grid.ncells)
+    cube = np.zeros(grid.n[::-1])
     axes = range(grid.domain.d)
     for w, coords in tensor_rule(quadrature, [grid.centres(a) for a in axes], grid.h, axes):
-        vals += w * _eval_scalar(pdf, lattice(coords))
+        cube += w * np.asarray(pdf(mesh(coords)), dtype=float)
+    vals = cube.reshape(-1)
     if not np.all(np.isfinite(vals)):
         raise ValueError("pdf produced non-finite cell averages")
     if np.any(vals < 0):
@@ -74,11 +69,13 @@ def uniform_density(grid: Grid) -> Density:
 
 
 def gaussian_pdf(mean, cov):
-    """Multivariate normal pdf as a vectorized callable.
+    """Multivariate normal pdf as a callable on coordinates.
 
-    ``cov`` may be a scalar (isotropic), a length-d vector (diagonal), or a
-    full (d, d) matrix; it must be symmetric positive definite, with a
-    normalizing constant that is finite and positive in floating point.
+    The pdf takes a tuple of ``d`` coordinate arrays that broadcast together
+    and returns the density at their broadcast shape.  ``cov`` may be a
+    scalar (isotropic), a length-d vector (diagonal), or a full (d, d)
+    matrix; it must be symmetric positive definite, with a normalizing
+    constant that is finite and positive in floating point.
     """
     mean = np.asarray(mean, dtype=float).ravel()
     d = mean.size
@@ -101,10 +98,15 @@ def gaussian_pdf(mean, cov):
     if not 0 < norm < np.inf:
         raise ValueError(f"covariance {cov.tolist()} has a determinant outside the float range")
 
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        dx = x - mean
-        q = np.einsum("...i,ij,...j->...", dx, prec, dx)
+    def pdf(xs):
+        if len(xs) != d:
+            raise ValueError(f"pdf of dimension {d} called on {len(xs)} coordinates")
+        dx = [x - m for x, m in zip(xs, mean)]
+        # this order of the quadratic form rounds as an einsum over points does
+        q = 0.0
+        for i in range(d):
+            for j in range(d):
+                q = q + (dx[i] * prec[i, j]) * dx[j]
         return norm * np.exp(-0.5 * q)
 
     return pdf

@@ -4,7 +4,7 @@ The transition operator plays the role of the prediction kernel.  One loop,
 :func:`run_filter`, carries a bare array of cell values: between
 observations it applies :func:`predict`, one operator step at a time, and at
 each observation :func:`bayes_update` reweights the values by the likelihood
-at cell midpoints and renormalizes.  Evidence accumulates in log space.
+at the cell centres and renormalizes.  Evidence accumulates in log space.
 Because evolution is piecewise constant in time, observation, snapshot and
 end times are snapped to the nearest step index ``k`` (``step_count``, as
 ``evolve`` snaps); every snap is recorded, and every summary row is written
@@ -27,11 +27,13 @@ import numpy as np
 # even where run_filter no longer calls them
 from .density import (Density, _check_prominence, _slab_diagnostics, _sum_except,
                       count_modes, marginal, moments)
-from .grid import PERIODIC, Grid
+from .grid import PERIODIC, Grid, mesh
 from .operator import TransitionOperator, step, step_count
 from .velocity import VelocityField
 
-LogLikelihood = Callable[[float, np.ndarray], np.ndarray]
+# log_likelihood(z, xs): xs is a tuple of d coordinate arrays that broadcast
+# together; the values returned broadcast to their shape
+LogLikelihood = Callable[[float, tuple[np.ndarray, ...]], np.ndarray]
 
 _BLOCK = 128  # history rows whose diagnostics are computed together
 _RK4_MAX_STEP = 1e-3  # largest substep of simulate_truth
@@ -111,14 +113,18 @@ def bayes_update(values: np.ndarray, grid: Grid, log_likelihood: LogLikelihood, 
                  log_evidence: float) -> tuple[np.ndarray, float]:
     """Reweight cell values by the likelihood of ``z`` and renormalize.
 
-    ``log_likelihood(z, x)`` is vectorized over states: ``x`` of shape
-    ``(m, d)`` yields ``(m,)``.  Values of -inf (impossible states) are
-    allowed; +inf and NaN are not.  Returns the posterior values and the
-    running log evidence plus this observation's (the prior predictive value
-    of z, computed before normalization).
+    ``log_likelihood(z, xs)`` is called once, on the open mesh of the cell
+    centres (see :data:`LogLikelihood`), and its values must broadcast to the
+    C-order cube ``grid.n[::-1]`` of cells, as which ``values`` is weighted.
+    Values of -inf (impossible states) are allowed; +inf and NaN are not.
+    Returns the posterior values and the running log evidence plus this
+    observation's (the prior predictive value of z, computed before
+    normalization).
     """
-    ll = np.asarray(log_likelihood(z, grid.cell_midpoints), dtype=float)
-    if ll.shape != (grid.ncells,):
+    cube = values.reshape(grid.n[::-1])
+    ll = np.asarray(log_likelihood(z, mesh([grid.centres(a) for a in range(grid.domain.d)])),
+                    dtype=float)
+    if np.broadcast_shapes(ll.shape, cube.shape) != cube.shape:
         raise ValueError(f"log_likelihood returned shape {ll.shape}")
     if np.any(np.isnan(ll)) or np.any(np.isposinf(ll)):
         raise ValueError("log_likelihood must not produce NaN or +inf")
@@ -126,7 +132,7 @@ def bayes_update(values: np.ndarray, grid: Grid, log_likelihood: LogLikelihood, 
     if mx == -np.inf:
         raise ZeroEvidence(f"likelihood of z={z} vanishes on the whole grid")
     w = np.exp(ll - mx)
-    unnorm = values * w
+    unnorm = (cube * w).reshape(-1)
     scaled = unnorm.sum() * grid.cell_volume  # = evidence * exp(-mx)
     if not scaled > 0 or not np.isfinite(scaled):
         raise ZeroEvidence(f"all likelihood-weighted mass vanished for z={z}")
@@ -140,9 +146,8 @@ def gaussian_abs_position_model(sigma: float) -> LogLikelihood:
         raise ValueError(f"sigma={s!r} must be positive, with 2 sigma^2 a normal float")
     log_norm = float(np.log(s * np.sqrt(2.0 * np.pi)))
 
-    def log_likelihood(z, x):
-        x = np.asarray(x, dtype=float)
-        r = float(z) - np.abs(x[..., 0])
+    def log_likelihood(z, xs):
+        r = float(z) - np.abs(xs[0])
         with np.errstate(over="ignore"):  # a huge residual is -inf
             return -r * r / (2.0 * s * s) - log_norm
 

@@ -24,8 +24,9 @@ Conventions
   index arithmetic.  The face table ``Grid.edges`` (int32 cell pairs) is
   built on first access; no set-up layer reads it.
 * Every point set (cell centres, face points, Gauss nodes) is the tensor grid
-  of per-axis coordinate vectors: its :func:`mesh`, or as ``(m, d)`` points its
-  :func:`lattice`; a grid holds no per-cell array.
+  of per-axis coordinate vectors, and every function evaluated on one (a
+  velocity field, a pdf, a log-likelihood) gets its open :func:`mesh`; a grid
+  holds no per-cell array.
 * Periodic axes identify opposite box faces.  Neumann axes carry no boundary
   faces at all (zero normal flux).  Dirichlet axes keep their boundary faces
   so mass can flow out of the box; nothing flows in.
@@ -151,13 +152,6 @@ class Grid:
     def edges(self) -> EdgeTable:
         return _build_edge_table(self)
 
-    @functools.cached_property
-    def cell_midpoints(self) -> np.ndarray:
-        """(ncells, d) read-only cell centres in flat order, built on first access."""
-        mids = lattice([self.centres(a) for a in range(self.domain.d)])
-        mids.flags.writeable = False
-        return mids
-
     def centres(self, axis: int) -> np.ndarray:
         """Cell centres along ``axis``, lowest first."""
         return self.domain.lower[axis] + (np.arange(self.n[axis]) + 0.5) * self.h[axis]
@@ -191,16 +185,6 @@ def mesh(coords: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
     d = len(coords)
     return tuple(np.reshape(c, (1,) * (d - 1 - a) + (-1,) + (1,) * a)
                  for a, c in enumerate(coords))
-
-
-def lattice(coords: Sequence[np.ndarray]) -> np.ndarray:
-    """The ``(m, d)`` points of the tensor grid of ``coords``, axis 0 fastest:
-    the columns are the :func:`mesh` broadcast and flattened."""
-    open_mesh = mesh(coords)
-    pts = np.empty((*np.broadcast_shapes(*(c.shape for c in open_mesh)), len(coords)))
-    for a, c in enumerate(open_mesh):
-        pts[..., a] = c
-    return pts.reshape(-1, len(coords))
 
 
 def build_grid(domain: BoxDomain, n: Sequence[int], bc: Sequence[str]) -> Grid:

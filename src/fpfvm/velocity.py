@@ -5,8 +5,8 @@ arrays that broadcast together (``xs[a]`` holds coordinate ``a``), and
 returns ``d`` velocity components, each broadcastable to their shape.  So a
 component is computed on as many values as the coordinates it reads: on the
 open :func:`~fpfvm.grid.mesh` of a face block the pendulum's ``-g sin x1``
-runs once per angle, not once per face.  Calling the field on an ``(..., d)``
-array of points gives the ``(..., d)`` velocities through the same ``func``.
+runs once per angle, not once per face.  Pdfs and log-likelihoods take
+coordinates the same way.
 Face fluxes are the integrals of the velocity component along each face's
 axis over the face, computed one face block at a time, in passes of at most
 ``_FLUX_CHUNK`` faces, and stored once per face in the face order of the grid
@@ -35,19 +35,11 @@ class VelocityField:
 
     ``func(xs)`` maps a tuple of ``dim`` float coordinate arrays that
     broadcast together to ``dim`` components, each broadcastable to their
-    shape.  Calling the field on an ``(..., dim)`` array of points returns the
-    ``(..., dim)`` velocities: ``func`` of the points' coordinate columns.
+    shape.
     """
 
     func: Callable[[tuple[np.ndarray, ...]], Sequence]
     dim: int
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        v = np.empty(x.shape)
-        for a, comp in enumerate(self.func(tuple(x.T))):
-            v.T[a] = comp
-        return v
 
 
 @dataclass(frozen=True)
@@ -126,10 +118,9 @@ def tensor_rule(quadrature: str, coords, h, axes):
     """Yield ``(weight, coords)`` of the averaged tensor Gauss-Legendre rule over
     ``axes`` of the boxes of sides ``h`` around the points of the per-axis
     coordinate vectors ``coords``: a node's coordinates are ``coords`` with each
-    ``coords[ax]`` moved by ``0.5 * h[ax] * node``, for the caller to make
-    points of (:func:`~fpfvm.grid.lattice`) or a mesh of
-    (:func:`~fpfvm.grid.mesh`).  The weights sum to 1; midpoint is the 1-point
-    rule, node 0."""
+    ``coords[ax]`` moved by ``0.5 * h[ax] * node``, for the caller to make a
+    mesh of (:func:`~fpfvm.grid.mesh`).  The weights sum to 1; midpoint is the
+    1-point rule, node 0."""
     _, k = _parse_quadrature(quadrature)  # midpoint is the 1-point rule
     nodes, weights = ((0.0,), (2.0,)) if k == 1 else np.polynomial.legendre.leggauss(k)
     for combo in np.ndindex(*(k,) * len(axes)):

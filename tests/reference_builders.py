@@ -1,9 +1,14 @@
-"""Reference builders the tests compare the set-up layers against.
+"""Reference builders the tests compare the library against.
 
-Each one works on the face table ``grid.edges``: the face fluxes from the
-field evaluated at ``(m, d)`` face points gathered through the table, node
-by node (the library evaluates it on the coordinate vectors of each face
-block's mesh instead), and with direct scatters the
+The point path: the ``(m, d)`` points of a tensor grid (:func:`lattice`), the
+cell centres as such points, a field, pdf or log-likelihood called on points
+(on their coordinate columns), and the Gaussian pdf and Bayes update computed on
+points; the library evaluates every such function on the open mesh of
+per-axis coordinate vectors instead.
+
+The set-up layers work on the face table ``grid.edges``: the face fluxes from
+the field evaluated at ``(m, d)`` face points gathered through the table,
+node by node, and with direct scatters the
 per-cell face sums and upwind outflow as two ``np.add.at`` passes, the
 transition matrix as one set of ``(row, col, value)`` triplets summed by
 scipy's COO-to-CSR conversion, and the row sums of ``verify_markov`` as a
@@ -16,6 +21,7 @@ import math
 import numpy as np
 import scipy.sparse as sparse
 
+from fpfvm.grid import mesh
 from fpfvm.operator import (
     _CFL_SLACK,
     _MARKOV_TOL,
@@ -23,6 +29,55 @@ from fpfvm.operator import (
     MarkovReport,
     TransitionOperator,
 )
+
+
+def lattice(coords):
+    """The ``(m, d)`` points of the tensor grid of ``coords``, axis 0 fastest:
+    the columns are the :func:`~fpfvm.grid.mesh` broadcast and flattened."""
+    open_mesh = mesh(coords)
+    pts = np.empty((*np.broadcast_shapes(*(c.shape for c in open_mesh)), len(coords)))
+    for a, c in enumerate(open_mesh):
+        pts[..., a] = c
+    return pts.reshape(-1, len(coords))
+
+
+def cell_midpoints(grid):
+    """The ``(ncells, d)`` cell centres in flat order."""
+    return lattice([grid.centres(a) for a in range(grid.domain.d)])
+
+
+def field_at(field, pts):
+    """The ``(..., d)`` velocities of ``field`` at the ``(..., d)`` points
+    ``pts``: its ``func`` called on their coordinate columns."""
+    pts = np.asarray(pts, dtype=float)
+    v = np.empty(pts.shape)
+    for a, comp in enumerate(field.func(tuple(pts.T))):
+        v.T[a] = comp
+    return v
+
+
+def point_gaussian_pdf(mean, cov):
+    """The normal pdf of ``mean`` and the ``(d, d)`` matrix ``cov`` on ``(m, d)``
+    points, its quadratic form one ``einsum``."""
+    mean = np.asarray(mean, dtype=float)
+    prec = np.linalg.inv(cov)
+    norm = 1.0 / np.sqrt(((2.0 * np.pi) ** mean.size) * np.linalg.det(cov))
+
+    def pdf(x):
+        dx = x - mean
+        return norm * np.exp(-0.5 * np.einsum("...i,ij,...j->...", dx, prec, dx))
+
+    return pdf
+
+
+def point_bayes_update(values, grid, log_likelihood, z, log_evidence):
+    """``bayes_update`` with ``log_likelihood`` called on the ``(ncells,)``
+    coordinate columns of the cell centres."""
+    ll = np.asarray(log_likelihood(z, tuple(cell_midpoints(grid).T)), dtype=float)
+    mx = ll.max()
+    unnorm = values * np.exp(ll - mx)
+    scaled = unnorm.sum() * grid.cell_volume
+    return unnorm / scaled, log_evidence + mx + float(np.log(scaled))
 
 
 def face_sums(grid, at_a, at_b):
@@ -49,7 +104,7 @@ def face_points(grid, quadrature):
     d = grid.domain.d
     axes = np.repeat(np.arange(d), np.diff(grid.face_offsets))
     outside = t.cell_a < 0
-    mids = grid.cell_midpoints[np.where(outside, t.cell_b, t.cell_a)]
+    mids = cell_midpoints(grid)[np.where(outside, t.cell_b, t.cell_a)]
     mids[np.arange(len(t)), axes] += np.where(outside, -0.5, 0.5) * np.asarray(grid.h)[axes]
     k = 1 if quadrature == "midpoint" else int(quadrature[5:])
     nodes, weights = ((0.0,), (2.0,)) if k == 1 else np.polynomial.legendre.leggauss(k)
@@ -67,7 +122,7 @@ def point_fluxes(field, grid, quadrature):
     points of :func:`face_points`."""
     flux = np.zeros(grid.face_offsets[-1])
     for axis, faces, w, pts in face_points(grid, quadrature):
-        flux[faces] += w * field(pts)[:, axis]
+        flux[faces] += w * field_at(field, pts)[:, axis]
     flux *= grid.cell_volume / np.repeat(grid.h, np.diff(grid.face_offsets))
     return flux, upwind_outflow(grid, flux)
 

@@ -37,6 +37,7 @@ from fpfvm import (
     verify_markov,
 )
 from fpfvm.cli import main as cli_main
+from reference_builders import cell_midpoints
 
 PI = np.pi
 DOM = BoxDomain((-PI, -PI), (PI, PI))
@@ -241,7 +242,7 @@ def test_criterion_08_expectation_convergence():
     for n in (50, 100, 200, 400):
         dens = run_level(pendulum_field(), DOM, BC, pdf, PI / 4, n, xi=XI,
                          dt_over_h=DT_OVER_H, normalize_prior=True)
-        x = dens.grid.cell_midpoints
+        x = cell_midpoints(dens.grid)
         g2 = x[:, 0] ** 2 + x[:, 1] ** 2
         values.append(float((dens.values * g2).sum() * dens.grid.cell_volume))
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]

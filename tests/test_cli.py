@@ -90,6 +90,18 @@ def test_operator_dirichlet_outflow_exit_zero(tmp_path, capsys):
     assert "is_markov=True" in out and "mass_conserving: False" in out
 
 
+def test_fixed_step_is_checked_against_the_bound_without_the_margin(tmp_path, capsys):
+    """``xi`` sets only the printed ``dt_max`` (and the ``auto`` step): a fixed
+    ``dt_over_h`` step above it, within the bound without the margin, is
+    assembled and verified."""
+    assert main(["operator", "--out", str(tmp_path), "--field", "rotation",
+                 "--quadrature", "gauss3", "--bc", "dirichlet,periodic"]) == 0
+    out = capsys.readouterr().out
+    assert "is_markov=True" in out
+    dt_max = float(out.split("dt_max=")[1].split()[0])
+    assert float(out.split("dt: ")[1].split()[0]) > dt_max
+
+
 def test_operator_cfl_violation_exit_three(tmp_path):
     rc = main(["operator", "--out", str(tmp_path), "--dt_over_h", "1.0"])
     assert rc == 3

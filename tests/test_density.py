@@ -17,6 +17,8 @@ from fpfvm import (
     save_density,
     uniform_density,
 )
+from fpfvm.grid import mesh
+from reference_builders import cell_midpoints
 
 PI = np.pi
 
@@ -28,7 +30,7 @@ def _grid2(n=8, lo=(-PI, -PI), hi=(PI, PI), bc=("periodic", "neumann")):
 def test_project_constant_pdf():
     g = _grid2()
     vol = g.domain.volume
-    d = project(lambda x: 1.0 / vol, g)
+    d = project(lambda xs: 1.0 / vol, g)
     assert np.allclose(d.values, 1.0 / vol, rtol=1e-15)
     assert d.mass == pytest.approx(1.0, abs=1e-14)
 
@@ -38,14 +40,14 @@ def test_project_midpoint_samples_midpoints():
     pdf = gaussian_pdf((0.6 * PI, 0.0), 0.64)
     d = project(pdf, g)
     # midpoint is the 1-point Gauss rule: node 0, weight 1, bit for bit
-    assert np.array_equal(d.values, pdf(g.cell_midpoints))
+    assert np.array_equal(d.values, pdf(mesh([g.centres(a) for a in range(2)])).ravel())
     assert np.array_equal(d.values, project(pdf, g, "gauss1").values)
     assert d.mass < 1.0  # truncation to the box loses mass
 
 
 def test_project_gauss2_exact_for_linear():
     g = build_grid(BoxDomain((0.0,), (1.0,)), (4,), ("neumann",))
-    d = project(lambda x: 2.0 * np.asarray(x)[..., 0], g, "gauss2")
+    d = project(lambda xs: 2.0 * xs[0], g, "gauss2")
     # exact cell averages of 2x are 2 * midpoint
     expected = [0.25, 0.75, 1.25, 1.75]
     assert np.abs(d.values - expected).max() <= 1e-14
@@ -54,9 +56,16 @@ def test_project_gauss2_exact_for_linear():
 def test_project_rejects_bad_pdfs():
     g = _grid2(4)
     with pytest.raises(ValueError):
-        project(lambda x: -1.0, g)
+        project(lambda xs: -1.0, g)
     with pytest.raises(ValueError):
-        project(lambda x: np.inf, g)
+        project(lambda xs: np.inf, g)
+    # values that do not broadcast to the 4 x 4 cube of cells, and a pdf of
+    # another dimension
+    for values in (np.ones(3), np.ones((2, 4, 4))):
+        with pytest.raises(ValueError):
+            project(lambda xs: values, g)
+    with pytest.raises(ValueError, match="dimension 3"):
+        project(gaussian_pdf((0.0, 0.0, 0.0), 1.0), g)
     # an indefinite covariance would project an upside-down Gaussian
     with pytest.raises(ValueError):
         gaussian_pdf((0.0, 0.0), -1.0)
@@ -127,7 +136,7 @@ def test_moments_point_mass():
     cell = np.ravel_multi_index((1, 2), g.n, order="F")
     vals[cell] = 1.0 / g.cell_volume
     m = moments(Density(vals, g))
-    assert np.allclose(m.mean, g.cell_midpoints[cell], atol=1e-15)
+    assert np.allclose(m.mean, cell_midpoints(g)[cell], atol=1e-15)
     h2_12 = g.h[0] ** 2 / 12.0
     assert m.covariance[0, 0] == pytest.approx(h2_12, rel=1e-12)
     assert m.covariance[1, 1] == pytest.approx(h2_12, rel=1e-12)
@@ -136,7 +145,7 @@ def test_moments_point_mass():
 
 def test_moments_symmetric_bimodal():
     g = _grid2(16, bc=("neumann", "neumann"))
-    pdf = lambda x: (gaussian_pdf((1.5, 0.0), 0.2)(x) + gaussian_pdf((-1.5, 0.0), 0.2)(x)) / 2
+    pdf = lambda xs: (gaussian_pdf((1.5, 0.0), 0.2)(xs) + gaussian_pdf((-1.5, 0.0), 0.2)(xs)) / 2
     d = normalize(project(pdf, g))
     m = moments(d)
     assert np.abs(m.mean).max() <= 1e-12
@@ -168,12 +177,12 @@ def test_marginal_uniform_and_mass():
 def test_marginal_separates_products():
     dom = BoxDomain((0, 0), (1, 1))
     g = build_grid(dom, (8, 6), ("neumann", "neumann"))
-    a = lambda x: 1.0 + np.asarray(x)[..., 0] ** 2
-    b = lambda x: 1.5 - np.asarray(x)[..., 1]
-    d2 = project(lambda x: a(x) * b(x), g)
+    a = lambda xs: 1.0 + xs[0] ** 2
+    b = lambda xs: 1.5 - xs[1]
+    d2 = project(lambda xs: a(xs) * b(xs), g)
     m = marginal(d2, 0)
     g1 = build_grid(BoxDomain((0.0,), (1.0,)), (8,), ("neumann",))
-    d1 = project(lambda x: 1.0 + np.asarray(x)[..., 0] ** 2, g1)
+    d1 = project(a, g1)
     ymids = np.linspace(0, 1, 7)[:-1] + 1.0 / 12
     weight = (1.5 - ymids).sum() / 6.0
     assert np.abs(m.values - d1.values * weight).max() <= 1e-14

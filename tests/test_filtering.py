@@ -71,14 +71,14 @@ def test_observation_sequence_validation():
 def test_gaussian_abs_model():
     sigma = 0.1
     model = gaussian_abs_position_model(sigma)
-    x = np.array([[0.6, 1.0]])
+    x = (np.array([0.6]), np.array([1.0]))
     peak = model(0.6, x)[0]
     assert peak == pytest.approx(-np.log(sigma * np.sqrt(2 * PI)), rel=1e-14)
     # half a sigma off costs exactly 1/2 above the normalizer
     val = model(0.5, x)[0]
     assert peak - val == pytest.approx(0.5, rel=1e-12)
     # sign of x1 is invisible
-    xs = np.array([[0.37, -1.2], [-0.37, -1.2]])
+    xs = (np.array([0.37, -0.37]), np.array([-1.2, -1.2]))
     ll = model(0.9, xs)
     assert ll[0] == ll[1]
     with pytest.raises(ValueError):
@@ -95,7 +95,7 @@ def test_gaussian_abs_model_rejects_sigma_outside_the_float_range(sigma):
 def test_gaussian_abs_model_huge_residual_is_minus_inf():
     """A residual whose square overflows, or overflows against 2 sigma^2,
     has log likelihood -inf, and no warning escapes."""
-    x = np.array([[0.0, 0.0], [10.0, 0.0]])
+    x = (np.array([0.0, 10.0]), np.array([0.0, 0.0]))
     assert np.all(gaussian_abs_position_model(1.0)(1e200, x) == -np.inf)
     ll = gaussian_abs_position_model(1.1e-154)(10.0, x)
     assert ll[0] == -np.inf and np.isfinite(ll[1])
@@ -104,8 +104,7 @@ def test_gaussian_abs_model_huge_residual_is_minus_inf():
 def test_bayes_update_constant_likelihood():
     _, g, _, prior = _pendulum_setup(8)
     c = 2.5
-    post, log_ev = bayes_update(prior.values, g, lambda z, x: np.full(len(x), np.log(c)),
-                                0.0, 0.0)
+    post, log_ev = bayes_update(prior.values, g, lambda z, xs: np.log(c), 0.0, 0.0)
     assert np.abs(post - prior.values).max() <= 1e-14 * prior.values.max()
     assert log_ev == pytest.approx(np.log(c), abs=1e-12)
 
@@ -114,8 +113,8 @@ def test_bayes_update_indicator_oracle():
     # 2x2 uniform prior on the unit box; keep the left half plane
     g = build_grid(BoxDomain((0, 0), (1, 1)), (2, 2), ("neumann", "neumann"))
 
-    def log_ind(z, x):
-        return np.where(np.asarray(x)[..., 0] < 0.5, 0.0, -np.inf)
+    def log_ind(z, xs):
+        return np.where(xs[0] < 0.5, 0.0, -np.inf)
 
     post, log_ev = bayes_update(uniform_density(g).values, g, log_ind, 0.0, 0.0)
     # evidence is the prior mass of the half, posterior its renormalization
@@ -130,7 +129,16 @@ def test_bayes_update_indicator_oracle():
 def test_bayes_update_zero_evidence():
     _, g, _, prior = _pendulum_setup(6)
     with pytest.raises(ZeroEvidence):
-        bayes_update(prior.values, g, lambda z, x: np.full(len(x), -np.inf), 1.0, 0.0)
+        bayes_update(prior.values, g, lambda z, xs: -np.inf, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 6, 6)])
+def test_bayes_update_rejects_values_off_the_cube(shape):
+    """A likelihood whose values do not broadcast to the 6 x 6 cube of cells,
+    or broadcast to a larger shape, is an error, not a reweighting."""
+    _, g, _, prior = _pendulum_setup(6)
+    with pytest.raises(ValueError):
+        bayes_update(prior.values, g, lambda z, xs: np.zeros(shape), 1.0, 0.0)
 
 
 def test_predict_basics():
@@ -366,7 +374,7 @@ def test_run_filter_blocks_match_per_row_diagnostics(n, drift, extra):
     fluxes = compute_fluxes(constant_field(drift), grid)
     op = assemble(fluxes, 0.97 * max_stable_dt(fluxes, 0.0).dt_max)
     bumps = [gaussian_pdf((c,) + (0.0,) * (d - 1), 0.3) for c in (-1.5, 1.0)]
-    prior = normalize(project(lambda x: bumps[0](x) + 0.6 * bumps[1](x), grid))
+    prior = normalize(project(lambda xs: bumps[0](xs) + 0.6 * bumps[1](xs), grid))
     model = gaussian_abs_position_model(0.5)
     # 2 * _BLOCK rows, or two full blocks and a partial one
     k_end = 2 * _BLOCK - 2 + extra

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpfvm import BoxDomain, build_grid
-from fpfvm.grid import lattice
+from reference_builders import cell_midpoints, lattice
 
 PI = np.pi
 BCS = ("periodic", "neumann", "dirichlet")
@@ -96,10 +96,10 @@ def test_2d_dirichlet_edge_counts():
         assert (t.cell_b[k] == -1) == (coord == hi)
         # the face point is half a cell from the centre of the cell inside
         if coord == lo:
-            centre = g.cell_midpoints[t.cell_b[k], a]
+            centre = cell_midpoints(g)[t.cell_b[k], a]
             assert centre - 0.5 * g.h[a] == pytest.approx(coord, abs=1e-15)
         else:
-            centre = g.cell_midpoints[t.cell_a[k], a]
+            centre = cell_midpoints(g)[t.cell_a[k], a]
             assert centre + 0.5 * g.h[a] == pytest.approx(coord, abs=1e-15)
     for a in range(2):
         block = slice(g.face_offsets[a], g.face_offsets[a + 1])
@@ -178,7 +178,7 @@ def test_edge_geometry():
         ma, mb = _multi(g, t.cell_a[k]), _multi(g, t.cell_b[k])
         assert mb[a] == (ma[a] + 1) % g.n[a]
         assert all(mb[j] == ma[j] for j in trans)
-        centre = g.cell_midpoints[t.cell_a[k], a]
+        centre = cell_midpoints(g)[t.cell_a[k], a]
         assert centre + 0.5 * g.h[a] == pytest.approx(
             g.domain.lower[a] + (ma[a] + 1) * g.h[a], rel=1e-15)
 
@@ -263,9 +263,9 @@ def test_edge_table_matches_multi_index_enumeration(data):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_lattice_row_is_the_coordinate_of_each_axis(data):
-    """Row ``i`` of ``lattice(coords)`` takes, on each axis ``a``, entry
-    ``m[a]`` of ``coords[a]``, where ``m`` is the multi-index of flat cell
-    ``i`` (axis 0 fastest)."""
+    """Row ``i`` of ``lattice(coords)``, the library's ``mesh`` broadcast and
+    flattened, takes, on each axis ``a``, entry ``m[a]`` of ``coords[a]``,
+    where ``m`` is the multi-index of flat cell ``i`` (axis 0 fastest)."""
     d = data.draw(st.integers(1, 3))
     coords = [np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6)))
               for _ in range(d)]
@@ -275,15 +275,6 @@ def test_lattice_row_is_the_coordinate_of_each_axis(data):
     for i in range(len(pts)):
         m = np.unravel_index(i, n, order="F")
         assert [pts[i, a] for a in range(d)] == [coords[a][m[a]] for a in range(d)]
-
-
-def test_cell_midpoints_built_on_first_access():
-    g = build_grid(BoxDomain((-1.0, 0.0, 2.0), (1.0, 3.0, 2.5)), (3, 4, 2),
-                   ("periodic", "neumann", "dirichlet"))
-    assert "cell_midpoints" not in vars(g)
-    mids = g.cell_midpoints
-    assert mids is g.cell_midpoints and not mids.flags.writeable
-    assert np.array_equal(mids, lattice([g.centres(a) for a in range(3)]))
 
 
 @pytest.mark.parametrize("n", [(2**16, 2**15), (2**16, 2**16), (2**11,) * 3])

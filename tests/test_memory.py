@@ -5,8 +5,9 @@ and of the chunked flux build, the CFL bound and the assembly at N=800.
 deterministic: it counts the arrays a call keeps plus the temporaries it
 holds at its worst moment.  The budgets leave room for a few float working
 arrays per layer, not for index temporaries the size of the face table, nor
-for a second copy of the matrix.  No set-up layer builds the face table, and
-only the filter's Bayes update builds the ``(ncells, d)`` cell midpoints.
+for a second copy of the matrix.  No set-up layer builds the face table.
+The prior's projection and the Bayes update call their pdf and likelihood on
+the open mesh of the cell centres, so neither builds ``(ncells, d)`` points.
 """
 
 import tracemalloc
@@ -14,9 +15,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fpfvm import BoxDomain, build_grid
+from fpfvm import BoxDomain, build_grid, gaussian_pdf, normalize, project
 from fpfvm.cli import main
-from fpfvm.grid import Grid
+from fpfvm.filtering import bayes_update, gaussian_abs_position_model
 from fpfvm.operator import assemble, export_operator, max_stable_dt, verify_markov
 from fpfvm.velocity import compute_fluxes, pendulum_field
 
@@ -45,9 +46,8 @@ def fluxes():
 def test_build_grid_allocates_only_what_it_keeps():
     grid, peak = _traced(build_grid, DOMAIN, (N, N), BC)
     assert "edges" not in vars(grid)  # no face table yet
-    assert "cell_midpoints" not in vars(grid)  # and no per-cell array
     # a few Python objects (2.1 KB measured at N=200 and at N=800), against
-    # the 640 KB of the (ncells, 2) midpoints
+    # the 320 KB of one per-cell float array
     assert peak <= 2560
 
 
@@ -78,6 +78,28 @@ def test_compute_fluxes_peak_in_chunks(quadrature):
     working arrays are a fraction of the output (1.05 times it measured, 2.67
     times with one pass per block)."""
     assert _fluxes_peak(800, quadrature) <= 1.1
+
+
+@pytest.mark.parametrize("quadrature", ["midpoint", "gauss2"])
+def test_project_peak(quadrature):
+    """The pdf runs on each node's open mesh and its values are summed into the
+    cube of cells, so no ``(ncells, d)`` points are built: 4.04 times the
+    output measured under each rule at N=200 (8.03 on the points)."""
+    pdf = gaussian_pdf((0.0, 0.0), 0.64)
+    project(pdf, build_grid(DOMAIN, (4, 4), BC), quadrature)  # imports the rule's nodes
+    out, peak = _traced(project, pdf, build_grid(DOMAIN, (N, N), BC), quadrature)
+    assert peak <= 4.2 * out.values.nbytes
+
+
+def test_bayes_update_peak():
+    """The likelihood runs on the open mesh of the cell centres (the
+    pendulum's reads 200 angles), and the values are weighted as the cube of
+    cells: 2.01 times the output measured at N=200 (4.00 on the points)."""
+    grid = build_grid(DOMAIN, (N, N), BC)
+    values = normalize(project(gaussian_pdf((0.0, 0.0), 0.64), grid)).values
+    (post, _), peak = _traced(bayes_update, values, grid,
+                              gaussian_abs_position_model(0.1), 0.5, 0.0)
+    assert peak <= 2.2 * post.nbytes
 
 
 @pytest.fixture(scope="module")
@@ -128,13 +150,3 @@ def test_operator_command_builds_no_face_table(tmp_path, monkeypatch, capsys):
     for bc in ("periodic,neumann", "periodic,periodic", "dirichlet,dirichlet"):
         assert main(["operator", "--n", "16,16", "--bc", bc, "--out", str(tmp_path)]) == 0
 
-
-def test_setup_commands_build_no_cell_midpoints(tmp_path, monkeypatch, capsys):
-    def no_midpoints(grid):
-        raise AssertionError("the (ncells, d) cell midpoints were built")
-
-    monkeypatch.setattr(Grid, "cell_midpoints", property(no_midpoints))
-    assert main(["operator", "--n", "16,16", "--out", str(tmp_path)]) == 0
-    for quadrature in ("midpoint", "gauss2"):
-        assert main(["converge", "--n_list", "8,16", "--t_final", "pi/8",
-                     "--quadrature", quadrature, "--out", str(tmp_path)]) == 0

@@ -25,9 +25,13 @@ one CPU), and its result equals scipy's ``op.matrix.T @ m`` bit for bit.
 Diagnostic examples check ``moments`` and ``count_modes`` against the direct
 formulas they replace, kept here as reference implementations, that the
 cell centres ``moments`` uses along an axis are the cell midpoints of that
-axis's 1D grid bit for bit, that the mode count on a periodic axis does not
-depend on where the ring is cut, and that the batched counter the filter
-uses on a block of profiles gives each row the reference's count.
+axis's 1D grid bit for bit, that ``gaussian_pdf`` and ``project`` on the
+coordinate mesh and ``bayes_update`` equal, bit for bit, their point-path
+references (an ``einsum`` quadratic form on ``(m, d)`` points, and the
+likelihood on the columns of the cell midpoints), that the mode count on a
+periodic axis does not depend on where the ring is cut, and that the batched
+counter the filter uses on a block of profiles gives each row the
+reference's count.
 """
 
 import contextlib
@@ -43,15 +47,18 @@ from fpfvm import (
     Density,
     ObservationSequence,
     assemble,
+    bayes_update,
     build_grid,
     compute_fluxes,
     constant_field,
     count_modes,
     evolve,
     gaussian_abs_position_model,
+    gaussian_pdf,
     max_stable_dt,
     moments,
     pendulum_field,
+    project,
     rotation_field,
     run_filter,
     step,
@@ -61,9 +68,18 @@ from fpfvm import (
 from fpfvm import density as density_module
 from fpfvm import filtering as filtering_module
 from fpfvm import operator as operator_module
-from fpfvm.velocity import EdgeFluxes, VelocityField, _upwind_outflow
+from fpfvm.grid import mesh
+from fpfvm.velocity import EdgeFluxes, VelocityField, _upwind_outflow, tensor_rule
 from fpfvm.density import _count_modes_rows
-from reference_builders import bincount_markov, triplet_assemble, upwind_outflow
+from reference_builders import (
+    bincount_markov,
+    cell_midpoints,
+    lattice,
+    point_bayes_update,
+    point_gaussian_pdf,
+    triplet_assemble,
+    upwind_outflow,
+)
 
 BCS = ("periodic", "neumann", "dirichlet")
 MAX_CELLS = {1: 24, 2: 10, 3: 5}
@@ -286,7 +302,7 @@ def test_split_step_is_bit_identical(op, seed):
 def _moments_reference(density):
     """Mean and covariance from (ncells, d) cell midpoints."""
     grid = density.grid
-    mid = grid.cell_midpoints
+    mid = cell_midpoints(grid)
     w = density.values * grid.cell_volume
     mean = w @ mid
     second = (mid * w[:, None]).T @ mid
@@ -326,14 +342,62 @@ def test_moments_match_midpoint_formula(dens):
 @given(dens=densities())
 def test_moment_centres_are_axis_grid_midpoints(dens):
     g = dens.grid
-    stride = 1
+    mids = cell_midpoints(g)
+    multi = np.unravel_index(np.arange(g.ncells), g.n, order="F")
     for a in range(g.domain.d):
         line = build_grid(BoxDomain((g.domain.lower[a],), (g.domain.upper[a],)),
                           (g.n[a],), (g.bc[a],))
-        assert np.array_equal(g.centres(a), line.cell_midpoints[:, 0])
-        # the cells (0, .., m, .., 0) of the full grid sit at flat index m * stride
-        assert np.array_equal(g.centres(a), g.cell_midpoints[::stride, a][:g.n[a]])
-        stride *= g.n[a]
+        assert np.array_equal(g.centres(a), cell_midpoints(line)[:, 0])
+        # flat cell i sits at the centres of its multi-index (axis 0 fastest)
+        assert np.array_equal(mids[:, a], g.centres(a)[multi[a]])
+
+
+@st.composite
+def covariances(draw, d):
+    """``(cov, matrix)``: an isotropic scalar, a diagonal vector or a full SPD
+    matrix as ``gaussian_pdf`` takes it, and the ``(d, d)`` matrix it stands for."""
+    kind = draw(st.sampled_from(["isotropic", "diagonal", "full"]))
+    if kind == "isotropic":
+        c = draw(st.floats(0.05, 4.0))
+        return c, np.eye(d) * c
+    if kind == "diagonal":
+        c = np.array(draw(st.lists(st.floats(0.05, 4.0), min_size=d, max_size=d)))
+        return c, np.diag(c)
+    a = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, (d, d))
+    m = a @ a.T + draw(st.floats(0.05, 1.0)) * np.eye(d)
+    cov = 0.5 * (m + m.T)  # symmetric bit for bit
+    return cov, cov
+
+
+@settings(max_examples=150, deadline=None)
+@given(dens=densities(), data=st.data())
+def test_mesh_evaluation_equals_the_point_path(dens, data):
+    """The pdf on the mesh of the cell centres, its projection under each rule
+    and the Bayes update of the density equal their point-path references bit
+    for bit, for 1-3D Gaussians of every covariance kind and likelihoods that
+    read one coordinate or all of them."""
+    grid = dens.grid
+    d = grid.domain.d
+    axes = range(d)
+    mean = [data.draw(st.floats(lo, up)) for lo, up in zip(grid.domain.lower, grid.domain.upper)]
+    cov, matrix = data.draw(covariances(d))
+    pdf, reference = gaussian_pdf(mean, cov), point_gaussian_pdf(mean, matrix)
+    centres = [grid.centres(a) for a in axes]
+    assert np.asarray(pdf(mesh(centres))).tobytes() == reference(cell_midpoints(grid)).tobytes()
+    for quadrature in ("midpoint", "gauss2"):
+        expected = np.zeros(grid.ncells)
+        for w, coords in tensor_rule(quadrature, centres, grid.h, axes):
+            expected += w * reference(lattice(coords))
+        assert project(pdf, grid, quadrature).values.tobytes() == expected.tobytes()
+
+    weights = data.draw(st.lists(st.floats(0.1, 3.0), min_size=d, max_size=d))
+    models = [gaussian_abs_position_model(data.draw(st.floats(0.05, 2.0))),
+              lambda z, xs: sum(-w * (x - z) ** 2 for w, x in zip(weights, xs))]
+    z = data.draw(st.floats(-1.0, 1.0))
+    for model in models:
+        post, log_ev = bayes_update(dens.values, grid, model, z, 0.5)
+        ref_post, ref_log_ev = point_bayes_update(dens.values, grid, model, z, 0.5)
+        assert post.tobytes() == ref_post.tobytes() and log_ev == ref_log_ev
 
 
 def _count_modes_reference(values, min_prominence):
