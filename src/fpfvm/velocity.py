@@ -9,10 +9,11 @@ runs once per angle, not once per face.  Pdfs and log-likelihoods take
 coordinates the same way.
 Face fluxes are the integrals of the velocity component along each face's
 axis over the face, computed one face block at a time, in passes of at most
-``_FLUX_CHUNK`` faces, and stored once per face in the face order of the grid
-(``grid.face_blocks()``, the order of ``grid.edges``).  A flux is positive
-when mass flows toward +axis, from the face's lower cell ``cell_a`` into its
-upper cell ``cell_b``; the two sides see opposite signs by construction.
+``_FLUX_CHUNK`` faces, and stored once per face in the grid's face order,
+that of ``grid.face_blocks()``; no set-up layer builds the face table.  A
+flux is positive when mass flows toward +axis, from the face's lower cell
+``cell_a`` into its upper cell ``cell_b``; the two sides see opposite signs
+by construction.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class VelocityField:
 
 @dataclass(frozen=True)
 class EdgeFluxes:
-    """Per-face flux in ``grid.face_blocks()`` order, aligned with ``grid.edges``.
+    """Per-face flux in ``grid.face_blocks()`` order.
 
     One signed value is stored per face, positive toward +axis (out of the
     lower cell ``cell_a``, into the upper cell ``cell_b``), so the

@@ -426,7 +426,7 @@ def test_bad_quadrature_names_the_key(tmp_path, capsys, tag):
 @pytest.mark.parametrize("extra, code, err", [
     (["--dt_over_h", "-1"], 2, "config error: bad value for 'dt_over_h': "),
     (["--dt_over_h", "1"], 3, "cfl violation: "),
-])
+], ids=["negative_dt_over_h", "cfl_violation"])
 def test_rejected_step_prints_nothing(tmp_path, capsys, extra, code, err):
     """``cfl:`` and ``dt:`` are printed only once ``assemble`` has accepted dt."""
     rc = main(["operator", "--n", "8,8", "--out", str(tmp_path)] + extra)

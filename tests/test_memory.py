@@ -1,5 +1,6 @@
 """Allocation budgets of the set-up layers and the matrix export on the N=200 pendulum,
-and of the chunked flux build, the CFL bound and the assembly at N=800.
+and of the chunked flux build, the CFL bound and the assembly at N=800
+(split over two threads, and on one).
 
 ``tracemalloc`` sees every numpy allocation, so each peak below is
 deterministic: it counts the arrays a call keeps plus the temporaries it
@@ -124,9 +125,18 @@ def _assemble_peak(fluxes):
 
 def test_assemble_peak(fluxes, fluxes800):
     """``indptr`` is the write cursor of its own rows, so past the CSR arrays
-    only one write pass's temporaries are live: 1.58 times at N=200 and 1.13
-    at N=800 measured; an int64 cursor array beside it reads 1.79 and 1.33."""
+    only one write pass's temporaries are live: 1.55 times at N=200 and
+    1.08-1.10 at N=800 measured, where two threads each write passes of half
+    the size (1.23 with two full-size passes); an int64 cursor array beside
+    it reads 1.79 and 1.33."""
     assert _assemble_peak(fluxes) <= 1.65
+    assert _assemble_peak(fluxes800) <= 1.15
+
+
+def test_assemble_peak_on_one_thread(fluxes800, monkeypatch):
+    """Without a helper the N=800 build writes every row on one thread, in
+    full-size passes, within the same budget: 1.10 times measured."""
+    monkeypatch.setattr("fpfvm.operator._helper", lambda: None)
     assert _assemble_peak(fluxes800) <= 1.15
 
 

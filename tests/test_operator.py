@@ -1,9 +1,11 @@
 import functools
+import gc
 import os
 import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,7 @@ from fpfvm import (
 )
 from fpfvm import operator as operator_module
 from fpfvm.operator import choose_dt
+from fpfvm.velocity import EdgeFluxes
 
 PI = np.pi
 
@@ -428,9 +431,14 @@ GATE_N = 256  # a pendulum operator of GATE_N**2 = 65,536 rows, at the gate
 
 
 @pytest.fixture(scope="module")
-def gate_op():
+def gate_pendulum():
     assert GATE_N ** 2 == operator_module._SPLIT_ROWS
-    return _pendulum_op(n=GATE_N)[2]
+    return _pendulum_op(n=GATE_N)
+
+
+@pytest.fixture(scope="module")
+def gate_op(gate_pendulum):
+    return gate_pendulum[2]
 
 
 def _within(seconds, fn, *args):
@@ -477,10 +485,11 @@ def test_unsplittable_vectors_step_as_the_mat_vec_does(gate_op):
     assert np.array_equal(_within(30, step, op, m[:n]), op.matrix.T @ m[:n])
 
 
-def test_concurrent_steps_are_bit_identical(gate_op):
-    """More stepping threads than cores, switching often: one splits while
-    the others step alone, and every result is the plain mat-vec's."""
-    op = gate_op
+def test_concurrent_steps_are_bit_identical(gate_pendulum):
+    """More assembling and stepping threads than cores, switching often: one
+    splits while the others assemble or step alone, and every operator is
+    the fixture's and every result the plain mat-vec's."""
+    _, fx, op = gate_pendulum
     workers = 3
     starts = [np.random.default_rng(seed).random(op.grid.ncells)
               for seed in range(workers)]
@@ -495,9 +504,10 @@ def test_concurrent_steps_are_bit_identical(gate_op):
     def run(i):
         m = starts[i]
         barrier.wait()
+        own = assemble(fx, op.dt)
         for _ in range(10):
-            m = step(op, m)
-        results[i] = m
+            m = step(own, m)
+        results[i] = own, m
 
     threads = [threading.Thread(target=run, args=(i,), daemon=True)
                for i in range(workers)]
@@ -511,7 +521,9 @@ def test_concurrent_steps_are_bit_identical(gate_op):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    for got, want in zip(results, expected):
+    for (own, got), want in zip(results, expected):
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(own, name), getattr(op, name))
         assert np.array_equal(got, want)
 
 
@@ -551,7 +563,7 @@ def test_a_raising_half_fails_its_step_only(gate_op, where, monkeypatch):
     raised = []
 
     def raise_once(*args):
-        on_helper = threading.current_thread().name == "fpfvm-step"
+        on_helper = threading.current_thread().name == "fpfvm-helper"
         if on_helper:
             time.sleep(0.1)
         if not raised and on_helper == (where == "helper"):
@@ -566,6 +578,79 @@ def test_a_raising_half_fails_its_step_only(gate_op, where, monkeypatch):
         _within(30, step, op, m)
     assert np.array_equal(_within(30, step, op, m), op.matrix.T @ m)
 
+
+
+@pytest.mark.parametrize("where", ["helper", "caller"])
+@pytest.mark.parametrize("stage", ["_count_rows", "_write_rows"])
+def test_a_raising_half_fails_its_assembly_only(gate_pendulum, stage, where, monkeypatch):
+    """An exception in either half of a split assembly, in its count pass or
+    in its write pass, reaches the caller, and the next assembly is the
+    one-thread build bit for bit, and steps as the plain mat-vec does.  The
+    helper is slow, so a completion signal of the failed split, read as the
+    next one's, would leave rows unwritten."""
+    g, fx, _ = gate_pendulum
+    dt = g.h[0] / (2 * PI + 1)
+    with monkeypatch.context() as mp:
+        mp.setattr(operator_module, "_helper", lambda: None)  # one thread
+        want = assemble(fx, dt)
+    half = getattr(operator_module, stage)
+    raised = []
+
+    def raise_once(*args):
+        on_helper = threading.current_thread().name == "fpfvm-helper"
+        if on_helper:
+            time.sleep(0.1)
+        if not raised and on_helper == (where == "helper"):
+            raised.append(where)
+            raise RuntimeError(f"in the {where}'s half")
+        half(*args)
+
+    # a helper of the test's own, started on one CPU too
+    monkeypatch.setattr(operator_module, "_helper", functools.cache(operator_module._Helper))
+    monkeypatch.setattr(operator_module, stage, raise_once)
+    with pytest.raises(RuntimeError, match=f"in the {where}'s half"):
+        _within(30, assemble, fx, dt)
+    op = _within(30, assemble, fx, dt)
+    for name in ("indptr", "indices", "data"):
+        got, ref = getattr(op, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+    m = np.random.default_rng(7).random(g.ncells)
+    assert np.array_equal(_within(30, step, op, m), op.matrix.T @ m)
+
+
+def test_the_helper_keeps_no_arrays_alive(gate_pendulum, monkeypatch):
+    """Once a split assembly or step has returned, or a split assembly has
+    raised in the helper's half, the helper holds none of its arguments: the
+    fluxes and the operator go when their callers drop them (the N=800
+    command's peak RSS grew by their 15 MB when they did not)."""
+    g, fx, op = gate_pendulum
+    # a helper of the test's own, started on one CPU too
+    monkeypatch.setattr(operator_module, "_helper", functools.cache(operator_module._Helper))
+    fluxes = EdgeFluxes(fx.values.copy(), fx.quadrature, g, fx.outflow.copy())
+    values = weakref.ref(fluxes.values)
+    split = assemble(fluxes, op.dt)
+    data = weakref.ref(split.data)
+    m = np.random.default_rng(8).random(g.ncells)
+    assert np.array_equal(step(split, m), op.matrix.T @ m)
+    del fluxes, split
+    gc.collect()
+    assert values() is None and data() is None
+
+    count = operator_module._count_rows
+
+    def raise_on_helper(*args):
+        if threading.current_thread().name == "fpfvm-helper":
+            raise RuntimeError("in the helper's half")
+        count(*args)
+
+    fluxes = EdgeFluxes(fx.values.copy(), fx.quadrature, g, fx.outflow.copy())
+    values = weakref.ref(fluxes.values)
+    monkeypatch.setattr(operator_module, "_count_rows", raise_on_helper)
+    with pytest.raises(RuntimeError, match="in the helper's half"):
+        assemble(fluxes, op.dt)
+    del fluxes
+    gc.collect()
+    assert values() is None
 
 def _probe(code, *args):
     """Run ``code`` in a new interpreter that imports this checkout's fpfvm."""

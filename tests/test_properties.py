@@ -20,7 +20,10 @@ and flags of ``assemble`` and the report of ``verify_markov`` equal, bit for
 bit, those of the face-table reference builders in ``reference_builders``.
 With the split gate lowered to one row, ``step`` splits every operator's
 rows between the caller and a helper thread (one started for the test on
-one CPU), and its result equals scipy's ``op.matrix.T @ m`` bit for bit.
+one CPU), and its result equals scipy's ``op.matrix.T @ m`` bit for bit; so
+does ``assemble`` (in passes of any size), whose CSR arrays and flag equal
+the one-thread build's bit for bit, in 1-3D under every boundary mix and
+rule, on linear fields whose fluxes take both signs.
 
 Diagnostic examples check ``moments`` and ``count_modes`` against the direct
 formulas they replace, kept here as reference implementations, that the
@@ -264,19 +267,19 @@ def test_dirichlet_loss_is_upwind_boundary_outflow(pair, seed):
 
 
 @contextlib.contextmanager
-def _split_every_step():
-    """Split the rows of every operator, whatever the CPU count; yields the
-    list of split steps taken."""
+def _split_every_call():
+    """Split the rows of every step and assembly, whatever the CPU count;
+    yields the list of what each split returned (True where it ran)."""
     splits = []
-    split_step = operator_module._split_step
+    split = operator_module._split
 
-    def counted(*args):
-        splits.append(args)
-        return split_step(*args)
+    def counted(lower, upper):
+        splits.append(split(lower, upper))
+        return splits[-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operator_module, "_SPLIT_ROWS", 1)
-        mp.setattr(operator_module, "_split_step", counted)
+        mp.setattr(operator_module, "_split", counted)
         if operator_module._helper() is None:  # on one CPU the module starts none
             mp.setattr(operator_module, "_helper", _one_helper)
         yield splits
@@ -293,10 +296,44 @@ def test_split_step_is_bit_identical(op, seed):
     rng = np.random.default_rng(seed)
     # cells without mass leave rows that sum to exactly zero
     m = rng.random(op.grid.ncells) * (rng.random(op.grid.ncells) < 0.5)
-    with _split_every_step() as splits:
+    with _split_every_call() as splits:
         out = step(op, m)
-    assert len(splits) == 1  # the split path ran
+    assert splits == [True]  # the split path ran
     assert np.array_equal(out, op.matrix.T @ m)
+
+
+@st.composite
+def linear_fluxes(draw):
+    """Fluxes of a linear field ``c + A x`` on a 1-3D box around the origin,
+    under any boundary mix and rule, so most draws take both signs."""
+    d = draw(st.integers(1, 3))
+    n = tuple(draw(st.lists(st.integers(2, MAX_CELLS[d]), min_size=d, max_size=d)))
+    bc = draw(st.lists(st.sampled_from(BCS), min_size=d, max_size=d))
+    coef = st.floats(-3.0, 3.0, allow_subnormal=False)
+    c = draw(st.lists(coef, min_size=d, max_size=d))
+    a = draw(st.lists(st.lists(coef, min_size=d, max_size=d), min_size=d, max_size=d))
+    field = VelocityField(
+        lambda xs: tuple(c[i] + sum(a[i][j] * xs[j] for j in range(d)) for i in range(d)), d)
+    grid = build_grid(BoxDomain((-1.0,) * d, (1.0,) * d), n, bc)
+    return compute_fluxes(field, grid, draw(st.sampled_from(["midpoint", "gauss2", "gauss3"])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fluxes=linear_fluxes(), frac=st.floats(0.01, 1.0),
+       chunk=st.sampled_from([2, 5, 1 << 16]))
+def test_split_assembly_is_bit_identical(fluxes, frac, chunk):
+    """Each thread counts and writes its own rows, in passes of half of
+    ``_WRITE_CHUNK`` (drawn small, so passes end inside each half)."""
+    dt_max = max_stable_dt(fluxes, 0.0).dt_max
+    dt = frac * dt_max if np.isfinite(dt_max) else frac
+    want = assemble(fluxes, dt)  # below the gate: one thread
+    with _split_every_call() as splits, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operator_module, "_WRITE_CHUNK", chunk)
+        op = assemble(fluxes, dt)
+    assert splits == [True, True]  # the count pass and the write pass
+    for name in ("indptr", "indices", "data"):
+        assert _same_bits(getattr(op, name), getattr(want, name))
+    assert op.mass_conserving == want.mass_conserving
 
 
 def _moments_reference(density):
