@@ -15,8 +15,10 @@ import numpy as np
 
 from .density import Density, l1_distance, normalize, project
 from .grid import BoxDomain, _check_cells, build_grid
-from .operator import assemble, choose_dt, evolve, max_stable_dt
+from .operator import assemble, choose_dt, evolve, max_stable_dt, step_count
 from .velocity import VelocityField, compute_fluxes
+
+_MAX_STEPS = 2**31 - 1  # steps of one level, the int32 limit of a grid's cells
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,8 @@ def run_level(field: VelocityField, domain: BoxDomain, bc: Sequence[str],
     every call, so a bad ``xi`` is rejected even at ``t_final == 0``) over
     the span ``t_final``, so no endpoint ambiguity remains.  ``t_final == 0``
     returns the projected prior; a massless prior, a negative or non-finite
-    ``t_final``, or one whose step count overflows, raises.
+    ``t_final``, or one whose step count overflows or exceeds ``_MAX_STEPS``,
+    raises before the first step.
     """
     if not 0 <= t_final < np.inf:
         raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
@@ -70,6 +73,10 @@ def run_level(field: VelocityField, domain: BoxDomain, bc: Sequence[str],
     dt = choose_dt(max_stable_dt(fluxes, xi), max(grid.h), dt_over_h, t_final)
     if t_final == 0:
         return dens
+    steps = step_count(t_final, dt, "t_final")
+    if steps > _MAX_STEPS:
+        raise ValueError(f"t_final={t_final} takes {steps} steps of {dt}, "
+                         f"more than {_MAX_STEPS}")
     op = assemble(fluxes, dt)
     del fluxes  # no step reads the fluxes or the outflow
     return evolve(op, dens, t_final)

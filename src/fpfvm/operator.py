@@ -29,12 +29,10 @@ does not import ``scipy.sparse`` (0.2 s and about 20 MB); only ``op.matrix``
 imports it, on first use.  :func:`export_operator` transposes the arrays with
 the same module's ``csr_tocsc``.
 
-On an operator of at least ``_SPLIT_ROWS`` rows, in a process allowed more
-than one CPU, :func:`step` and :func:`assemble` work on the rows in two
-halves at once (:func:`_split`): the calling thread the lower half, and one
-daemon helper thread, started on the first such split, the upper half.  The
-caller hands the upper half over with one lock and waits on a second for the
-helper to finish it.  A split step's output is not zeroed before the
+On an operator of at least ``halves._SPLIT_ROWS`` rows, in a process allowed
+more than one CPU, :func:`step` and :func:`assemble` work on the rows in two
+halves at once, the upper half on the one helper thread of
+:mod:`~fpfvm.halves`.  A split step's output is not zeroed before the
 hand-off: each thread zeroes its own half just before its kernel call.  Both
 run the kernel, which releases the GIL, over the unchanged arrays into one
 output, so every row is summed as one call sums it and the result is
@@ -42,24 +40,20 @@ bit-identical.  A split assembly cuts the rows at a whole layer of the last
 axis; each thread counts its own rows' entries, and after the one-thread
 ``cumsum`` writes them, moving only its own rows' ``indptr`` cursors, so the
 arrays are the one-thread build's.
-An exception in the helper's half is re-raised by the caller.  A caller
-whose own half raises, or whose wait is interrupted, drops the helper, and
-so does a forked child; the next split starts a new one.
 """
 
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.util
 import os
 import sys
-import threading
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
+from . import halves
 from .density import Density
 from .grid import Grid
 from .velocity import EdgeFluxes
@@ -67,11 +61,6 @@ from .velocity import EdgeFluxes
 _CFL_SLACK = 1e-12  # relative slack so dt == dt_max assembles cleanly
 _MARKOV_TOL = 1e-12  # entry and row-sum tolerance of verify_markov
 _WRITE_CHUNK = 1 << 16  # faces or rows per write pass of a one-thread assemble
-# smallest operator whose step and assembly are split over two threads; below
-# it (the N=200 filter's 40,000 rows) the hand-off costs more than half a
-# mat-vec saves
-_SPLIT_ROWS = 1 << 16
-_split_lock = threading.Lock()  # held by the one thread inside a split
 _EXPORT_ROWS = 1 << 13  # matrix rows per write of export_operator
 
 
@@ -214,8 +203,9 @@ def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
     """Build the upwind transition matrix for time step ``dt`` on ``fluxes.grid``.
 
     A step that would produce a negative diagonal raises :class:`CflViolation`.
-    An operator of at least ``_SPLIT_ROWS`` rows is written by two threads
-    (:func:`_by_halves`), bit-identical to the one-thread build.
+    An operator of at least ``halves._SPLIT_ROWS`` rows is written by two
+    threads, cut at :func:`~fpfvm.halves._layer_cut`, bit-identical to the
+    one-thread build.
     """
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -232,29 +222,20 @@ def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
     slots, leaks = _inflow_slots(grid, fluxes.values)
     slots[0] = None  # the diagonal
     slots = sorted(slots.items())  # by column offset: each row in column order
-    # the lower half of the last axis's layers, or no cut below the gate
-    cut = grid.n[-1] // 2 * (nc // grid.n[-1]) if nc >= _SPLIT_ROWS else 0
+    cut = halves._layer_cut(grid)
 
     # int32, as scipy picks it, unless the entries could pass int32 indices
     idx = np.int32 if nc + len(fluxes.values) <= np.iinfo(np.int32).max else np.int64
     indptr = np.empty(nc + 1, dtype=idx)
     ends = indptr[:-1]  # each row's count, then the end of its entries
-    _by_halves(cut, nc, _count_rows, slots, ends)
+    halves._by_halves(cut, nc, _count_rows, slots, ends)
     np.cumsum(ends, out=ends)
     indptr[-1] = indptr[-2]
 
     indices = np.empty(indptr[-1], dtype=idx)
     data = np.empty(indptr[-1])
-    _by_halves(cut, nc, _write_rows, slots, outflow, dt, vol, ends, indices, data)
+    halves._by_halves(cut, nc, _write_rows, slots, outflow, dt, vol, ends, indices, data)
     return TransitionOperator(dt, indptr, indices, data, grid, mass_conserving=not leaks)
-
-
-def _by_halves(cut: int, n: int, fn, *args) -> None:
-    """``fn(r0, r1, *args)`` on the rows ``[0, cut)`` on this thread and
-    ``[cut, n)`` on the helper (:func:`_split`), or on all ``n`` rows on this
-    thread where there is no ``cut`` or no split."""
-    if not (cut and _split((fn, 0, cut, *args), (fn, cut, n, *args))):
-        fn(0, n, *args)
 
 
 def _inflow_slots(grid: Grid, flux: np.ndarray) -> tuple[dict, bool]:
@@ -286,24 +267,9 @@ def _inflow_slots(grid: Grid, flux: np.ndarray) -> tuple[dict, bool]:
     return slots, leaks
 
 
-def _rows_part(slot, r0: int, r1: int):
-    """The part of ``slot`` whose receiving rows lie in ``[r0, r1)``, both
-    whole layers of the grid's last axis, as ``(base, cube, rows, sources)``:
-    face ``j`` of the part feeds row ``base + j + j // span * gap + rows.start
-    * low``, with ``span`` the part's faces per layer of the cube and ``gap``
-    the cells of a layer it skips.  Along an axis below the last, the rows
-    are whole layers of the cube; along the last axis (one layer) they cut
-    its middle axis."""
-    (high, na, low), rows, sources = slot
-    span = (rows.stop - rows.start) * low
-    if r0 % (na * low) == 0 and r1 % (na * low) == 0:
-        h0, h1 = r0 // (na * low), r1 // (na * low)
-        return r0, (h1 - h0, na, low), rows, [(f[h0 * span:h1 * span], s) for f, s in sources]
-    lo = max(rows.start, r0 // low)
-    hi = max(lo, min(rows.stop, r1 // low))
-    j0 = (lo - rows.start) * low
-    return 0, (high, na, low), slice(lo, hi), [(f[j0:j0 + (hi - lo) * low], s)
-                                               for f, s in sources]
+def _fed(f: np.ndarray, sign: float) -> np.ndarray:
+    """Where the face fluxes ``f`` of a slot's source feed an entry."""
+    return f > 0.0 if sign > 0 else f < 0.0
 
 
 def _count_rows(r0: int, r1: int, slots, ends) -> None:
@@ -311,10 +277,11 @@ def _count_rows(r0: int, r1: int, slots, ends) -> None:
     ends[r0:r1] = 1  # the diagonal
     for _, slot in slots:
         if slot is not None:
-            base, (high, na, low), rows, sources = _rows_part(slot, r0, r1)
-            present = np.zeros(len(sources[0][0]), dtype=bool)
-            for f, sign in sources:
-                present |= f > 0.0 if sign > 0 else f < 0.0
+            cube, rows, ((f, sign), *more) = slot
+            base, (high, na, low), rows, faces = halves._rows_part(cube, rows, r0, r1)
+            present = _fed(f[faces], sign)
+            for f, sign in more:
+                present |= _fed(f[faces], sign)
             cube = ends[base:base + high * na * low].reshape(high, na, low)
             cube[:, rows, :] += present.reshape(high, -1, low)
 
@@ -330,7 +297,9 @@ def _write_rows(r0: int, r1: int, slots, outflow, dt, vol, ends, indices, data) 
         if slot is None:
             _write_diagonal(r0, r1, chunk, outflow, dt, vol, ends, indices, data)
         else:
-            _write_inflow(_rows_part(slot, r0, r1), offset, chunk, dt, vol, ends, indices, data)
+            cube, rows, sources = slot
+            _write_inflow(halves._rows_part(cube, rows, r0, r1), sources, offset, chunk,
+                          dt, vol, ends, indices, data)
 
 
 def _write_diagonal(r0, r1, chunk, outflow, dt, vol, ends, indices, data) -> None:
@@ -349,104 +318,45 @@ def _write_diagonal(r0, r1, chunk, outflow, dt, vol, ends, indices, data) -> Non
         data[place] = diag
 
 
-def _write_inflow(part, offset, chunk, dt, vol, ends, indices, data) -> None:
+def _write_inflow(part, sources, offset, chunk, dt, vol, ends, indices, data) -> None:
     """Write the entries ``|f| * dt / |K|`` of one slot's part (see
-    :func:`_rows_part`) just below their rows' ``ends``, and lower ``ends``;
-    where two faces feed one entry, their values are summed."""
-    base, (high, na, low), rows, sources = part
+    :func:`~fpfvm.halves._rows_part`) just below their rows' ``ends``, and
+    lower ``ends``; where two faces feed one entry (a 2-cell periodic axis),
+    their values are summed."""
+    base, (high, na, low), rows, faces = part
     span = (rows.stop - rows.start) * low  # faces per layer of the cube
     gap = na * low - span  # cells of a layer this slot skips
-    size = len(sources[0][0])
+    sources = [(f[faces], sign) for f, sign in sources]
+    size = faces.stop - faces.start
     for j0 in range(0, size, chunk):
         j1 = min(j0 + chunk, size)
-        take = np.zeros(j1 - j0, dtype=bool)
-        for f, sign in sources:
-            take |= f[j0:j1] > 0.0 if sign > 0 else f[j0:j1] < 0.0
-        j = np.flatnonzero(take)
-        vals = np.zeros(len(j))
-        for f, sign in sources:
-            v = sign * f[j0:j1][j]
-            fed = v > 0.0
-            v *= dt
-            v /= vol
-            np.add(vals, v, out=vals, where=fed)
+        if len(sources) == 1:
+            ((f, sign),) = sources
+            j = np.flatnonzero(_fed(f[j0:j1], sign))
+            vals = f[j0:j1][j]
+            vals *= sign * dt  # |f| * dt, as (sign * f) * dt rounds
+            vals /= vol
+        else:
+            take = np.zeros(j1 - j0, dtype=bool)
+            for f, sign in sources:
+                take |= _fed(f[j0:j1], sign)
+            j = np.flatnonzero(take)
+            vals = np.zeros(len(j))
+            for f, sign in sources:
+                v = sign * f[j0:j1][j]
+                fed = v > 0.0
+                v *= dt
+                v /= vol
+                np.add(vals, v, out=vals, where=fed)
         j += j0
-        j += j // span * gap + rows.start * low + base  # face to receiving row
+        if high > 1:  # a face past a layer of the cube skips its other cells
+            j += j // span * gap
+        j += rows.start * low + base  # face to receiving row
         place = ends[j]
         place -= 1
         indices[place] = j + offset
         data[place] = vals
         ends[j] = place
-
-
-class _Helper:
-    """A daemon thread that runs the upper half of one split at a time: the
-    caller sets ``call`` to ``(fn, *args)`` and releases ``start``; the
-    thread runs ``fn(*args)``, keeps any exception in ``error`` and releases
-    ``done``."""
-
-    def __init__(self):
-        self.start, self.done = threading.Lock(), threading.Lock()
-        self.start.acquire()
-        self.done.acquire()
-        self.call: tuple = ()
-        self.error: BaseException | None = None
-        threading.Thread(target=self._serve, name="fpfvm-helper", daemon=True).start()
-
-    def _serve(self) -> None:
-        while True:
-            self.start.acquire()
-            try:
-                # no local names: a frame parked on ``start`` keeps no arrays
-                self.call[0](*self.call[1:])
-                self.error = None
-            except BaseException as exc:  # re-raised by the waiting caller
-                self.error = exc
-            self.call = ()  # hold no split's arrays between splits
-            self.done.release()
-
-
-@functools.cache
-def _helper() -> _Helper | None:
-    """The process's helper, started on first use; None with one CPU."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return _Helper() if cpus > 1 else None
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child inherits the cached helper but not its thread
-    os.register_at_fork(after_in_child=_helper.cache_clear)
-
-
-def _split(lower: tuple, upper: tuple) -> bool:
-    """Run ``upper`` on the helper and ``lower`` on this thread, each a
-    ``(fn, *args)``, and return True once both are done.  Return False,
-    having run neither, with one CPU or while another thread is inside a
-    split.  An exception in either half reaches the caller."""
-    if not _split_lock.acquire(blocking=False):
-        return False
-    try:
-        helper = _helper()
-        if helper is None:
-            return False
-        try:
-            helper.call = upper
-            helper.start.release()
-            lower[0](*lower[1:])
-            helper.done.acquire()
-        except BaseException:
-            # the helper may yet signal this split: the next one starts a new one
-            _helper.cache_clear()
-            raise
-        error, helper.error = helper.error, None  # keeps no failed split's arrays
-        if error is not None:
-            raise error
-        return True
-    finally:
-        _split_lock.release()
 
 
 def _zeroed_matvec(n_row, n_col, indptr, indices, data, m, out) -> None:
@@ -460,7 +370,7 @@ def step(op: TransitionOperator, m: np.ndarray) -> np.ndarray:
     bit-identical to scipy's ``op.matrix.T @ m``.
 
     ``m`` becomes a C-contiguous float64 vector once; a wrong length raises
-    ``ValueError``.  An operator of at least ``_SPLIT_ROWS`` rows hands the
+    ``ValueError``.  An operator of at least ``halves._SPLIT_ROWS`` rows hands the
     upper half of its rows to the helper thread, computes the lower half and
     waits for the helper; an exception in either half reaches the caller.
     With one CPU, below the gate or while another thread is inside a split,
@@ -470,13 +380,14 @@ def step(op: TransitionOperator, m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64, order="C")
     if m.shape != (n,):
         raise ValueError(f"mass vector of shape {m.shape} does not fit {n} cells")
-    if n >= _SPLIT_ROWS:
+    if n >= halves._SPLIT_ROWS:
         out = np.empty(n)  # zeroed by each thread that sums into it
         half = n // 2
         # the upper rows keep their absolute offsets into indices and data
-        if not _split((_zeroed_matvec, half, n, op.indptr, op.indices, op.data, m, out[:half]),
-                      (_zeroed_matvec, n - half, n, op.indptr[half:], op.indices, op.data, m,
-                       out[half:])):
+        if not halves._split(
+                (_zeroed_matvec, half, n, op.indptr, op.indices, op.data, m, out[:half]),
+                (_zeroed_matvec, n - half, n, op.indptr[half:], op.indices, op.data, m,
+                 out[half:])):
             _zeroed_matvec(n, n, op.indptr, op.indices, op.data, m, out)
         return out
     out = np.zeros(n)
@@ -505,12 +416,12 @@ def verify_markov(op: TransitionOperator) -> MarkovReport:
     # rows of S are the columns of the stored left-action arrays; the CSC
     # kernel adds each column's entries in storage order
     n = op.grid.ncells
-    excess = np.zeros(n)
-    csc_matvec(n, n, op.indptr, op.indices, op.data, np.ones(n), excess)
-    excess -= 1.0
-    if op.mass_conserving:
-        np.abs(excess, out=excess)
-    err = max(float(excess.max()), 0.0)
+    sums = np.zeros(n)
+    csc_matvec(n, n, op.indptr, op.indices, op.data, np.ones(n), sums)
+    # s - 1 rounds monotonically and 1 - s as its negation, so these are the
+    # largest s - 1 and |s - 1| over the rows
+    above = float(sums.max()) - 1.0
+    err = max(above, 1.0 - float(sums.min()), 0.0) if op.mass_conserving else max(above, 0.0)
     return MarkovReport(
         min_entry=min_entry,
         max_row_sum_err=err,

@@ -14,10 +14,17 @@ that of ``grid.face_blocks()``; no set-up layer builds the face table.  A
 flux is positive when mass flows toward +axis, from the face's lower cell
 ``cell_a`` into its upper cell ``cell_b``; the two sides see opposite signs
 by construction.
+On a grid of at least ``halves._SPLIT_ROWS`` cells the quadrature and then
+the upwind outflow run on two threads, cut at a whole layer of the last
+axis (:mod:`~fpfvm.halves`): each sums the faces of its own cells, so every
+value is the one-thread one, bit for bit.  A field's ``func`` then runs on
+the helper thread and the caller at once, so it must be safe to call from
+two threads; the built-in fields are.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -26,8 +33,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import Grid, mesh
+from .halves import _by_halves, _layer_cut, _rows_part
 
-_FLUX_CHUNK = 1 << 16  # faces per quadrature pass of _block_fluxes
+_FLUX_CHUNK = 1 << 16  # faces per quadrature pass of _flux_rows
 
 
 @dataclass(frozen=True)
@@ -115,6 +123,17 @@ def _parse_quadrature(tag: str) -> tuple[str, int]:
     raise ValueError(f"unknown quadrature {tag!r} (use 'midpoint' or 'gauss<k>')")
 
 
+@functools.cache
+def _gauss_legendre(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes and weights of the k-point Gauss-Legendre rule on [-1, 1], the
+    midpoint rule for k = 1; worked out once per k, since ``leggauss`` takes
+    about 0.1 ms of the interpreter and a flux build asks once a pass."""
+    if k == 1:
+        return (0.0,), (2.0,)
+    nodes, weights = np.polynomial.legendre.leggauss(k)
+    return tuple(nodes.tolist()), tuple(weights.tolist())
+
+
 def tensor_rule(quadrature: str, coords, h, axes):
     """Yield ``(weight, coords)`` of the averaged tensor Gauss-Legendre rule over
     ``axes`` of the boxes of sides ``h`` around the points of the per-axis
@@ -123,7 +142,7 @@ def tensor_rule(quadrature: str, coords, h, axes):
     mesh of (:func:`~fpfvm.grid.mesh`).  The weights sum to 1; midpoint is the
     1-point rule, node 0."""
     _, k = _parse_quadrature(quadrature)  # midpoint is the 1-point rule
-    nodes, weights = ((0.0,), (2.0,)) if k == 1 else np.polynomial.legendre.leggauss(k)
+    nodes, weights = _gauss_legendre(k)
     for combo in np.ndindex(*(k,) * len(axes)):
         shifted = list(coords)
         for j, ax in zip(combo, axes):
@@ -137,17 +156,16 @@ def compute_fluxes(field: VelocityField, grid: Grid,
 
     ``gauss<k>`` uses a k-point tensor Gauss-Legendre rule over the face;
     ``midpoint`` is the 1-point rule, evaluating at face midpoints.  In 1D
-    faces are points and all rules coincide.
+    faces are points and all rules coincide.  A grid of at least
+    ``halves._SPLIT_ROWS`` cells is done by two threads, cut at
+    :func:`~fpfvm.halves._layer_cut`, bit-identical to one.
     """
     if field.dim != grid.domain.d:
         raise ValueError(
             f"field dimension {field.dim} != grid dimension {grid.domain.d}")
     kind, k = _parse_quadrature(quadrature)
     flux = np.empty(grid.face_offsets[-1])
-    for block in grid.face_blocks():
-        _block_fluxes(field, grid, quadrature, block, flux)
-    if not np.all(np.isfinite(flux)):
-        raise ValueError("velocity field produced non-finite flux values")
+    _by_halves(_layer_cut(grid), grid.ncells, _flux_rows, field, grid, quadrature, flux)
     flux.flags.writeable = False
     outflow = _upwind_outflow(grid, flux)
     outflow.flags.writeable = False
@@ -156,48 +174,70 @@ def compute_fluxes(field: VelocityField, grid: Grid,
 
 
 def _upwind_outflow(grid: Grid, flux: np.ndarray) -> np.ndarray:
-    """Per-cell ``sum_L (v_KL)_+``: each face's positive part added to its
-    lower cell, then each face's negative part subtracted from its upper cell,
-    face block by face block through cube slices.  Every cell adds its terms
-    in face order, so the sums are those of a scatter over the face table."""
+    """Per-cell ``sum_L (v_KL)_+``, by two threads on a large grid
+    (:func:`_outflow_rows`)."""
     out = np.zeros(grid.ncells)
-    for lower_side in (True, False):
-        for _, (high, na, low), lower, upper, faces in grid.face_blocks():
-            cube = out.reshape(high, na, low)
-            f = flux[faces].reshape(high, -1, low)
-            if lower_side and lower is not None:
-                np.add(cube[:, lower], f, out=cube[:, lower], where=f > 0.0)
-            elif not lower_side and upper is not None:
-                np.subtract(cube[:, upper], f, out=cube[:, upper], where=f < 0.0)
+    _by_halves(_layer_cut(grid), grid.ncells, _outflow_rows, grid, flux, out)
     return out
 
 
-def _block_fluxes(field: VelocityField, grid: Grid, quadrature: str, block,
-                  flux: np.ndarray) -> None:
-    """Write the fluxes of one face block of ``grid.face_blocks()`` into its
-    faces of ``flux``.  The face midpoints have the grid's ``centres`` as
-    coordinates, those of the face axis cut to the block's lower cells and
-    moved half a cell up, or where the lower side is outside, to its upper
-    cells and moved half a cell down.  The rule runs over whole layers of the
-    outermost coordinate vector at a time, at most ``_FLUX_CHUNK`` faces (and
-    at least one layer) a pass.  Each node's coordinates go to the field as
-    their open :func:`~fpfvm.grid.mesh`, whose C order is the face order, and
-    the component along the face axis is summed, broadcast, into the pass's
-    faces in place, viewed as that mesh's shape."""
-    axis, _, lower, upper, faces = block
+def _outflow_rows(r0: int, r1: int, grid: Grid, flux: np.ndarray, out: np.ndarray) -> None:
+    """Add the upwind outflow of the cells ``[r0, r1)`` into ``out``: each
+    face's positive part to its lower cell, then each face's negative part
+    subtracted from its upper cell, face block by face block through cube
+    slices.  Every cell adds its terms in face order, so the sums are those
+    of a scatter over the face table."""
+    for lower_side in (True, False):
+        for _, cube, lower, upper, faces in grid.face_blocks():
+            rows = lower if lower_side else upper
+            if rows is None:
+                continue
+            base, (high, na, low), rows, part = _rows_part(cube, rows, r0, r1)
+            cells = out[base:base + high * na * low].reshape(high, na, low)[:, rows]
+            f = flux[faces][part].reshape(high, -1, low)
+            if lower_side:
+                np.add(cells, f, out=cells, where=f > 0.0)
+            else:
+                np.subtract(cells, f, out=cells, where=f < 0.0)
+
+
+def _flux_rows(r0: int, r1: int, field: VelocityField, grid: Grid, quadrature: str,
+               flux: np.ndarray) -> None:
+    """Write the fluxes of the faces that belong to the cells ``[r0, r1)``:
+    in each face block of ``grid.face_blocks()``, those whose lower cell, or
+    where that is outside, whose upper cell lies there.
+
+    The face midpoints have the grid's ``centres`` as coordinates, those of
+    the face axis cut to the part's cells and moved half a cell up from a
+    lower cell or down from an upper one, and those of the last axis cut to
+    the part's layers.  The rule runs over whole layers of the outermost
+    coordinate vector at a time, at most ``_FLUX_CHUNK`` faces (and at least
+    one layer) a pass.  Each node's coordinates go to the field as their open
+    :func:`~fpfvm.grid.mesh`, whose C order is the face order, and the
+    component along the face axis is summed, broadcast, into the pass's
+    faces in place, viewed as that mesh's shape.  A pass with a non-finite
+    flux raises ``ValueError``."""
     d = grid.domain.d
-    half = 0.5 * grid.h[axis]
-    coords = [grid.centres(a) for a in range(d)]
-    coords[axis] = coords[axis][upper] - half if lower is None else coords[axis][lower] + half
-    outer = coords[-1]
-    layer = math.prod(len(c) for c in coords[:-1])  # faces per outer coordinate
-    rows = max(1, _FLUX_CHUNK // layer)
-    axes = [j for j in range(d) if j != axis]
-    for r0 in range(0, len(outer), rows):
-        coords[-1] = outer[r0:r0 + rows]
-        acc = flux[faces][r0 * layer:(r0 + rows) * layer]
-        acc.fill(0.0)
-        cube = acc.reshape([len(c) for c in reversed(coords)])
-        for w, node in tensor_rule(quadrature, coords, grid.h, axes):
-            cube += w * field.func(mesh(node))[axis]
-        acc *= grid.cell_volume / grid.h[axis]
+    layer = grid.ncells // grid.n[-1]  # cells per layer of the last axis
+    centres = [grid.centres(a) for a in range(d)]
+    for axis, cube, lower, upper, faces in grid.face_blocks():
+        base, (high, na, low), rows, part = _rows_part(
+            cube, upper if lower is None else lower, r0, r1)
+        coords = list(centres)
+        coords[-1] = coords[-1][base // layer:(base + high * na * low) // layer]  # its layers
+        half = 0.5 * grid.h[axis]
+        coords[axis] = coords[axis][rows] - half if lower is None else coords[axis][rows] + half
+        outer = coords[-1]
+        size = math.prod(len(c) for c in coords[:-1])  # faces per outer coordinate
+        step = max(1, _FLUX_CHUNK // size)
+        axes = [j for j in range(d) if j != axis]
+        for o0 in range(0, len(outer), step):
+            coords[-1] = outer[o0:o0 + step]
+            acc = flux[faces][part][o0 * size:(o0 + step) * size]
+            acc.fill(0.0)
+            mesh_view = acc.reshape([len(c) for c in reversed(coords)])
+            for w, node in tensor_rule(quadrature, coords, grid.h, axes):
+                mesh_view += w * field.func(mesh(node))[axis]
+            acc *= grid.cell_volume / grid.h[axis]
+            if not np.isfinite(acc).all():
+                raise ValueError("velocity field produced non-finite flux values")

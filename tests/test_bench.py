@@ -118,3 +118,17 @@ def test_the_fluxes_are_gone_before_the_steps(monkeypatch):
     monkeypatch.setattr(bench, "evolve", evolve)
     run_level(pendulum_field(), DOM, BC, PDF, 0.5, 16, XI, DT_OVER_H)
     assert alive == [False]
+
+
+def test_a_level_past_the_step_bound_is_rejected(monkeypatch):
+    """A level may take ``_MAX_STEPS`` steps, and one more raises, naming
+    ``t_final``, before it is stepped."""
+    dt = 1 / 32  # a stable N=16 step
+    steps = []
+    monkeypatch.setattr(bench, "_MAX_STEPS", 8)
+    monkeypatch.setattr(bench, "evolve", lambda op, dens, t: steps.append(t / op.dt) or dens)
+    run_level(pendulum_field(), DOM, BC, PDF, 8 * dt, 16, XI, dt / (2 * PI / 16))
+    assert steps == [8.0]
+    with pytest.raises(ValueError, match=r"^t_final=0\.28125 takes 9 steps"):
+        run_level(pendulum_field(), DOM, BC, PDF, 9 * dt, 16, XI, dt / (2 * PI / 16))
+    assert steps == [8.0]

@@ -10,7 +10,7 @@ import pytest
 import fpfvm
 from fpfvm import (Density, assemble, convergence_study, gaussian_pdf,
                    load_density, pendulum_field, save_density, uniform_density)
-from fpfvm import cli
+from fpfvm import bench, cli
 from fpfvm.cli import load_config, main, parse_real
 from fpfvm.grid import BoxDomain, build_grid
 
@@ -199,6 +199,20 @@ def test_converge_span_just_past_whole_stable_steps(tmp_path):
     assert main(["converge", "--out", str(tmp_path), "--xi", "0",
                  "--dt_over_h", "auto", "--t_final", "0.30809285540892",
                  "--n_list", "50,100"]) == 0
+
+
+def test_converge_span_past_the_step_bound_exits_two(tmp_path, capsys, monkeypatch):
+    """``t_final = 1e12`` takes about 1e13 N=8 steps: the level is rejected,
+    naming ``t_final``, before its first step, instead of running for days."""
+    def no_steps(*args):
+        raise AssertionError("a level past the step bound was stepped")
+
+    monkeypatch.setattr(bench, "evolve", no_steps)
+    rc = main(["converge", "--n_list", "8,16", "--t_final", "1e12", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: t_final=") and "steps" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_converge_t_zero_projection_only(tmp_path):

@@ -136,7 +136,7 @@ def test_assemble_peak(fluxes, fluxes800):
 def test_assemble_peak_on_one_thread(fluxes800, monkeypatch):
     """Without a helper the N=800 build writes every row on one thread, in
     full-size passes, within the same budget: 1.10 times measured."""
-    monkeypatch.setattr("fpfvm.operator._helper", lambda: None)
+    monkeypatch.setattr("fpfvm.halves._helper", lambda: None)
     assert _assemble_peak(fluxes800) <= 1.15
 
 

@@ -38,6 +38,7 @@ from fpfvm import (
     uniform_density,
     verify_markov,
 )
+from fpfvm import halves
 from fpfvm import operator as operator_module
 from fpfvm.operator import choose_dt
 from fpfvm.velocity import EdgeFluxes
@@ -432,7 +433,7 @@ GATE_N = 256  # a pendulum operator of GATE_N**2 = 65,536 rows, at the gate
 
 @pytest.fixture(scope="module")
 def gate_pendulum():
-    assert GATE_N ** 2 == operator_module._SPLIT_ROWS
+    assert GATE_N ** 2 == halves._SPLIT_ROWS
     return _pendulum_op(n=GATE_N)
 
 
@@ -486,10 +487,11 @@ def test_unsplittable_vectors_step_as_the_mat_vec_does(gate_op):
 
 
 def test_concurrent_steps_are_bit_identical(gate_pendulum):
-    """More assembling and stepping threads than cores, switching often: one
-    splits while the others assemble or step alone, and every operator is
-    the fixture's and every result the plain mat-vec's."""
-    _, fx, op = gate_pendulum
+    """More threads computing fluxes, assembling and stepping than cores,
+    switching often: one splits while the others work alone, and all fluxes
+    and every operator are the fixture's and every result the plain
+    mat-vec's."""
+    g, fx, op = gate_pendulum
     workers = 3
     starts = [np.random.default_rng(seed).random(op.grid.ncells)
               for seed in range(workers)]
@@ -504,10 +506,11 @@ def test_concurrent_steps_are_bit_identical(gate_pendulum):
     def run(i):
         m = starts[i]
         barrier.wait()
-        own = assemble(fx, op.dt)
+        fluxes = compute_fluxes(pendulum_field(), g)
+        own = assemble(fluxes, op.dt)
         for _ in range(10):
             m = step(own, m)
-        results[i] = own, m
+        results[i] = fluxes, own, m
 
     threads = [threading.Thread(target=run, args=(i,), daemon=True)
                for i in range(workers)]
@@ -521,7 +524,9 @@ def test_concurrent_steps_are_bit_identical(gate_pendulum):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    for (own, got), want in zip(results, expected):
+    for (fluxes, own, got), want in zip(results, expected):
+        for name in ("values", "outflow"):
+            assert np.array_equal(getattr(fluxes, name), getattr(fx, name))
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(own, name), getattr(op, name))
         assert np.array_equal(got, want)
@@ -545,7 +550,7 @@ def test_each_half_of_a_split_step_zeroes_its_rows(gate_op, monkeypatch):
         return out
 
     # a helper of the test's own, started on one CPU too
-    monkeypatch.setattr(operator_module, "_helper", functools.cache(operator_module._Helper))
+    monkeypatch.setattr(halves, "_helper", functools.cache(halves._Helper))
     monkeypatch.setattr(np, "empty", nan_empty)
     for _ in range(2):
         assert np.array_equal(_within(30, step, op, m), want)
@@ -572,7 +577,7 @@ def test_a_raising_half_fails_its_step_only(gate_op, where, monkeypatch):
         kernel(*args)
 
     # a helper of the test's own, started on one CPU too
-    monkeypatch.setattr(operator_module, "_helper", functools.cache(operator_module._Helper))
+    monkeypatch.setattr(halves, "_helper", functools.cache(halves._Helper))
     monkeypatch.setattr(operator_module, "csr_matvec", raise_once)
     with pytest.raises(RuntimeError, match=f"in the {where}'s half"):
         _within(30, step, op, m)
@@ -591,7 +596,7 @@ def test_a_raising_half_fails_its_assembly_only(gate_pendulum, stage, where, mon
     g, fx, _ = gate_pendulum
     dt = g.h[0] / (2 * PI + 1)
     with monkeypatch.context() as mp:
-        mp.setattr(operator_module, "_helper", lambda: None)  # one thread
+        mp.setattr(halves, "_helper", lambda: None)  # one thread
         want = assemble(fx, dt)
     half = getattr(operator_module, stage)
     raised = []
@@ -606,7 +611,7 @@ def test_a_raising_half_fails_its_assembly_only(gate_pendulum, stage, where, mon
         half(*args)
 
     # a helper of the test's own, started on one CPU too
-    monkeypatch.setattr(operator_module, "_helper", functools.cache(operator_module._Helper))
+    monkeypatch.setattr(halves, "_helper", functools.cache(halves._Helper))
     monkeypatch.setattr(operator_module, stage, raise_once)
     with pytest.raises(RuntimeError, match=f"in the {where}'s half"):
         _within(30, assemble, fx, dt)
@@ -625,7 +630,7 @@ def test_the_helper_keeps_no_arrays_alive(gate_pendulum, monkeypatch):
     command's peak RSS grew by their 15 MB when they did not)."""
     g, fx, op = gate_pendulum
     # a helper of the test's own, started on one CPU too
-    monkeypatch.setattr(operator_module, "_helper", functools.cache(operator_module._Helper))
+    monkeypatch.setattr(halves, "_helper", functools.cache(halves._Helper))
     fluxes = EdgeFluxes(fx.values.copy(), fx.quadrature, g, fx.outflow.copy())
     values = weakref.ref(fluxes.values)
     split = assemble(fluxes, op.dt)
@@ -695,7 +700,7 @@ _FORK_PROBE = """
 import os, threading, time, traceback, warnings
 import numpy as np
 from fpfvm import BoxDomain, assemble, build_grid, compute_fluxes, pendulum_field, step
-from fpfvm import operator
+from fpfvm import halves
 if len(os.sched_getaffinity(0)) == 1:  # start the helper on the one core too
     os.sched_getaffinity = lambda pid: {0, 1}
 g = build_grid(BoxDomain((-np.pi, -np.pi), (np.pi, np.pi)), (256, 256),
@@ -704,7 +709,7 @@ fx = compute_fluxes(pendulum_field(), g)
 op = assemble(fx, g.h[0] / (2 * np.pi + 1))
 m = np.random.default_rng(0).random(g.ncells)
 assert np.array_equal(step(op, m), op.matrix.T @ m)
-assert operator._helper() is not None and threading.active_count() == 2
+assert halves._helper() is not None and threading.active_count() == 2
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
     pid = os.fork()

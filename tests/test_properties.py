@@ -22,8 +22,12 @@ With the split gate lowered to one row, ``step`` splits every operator's
 rows between the caller and a helper thread (one started for the test on
 one CPU), and its result equals scipy's ``op.matrix.T @ m`` bit for bit; so
 does ``assemble`` (in passes of any size), whose CSR arrays and flag equal
-the one-thread build's bit for bit, in 1-3D under every boundary mix and
-rule, on linear fields whose fluxes take both signs.
+the one-thread build's bit for bit, and so does ``compute_fluxes``, whose
+values and outflow equal the one-thread ones and the face-table
+reference's, in 1-3D under every boundary mix and rule, on linear fields
+whose fluxes take both signs; a non-finite flux in the helper's half, or a
+field that raises in either half, fails only its call.  The row-sum error
+of ``verify_markov`` equals that of three full passes over the row sums.
 
 Diagnostic examples check ``moments`` and ``count_modes`` against the direct
 formulas they replace, kept here as reference implementations, that the
@@ -39,6 +43,8 @@ reference's count.
 
 import contextlib
 import functools
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -70,7 +76,10 @@ from fpfvm import (
 )
 from fpfvm import density as density_module
 from fpfvm import filtering as filtering_module
+from fpfvm import halves
 from fpfvm import operator as operator_module
+from fpfvm import velocity as velocity_module
+from fpfvm.operator import TransitionOperator
 from fpfvm.grid import mesh
 from fpfvm.velocity import EdgeFluxes, VelocityField, _upwind_outflow, tensor_rule
 from fpfvm.density import _count_modes_rows
@@ -79,6 +88,7 @@ from reference_builders import (
     cell_midpoints,
     lattice,
     point_bayes_update,
+    point_fluxes,
     point_gaussian_pdf,
     triplet_assemble,
     upwind_outflow,
@@ -271,23 +281,23 @@ def _split_every_call():
     """Split the rows of every step and assembly, whatever the CPU count;
     yields the list of what each split returned (True where it ran)."""
     splits = []
-    split = operator_module._split
+    split = halves._split
 
     def counted(lower, upper):
         splits.append(split(lower, upper))
         return splits[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(operator_module, "_SPLIT_ROWS", 1)
-        mp.setattr(operator_module, "_split", counted)
-        if operator_module._helper() is None:  # on one CPU the module starts none
-            mp.setattr(operator_module, "_helper", _one_helper)
+        mp.setattr(halves, "_SPLIT_ROWS", 1)
+        mp.setattr(halves, "_split", counted)
+        if halves._helper() is None:  # on one CPU the module starts none
+            mp.setattr(halves, "_helper", _one_helper)
         yield splits
 
 
 @functools.cache
 def _one_helper():
-    return operator_module._Helper()
+    return halves._Helper()
 
 
 @settings(max_examples=60, deadline=None)
@@ -303,11 +313,13 @@ def test_split_step_is_bit_identical(op, seed):
 
 
 @st.composite
-def linear_fluxes(draw):
-    """Fluxes of a linear field ``c + A x`` on a 1-3D box around the origin,
-    under any boundary mix and rule, so most draws take both signs."""
+def linear_setups(draw):
+    """``(field, grid, quadrature)``: a linear field ``c + A x`` on a 1-3D box
+    around the origin, under any boundary mix (2-cell axes drawn often) and
+    rule, so most draws take both signs."""
     d = draw(st.integers(1, 3))
-    n = tuple(draw(st.lists(st.integers(2, MAX_CELLS[d]), min_size=d, max_size=d)))
+    sizes = st.one_of(st.just(2), st.integers(2, MAX_CELLS[d]))
+    n = tuple(draw(st.lists(sizes, min_size=d, max_size=d)))
     bc = draw(st.lists(st.sampled_from(BCS), min_size=d, max_size=d))
     coef = st.floats(-3.0, 3.0, allow_subnormal=False)
     c = draw(st.lists(coef, min_size=d, max_size=d))
@@ -315,7 +327,11 @@ def linear_fluxes(draw):
     field = VelocityField(
         lambda xs: tuple(c[i] + sum(a[i][j] * xs[j] for j in range(d)) for i in range(d)), d)
     grid = build_grid(BoxDomain((-1.0,) * d, (1.0,) * d), n, bc)
-    return compute_fluxes(field, grid, draw(st.sampled_from(["midpoint", "gauss2", "gauss3"])))
+    return field, grid, draw(st.sampled_from(["midpoint", "gauss2", "gauss3"]))
+
+
+def linear_fluxes():
+    return linear_setups().map(lambda setup: compute_fluxes(*setup))
 
 
 @settings(max_examples=80, deadline=None)
@@ -334,6 +350,104 @@ def test_split_assembly_is_bit_identical(fluxes, frac, chunk):
     for name in ("indptr", "indices", "data"):
         assert _same_bits(getattr(op, name), getattr(want, name))
     assert op.mass_conserving == want.mass_conserving
+
+
+@settings(max_examples=80, deadline=None)
+@given(setup=linear_setups(), chunk=st.sampled_from([1, 5, 1 << 16]),
+       last=st.sampled_from(BCS))
+def test_split_fluxes_are_bit_identical(setup, chunk, last):
+    """Each thread sums the quadrature of its own cells' faces and then the
+    outflow of its own cells, in passes of ``_FLUX_CHUNK`` faces (drawn
+    small, so passes end inside each half): the values and the outflow equal
+    the one-thread ones and the face-table reference's, bit for bit, also
+    where the wrap faces of a periodic last axis cross the cut."""
+    field, grid, quadrature = setup
+    grid = build_grid(grid.domain, grid.n, grid.bc[:-1] + (last,))
+    want = compute_fluxes(field, grid, quadrature)  # below the gate: one thread
+    with _split_every_call() as splits, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(velocity_module, "_FLUX_CHUNK", chunk)
+        got = compute_fluxes(field, grid, quadrature)
+    assert splits == [True, True]  # the quadrature pass and the outflow pass
+    flux, outflow = point_fluxes(field, grid, quadrature)
+    for name, ref in (("values", flux), ("outflow", outflow)):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+        assert _same_bits(getattr(got, name), ref), name
+
+
+def test_split_fluxes_raise_on_a_non_finite_upper_half():
+    """A field that is not finite only in the layers of the last axis that the
+    helper sums still fails the whole call."""
+    grid = build_grid(BoxDomain((-1.0, -1.0), (1.0, 1.0)), (8, 10), ("periodic", "periodic"))
+    threads = set()
+
+    def upper_nan(xs):
+        bad = xs[1] > 0.5
+        if np.any(bad):
+            threads.add(threading.current_thread().name)
+        return np.where(bad, np.nan, 1.0), np.where(bad, np.nan, -1.0)
+
+    field = VelocityField(upper_nan, 2)
+    with _split_every_call(), pytest.raises(ValueError, match="non-finite"):
+        compute_fluxes(field, grid, "gauss2")
+    assert threads == {"fpfvm-helper"}
+
+
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_a_raising_half_fails_its_fluxes_only(where):
+    """A field that raises in either half of a split ``compute_fluxes`` fails
+    that call, and the next call is the one-thread one bit for bit.  The
+    helper is slow, so a completion signal of the failed split, read as the
+    next one's, would leave faces unwritten."""
+    grid = build_grid(BoxDomain((-1.0, -1.0), (1.0, 1.0)), (9, 12), ("dirichlet", "periodic"))
+    field = rotation_field()
+    want = compute_fluxes(field, grid, "gauss3")
+    raised = []
+
+    def raise_once(xs):
+        on_helper = threading.current_thread().name == "fpfvm-helper"
+        if on_helper:
+            time.sleep(0.1)
+        if not raised and on_helper == (where == "helper"):
+            raised.append(where)
+            raise RuntimeError(f"in the {where}'s half")
+        return field.func(xs)
+
+    with _split_every_call() as splits, pytest.MonkeyPatch.context() as mp:
+        # a helper of the test's own: a raising caller drops it
+        mp.setattr(halves, "_helper", functools.cache(halves._Helper))
+        with pytest.raises(RuntimeError, match=f"in the {where}'s half"):
+            compute_fluxes(VelocityField(raise_once, 2), grid, "gauss3")
+        got = compute_fluxes(VelocityField(raise_once, 2), grid, "gauss3")
+    assert splits == [True, True]
+    for name in ("values", "outflow"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+
+
+def _three_pass_row_sum_error(op):
+    """``verify_markov``'s row-sum error as three full passes over the sums
+    (``s - 1``, its absolute value, the maximum) compute it."""
+    n = op.grid.ncells
+    excess = np.zeros(n)
+    operator_module.csc_matvec(n, n, op.indptr, op.indices, op.data, np.ones(n), excess)
+    excess -= 1.0
+    if op.mass_conserving:
+        np.abs(excess, out=excess)
+    return max(float(excess.max()), 0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fluxes=random_fluxes(), frac=st.sampled_from([1.0, 0.5, 0.01]),
+       seed=st.integers(0, 2**32 - 1), noise=st.sampled_from([0.0, 1e-15, 1e-3]))
+def test_row_sum_error_is_the_three_pass_formula(fluxes, frac, seed, noise):
+    """The maximum and minimum of the row sums give, bit for bit, the error
+    of the three passes, on conserving and Dirichlet operators, also with
+    entries scaled so that the row sums stray both ways."""
+    dt_max = max_stable_dt(fluxes, 0.0).dt_max
+    op = assemble(fluxes, frac * dt_max if np.isfinite(dt_max) else frac)
+    rng = np.random.default_rng(seed)
+    data = op.data * (1.0 + noise * rng.standard_normal(len(op.data)))
+    op = TransitionOperator(op.dt, op.indptr, op.indices, data, op.grid, op.mass_conserving)
+    assert verify_markov(op).max_row_sum_err == _three_pass_row_sum_error(op)
 
 
 def _moments_reference(density):
