@@ -2,9 +2,11 @@
 
 On a grid or operator of at least ``_SPLIT_ROWS`` cells, in a process allowed
 more than one CPU, :func:`~fpfvm.operator.step`, :func:`~fpfvm.operator.assemble`
-and :func:`~fpfvm.velocity.compute_fluxes` work on two halves at once
-(:func:`_split`): the calling thread the lower half, and one daemon helper
-thread, started on the first such split, the upper half.  The caller hands
+and the upwind outflow of :func:`~fpfvm.velocity.compute_fluxes` work on two
+halves at once (:func:`_split`): the calling thread the lower half, and one
+daemon helper thread, started on the first such split, the upper half.  None
+of them calls user code, so a velocity field, pdf or likelihood only ever
+runs on the calling thread.  The caller hands
 the upper half over with one lock and waits on a second for the helper to
 finish it.  The set-up layers cut the cells at :func:`_layer_cut`, a whole
 layer of the last axis, and each thread reads and writes the faces of its

@@ -14,12 +14,12 @@ that of ``grid.face_blocks()``; no set-up layer builds the face table.  A
 flux is positive when mass flows toward +axis, from the face's lower cell
 ``cell_a`` into its upper cell ``cell_b``; the two sides see opposite signs
 by construction.
-On a grid of at least ``halves._SPLIT_ROWS`` cells the quadrature and then
-the upwind outflow run on two threads, cut at a whole layer of the last
-axis (:mod:`~fpfvm.halves`): each sums the faces of its own cells, so every
-value is the one-thread one, bit for bit.  A field's ``func`` then runs on
-the helper thread and the caller at once, so it must be safe to call from
-two threads; the built-in fields are.
+The quadrature runs on the calling thread, so a field's ``func`` is only
+ever called there and need not be thread-safe.  On a grid of at least
+``halves._SPLIT_ROWS`` cells the upwind outflow, which calls no user code,
+runs on two threads, cut at a whole layer of the last axis
+(:mod:`~fpfvm.halves`): each sums the faces of its own cells, so every value
+is the one-thread one, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .grid import Grid, mesh
 from .halves import _by_halves, _layer_cut, _rows_part
 
-_FLUX_CHUNK = 1 << 16  # faces per quadrature pass of _flux_rows
+_FLUX_CHUNK = 1 << 16  # faces per quadrature pass of compute_fluxes
 
 
 @dataclass(frozen=True)
@@ -156,21 +156,58 @@ def compute_fluxes(field: VelocityField, grid: Grid,
 
     ``gauss<k>`` uses a k-point tensor Gauss-Legendre rule over the face;
     ``midpoint`` is the 1-point rule, evaluating at face midpoints.  In 1D
-    faces are points and all rules coincide.  A grid of at least
-    ``halves._SPLIT_ROWS`` cells is done by two threads, cut at
-    :func:`~fpfvm.halves._layer_cut`, bit-identical to one.
+    faces are points and all rules coincide.  The quadrature
+    (:func:`_face_fluxes`) runs on the calling thread, the only one that
+    calls ``field.func``; a large grid's outflow takes two threads.
     """
     if field.dim != grid.domain.d:
         raise ValueError(
             f"field dimension {field.dim} != grid dimension {grid.domain.d}")
     kind, k = _parse_quadrature(quadrature)
-    flux = np.empty(grid.face_offsets[-1])
-    _by_halves(_layer_cut(grid), grid.ncells, _flux_rows, field, grid, quadrature, flux)
+    flux = _face_fluxes(field, grid, quadrature)
     flux.flags.writeable = False
     outflow = _upwind_outflow(grid, flux)
     outflow.flags.writeable = False
     tag = "midpoint" if kind == "midpoint" else f"gauss{k}"
     return EdgeFluxes(values=flux, quadrature=tag, grid=grid, outflow=outflow)
+
+
+def _face_fluxes(field: VelocityField, grid: Grid, quadrature: str) -> np.ndarray:
+    """The flux of every face, block by block of ``grid.face_blocks()``.
+
+    The face midpoints have the grid's ``centres`` as coordinates, those of
+    the face axis cut to a block's lower cells and moved half a cell up, or
+    where the lower side is outside, to its upper cells and moved half a cell
+    down.  The rule runs over whole layers of the outermost coordinate
+    vector at a time, at most ``_FLUX_CHUNK`` faces (and at least one layer)
+    a pass.  Each node's coordinates go to the field as their open
+    :func:`~fpfvm.grid.mesh`, whose C order is the face order, and the
+    component along the face axis is summed, broadcast, into the pass's
+    faces in place, viewed as that mesh's shape.  A pass with a non-finite
+    flux raises ``ValueError``."""
+    d = grid.domain.d
+    centres = [grid.centres(a) for a in range(d)]
+    flux = np.empty(grid.face_offsets[-1])
+    for axis, _, lower, upper, faces in grid.face_blocks():
+        half = 0.5 * grid.h[axis]
+        coords = list(centres)
+        coords[axis] = coords[axis][upper] - half if lower is None else coords[axis][lower] + half
+        outer = coords[-1]
+        size = math.prod(len(c) for c in coords[:-1])  # faces per outer coordinate
+        step = max(1, _FLUX_CHUNK // size)
+        axes = [j for j in range(d) if j != axis]
+        for o0 in range(0, len(outer), step):
+            coords[-1] = outer[o0:o0 + step]
+            acc = flux[faces][o0 * size:(o0 + step) * size]
+            mesh_view = acc.reshape([len(c) for c in reversed(coords)])
+            for i, (w, node) in enumerate(tensor_rule(quadrature, coords, grid.h, axes)):
+                # the first node adds to 0.0, not to zeroed faces: the same
+                # bits, signed zeros included, without a zeroing pass
+                np.add(mesh_view if i else 0.0, w * field.func(mesh(node))[axis], out=mesh_view)
+            acc *= grid.cell_volume / grid.h[axis]
+            if not np.isfinite(acc).all():
+                raise ValueError("velocity field produced non-finite flux values")
+    return flux
 
 
 def _upwind_outflow(grid: Grid, flux: np.ndarray) -> np.ndarray:
@@ -199,45 +236,3 @@ def _outflow_rows(r0: int, r1: int, grid: Grid, flux: np.ndarray, out: np.ndarra
                 np.add(cells, f, out=cells, where=f > 0.0)
             else:
                 np.subtract(cells, f, out=cells, where=f < 0.0)
-
-
-def _flux_rows(r0: int, r1: int, field: VelocityField, grid: Grid, quadrature: str,
-               flux: np.ndarray) -> None:
-    """Write the fluxes of the faces that belong to the cells ``[r0, r1)``:
-    in each face block of ``grid.face_blocks()``, those whose lower cell, or
-    where that is outside, whose upper cell lies there.
-
-    The face midpoints have the grid's ``centres`` as coordinates, those of
-    the face axis cut to the part's cells and moved half a cell up from a
-    lower cell or down from an upper one, and those of the last axis cut to
-    the part's layers.  The rule runs over whole layers of the outermost
-    coordinate vector at a time, at most ``_FLUX_CHUNK`` faces (and at least
-    one layer) a pass.  Each node's coordinates go to the field as their open
-    :func:`~fpfvm.grid.mesh`, whose C order is the face order, and the
-    component along the face axis is summed, broadcast, into the pass's
-    faces in place, viewed as that mesh's shape.  A pass with a non-finite
-    flux raises ``ValueError``."""
-    d = grid.domain.d
-    layer = grid.ncells // grid.n[-1]  # cells per layer of the last axis
-    centres = [grid.centres(a) for a in range(d)]
-    for axis, cube, lower, upper, faces in grid.face_blocks():
-        base, (high, na, low), rows, part = _rows_part(
-            cube, upper if lower is None else lower, r0, r1)
-        coords = list(centres)
-        coords[-1] = coords[-1][base // layer:(base + high * na * low) // layer]  # its layers
-        half = 0.5 * grid.h[axis]
-        coords[axis] = coords[axis][rows] - half if lower is None else coords[axis][rows] + half
-        outer = coords[-1]
-        size = math.prod(len(c) for c in coords[:-1])  # faces per outer coordinate
-        step = max(1, _FLUX_CHUNK // size)
-        axes = [j for j in range(d) if j != axis]
-        for o0 in range(0, len(outer), step):
-            coords[-1] = outer[o0:o0 + step]
-            acc = flux[faces][part][o0 * size:(o0 + step) * size]
-            acc.fill(0.0)
-            mesh_view = acc.reshape([len(c) for c in reversed(coords)])
-            for w, node in tensor_rule(quadrature, coords, grid.h, axes):
-                mesh_view += w * field.func(mesh(node))[axis]
-            acc *= grid.cell_volume / grid.h[axis]
-            if not np.isfinite(acc).all():
-                raise ValueError("velocity field produced non-finite flux values")

@@ -22,12 +22,13 @@ With the split gate lowered to one row, ``step`` splits every operator's
 rows between the caller and a helper thread (one started for the test on
 one CPU), and its result equals scipy's ``op.matrix.T @ m`` bit for bit; so
 does ``assemble`` (in passes of any size), whose CSR arrays and flag equal
-the one-thread build's bit for bit, and so does ``compute_fluxes``, whose
-values and outflow equal the one-thread ones and the face-table
-reference's, in 1-3D under every boundary mix and rule, on linear fields
-whose fluxes take both signs; a non-finite flux in the helper's half, or a
-field that raises in either half, fails only its call.  The row-sum error
-of ``verify_markov`` equals that of three full passes over the row sums.
+the one-thread build's bit for bit.  ``compute_fluxes`` calls the field on
+the calling thread only and splits just its outflow pass, whose values and
+outflow equal the one-thread ones and the face-table reference's, in 1-3D
+under every boundary mix and rule, on linear fields whose fluxes take both
+signs; a non-finite flux in the upper layers, or a field that raises, fails
+only its call.  The row-sum error of ``verify_markov`` equals that of three
+full passes over the row sums.
 
 Diagnostic examples check ``moments`` and ``count_modes`` against the direct
 formulas they replace, kept here as reference implementations, that the
@@ -35,7 +36,9 @@ cell centres ``moments`` uses along an axis are the cell midpoints of that
 axis's 1D grid bit for bit, that ``gaussian_pdf`` and ``project`` on the
 coordinate mesh and ``bayes_update`` equal, bit for bit, their point-path
 references (an ``einsum`` quadratic form on ``(m, d)`` points, and the
-likelihood on the columns of the cell midpoints), that the mode count on a
+likelihood on the columns of the cell midpoints), or where the update
+raises ``ZeroEvidence``, that the point path has no likelihood-weighted mass
+either, that the mode count on a
 periodic axis does not depend on where the ring is cut, and that the batched
 counter the filter uses on a block of profiles gives each row the
 reference's count.
@@ -44,7 +47,6 @@ reference's count.
 import contextlib
 import functools
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -55,6 +57,7 @@ from fpfvm import (
     BoxDomain,
     Density,
     ObservationSequence,
+    ZeroEvidence,
     assemble,
     bayes_update,
     build_grid,
@@ -355,70 +358,86 @@ def test_split_assembly_is_bit_identical(fluxes, frac, chunk):
 @settings(max_examples=80, deadline=None)
 @given(setup=linear_setups(), chunk=st.sampled_from([1, 5, 1 << 16]),
        last=st.sampled_from(BCS))
-def test_split_fluxes_are_bit_identical(setup, chunk, last):
-    """Each thread sums the quadrature of its own cells' faces and then the
-    outflow of its own cells, in passes of ``_FLUX_CHUNK`` faces (drawn
-    small, so passes end inside each half): the values and the outflow equal
-    the one-thread ones and the face-table reference's, bit for bit, also
-    where the wrap faces of a periodic last axis cross the cut."""
+def test_split_outflow_is_bit_identical(setup, chunk, last):
+    """The quadrature runs on the calling thread, in passes of
+    ``_FLUX_CHUNK`` faces (drawn small, so passes end inside a face block),
+    and each thread sums the outflow of its own cells: the values and the
+    outflow equal the one-thread ones and the face-table reference's, bit for
+    bit, also where the wrap faces of a periodic last axis cross the cut."""
     field, grid, quadrature = setup
     grid = build_grid(grid.domain, grid.n, grid.bc[:-1] + (last,))
     want = compute_fluxes(field, grid, quadrature)  # below the gate: one thread
     with _split_every_call() as splits, pytest.MonkeyPatch.context() as mp:
         mp.setattr(velocity_module, "_FLUX_CHUNK", chunk)
         got = compute_fluxes(field, grid, quadrature)
-    assert splits == [True, True]  # the quadrature pass and the outflow pass
+    assert splits == [True]  # the outflow pass only
     flux, outflow = point_fluxes(field, grid, quadrature)
     for name, ref in (("values", flux), ("outflow", outflow)):
         assert _same_bits(getattr(got, name), getattr(want, name)), name
         assert _same_bits(getattr(got, name), ref), name
 
 
-def test_split_fluxes_raise_on_a_non_finite_upper_half():
-    """A field that is not finite only in the layers of the last axis that the
-    helper sums still fails the whole call."""
+def test_fluxes_call_the_field_on_the_calling_thread_only():
+    """Above the split gate, with the split forced, ``compute_fluxes`` calls
+    the field on the calling thread only, so a ``func`` need not be
+    thread-safe; the outflow is still summed by two threads, and both equal
+    the face-table reference's bit for bit."""
+    grid = build_grid(BoxDomain((-1.0, -1.0), (1.0, 1.0)), (257, 256), ("neumann", "periodic"))
+    assert grid.ncells > halves._SPLIT_ROWS
+    rotation = rotation_field()
+    threads = set()
+
+    def recording(xs):
+        threads.add(threading.current_thread())
+        return rotation.func(xs)
+
+    field = VelocityField(recording, 2)
+    with _split_every_call() as splits:
+        got = compute_fluxes(field, grid, "gauss2")
+    assert threads == {threading.current_thread()}
+    assert splits == [True]  # the outflow pass
+    flux, outflow = point_fluxes(rotation, grid, "gauss2")
+    assert _same_bits(got.values, flux) and _same_bits(got.outflow, outflow)
+
+
+def test_fluxes_raise_on_non_finite_upper_layers():
+    """A field that is not finite only in the upper layers of the last axis,
+    those the helper sums the outflow of, still fails the whole call."""
     grid = build_grid(BoxDomain((-1.0, -1.0), (1.0, 1.0)), (8, 10), ("periodic", "periodic"))
     threads = set()
 
     def upper_nan(xs):
         bad = xs[1] > 0.5
         if np.any(bad):
-            threads.add(threading.current_thread().name)
+            threads.add(threading.current_thread())
         return np.where(bad, np.nan, 1.0), np.where(bad, np.nan, -1.0)
 
     field = VelocityField(upper_nan, 2)
-    with _split_every_call(), pytest.raises(ValueError, match="non-finite"):
+    with _split_every_call() as splits, pytest.raises(ValueError, match="non-finite"):
         compute_fluxes(field, grid, "gauss2")
-    assert threads == {"fpfvm-helper"}
+    assert threads == {threading.current_thread()}
+    assert splits == []  # raised before the outflow pass
 
 
-@pytest.mark.parametrize("where", ["helper", "caller"])
-def test_a_raising_half_fails_its_fluxes_only(where):
-    """A field that raises in either half of a split ``compute_fluxes`` fails
-    that call, and the next call is the one-thread one bit for bit.  The
-    helper is slow, so a completion signal of the failed split, read as the
-    next one's, would leave faces unwritten."""
+def test_a_raising_field_fails_its_fluxes_only():
+    """A field that raises fails that call of ``compute_fluxes``, and the
+    next call, whose outflow is split, is the one-thread one bit for bit."""
     grid = build_grid(BoxDomain((-1.0, -1.0), (1.0, 1.0)), (9, 12), ("dirichlet", "periodic"))
     field = rotation_field()
     want = compute_fluxes(field, grid, "gauss3")
     raised = []
 
     def raise_once(xs):
-        on_helper = threading.current_thread().name == "fpfvm-helper"
-        if on_helper:
-            time.sleep(0.1)
-        if not raised and on_helper == (where == "helper"):
-            raised.append(where)
-            raise RuntimeError(f"in the {where}'s half")
+        if not raised:
+            raised.append(True)
+            raise RuntimeError("in the field")
         return field.func(xs)
 
-    with _split_every_call() as splits, pytest.MonkeyPatch.context() as mp:
-        # a helper of the test's own: a raising caller drops it
-        mp.setattr(halves, "_helper", functools.cache(halves._Helper))
-        with pytest.raises(RuntimeError, match=f"in the {where}'s half"):
+    with _split_every_call() as splits:
+        with pytest.raises(RuntimeError, match="in the field"):
             compute_fluxes(VelocityField(raise_once, 2), grid, "gauss3")
         got = compute_fluxes(VelocityField(raise_once, 2), grid, "gauss3")
-    assert splits == [True, True]
+    assert splits == [True]
     for name in ("values", "outflow"):
         assert _same_bits(getattr(got, name), getattr(want, name)), name
 
@@ -546,9 +565,33 @@ def test_mesh_evaluation_equals_the_point_path(dens, data):
               lambda z, xs: sum(-w * (x - z) ** 2 for w, x in zip(weights, xs))]
     z = data.draw(st.floats(-1.0, 1.0))
     for model in models:
-        post, log_ev = bayes_update(dens.values, grid, model, z, 0.5)
-        ref_post, ref_log_ev = point_bayes_update(dens.values, grid, model, z, 0.5)
-        assert post.tobytes() == ref_post.tobytes() and log_ev == ref_log_ev
+        _assert_bayes_update_is_the_point_path(dens.values, grid, model, z)
+
+
+def _assert_bayes_update_is_the_point_path(values, grid, model, z):
+    """``bayes_update`` equals the point path bit for bit, or where it raises
+    ``ZeroEvidence``, the point path's likelihood-weighted mass, computed
+    without dividing by it, is not positive either."""
+    try:
+        post, log_ev = bayes_update(values, grid, model, z, 0.5)
+    except ZeroEvidence:
+        ll = np.asarray(model(z, tuple(cell_midpoints(grid).T)), dtype=float)
+        assert not (values * np.exp(ll - ll.max())).sum() > 0.0
+        return
+    ref_post, ref_log_ev = point_bayes_update(values, grid, model, z, 0.5)
+    assert post.tobytes() == ref_post.tobytes() and log_ev == ref_log_ev
+
+
+def test_zero_evidence_draw_is_rejected_on_both_paths():
+    """A draw on which all likelihood-weighted mass underflows: the mass sits
+    where ``|x_1|`` is 2.5, and at ``sigma = 0.0625`` its likelihood of
+    ``z = -1`` is ``exp(-768)`` times the grid's largest."""
+    grid = build_grid(BoxDomain((-3.0, 0.0, 0.0), (-1.0, 1.0, 1.0)), (2, 2, 2), ("neumann",) * 3)
+    values = np.zeros(grid.ncells)
+    values[[0, 2]] = 1.0 / (2 * grid.cell_volume)
+    with pytest.raises(ZeroEvidence):
+        bayes_update(values, grid, gaussian_abs_position_model(0.0625), -1.0, 0.5)
+    _assert_bayes_update_is_the_point_path(values, grid, gaussian_abs_position_model(0.0625), -1.0)
 
 
 def _count_modes_reference(values, min_prominence):

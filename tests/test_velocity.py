@@ -179,6 +179,17 @@ def test_mesh_fluxes_equal_the_point_path(data, g, quadrature):
 
 
 @pytest.mark.parametrize("quadrature", QUADRATURES)
+def test_negative_zero_velocity_gives_positive_zero_fluxes(quadrature):
+    """A field that is -0.0 at every node has fluxes of +0.0, as the face-table
+    reference's zeroed sums do (``0.0 + -0.0`` is ``+0.0``)."""
+    g = build_grid(BoxDomain((0.0, 0.0), (1.0, 1.0)), (3, 4), ("periodic", "dirichlet"))
+    field = constant_field([-0.0, -0.0])
+    fx = compute_fluxes(field, g, quadrature)
+    assert fx.values.tobytes() == point_fluxes(field, g, quadrature)[0].tobytes()
+    assert not np.signbit(fx.values).any()
+
+
+@pytest.mark.parametrize("quadrature", QUADRATURES)
 def test_pendulum_field_sees_coordinate_vectors(quadrature):
     """On an N x N pendulum grid every coordinate array the field receives
     has two axes, at most one of them longer than 1, and at most N values
