@@ -51,9 +51,10 @@ def _rows_part(cube, rows: slice, r0: int, r1: int):
     """The part of a face block (one face per cell of ``cube[:, rows, :]`` in
     C order, ``cube`` the ``(high, na, low)`` of its axis) whose rows, the
     cells ``rows`` picks, lie in ``[r0, r1)``, both whole layers of the
-    grid's last axis, as ``(base, cube, rows, faces)``: ``faces`` slices the
-    block's faces to the part's, and face ``j`` of the part belongs to row
-    ``base + j + j // span * gap + rows.start * low``, with ``span`` the
+    grid's last axis, as ``(base, cube, rows, part)``: ``part`` slices the
+    first two axes of the block's faces, viewed as ``(high, len(rows),
+    low)``, to the part's, and face ``j`` of the part in C order belongs to
+    row ``base + j + j // span * gap + rows.start * low``, with ``span`` the
     part's faces per layer of the cube and ``gap`` the cells of a layer it
     skips.  Along an axis below the last, the part is whole layers of the
     cube; along the last axis (one layer) it cuts the cube's middle axis."""
@@ -61,12 +62,17 @@ def _rows_part(cube, rows: slice, r0: int, r1: int):
     start, stop, _ = rows.indices(na)
     if r0 % (na * low) == 0 and r1 % (na * low) == 0:
         h0, h1 = r0 // (na * low), r1 // (na * low)
-        span = (stop - start) * low
-        return r0, (h1 - h0, na, low), slice(start, stop), slice(h0 * span, h1 * span)
+        return r0, (h1 - h0, na, low), slice(start, stop), (slice(h0, h1), slice(None))
     lo = max(start, r0 // low)
     hi = max(lo, min(stop, r1 // low))
-    j0 = (lo - start) * low
-    return 0, cube, slice(lo, hi), slice(j0, j0 + (hi - lo) * low)
+    return 0, cube, slice(lo, hi), (slice(None), slice(lo - start, hi - start))
+
+
+def _block_part(block, part):
+    """The fluxes of a face block, ``block``, on ``part``, slices of its
+    leading axes; an axis of extent 1, along which they do not vary, keeps
+    its one value, to broadcast over the part's rows (none included)."""
+    return block[tuple(s if n > 1 else slice(None) for s, n in zip(part, block.shape))]
 
 
 class _Helper:

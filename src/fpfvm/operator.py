@@ -61,7 +61,7 @@ from .velocity import EdgeFluxes
 _CFL_SLACK = 1e-12  # relative slack so dt == dt_max assembles cleanly
 _MARKOV_TOL = 1e-12  # entry and row-sum tolerance of verify_markov
 _WRITE_CHUNK = 1 << 16  # faces or rows per write pass of a one-thread assemble
-_EXPORT_ROWS = 1 << 13  # matrix rows per write of export_operator
+_EXPORT_ROWS = 1 << 13  # rows per write of export_operator, columns per call of verify_markov
 
 
 def _sparsetools_path() -> str | None:
@@ -219,13 +219,13 @@ def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
         raise CflViolation(
             f"dt={dt} violates the step-size bound at cell {binding}: "
             f"dt * outflow / |K| = {load[binding]:.6g} > 1")
-    slots, leaks = _inflow_slots(grid, fluxes.values)
+    slots, leaks = _inflow_slots(grid, fluxes.blocks)
     slots[0] = None  # the diagonal
     slots = sorted(slots.items())  # by column offset: each row in column order
     cut = halves._layer_cut(grid)
 
     # int32, as scipy picks it, unless the entries could pass int32 indices
-    idx = np.int32 if nc + len(fluxes.values) <= np.iinfo(np.int32).max else np.int64
+    idx = np.int32 if nc + grid.face_offsets[-1] <= np.iinfo(np.int32).max else np.int64
     indptr = np.empty(nc + 1, dtype=idx)
     ends = indptr[:-1]  # each row's count, then the end of its entries
     halves._by_halves(cut, nc, _count_rows, slots, ends)
@@ -238,7 +238,7 @@ def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
     return TransitionOperator(dt, indptr, indices, data, grid, mass_conserving=not leaks)
 
 
-def _inflow_slots(grid: Grid, flux: np.ndarray) -> tuple[dict, bool]:
+def _inflow_slots(grid: Grid, blocks) -> tuple[dict, bool]:
     """The off-diagonal entries of the left-action matrix, by column offset.
 
     Along axis ``a`` (cube ``(high, na, low)``, so neighbours are ``low``
@@ -246,15 +246,15 @@ def _inflow_slots(grid: Grid, flux: np.ndarray) -> tuple[dict, bool]:
     ``f > 0`` the upper cells gather from the lower ones, where ``f < 0`` the
     reverse.  A slot is ``(cube, rows, sources)``: ``rows`` slices the cube's
     middle axis to the receiving cells and each source ``(f, sign)`` is a
-    face block with one face per receiving cell, in C order, feeding an entry
-    where ``sign * f > 0``.  The two faces of a 2-cell periodic axis share an
-    offset and so a slot.  Also returns whether any Dirichlet face lets mass
-    out of the box: up through a high face, down through a low one.
+    face block's fluxes (see :class:`~fpfvm.velocity.EdgeFluxes`), one face
+    per receiving cell, feeding an entry where ``sign * f > 0``.  The two
+    faces of a 2-cell periodic axis share an offset and so a slot.  Also
+    returns whether any Dirichlet face lets mass out of the box: up through a
+    high face, down through a low one.
     """
     slots: dict = {}
     leaks = False
-    for _, cube, lower, upper, faces in grid.face_blocks():
-        f = flux[faces]
+    for (_, cube, lower, upper, _), f in zip(grid.face_blocks(), blocks):
         if lower is None or upper is None:
             leaks = leaks or bool(np.any(f < 0.0 if lower is None else f > 0.0))
             continue
@@ -273,17 +273,18 @@ def _fed(f: np.ndarray, sign: float) -> np.ndarray:
 
 
 def _count_rows(r0: int, r1: int, slots, ends) -> None:
-    """Set ``ends[r0:r1]`` to the entry counts of those rows."""
+    """Set ``ends[r0:r1]`` to the entry counts of those rows; each source's
+    mask stays at its block's shape and is broadcast into the rows."""
     ends[r0:r1] = 1  # the diagonal
     for _, slot in slots:
         if slot is not None:
             cube, rows, ((f, sign), *more) = slot
-            base, (high, na, low), rows, faces = halves._rows_part(cube, rows, r0, r1)
-            present = _fed(f[faces], sign)
+            base, (high, na, low), rows, part = halves._rows_part(cube, rows, r0, r1)
+            present = _fed(halves._block_part(f, part), sign)
             for f, sign in more:
-                present |= _fed(f[faces], sign)
+                present = present | _fed(halves._block_part(f, part), sign)
             cube = ends[base:base + high * na * low].reshape(high, na, low)
-            cube[:, rows, :] += present.reshape(high, -1, low)
+            cube[:, rows, :] += present
 
 
 def _write_rows(r0: int, r1: int, slots, outflow, dt, vol, ends, indices, data) -> None:
@@ -318,32 +319,53 @@ def _write_diagonal(r0, r1, chunk, outflow, dt, vol, ends, indices, data) -> Non
         data[place] = diag
 
 
+def _write_boxes(shape, chunk):
+    """Cover the C-order faces ``shape = (high, k, low)`` with boxes of whole
+    rows of ``low`` faces, at most ``chunk`` faces or one row each, in C
+    order: yield each box's first face and its slices of ``high`` and
+    ``k``."""
+    high, k, low = shape
+    if k * low <= chunk:  # whole layers
+        step = chunk // max(k * low, 1)
+        for h0 in range(0, high, step):
+            yield h0 * k * low, (slice(h0, min(h0 + step, high)), slice(0, k))
+    else:
+        step = max(1, chunk // low)
+        for h in range(high):
+            for k0 in range(0, k, step):
+                yield (h * k + k0) * low, (slice(h, h + 1), slice(k0, min(k0 + step, k)))
+
+
 def _write_inflow(part, sources, offset, chunk, dt, vol, ends, indices, data) -> None:
     """Write the entries ``|f| * dt / |K|`` of one slot's part (see
     :func:`~fpfvm.halves._rows_part`) just below their rows' ``ends``, and
-    lower ``ends``; where two faces feed one entry (a 2-cell periodic axis),
-    their values are summed."""
-    base, (high, na, low), rows, faces = part
+    lower ``ends``, a box of at most ``chunk`` faces at a time
+    (:func:`_write_boxes`), each source broadcast to the box's faces; where
+    two faces feed one entry (a 2-cell periodic axis), their values are
+    summed."""
+    base, (high, na, low), rows, part = part
     span = (rows.stop - rows.start) * low  # faces per layer of the cube
     gap = na * low - span  # cells of a layer this slot skips
-    sources = [(f[faces], sign) for f, sign in sources]
-    size = faces.stop - faces.start
-    for j0 in range(0, size, chunk):
-        j1 = min(j0 + chunk, size)
-        if len(sources) == 1:
-            ((f, sign),) = sources
-            j = np.flatnonzero(_fed(f[j0:j1], sign))
-            vals = f[j0:j1][j]
+    sources = [(halves._block_part(f, part), sign) for f, sign in sources]
+    for j0, box in _write_boxes((high, rows.stop - rows.start, low), chunk):
+        shape = (box[0].stop - box[0].start, box[1].stop - box[1].start, low)
+        faces = [(np.broadcast_to(halves._block_part(f, box), shape), sign)
+                 for f, sign in sources]
+        if len(faces) == 1:
+            ((f, sign),) = faces
+            fed = _fed(f, sign)
+            j = np.flatnonzero(fed)
+            vals = f[fed]
             vals *= sign * dt  # |f| * dt, as (sign * f) * dt rounds
             vals /= vol
         else:
-            take = np.zeros(j1 - j0, dtype=bool)
-            for f, sign in sources:
-                take |= _fed(f[j0:j1], sign)
+            take = np.zeros(shape, dtype=bool)
+            for f, sign in faces:
+                take |= _fed(f, sign)
             j = np.flatnonzero(take)
             vals = np.zeros(len(j))
-            for f, sign in sources:
-                v = sign * f[j0:j1][j]
+            for f, sign in faces:
+                v = sign * f[take]
                 fed = v > 0.0
                 v *= dt
                 v /= vol
@@ -411,13 +433,19 @@ def evolve(op: TransitionOperator, density: Density, t: float) -> Density:
 def verify_markov(op: TransitionOperator) -> MarkovReport:
     """Check entries >= -tol and row sums within tol of one, tol = 1e-12; with
     Dirichlet outflow (not mass conserving), row sums at most 1 + tol, the
-    excess reported.  The row sums are scipy's ``op.matrix @ ones``."""
+    excess reported.  The row sums are scipy's ``op.matrix @ ones``, summed in
+    the same order, by ``csc_matvec`` calls on blocks of ``_EXPORT_ROWS``
+    columns against one short vector of ones."""
     min_entry = float(op.data.min()) if op.data.size else 1.0
     # rows of S are the columns of the stored left-action arrays; the CSC
-    # kernel adds each column's entries in storage order
+    # kernel adds each column's entries in storage order, and the blocks
+    # take the columns in order, so each sum adds its terms as one call does
     n = op.grid.ncells
     sums = np.zeros(n)
-    csc_matvec(n, n, op.indptr, op.indices, op.data, np.ones(n), sums)
+    ones = np.ones(min(n, _EXPORT_ROWS))
+    for j0 in range(0, n, _EXPORT_ROWS):
+        ptr = op.indptr[j0:j0 + _EXPORT_ROWS + 1]
+        csc_matvec(n, len(ptr) - 1, ptr, op.indices, op.data, ones, sums)
     # s - 1 rounds monotonically and 1 - s as its negation, so these are the
     # largest s - 1 and |s - 1| over the rows
     above = float(sums.max()) - 1.0

@@ -8,9 +8,12 @@ open :func:`~fpfvm.grid.mesh` of a face block the pendulum's ``-g sin x1``
 runs once per angle, not once per face.  Pdfs and log-likelihoods take
 coordinates the same way.
 Face fluxes are the integrals of the velocity component along each face's
-axis over the face, computed one face block at a time, in passes of at most
-``_FLUX_CHUNK`` faces, and stored once per face in the grid's face order,
-that of ``grid.face_blocks()``; no set-up layer builds the face table.  A
+axis over the face, computed one face block of ``grid.face_blocks()`` at a
+time, in passes of at most ``_FLUX_CHUNK`` faces, and kept at the shape the
+component has: one array per block, shaped like the block's cube ``(high,
+k, low)`` with extent 1 on each group of coordinates the component does not
+vary along.  The pendulum's fluxes are three blocks of N values, not one
+value per face; no set-up layer builds the face table.  A
 flux is positive when mass flows toward +axis, from the face's lower cell
 ``cell_a`` into its upper cell ``cell_b``; the two sides see opposite signs
 by construction.
@@ -33,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import Grid, mesh
-from .halves import _by_halves, _layer_cut, _rows_part
+from .halves import _block_part, _by_halves, _layer_cut, _rows_part
 
 _FLUX_CHUNK = 1 << 16  # faces per quadrature pass of compute_fluxes
 
@@ -53,17 +56,20 @@ class VelocityField:
 
 @dataclass(frozen=True)
 class EdgeFluxes:
-    """Per-face flux in ``grid.face_blocks()`` order.
+    """Per-face fluxes, one array per block of ``grid.face_blocks()``.
 
-    One signed value is stored per face, positive toward +axis (out of the
-    lower cell ``cell_a``, into the upper cell ``cell_b``), so the
-    antisymmetry of opposing fluxes is structural.  On a low-side Dirichlet
-    face (``cell_a == -1``) a positive flux enters the box.  ``outflow`` is
-    the per-cell upwind outflow ``sum_L (v_KL)_+``, the load behind the
-    step-size bound and the diagonal of the transition matrix.
+    ``blocks[b]`` is shaped like block ``b``'s cube ``(high, k, low)``, with
+    extent 1 on each group the field's component does not vary along, so
+    ``np.broadcast_to(blocks[b], (high, k, low))`` gives one signed value
+    per face of the block, in its C order.  A flux is positive toward +axis
+    (out of the lower cell ``cell_a``, into the upper cell ``cell_b``), so
+    the antisymmetry of opposing fluxes is structural.  On a low-side
+    Dirichlet face (``cell_a == -1``) a positive flux enters the box.
+    ``outflow`` is the per-cell upwind outflow ``sum_L (v_KL)_+``, the load
+    behind the step-size bound and the diagonal of the transition matrix.
     """
 
-    values: np.ndarray
+    blocks: tuple[np.ndarray, ...]
     quadrature: str
     grid: Grid
     outflow: np.ndarray
@@ -164,75 +170,129 @@ def compute_fluxes(field: VelocityField, grid: Grid,
         raise ValueError(
             f"field dimension {field.dim} != grid dimension {grid.domain.d}")
     kind, k = _parse_quadrature(quadrature)
-    flux = _face_fluxes(field, grid, quadrature)
-    flux.flags.writeable = False
-    outflow = _upwind_outflow(grid, flux)
+    blocks = _face_fluxes(field, grid, quadrature)
+    outflow = _upwind_outflow(grid, blocks)
     outflow.flags.writeable = False
     tag = "midpoint" if kind == "midpoint" else f"gauss{k}"
-    return EdgeFluxes(values=flux, quadrature=tag, grid=grid, outflow=outflow)
+    return EdgeFluxes(blocks=blocks, quadrature=tag, grid=grid, outflow=outflow)
 
 
-def _face_fluxes(field: VelocityField, grid: Grid, quadrature: str) -> np.ndarray:
-    """The flux of every face, block by block of ``grid.face_blocks()``.
+def _face_fluxes(field: VelocityField, grid: Grid, quadrature: str) -> tuple[np.ndarray, ...]:
+    """The fluxes of every block of ``grid.face_blocks()``, each at the shape
+    its component has on the block's cube.
 
     The face midpoints have the grid's ``centres`` as coordinates, those of
     the face axis cut to a block's lower cells and moved half a cell up, or
     where the lower side is outside, to its upper cells and moved half a cell
     down.  The rule runs over whole layers of the outermost coordinate
-    vector at a time, at most ``_FLUX_CHUNK`` faces (and at least one layer)
-    a pass.  Each node's coordinates go to the field as their open
-    :func:`~fpfvm.grid.mesh`, whose C order is the face order, and the
-    component along the face axis is summed, broadcast, into the pass's
-    faces in place, viewed as that mesh's shape.  A pass with a non-finite
-    flux raises ``ValueError``."""
+    vector at a time (:func:`_rule_sum`), at most ``_FLUX_CHUNK`` faces and
+    at least two layers a pass.  The first pass's sums show which groups of
+    the cube ``(high, k, low)`` the component varies along; the block keeps
+    extent 1 on the others.  Where that is the outermost coordinate's group,
+    the first pass covers the whole block; otherwise the later passes sum
+    into their layers of the block in place."""
     d = grid.domain.d
     centres = [grid.centres(a) for a in range(d)]
-    flux = np.empty(grid.face_offsets[-1])
-    for axis, _, lower, upper, faces in grid.face_blocks():
+    blocks = []
+    for axis, _, lower, upper, _ in grid.face_blocks():
         half = 0.5 * grid.h[axis]
         coords = list(centres)
         coords[axis] = coords[axis][upper] - half if lower is None else coords[axis][lower] + half
+        shape = [len(c) for c in reversed(coords)]  # the block's mesh, outermost first
         outer = coords[-1]
-        size = math.prod(len(c) for c in coords[:-1])  # faces per outer coordinate
-        step = max(1, _FLUX_CHUNK // size)
-        axes = [j for j in range(d) if j != axis]
-        for o0 in range(0, len(outer), step):
-            coords[-1] = outer[o0:o0 + step]
-            acc = flux[faces][o0 * size:(o0 + step) * size]
-            mesh_view = acc.reshape([len(c) for c in reversed(coords)])
-            for i, (w, node) in enumerate(tensor_rule(quadrature, coords, grid.h, axes)):
-                # the first node adds to 0.0, not to zeroed faces: the same
-                # bits, signed zeros included, without a zeroing pass
-                np.add(mesh_view if i else 0.0, w * field.func(mesh(node))[axis], out=mesh_view)
-            acc *= grid.cell_volume / grid.h[axis]
-            if not np.isfinite(acc).all():
-                raise ValueError("velocity field produced non-finite flux values")
-    return flux
+        step = max(2, _FLUX_CHUNK // math.prod(shape[1:]))
+        coords[-1] = outer[:step]
+        first = _rule_sum(field, grid, quadrature, coords, axis)
+        first = np.reshape(first, (1,) * (d - np.ndim(first)) + np.shape(first))
+        # the mesh axes of the cube's groups high, k and low; a group keeps
+        # its extents where the component varies along one of its axes
+        groups = (range(0, d - 1 - axis), range(d - 1 - axis, d - axis), range(d - axis, d))
+        shape = tuple(n if any(first.shape[i] > 1 for i in g) else 1
+                      for g in groups for n in shape[g.start:g.stop])
+        if first.shape == shape:  # the first pass covered the block
+            block = first
+        elif first.shape[0] == 1:  # not along the outermost coordinate
+            block = np.empty(shape)
+            block[...] = first
+        else:
+            block = np.empty(shape)
+            block[:step] = first
+            for o0 in range(step, len(outer), step):
+                coords[-1] = outer[o0:o0 + step]
+                _rule_sum(field, grid, quadrature, coords, axis, block[o0:o0 + step])
+        block = block.reshape([math.prod(shape[g.start:g.stop]) for g in groups])
+        block.flags.writeable = False
+        blocks.append(block)
+    return tuple(blocks)
 
 
-def _upwind_outflow(grid: Grid, flux: np.ndarray) -> np.ndarray:
-    """Per-cell ``sum_L (v_KL)_+``, by two threads on a large grid
-    (:func:`_outflow_rows`)."""
+def _rule_sum(field: VelocityField, grid: Grid, quadrature: str, coords, axis: int,
+              out: np.ndarray | None = None):
+    """The fluxes of one pass: ``w * func(mesh(node))[axis]`` summed over the
+    nodes of the rule on ``coords`` and scaled by the face measure, summed
+    into ``out`` in place, or without ``out`` into a new array of the terms'
+    broadcast shape (in place too, once that is the pass's faces).  A
+    component that does not broadcast to the pass's faces, and a non-finite
+    flux, raise ``ValueError``."""
+    shape = tuple(len(c) for c in reversed(coords)) if out is None else out.shape
+    axes = [j for j in range(len(coords)) if j != axis]
+    acc = 0.0
+    for i, (w, node) in enumerate(tensor_rule(quadrature, coords, grid.h, axes)):
+        # the first node adds to 0.0, not to zeroed faces: the same bits,
+        # signed zeros included, without a zeroing pass
+        acc = np.add(acc if i else 0.0, _fitted(w * field.func(mesh(node))[axis], shape, axis),
+                     out=out)
+        if np.shape(acc) == shape:
+            out = acc
+    acc = np.multiply(acc, grid.cell_volume / grid.h[axis], out=out)
+    if not np.isfinite(acc).all():
+        raise ValueError("velocity field produced non-finite flux values")
+    return acc
+
+
+def _fitted(term, shape: tuple, axis: int):
+    """``term``, once it is seen to broadcast to ``shape``, the faces of a
+    pass along ``axis``; otherwise ``ValueError``.  A call, not a name, so
+    that no component outlives the statement that sums it: a name would
+    hold one through the next node's field call."""
+    got = np.shape(term)
+    if len(got) > len(shape) or any(a not in (1, b) for a, b in zip(got[::-1], shape[::-1])):
+        raise ValueError(f"velocity component {axis} has shape {got}, which does not "
+                         f"broadcast to the shape {shape} of its faces along axis {axis}")
+    return term
+
+
+def _upwind_outflow(grid: Grid, blocks) -> np.ndarray:
+    """Per-cell ``sum_L (v_KL)_+`` of the face blocks' fluxes ``blocks``, by
+    two threads on a large grid (:func:`_outflow_rows`)."""
     out = np.zeros(grid.ncells)
-    _by_halves(_layer_cut(grid), grid.ncells, _outflow_rows, grid, flux, out)
+    _by_halves(_layer_cut(grid), grid.ncells, _outflow_rows, grid, blocks, out)
     return out
 
 
-def _outflow_rows(r0: int, r1: int, grid: Grid, flux: np.ndarray, out: np.ndarray) -> None:
+def _outflow_rows(r0: int, r1: int, grid: Grid, blocks, out: np.ndarray) -> None:
     """Add the upwind outflow of the cells ``[r0, r1)`` into ``out``: each
     face's positive part to its lower cell, then each face's negative part
     subtracted from its upper cell, face block by face block through cube
     slices.  Every cell adds its terms in face order, so the sums are those
-    of a scatter over the face table."""
+    of a scatter over the face table.  A block with one flux per face adds
+    through a mask; a smaller one adds its parts broadcast, zeros included:
+    a cell starts at +0.0 and gains only nonnegative terms, so adding +0.0
+    or -0.0 leaves its bits as they are."""
     for lower_side in (True, False):
-        for _, cube, lower, upper, faces in grid.face_blocks():
+        for (_, cube, lower, upper, _), f in zip(grid.face_blocks(), blocks):
             rows = lower if lower_side else upper
             if rows is None:
                 continue
             base, (high, na, low), rows, part = _rows_part(cube, rows, r0, r1)
             cells = out[base:base + high * na * low].reshape(high, na, low)[:, rows]
-            f = flux[faces][part].reshape(high, -1, low)
-            if lower_side:
-                np.add(cells, f, out=cells, where=f > 0.0)
+            f = _block_part(f, part)
+            if f.shape == cells.shape:
+                if lower_side:
+                    np.add(cells, f, out=cells, where=f > 0.0)
+                else:
+                    np.subtract(cells, f, out=cells, where=f < 0.0)
+            elif lower_side:
+                cells += np.maximum(f, 0.0)
             else:
-                np.subtract(cells, f, out=cells, where=f < 0.0)
+                cells -= np.minimum(f, 0.0)

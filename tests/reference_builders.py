@@ -80,6 +80,16 @@ def point_bayes_update(values, grid, log_likelihood, z, log_evidence):
     return unnorm / scaled, log_evidence + mx + float(np.log(scaled))
 
 
+def flat_fluxes(fluxes):
+    """The flux of every face in the grid's face order: each of
+    ``fluxes.blocks`` broadcast to its block's cube and flattened."""
+    grid = fluxes.grid
+    out = np.empty(grid.face_offsets[-1])
+    for (_, (high, _, low), _, _, faces), block in zip(grid.face_blocks(), fluxes.blocks):
+        out[faces].reshape(high, -1, low)[...] = block
+    return out
+
+
 def face_sums(grid, at_a, at_b):
     """Sum ``at_a`` into each face's ``cell_a`` and ``at_b`` into its ``cell_b``."""
     t = grid.edges
@@ -132,7 +142,7 @@ def triplet_assemble(fluxes, dt):
     diagonal, then the faces with ``f > 0``, then those with ``f < 0``."""
     grid = fluxes.grid
     t = grid.edges
-    f = fluxes.values
+    f = flat_fluxes(fluxes)
     nc = grid.ncells
     vol = grid.cell_volume
     leaks = np.any((f > 0.0) & (t.cell_b < 0)) or np.any((f < 0.0) & (t.cell_a < 0))

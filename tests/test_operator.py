@@ -42,6 +42,7 @@ from fpfvm import halves
 from fpfvm import operator as operator_module
 from fpfvm.operator import choose_dt
 from fpfvm.velocity import EdgeFluxes
+from reference_builders import flat_fluxes
 
 PI = np.pi
 
@@ -227,7 +228,8 @@ def test_point_mass_split_matches_fluxes():
     as_b = t.cell_b == cell
     assert as_a.sum() + as_b.sum() == 4
     others = np.concatenate([t.cell_b[as_a], t.cell_a[as_b]])
-    outward = np.concatenate([fx.values[as_a], -fx.values[as_b]])
+    flux = flat_fluxes(fx)
+    outward = np.concatenate([flux[as_a], -flux[as_b]])
     expected = np.zeros(g.ncells)
     stay = 1.0
     for nb, f in zip(others, outward):
@@ -525,8 +527,8 @@ def test_concurrent_steps_are_bit_identical(gate_pendulum):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for (fluxes, own, got), want in zip(results, expected):
-        for name in ("values", "outflow"):
-            assert np.array_equal(getattr(fluxes, name), getattr(fx, name))
+        assert all(np.array_equal(a, b) for a, b in zip(fluxes.blocks, fx.blocks))
+        assert np.array_equal(fluxes.outflow, fx.outflow)
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(own, name), getattr(op, name))
         assert np.array_equal(got, want)
@@ -623,6 +625,12 @@ def test_a_raising_half_fails_its_assembly_only(gate_pendulum, stage, where, mon
     assert np.array_equal(_within(30, step, op, m), op.matrix.T @ m)
 
 
+def _copied(fx):
+    """``fx`` with copies of its arrays, which nothing else holds."""
+    return EdgeFluxes(tuple(b.copy() for b in fx.blocks), fx.quadrature, fx.grid,
+                      fx.outflow.copy())
+
+
 def test_the_helper_keeps_no_arrays_alive(gate_pendulum, monkeypatch):
     """Once a split assembly or step has returned, or a split assembly has
     raised in the helper's half, the helper holds none of its arguments: the
@@ -631,15 +639,15 @@ def test_the_helper_keeps_no_arrays_alive(gate_pendulum, monkeypatch):
     g, fx, op = gate_pendulum
     # a helper of the test's own, started on one CPU too
     monkeypatch.setattr(halves, "_helper", functools.cache(halves._Helper))
-    fluxes = EdgeFluxes(fx.values.copy(), fx.quadrature, g, fx.outflow.copy())
-    values = weakref.ref(fluxes.values)
+    fluxes = _copied(fx)
+    kept = [weakref.ref(a) for a in (*fluxes.blocks, fluxes.outflow)]
     split = assemble(fluxes, op.dt)
     data = weakref.ref(split.data)
     m = np.random.default_rng(8).random(g.ncells)
     assert np.array_equal(step(split, m), op.matrix.T @ m)
     del fluxes, split
     gc.collect()
-    assert values() is None and data() is None
+    assert all(ref() is None for ref in kept) and data() is None
 
     count = operator_module._count_rows
 
@@ -648,14 +656,14 @@ def test_the_helper_keeps_no_arrays_alive(gate_pendulum, monkeypatch):
             raise RuntimeError("in the helper's half")
         count(*args)
 
-    fluxes = EdgeFluxes(fx.values.copy(), fx.quadrature, g, fx.outflow.copy())
-    values = weakref.ref(fluxes.values)
+    fluxes = _copied(fx)
+    kept = [weakref.ref(a) for a in (*fluxes.blocks, fluxes.outflow)]
     monkeypatch.setattr(operator_module, "_count_rows", raise_on_helper)
     with pytest.raises(RuntimeError, match="in the helper's half"):
         assemble(fluxes, op.dt)
     del fluxes
     gc.collect()
-    assert values() is None
+    assert all(ref() is None for ref in kept)
 
 def _probe(code, *args):
     """Run ``code`` in a new interpreter that imports this checkout's fpfvm."""

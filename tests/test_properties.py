@@ -14,8 +14,9 @@ without Dirichlet outflow and substochastic ones with it (both accepted by
 run without observations both taking the ``step_count`` of a time between
 two steps (ties included) in steps, and, with a Dirichlet
 axis, the mass a step loses equal to the upwind outflow through the
-boundary faces.  On random signed face fluxes (exact zeros included, every
-boundary mix, 2-cell periodic axes drawn often) the outflow, the CSR arrays
+boundary faces.  On random signed face fluxes (exact zeros of both signs
+included, every boundary mix, 2-cell periodic axes drawn often, each face
+block at a random reduced shape) the outflow, the CSR arrays
 and flags of ``assemble`` and the report of ``verify_markov`` equal, bit for
 bit, those of the face-table reference builders in ``reference_builders``.
 With the split gate lowered to one row, ``step`` splits every operator's
@@ -89,6 +90,7 @@ from fpfvm.density import _count_modes_rows
 from reference_builders import (
     bincount_markov,
     cell_midpoints,
+    flat_fluxes,
     lattice,
     point_bayes_update,
     point_fluxes,
@@ -156,7 +158,7 @@ def _random_density(grid, seed):
 def test_entries_nonnegative_rows_stochastic(pair):
     fluxes, op = pair
     # the one outflow pass behind both the step bound and the diagonal
-    f, outflow = fluxes.values, fluxes.outflow
+    f, outflow = flat_fluxes(fluxes), fluxes.outflow
     assert np.array_equal(outflow, upwind_outflow(op.grid, f))
     assert not outflow.flags.writeable
     binding = int(np.argmax(outflow)) if outflow.max() > 0.0 else None
@@ -174,18 +176,27 @@ def test_entries_nonnegative_rows_stochastic(pair):
 
 @st.composite
 def random_fluxes(draw):
-    """EdgeFluxes of random signed values, exact zeros included, on a 1-3D
-    grid with any boundary mix; 2-cell axes are drawn often."""
+    """EdgeFluxes of random signed values, exact zeros of both signs
+    included, on a 1-3D grid with any boundary mix; 2-cell axes are drawn
+    often.  Each face block keeps extent 1 on a random choice of the groups
+    of its cube ``(high, k, low)``, as the fluxes of a component that does
+    not vary along them do."""
     d = draw(st.integers(1, 3))
     sizes = st.one_of(st.just(2), st.integers(2, MAX_CELLS[d]))
     n = tuple(draw(st.lists(sizes, min_size=d, max_size=d)))
     bc = draw(st.lists(st.sampled_from(BCS), min_size=d, max_size=d))
     grid = build_grid(BoxDomain((0.0,) * d, (1.0,) * d), n, bc)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    flux = rng.standard_normal(grid.face_offsets[-1])
-    flux[rng.random(flux.shape) < draw(st.floats(0.0, 0.5))] = 0.0
-    return EdgeFluxes(values=flux, quadrature="midpoint", grid=grid,
-                      outflow=_upwind_outflow(grid, flux))
+    zeros = draw(st.floats(0.0, 0.5))
+    blocks = []
+    for _, (high, _, low), _, _, faces in grid.face_blocks():
+        full = (high, (faces.stop - faces.start) // (high * low), low)
+        block = rng.standard_normal([k if draw(st.booleans()) else 1 for k in full])
+        block[rng.random(block.shape) < zeros] = 0.0
+        block[(block == 0.0) & (rng.random(block.shape) < 0.5)] = -0.0
+        blocks.append(block)
+    return EdgeFluxes(blocks=tuple(blocks), quadrature="midpoint", grid=grid,
+                      outflow=_upwind_outflow(grid, blocks))
 
 
 def _same_bits(a, b):
@@ -196,7 +207,9 @@ def _same_bits(a, b):
 @given(fluxes=random_fluxes(), frac=st.sampled_from([1.0, 0.5, 0.01]))
 @example(fluxes=_two_cell_ring()[0], frac=1.0)
 def test_setup_matches_face_table_references(fluxes, frac):
-    grid, f = fluxes.grid, fluxes.values
+    grid, f = fluxes.grid, flat_fluxes(fluxes)
+    # a reduced block's parts are added broadcast, +0.0 and -0.0 included:
+    # the bits of the masked scatter over the faces
     assert _same_bits(fluxes.outflow, upwind_outflow(grid, f))
     dt_max = max_stable_dt(fluxes, 0.0).dt_max
     dt = frac * dt_max if np.isfinite(dt_max) else frac
@@ -265,7 +278,7 @@ def test_evolve_and_filter_take_step_count_steps(op, seed, k, f):
 @given(pair=flux_operators(dirichlet=True), seed=st.integers(0, 2**32 - 1))
 def test_dirichlet_loss_is_upwind_boundary_outflow(pair, seed):
     fluxes, op = pair
-    t, f = op.grid.edges, fluxes.values
+    t, f = op.grid.edges, flat_fluxes(fluxes)
     d = _random_density(op.grid, seed)
     p = d.values
     # flux is positive toward +axis: out through (c, -1) faces when f > 0,
@@ -338,11 +351,13 @@ def linear_fluxes():
 
 
 @settings(max_examples=80, deadline=None)
-@given(fluxes=linear_fluxes(), frac=st.floats(0.01, 1.0),
+@given(fluxes=st.one_of(linear_fluxes(), random_fluxes()), frac=st.floats(0.01, 1.0),
        chunk=st.sampled_from([2, 5, 1 << 16]))
 def test_split_assembly_is_bit_identical(fluxes, frac, chunk):
     """Each thread counts and writes its own rows, in passes of half of
-    ``_WRITE_CHUNK`` (drawn small, so passes end inside each half)."""
+    ``_WRITE_CHUNK`` (drawn small, so passes end inside each half), also
+    from face blocks of extent 1 along some groups, where a thread's part
+    of a block may have no rows."""
     dt_max = max_stable_dt(fluxes, 0.0).dt_max
     dt = frac * dt_max if np.isfinite(dt_max) else frac
     want = assemble(fluxes, dt)  # below the gate: one thread
@@ -372,9 +387,9 @@ def test_split_outflow_is_bit_identical(setup, chunk, last):
         got = compute_fluxes(field, grid, quadrature)
     assert splits == [True]  # the outflow pass only
     flux, outflow = point_fluxes(field, grid, quadrature)
-    for name, ref in (("values", flux), ("outflow", outflow)):
-        assert _same_bits(getattr(got, name), getattr(want, name)), name
-        assert _same_bits(getattr(got, name), ref), name
+    assert all(_same_bits(a, b) for a, b in zip(got.blocks, want.blocks))
+    assert _same_bits(got.outflow, want.outflow)
+    assert _same_bits(flat_fluxes(got), flux) and _same_bits(got.outflow, outflow)
 
 
 def test_fluxes_call_the_field_on_the_calling_thread_only():
@@ -397,7 +412,7 @@ def test_fluxes_call_the_field_on_the_calling_thread_only():
     assert threads == {threading.current_thread()}
     assert splits == [True]  # the outflow pass
     flux, outflow = point_fluxes(rotation, grid, "gauss2")
-    assert _same_bits(got.values, flux) and _same_bits(got.outflow, outflow)
+    assert _same_bits(flat_fluxes(got), flux) and _same_bits(got.outflow, outflow)
 
 
 def test_fluxes_raise_on_non_finite_upper_layers():
@@ -438,8 +453,8 @@ def test_a_raising_field_fails_its_fluxes_only():
             compute_fluxes(VelocityField(raise_once, 2), grid, "gauss3")
         got = compute_fluxes(VelocityField(raise_once, 2), grid, "gauss3")
     assert splits == [True]
-    for name in ("values", "outflow"):
-        assert _same_bits(getattr(got, name), getattr(want, name)), name
+    assert all(_same_bits(a, b) for a, b in zip(got.blocks, want.blocks))
+    assert _same_bits(got.outflow, want.outflow)
 
 
 def _three_pass_row_sum_error(op):
@@ -456,17 +471,23 @@ def _three_pass_row_sum_error(op):
 
 @settings(max_examples=80, deadline=None)
 @given(fluxes=random_fluxes(), frac=st.sampled_from([1.0, 0.5, 0.01]),
-       seed=st.integers(0, 2**32 - 1), noise=st.sampled_from([0.0, 1e-15, 1e-3]))
-def test_row_sum_error_is_the_three_pass_formula(fluxes, frac, seed, noise):
+       seed=st.integers(0, 2**32 - 1), noise=st.sampled_from([0.0, 1e-15, 1e-3]),
+       block=st.sampled_from([1, 3, 1 << 13]))
+def test_row_sum_error_is_the_three_pass_formula(fluxes, frac, seed, noise, block):
     """The maximum and minimum of the row sums give, bit for bit, the error
-    of the three passes, on conserving and Dirichlet operators, also with
-    entries scaled so that the row sums stray both ways."""
+    of the three passes over the sums of one full ``csc_matvec`` call, on
+    conserving and Dirichlet operators, also with entries scaled so that
+    the row sums stray both ways, whatever the blocks of columns
+    ``verify_markov`` sums them in (drawn small, so most operators take
+    several)."""
     dt_max = max_stable_dt(fluxes, 0.0).dt_max
     op = assemble(fluxes, frac * dt_max if np.isfinite(dt_max) else frac)
     rng = np.random.default_rng(seed)
     data = op.data * (1.0 + noise * rng.standard_normal(len(op.data)))
     op = TransitionOperator(op.dt, op.indptr, op.indices, data, op.grid, op.mass_conserving)
-    assert verify_markov(op).max_row_sum_err == _three_pass_row_sum_error(op)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operator_module, "_EXPORT_ROWS", block)
+        assert verify_markov(op).max_row_sum_err == _three_pass_row_sum_error(op)
 
 
 def _moments_reference(density):

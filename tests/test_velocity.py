@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from fpfvm import (
     rotation_field,
     VelocityField,
 )
-from reference_builders import face_points, face_sums, field_at, point_fluxes
+from reference_builders import face_points, face_sums, field_at, flat_fluxes, point_fluxes
 
 PI = np.pi
 
@@ -41,7 +43,8 @@ def _face_points(g):
 
 def _divergence(fx):
     """Per-cell sum of outward face fluxes."""
-    return face_sums(fx.grid, fx.values, -fx.values)
+    f = flat_fluxes(fx)
+    return face_sums(fx.grid, f, -f)
 
 
 def test_pendulum_values():
@@ -66,30 +69,30 @@ def test_field_from_name():
 def test_zero_field_fluxes():
     g = build_grid(BoxDomain((0, 0), (1, 1)), (4, 4), ("periodic", "periodic"))
     fx = compute_fluxes(constant_field([0.0, 0.0]), g)
-    assert np.all(fx.values == 0.0)
+    assert np.all(flat_fluxes(fx) == 0.0)
     assert np.all(_divergence(fx) == 0.0)
 
 
 def test_1d_constant_advection_fluxes():
     g = build_grid(BoxDomain((0.0,), (1.0,)), (8,), ("periodic",))
     fx = compute_fluxes(constant_field([3.0]), g)
-    assert np.allclose(fx.values, 3.0, rtol=1e-15)  # face measure is 1 in 1D
+    assert np.allclose(flat_fluxes(fx), 3.0, rtol=1e-15)  # face measure is 1 in 1D
     assert np.allclose(_divergence(fx), 0.0, atol=1e-15)
 
 
 def test_pendulum_flux_matches_midpoint_rule():
     g = build_grid(BoxDomain((-PI, -PI), (PI, PI)), (8, 8), ("periodic", "neumann"))
     f = pendulum_field()
-    fx = compute_fluxes(f, g)
+    flux = flat_fluxes(compute_fluxes(f, g))
     mids = _face_points(g)
     v = field_at(f, mids)
     axes, measures = _face_axes(g), _face_measures(g)
     for k in range(len(g.edges)):
         expected = measures[k] * v[k, axes[k]]
-        assert fx.values[k] == pytest.approx(expected, abs=1e-15)
+        assert flux[k] == pytest.approx(expected, abs=1e-15)
     # spot check: an axis-0 face at height x2 carries flux x2 * h
     k = g.face_offsets[0]
-    assert fx.values[k] == pytest.approx(mids[k][1] * g.h[1], rel=1e-13)
+    assert flux[k] == pytest.approx(mids[k][1] * g.h[1], rel=1e-13)
 
 
 def _swirl(xs):
@@ -108,7 +111,7 @@ def test_midpoint_flux_at_face_points(n, bc):
     field = VelocityField(func=_swirl, dim=len(n))
     fx = compute_fluxes(field, g)
     v = field_at(field, _face_points(g))[np.arange(len(g.edges)), _face_axes(g)]
-    assert np.abs(fx.values - _face_measures(g) * v).max() <= 1e-14
+    assert np.abs(flat_fluxes(fx) - _face_measures(g) * v).max() <= 1e-14
 
 
 QUADRATURES = ("midpoint", "gauss2", "gauss3")
@@ -159,22 +162,33 @@ def test_face_points_equal_the_gather_through_the_face_table(g, quadrature):
 def test_mesh_fluxes_equal_the_point_path(data, g, quadrature):
     """Fluxes and outflow of a field evaluated on each face block's coordinate
     mesh equal, bit for bit, those of the same field called on the ``(m, d)``
-    face points of the face-table reference."""
+    face points of the face-table reference, whatever coordinates each
+    component reads: all, some, those of one group of a block's cube
+    ``(high, k, low)`` or of part of one, only the face axis's, or none (a
+    0-d array or a float)."""
     d = g.domain.d
-    kinds = ["constant", "swirl"] + (["pendulum", "rotation"] if d == 2 else [])
+    kinds = ["constant", "swirl", "scalar", "along"]
+    kinds += ["pendulum", "rotation"] if d == 2 else ["part"] if d == 3 else []
     kind = data.draw(st.sampled_from(kinds))
     if kind == "constant":
         field = constant_field(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=d,
                                                   max_size=d)))
     elif kind == "swirl":
         field = VelocityField(func=_swirl, dim=d)
+    elif kind == "scalar":  # a 0-d component next to array components
+        field = VelocityField(lambda xs: (np.array(-0.7),) + tuple(
+            np.cos(xs[i]) * xs[0] for i in range(1, len(xs))), d)
+    elif kind == "along":  # each component varies along its own axis only
+        field = VelocityField(lambda xs: tuple(np.sin(x) + i for i, x in enumerate(xs)), d)
+    elif kind == "part":  # components that vary along part of a cube group
+        field = VelocityField(lambda xs: (np.sin(xs[1]), 0.5 - xs[2], 0.3 * xs[1]), d)
     elif kind == "pendulum":
         field = pendulum_field(data.draw(st.floats(0.1, 10.0)))
     else:
         field = rotation_field()
     fx = compute_fluxes(field, g, quadrature)
     flux, outflow = point_fluxes(field, g, quadrature)
-    assert fx.values.tobytes() == flux.tobytes()
+    assert flat_fluxes(fx).tobytes() == flux.tobytes()
     assert fx.outflow.tobytes() == outflow.tobytes()
 
 
@@ -185,8 +199,9 @@ def test_negative_zero_velocity_gives_positive_zero_fluxes(quadrature):
     g = build_grid(BoxDomain((0.0, 0.0), (1.0, 1.0)), (3, 4), ("periodic", "dirichlet"))
     field = constant_field([-0.0, -0.0])
     fx = compute_fluxes(field, g, quadrature)
-    assert fx.values.tobytes() == point_fluxes(field, g, quadrature)[0].tobytes()
-    assert not np.signbit(fx.values).any()
+    flux = flat_fluxes(fx)
+    assert flux.tobytes() == point_fluxes(field, g, quadrature)[0].tobytes()
+    assert not np.signbit(flux).any()
 
 
 @pytest.mark.parametrize("quadrature", QUADRATURES)
@@ -206,7 +221,7 @@ def test_pendulum_field_sees_coordinate_vectors(quadrature):
         return pendulum.func(xs)
 
     fx = compute_fluxes(VelocityField(func=record, dim=2), g, quadrature)
-    assert np.array_equal(fx.values, compute_fluxes(pendulum, g, quadrature).values)
+    assert np.array_equal(flat_fluxes(fx), flat_fluxes(compute_fluxes(pendulum, g, quadrature)))
     assert seen
     for x in seen:
         assert x.ndim == 2 and sum(k > 1 for k in x.shape) <= 1 and x.size <= N
@@ -218,8 +233,8 @@ def test_gauss_agrees_with_midpoint_for_affine_fields():
 
     field = VelocityField(func=affine, dim=2)
     g = build_grid(BoxDomain((-1, -1), (1, 1)), (5, 7), ("dirichlet", "periodic"))
-    a = compute_fluxes(field, g, "midpoint").values
-    b = compute_fluxes(field, g, "gauss2").values
+    a = flat_fluxes(compute_fluxes(field, g, "midpoint"))
+    b = flat_fluxes(compute_fluxes(field, g, "gauss2"))
     scale = np.abs(a).max()
     assert np.abs(a - b).max() <= 1e-13 * scale
 
@@ -228,8 +243,8 @@ def test_gauss_beats_midpoint_on_curved_flux():
     # axis-1 faces of the pendulum integrate -sin(x1); gauss3 is closer to exact
     g = build_grid(BoxDomain((-PI, -PI), (PI, PI)), (6, 6), ("periodic", "periodic"))
     f = pendulum_field()
-    mid = compute_fluxes(f, g, "midpoint").values
-    g3 = compute_fluxes(f, g, "gauss3").values
+    mid = flat_fluxes(compute_fluxes(f, g, "midpoint"))
+    g3 = flat_fluxes(compute_fluxes(f, g, "gauss3"))
     sel = slice(g.face_offsets[1], g.face_offsets[2])
     # exact: integral of -sin over [x-h/2, x+h/2] = -2 sin(x) sin(h/2)
     x1 = _face_points(g)[sel, 0]
@@ -269,3 +284,17 @@ def test_dimension_mismatch_and_nonfinite():
     bad = VelocityField(func=lambda xs: tuple(np.full_like(x, np.nan) for x in xs), dim=1)
     with pytest.raises(ValueError):
         compute_fluxes(bad, g)
+
+
+@pytest.mark.parametrize("component, shape", [
+    (lambda xs: np.ones(3), "(3,)"),
+    (lambda xs: xs[0][None], "(1, 1, 4)"),
+])
+def test_a_component_that_does_not_fit_its_faces_names_its_shape(component, shape):
+    """A component that does not broadcast to the mesh of its faces raises a
+    ``ValueError`` that names the face axis and the shape it returned: a
+    length-3 vector, and a component with an extra leading axis."""
+    g = build_grid(BoxDomain((0.0, 0.0), (1.0, 1.0)), (5, 6), ("periodic", "neumann"))
+    field = VelocityField(lambda xs: (component(xs), xs[1]), dim=2)
+    with pytest.raises(ValueError, match=re.escape(f"component 0 has shape {shape}") + ".*axis 0"):
+        compute_fluxes(field, g)
