@@ -11,9 +11,11 @@ the upper half over with one lock and waits on a second for the helper to
 finish it.  The set-up layers cut the cells at :func:`_layer_cut`, a whole
 layer of the last axis, and each thread reads and writes the faces of its
 own cells through :func:`_rows_part`, the one statement of which faces of a
-face block feed which rows; a step cuts its rows in the middle.  No cell is
-written by both threads and each sums its terms in the one-thread order, so
-every result is bit-identical to the one-thread one.
+face block feed which rows and the one place a face block is cut (the
+assembly also writes each half in slabs of whole layers through it); a step
+cuts its rows in the middle.  No cell is written by both threads and each
+sums its terms in the one-thread order, so every result is bit-identical to
+the one-thread one.
 An exception in the helper's half is re-raised by the caller.  A caller
 whose own half raises, or whose wait is interrupted, drops the helper, and
 so does a forked child; the next split starts a new one.
@@ -51,13 +53,14 @@ def _rows_part(cube, rows: slice, r0: int, r1: int):
     """The part of a face block (one face per cell of ``cube[:, rows, :]`` in
     C order, ``cube`` the ``(high, na, low)`` of its axis) whose rows, the
     cells ``rows`` picks, lie in ``[r0, r1)``, both whole layers of the
-    grid's last axis, as ``(base, cube, rows, part)``: ``part`` slices the
-    first two axes of the block's faces, viewed as ``(high, len(rows),
-    low)``, to the part's, and face ``j`` of the part in C order belongs to
-    row ``base + j + j // span * gap + rows.start * low``, with ``span`` the
-    part's faces per layer of the cube and ``gap`` the cells of a layer it
-    skips.  Along an axis below the last, the part is whole layers of the
-    cube; along the last axis (one layer) it cuts the cube's middle axis."""
+    grid's last axis (a thread's half, or a slab of it), as ``(base, cube,
+    rows, part)``: ``part`` slices the first two axes of the block's faces,
+    viewed as ``(high, len(rows), low)``, to the part's, and face ``j`` of
+    the part in C order belongs to row ``base + j + j // span * gap +
+    rows.start * low``, with ``span`` the part's faces per layer of the
+    cube and ``gap`` the cells of a layer it skips.  Along an axis below the
+    last, the part is whole layers of the cube; along the last axis (one
+    layer) it cuts the cube's middle axis."""
     high, na, low = cube
     start, stop, _ = rows.indices(na)
     if r0 % (na * low) == 0 and r1 % (na * low) == 0:

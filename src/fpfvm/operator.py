@@ -14,11 +14,11 @@ flows into cell L); ``op.matrix`` builds the zero-copy scipy ``S`` view of
 them on each access.  :func:`assemble` writes the arrays straight from the
 face blocks of the grid, at their final size, so no triplets, face table or
 second matrix copy exist while it runs.  ``indptr`` is its own write cursor:
-it first holds each row's end, and the column slots are written in descending
-column offset, each entry just below its row's end, which it then lowers; after
-the last slot each entry of ``indptr`` is its row's start.  :func:`step`, the
-only step path, is one ``csr_matvec`` call on them, ``m' = S^T m``, into a
-zeroed output.
+it first holds each row's end, and each slab of whole last-axis layers is
+written slot by slot in descending column offset, each entry just below its
+row's end, which it then lowers; after a slab's last slot its rows' entries
+are their starts.  :func:`step`, the only step path, is one ``csr_matvec``
+call on them, ``m' = S^T m``, into a zeroed output.
 :func:`evolve` converts a :class:`Density` to mass once, takes the
 :func:`step_count` of its time in steps and converts back once; that count,
 the nearest whole number of steps, is also the filter's and ``choose_dt``'s.
@@ -38,8 +38,8 @@ run the kernel, which releases the GIL, over the unchanged arrays into one
 output, so every row is summed as one call sums it and the result is
 bit-identical.  A split assembly cuts the rows at a whole layer of the last
 axis; each thread counts its own rows' entries, and after the one-thread
-``cumsum`` writes them, moving only its own rows' ``indptr`` cursors, so the
-arrays are the one-thread build's.
+``cumsum`` writes them in slabs of half the size, moving only its own rows'
+``indptr`` cursors, so the arrays are the one-thread build's.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .velocity import EdgeFluxes
 
 _CFL_SLACK = 1e-12  # relative slack so dt == dt_max assembles cleanly
 _MARKOV_TOL = 1e-12  # entry and row-sum tolerance of verify_markov
-_WRITE_CHUNK = 1 << 16  # faces or rows per write pass of a one-thread assemble
+_WRITE_CHUNK = 1 << 16  # rows per write slab of a one-thread assemble
 _EXPORT_ROWS = 1 << 13  # rows per write of export_operator, columns per call of verify_markov
 
 
@@ -202,10 +202,12 @@ def choose_dt(report: CflReport, h_max: float, dt_over_h: float | None,
 def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
     """Build the upwind transition matrix for time step ``dt`` on ``fluxes.grid``.
 
-    A step that would produce a negative diagonal raises :class:`CflViolation`.
-    An operator of at least ``halves._SPLIT_ROWS`` rows is written by two
-    threads, cut at :func:`~fpfvm.halves._layer_cut`, bit-identical to the
-    one-thread build.
+    A step that would produce a negative diagonal raises :class:`CflViolation`
+    naming :func:`max_stable_dt`'s binding cell.  The rows are written in
+    slabs of whole last-axis layers (:func:`_write_rows`); an operator of at
+    least ``halves._SPLIT_ROWS`` rows is counted and written by two threads,
+    cut at :func:`~fpfvm.halves._layer_cut`, bit-identical to the one-thread
+    build.
     """
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -214,11 +216,10 @@ def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
     vol = grid.cell_volume
     outflow = fluxes.outflow
     if dt * outflow.max() / vol > 1.0 + _CFL_SLACK:
-        load = dt * outflow / vol
-        binding = int(np.argmax(load))
+        cell = max_stable_dt(fluxes, 0.0).binding_cell
         raise CflViolation(
-            f"dt={dt} violates the step-size bound at cell {binding}: "
-            f"dt * outflow / |K| = {load[binding]:.6g} > 1")
+            f"dt={dt} violates the step-size bound at cell {cell}: "
+            f"dt * outflow / |K| = {dt * outflow[cell] / vol:.6g} > 1")
     slots, leaks = _inflow_slots(grid, fluxes.blocks)
     slots[0] = None  # the diagonal
     slots = sorted(slots.items())  # by column offset: each row in column order
@@ -234,7 +235,8 @@ def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
 
     indices = np.empty(indptr[-1], dtype=idx)
     data = np.empty(indptr[-1])
-    halves._by_halves(cut, nc, _write_rows, slots, outflow, dt, vol, ends, indices, data)
+    halves._by_halves(cut, nc, _write_rows, nc // grid.n[-1], slots, outflow, dt, vol, ends,
+                      indices, data)
     return TransitionOperator(dt, indptr, indices, data, grid, mass_conserving=not leaks)
 
 
@@ -287,98 +289,80 @@ def _count_rows(r0: int, r1: int, slots, ends) -> None:
             cube[:, rows, :] += present
 
 
-def _write_rows(r0: int, r1: int, slots, outflow, dt, vol, ends, indices, data) -> None:
-    """Write the entries of rows ``[r0, r1)``, slot by slot in descending
-    column offset, so each row fills back to front: once the lowest offset
-    is written, every ``ends[row]`` has come down to the row's start.  A
-    thread that writes part of the rows writes in passes of half the size,
-    so two threads hold one pass's temporaries."""
+def _write_rows(r0: int, r1: int, layer: int, slots, outflow, dt, vol, ends, indices,
+                data) -> None:
+    """Write the entries of rows ``[r0, r1)``, whole layers of ``layer``
+    cells of the last axis, a slab of layers at a time: at most
+    ``_WRITE_CHUNK`` rows, half that on a thread that writes part of the
+    rows, so two threads hold one slab's temporaries, or one layer where a
+    layer is larger.  Within a slab, slot by slot in descending column
+    offset, so each row fills back to front: once the lowest offset is
+    written, every ``ends[row]`` has come down to the row's start."""
     chunk = _WRITE_CHUNK if r1 - r0 == len(ends) else _WRITE_CHUNK // 2
-    for offset, slot in reversed(slots):
-        if slot is None:
-            _write_diagonal(r0, r1, chunk, outflow, dt, vol, ends, indices, data)
-        else:
-            cube, rows, sources = slot
-            _write_inflow(halves._rows_part(cube, rows, r0, r1), sources, offset, chunk,
-                          dt, vol, ends, indices, data)
+    slab = max(chunk // layer, 1) * layer
+    for s0 in range(r0, r1, slab):
+        s1 = min(s0 + slab, r1)
+        for offset, slot in reversed(slots):
+            if slot is None:
+                _write_diagonal(s0, s1, outflow, dt, vol, ends, indices, data)
+            else:
+                cube, rows, sources = slot
+                _write_inflow(halves._rows_part(cube, rows, s0, s1), sources, offset,
+                              dt, vol, ends, indices, data)
 
 
-def _write_diagonal(r0, r1, chunk, outflow, dt, vol, ends, indices, data) -> None:
+def _write_diagonal(r0, r1, outflow, dt, vol, ends, indices, data) -> None:
     """Write the diagonal ``1 - dt * outflow / |K|`` of rows ``[r0, r1)``,
     clamped to 0 within the CFL slack, just below the rows' ``ends``, and
     lower ``ends``."""
-    for s0 in range(r0, r1, chunk):
-        s1 = min(s0 + chunk, r1)
-        diag = np.multiply(dt, outflow[s0:s1])
-        diag /= vol
-        np.subtract(1.0, diag, out=diag)
-        diag[(diag < 0.0) & (diag >= -_CFL_SLACK)] = 0.0
-        place = ends[s0:s1]
-        place -= 1
-        indices[place] = np.arange(s0, s1)
-        data[place] = diag
+    diag = np.multiply(dt, outflow[r0:r1])
+    diag /= vol
+    np.subtract(1.0, diag, out=diag)
+    diag[(diag < 0.0) & (diag >= -_CFL_SLACK)] = 0.0
+    place = ends[r0:r1]
+    place -= 1
+    indices[place] = np.arange(r0, r1)
+    data[place] = diag
 
 
-def _write_boxes(shape, chunk):
-    """Cover the C-order faces ``shape = (high, k, low)`` with boxes of whole
-    rows of ``low`` faces, at most ``chunk`` faces or one row each, in C
-    order: yield each box's first face and its slices of ``high`` and
-    ``k``."""
-    high, k, low = shape
-    if k * low <= chunk:  # whole layers
-        step = chunk // max(k * low, 1)
-        for h0 in range(0, high, step):
-            yield h0 * k * low, (slice(h0, min(h0 + step, high)), slice(0, k))
-    else:
-        step = max(1, chunk // low)
-        for h in range(high):
-            for k0 in range(0, k, step):
-                yield (h * k + k0) * low, (slice(h, h + 1), slice(k0, min(k0 + step, k)))
-
-
-def _write_inflow(part, sources, offset, chunk, dt, vol, ends, indices, data) -> None:
+def _write_inflow(part, sources, offset, dt, vol, ends, indices, data) -> None:
     """Write the entries ``|f| * dt / |K|`` of one slot's part (see
     :func:`~fpfvm.halves._rows_part`) just below their rows' ``ends``, and
-    lower ``ends``, a box of at most ``chunk`` faces at a time
-    (:func:`_write_boxes`), each source broadcast to the box's faces; where
-    two faces feed one entry (a 2-cell periodic axis), their values are
+    lower ``ends``, each source broadcast to the part's faces; where two
+    faces feed one entry (a 2-cell periodic axis), their values are
     summed."""
     base, (high, na, low), rows, part = part
     span = (rows.stop - rows.start) * low  # faces per layer of the cube
     gap = na * low - span  # cells of a layer this slot skips
-    sources = [(halves._block_part(f, part), sign) for f, sign in sources]
-    for j0, box in _write_boxes((high, rows.stop - rows.start, low), chunk):
-        shape = (box[0].stop - box[0].start, box[1].stop - box[1].start, low)
-        faces = [(np.broadcast_to(halves._block_part(f, box), shape), sign)
-                 for f, sign in sources]
-        if len(faces) == 1:
-            ((f, sign),) = faces
-            fed = _fed(f, sign)
-            j = np.flatnonzero(fed)
-            vals = f[fed]
-            vals *= sign * dt  # |f| * dt, as (sign * f) * dt rounds
-            vals /= vol
-        else:
-            take = np.zeros(shape, dtype=bool)
-            for f, sign in faces:
-                take |= _fed(f, sign)
-            j = np.flatnonzero(take)
-            vals = np.zeros(len(j))
-            for f, sign in faces:
-                v = sign * f[take]
-                fed = v > 0.0
-                v *= dt
-                v /= vol
-                np.add(vals, v, out=vals, where=fed)
-        j += j0
-        if high > 1:  # a face past a layer of the cube skips its other cells
-            j += j // span * gap
-        j += rows.start * low + base  # face to receiving row
-        place = ends[j]
-        place -= 1
-        indices[place] = j + offset
-        data[place] = vals
-        ends[j] = place
+    shape = (high, rows.stop - rows.start, low)
+    faces = [(np.broadcast_to(halves._block_part(f, part), shape), sign) for f, sign in sources]
+    if len(faces) == 1:
+        ((f, sign),) = faces
+        fed = _fed(f, sign)
+        j = np.flatnonzero(fed)
+        vals = f[fed]
+        vals *= sign * dt  # |f| * dt, as (sign * f) * dt rounds
+        vals /= vol
+    else:
+        take = np.zeros(shape, dtype=bool)
+        for f, sign in faces:
+            take |= _fed(f, sign)
+        j = np.flatnonzero(take)
+        vals = np.zeros(len(j))
+        for f, sign in faces:
+            v = sign * f[take]
+            fed = v > 0.0
+            v *= dt
+            v /= vol
+            np.add(vals, v, out=vals, where=fed)
+    if high > 1:  # a face past a layer of the cube skips its other cells
+        j += j // span * gap
+    j += rows.start * low + base  # face to receiving row
+    place = ends[j]
+    place -= 1
+    indices[place] = j + offset
+    data[place] = vals
+    ends[j] = place
 
 
 def _zeroed_matvec(n_row, n_col, indptr, indices, data, m, out) -> None:

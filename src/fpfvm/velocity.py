@@ -9,14 +9,14 @@ runs once per angle, not once per face.  Pdfs and log-likelihoods take
 coordinates the same way.
 Face fluxes are the integrals of the velocity component along each face's
 axis over the face, computed one face block of ``grid.face_blocks()`` at a
-time, in passes of at most ``_FLUX_CHUNK`` faces, and kept at the shape the
-component has: one array per block, shaped like the block's cube ``(high,
-k, low)`` with extent 1 on each group of coordinates the component does not
-vary along.  The pendulum's fluxes are three blocks of N values, not one
-value per face; no set-up layer builds the face table.  A
-flux is positive when mass flows toward +axis, from the face's lower cell
-``cell_a`` into its upper cell ``cell_b``; the two sides see opposite signs
-by construction.
+time, in passes of at most ``_FLUX_CHUNK`` faces (after the first, of the
+values the block keeps), and kept at the shape the component has: one array
+per block, shaped like the block's cube ``(high, k, low)`` with extent 1 on
+each group of coordinates the component does not vary along.  The
+pendulum's fluxes are three blocks of N values, not one value per face; no
+set-up layer builds the face table.  A flux is positive when mass flows
+toward +axis, from the face's lower cell ``cell_a`` into its upper cell
+``cell_b``; the two sides see opposite signs by construction.
 The quadrature runs on the calling thread, so a field's ``func`` is only
 ever called there and need not be thread-safe.  On a grid of at least
 ``halves._SPLIT_ROWS`` cells the upwind outflow, which calls no user code,
@@ -38,7 +38,7 @@ import numpy as np
 from .grid import Grid, mesh
 from .halves import _block_part, _by_halves, _layer_cut, _rows_part
 
-_FLUX_CHUNK = 1 << 16  # faces per quadrature pass of compute_fluxes
+_FLUX_CHUNK = 1 << 16  # faces, or kept values, per quadrature pass of compute_fluxes
 
 
 @dataclass(frozen=True)
@@ -185,12 +185,13 @@ def _face_fluxes(field: VelocityField, grid: Grid, quadrature: str) -> tuple[np.
     the face axis cut to a block's lower cells and moved half a cell up, or
     where the lower side is outside, to its upper cells and moved half a cell
     down.  The rule runs over whole layers of the outermost coordinate
-    vector at a time (:func:`_rule_sum`), at most ``_FLUX_CHUNK`` faces and
-    at least two layers a pass.  The first pass's sums show which groups of
-    the cube ``(high, k, low)`` the component varies along; the block keeps
-    extent 1 on the others.  Where that is the outermost coordinate's group,
-    the first pass covers the whole block; otherwise the later passes sum
-    into their layers of the block in place."""
+    vector at a time (:func:`_rule_sum`).  The first pass takes at most
+    ``_FLUX_CHUNK`` faces and at least two layers; its sums show which
+    groups of the cube ``(high, k, low)`` the component varies along, and
+    the block keeps extent 1 on the others.  Where that is the outermost
+    coordinate's group, the first pass covers the whole block; otherwise the
+    later passes, of at most ``_FLUX_CHUNK`` of the values the block keeps
+    and at least one layer, sum into their layers of the block in place."""
     d = grid.domain.d
     centres = [grid.centres(a) for a in range(d)]
     blocks = []
@@ -214,12 +215,13 @@ def _face_fluxes(field: VelocityField, grid: Grid, quadrature: str) -> tuple[np.
         elif first.shape[0] == 1:  # not along the outermost coordinate
             block = np.empty(shape)
             block[...] = first
-        else:
+        else:  # later passes sized by the values the block keeps
             block = np.empty(shape)
             block[:step] = first
-            for o0 in range(step, len(outer), step):
-                coords[-1] = outer[o0:o0 + step]
-                _rule_sum(field, grid, quadrature, coords, axis, block[o0:o0 + step])
+            later = max(1, _FLUX_CHUNK // math.prod(shape[1:]))
+            for o0 in range(step, len(outer), later):
+                coords[-1] = outer[o0:o0 + later]
+                _rule_sum(field, grid, quadrature, coords, axis, block[o0:o0 + later])
         block = block.reshape([math.prod(shape[g.start:g.stop]) for g in groups])
         block.flags.writeable = False
         blocks.append(block)

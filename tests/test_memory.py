@@ -140,6 +140,20 @@ def test_pendulum_fluxes_hold_a_value_per_coordinate(fluxes800):
     assert grid.face_offsets[-1] == 1_279_200
 
 
+@pytest.mark.parametrize("quadrature, calls", [("midpoint", 4), ("gauss2", 8)])
+def test_pendulum_fluxes_take_a_pass_per_kept_chunk(quadrature, calls):
+    """After its first pass a block takes passes of at most 2**16 of the
+    values it keeps, not of its faces: the interior axis-0 block (x2 along
+    799 faces per row) takes a pass of 82 rows and one of the other 718, and
+    the wrap and axis-1 blocks one each, so the field runs once per node on
+    four passes (12 passes with later passes of 2**16 faces)."""
+    field = pendulum_field()
+    seen = []
+    counted = VelocityField(lambda xs: seen.append(1) or field.func(xs), 2)
+    compute_fluxes(counted, build_grid(DOMAIN, (800, 800), BC), quadrature)
+    assert len(seen) == calls
+
+
 def test_max_stable_dt_peak(fluxes800):
     """The first peak of the read-only outflow is found through a bool mask,
     one byte per cell, not through ``np.argmax``'s copy of it (8 bytes per
@@ -157,17 +171,17 @@ def _assemble_peak(fluxes):
 
 def test_assemble_peak(fluxes, fluxes800):
     """``indptr`` is the write cursor of its own rows, so past the CSR arrays
-    only one write pass's temporaries are live: 1.55 times at N=200 and
-    1.08-1.10 at N=800 measured, where two threads each write passes of half
-    the size (1.23 with two full-size passes); an int64 cursor array beside
-    it reads 1.79 and 1.33."""
+    only one write slab's temporaries are live: 1.47 times at N=200 and
+    1.08 at N=800 measured, where two threads each write slabs of half the
+    size (1.23 with two full-size passes); an int64 cursor array beside it
+    reads 1.79 and 1.33."""
     assert _assemble_peak(fluxes) <= 1.65
     assert _assemble_peak(fluxes800) <= 1.15
 
 
 def test_assemble_peak_on_one_thread(fluxes800, monkeypatch):
     """Without a helper the N=800 build writes every row on one thread, in
-    full-size passes, within the same budget: 1.10 times measured."""
+    full-size slabs, within the same budget: 1.08 times measured."""
     monkeypatch.setattr("fpfvm.halves._helper", lambda: None)
     assert _assemble_peak(fluxes800) <= 1.15
 

@@ -184,10 +184,13 @@ def test_pendulum_cfl_bound():
 
 
 def test_assemble_rejects_cfl_violation():
-    _, fx = _ring(4)
-    dt_max = max_stable_dt(fx, 0.0).dt_max
-    with pytest.raises(CflViolation, match=r"at cell \d+"):
-        assemble(fx, 1.5 * dt_max)
+    # the message names max_stable_dt's binding cell, the first peak of the
+    # outflow: cell 0 of the uniform ring, a cell inside the pendulum's box
+    for fx in (_ring(4)[1], _pendulum_op()[1]):
+        report = max_stable_dt(fx, 0.0)
+        with pytest.raises(CflViolation, match=rf"at cell {report.binding_cell}: "
+                                               r"dt \* outflow / \|K\| = 1\.5 > 1"):
+            assemble(fx, 1.5 * report.dt_max)
     with pytest.raises(ValueError):
         assemble(fx, 0.0)
 

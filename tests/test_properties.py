@@ -352,12 +352,13 @@ def linear_fluxes():
 
 @settings(max_examples=80, deadline=None)
 @given(fluxes=st.one_of(linear_fluxes(), random_fluxes()), frac=st.floats(0.01, 1.0),
-       chunk=st.sampled_from([2, 5, 1 << 16]))
+       chunk=st.sampled_from([2, 5, 40, 1 << 16]))
 def test_split_assembly_is_bit_identical(fluxes, frac, chunk):
-    """Each thread counts and writes its own rows, in passes of half of
-    ``_WRITE_CHUNK`` (drawn small, so passes end inside each half), also
-    from face blocks of extent 1 along some groups, where a thread's part
-    of a block may have no rows."""
+    """Each thread counts and writes its own rows, in slabs of whole
+    last-axis layers and at most half of ``_WRITE_CHUNK`` rows (drawn small,
+    so slabs of one layer or of several end inside each half), also from
+    face blocks of extent 1 along some groups, where a thread's part of a
+    block may have no rows."""
     dt_max = max_stable_dt(fluxes, 0.0).dt_max
     dt = frac * dt_max if np.isfinite(dt_max) else frac
     want = assemble(fluxes, dt)  # below the gate: one thread
