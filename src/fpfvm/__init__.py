@@ -70,6 +70,7 @@ from .velocity import (
     compute_fluxes,
     constant_field,
     field_from_name,
+    flow,
     pendulum_field,
     rotation_field,
 )

@@ -11,6 +11,7 @@ end times are snapped to the nearest step index ``k`` (``step_count``, as
 at ``t = k * dt`` into preallocated :class:`History` columns.  A row stores
 only its time, its evidence and the per-axis slab sums of its values; means,
 stds and mode counts are computed from the slab sums once per block of rows.
+Observations are synthesized from :func:`simulate_truth`, a loop of ``flow``.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ from .density import (Density, _check_prominence, _slab_diagnostics, _sum_except
                       count_modes, marginal, moments)
 from .grid import PERIODIC, Grid, mesh
 from .operator import TransitionOperator, step, step_count
-from .velocity import VelocityField
+from .velocity import VelocityField, flow
 
 # log_likelihood(z, xs): xs is a tuple of d coordinate arrays that broadcast
 # together; the values returned broadcast to their shape
 LogLikelihood = Callable[[float, tuple[np.ndarray, ...]], np.ndarray]
 
 _BLOCK = 128  # history rows whose diagnostics are computed together
-_RK4_MAX_STEP = 1e-3  # largest substep of simulate_truth
 
 
 class ZeroEvidence(RuntimeError):
@@ -251,23 +251,10 @@ def run_filter(prior: Density, op: TransitionOperator, log_likelihood: LogLikeli
                        snapshots=tuple(snapshots), snap_log=tuple(snap_log))
 
 
-def _rk4(func, x: tuple, h: float) -> tuple:
-    """One classical RK4 step of the state ``x``, a tuple of coordinates, under a
-    field's ``func``; each coordinate takes the arithmetic of the array step."""
-    k1 = func(x)
-    k2 = func(tuple(xi + 0.5 * h * k for xi, k in zip(x, k1)))
-    k3 = func(tuple(xi + 0.5 * h * k for xi, k in zip(x, k2)))
-    k4 = func(tuple(xi + h * k for xi, k in zip(x, k3)))
-    return tuple(xi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + e)
-                 for xi, a, b, c, e in zip(x, k1, k2, k3, k4))
-
-
 def simulate_truth(field: VelocityField, x0, times: Sequence[float],
                    domain=None, bc=None) -> np.ndarray:
-    """Reference trajectory by classical fixed-step RK4.
-
-    Each interval is subdivided so the step never exceeds 1e-3 and
-    the requested times are hit exactly.  If ``domain`` and ``bc`` are given,
+    """Reference trajectory: one :func:`~fpfvm.velocity.flow` per interval,
+    so the requested times are hit exactly.  If ``domain`` and ``bc`` are given,
     reported states are wrapped into the box on periodic axes (the dynamics
     themselves are integrated unwrapped).
     """
@@ -282,15 +269,10 @@ def simulate_truth(field: VelocityField, x0, times: Sequence[float],
     out = np.empty((len(times), field.dim))
     t = 0.0
     for i, tk in enumerate(times):
-        span = tk - t
-        if span > 0:
-            if not span / _RK4_MAX_STEP < np.inf:
-                raise ValueError(f"time {tk} takes a non-finite RK4 step count")
-            nsub = max(1, int(np.ceil(span / _RK4_MAX_STEP - 1e-12)))
-            h = span / nsub
-            for _ in range(nsub):
-                x = _rk4(field.func, x, h)
-            t = tk
+        try:
+            x, t = flow(field, x, tk - t), tk
+        except ValueError as exc:
+            raise ValueError(f"time {tk} after {t}: {exc}") from exc
         y = np.array(x, dtype=float)
         if domain is not None and bc is not None:
             for a, kind in enumerate(bc):

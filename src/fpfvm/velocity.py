@@ -6,7 +6,7 @@ returns ``d`` velocity components, each broadcastable to their shape.  So a
 component is computed on as many values as the coordinates it reads: on the
 open :func:`~fpfvm.grid.mesh` of a face block the pendulum's ``-g sin x1``
 runs once per angle, not once per face.  Pdfs and log-likelihoods take
-coordinates the same way.
+coordinates the same way, and :func:`flow` carries them along a field by RK4.
 Face fluxes are the integrals of the velocity component along each face's
 axis over the face, computed one face block of ``grid.face_blocks()`` at a
 time, in passes of at most ``_FLUX_CHUNK`` faces (after the first, of the
@@ -114,6 +114,26 @@ def field_from_name(name: str) -> VelocityField:
         parts = name.split(":", 1)[1].split(",")
         return constant_field([float(p) for p in parts])
     raise ValueError(f"unknown field {name!r}")
+
+
+def flow(field: VelocityField, xs: tuple, span: float) -> tuple:
+    """The coordinates ``xs`` (floats or arrays that broadcast together, as
+    ``func`` takes them) carried along ``field`` for time ``span``, backward if
+    negative: classical RK4 in ``ceil(|span| / 1e-3)`` equal substeps, unwrapped."""
+    if span == 0:
+        return xs
+    if not abs(span) / 1e-3 < np.inf:
+        raise ValueError(f"span {span} takes a non-finite RK4 step count")
+    nsub = max(1, math.ceil(abs(span) / 1e-3 - 1e-12))
+    h, func = span / nsub, field.func
+    for _ in range(nsub):
+        k1 = func(xs)
+        k2 = func(tuple(xi + 0.5 * h * k for xi, k in zip(xs, k1)))
+        k3 = func(tuple(xi + 0.5 * h * k for xi, k in zip(xs, k2)))
+        k4 = func(tuple(xi + h * k for xi, k in zip(xs, k3)))
+        xs = tuple(xi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + e)
+                   for xi, a, b, c, e in zip(xs, k1, k2, k3, k4))
+    return xs
 
 
 def _parse_quadrature(tag: str) -> tuple[str, int]:

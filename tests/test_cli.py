@@ -9,7 +9,8 @@ import pytest
 
 import fpfvm
 from fpfvm import (Density, assemble, convergence_study, gaussian_pdf,
-                   load_density, pendulum_field, save_density, uniform_density)
+                   load_density, pendulum_field, read_observations, save_density,
+                   uniform_density)
 from fpfvm import bench, cli
 from fpfvm.cli import load_config, main, parse_real
 from fpfvm.grid import BoxDomain, build_grid
@@ -516,6 +517,16 @@ def test_byte_identical_reruns(tmp_path):
     for name in ("report.csv", "observations.csv", "snapshot_00.csv",
                  "snapshot_01.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_default_synthesized_observations_are_pinned(tmp_path):
+    """The six observations of the default filter run (seed 7), to the bit:
+    reruns only compare the code with itself, so a drift in the truth's RK4
+    arithmetic or in the seeded noise would pass them."""
+    assert main(["filter", "--out", str(tmp_path)]) == 0
+    obs = read_observations(tmp_path / "observations.csv")
+    assert obs.values == (0.40463136822975815, 0.14340323364334492, 0.52048388961617698,
+                          0.49950776077759984, 0.16261246664882867, 0.22619169468358524)
 
 
 @pytest.mark.parametrize("command, args, sub", [

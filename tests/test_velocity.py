@@ -11,10 +11,13 @@ from fpfvm import (
     compute_fluxes,
     constant_field,
     field_from_name,
+    flow,
     pendulum_field,
     rotation_field,
+    simulate_truth,
     VelocityField,
 )
+from fpfvm.grid import mesh
 from reference_builders import face_points, face_sums, field_at, flat_fluxes, point_fluxes
 
 PI = np.pi
@@ -298,3 +301,54 @@ def test_a_component_that_does_not_fit_its_faces_names_its_shape(component, shap
     field = VelocityField(lambda xs: (component(xs), xs[1]), dim=2)
     with pytest.raises(ValueError, match=re.escape(f"component 0 has shape {shape}") + ".*axis 0"):
         compute_fluxes(field, g)
+
+
+def test_flow_of_one_point_is_simulate_truth():
+    """simulate_truth is one flow per interval: the default filter's truth,
+    from (0.2 pi, 0) to k * 2 pi / 7 for k = 1..6, bit for bit."""
+    times = [k * 2.0 * PI / 7.0 for k in range(1, 7)]
+    field, x, t, states = pendulum_field(), (0.2 * PI, 0.0), 0.0, []
+    for tk in times:
+        x, t = flow(field, x, tk - t), tk
+        states.append(x)
+    truth = simulate_truth(field, (0.2 * PI, 0.0), times)
+    assert np.array_equal(np.array(states, dtype=float), truth)
+
+
+def test_flow_of_an_open_mesh_is_flow_of_each_point():
+    thetas, vs = np.linspace(-3.0, 3.0, 7), np.linspace(-2.0, 2.0, 5)
+    field = pendulum_field()
+    moved = np.broadcast_arrays(*flow(field, mesh((thetas, vs)), 0.05))
+    for j, v in enumerate(vs.tolist()):
+        for i, theta in enumerate(thetas.tolist()):
+            assert (moved[0][j, i], moved[1][j, i]) == flow(field, (theta, v), 0.05)
+
+
+def test_flow_of_rotation_is_the_rotation():
+    x, y = mesh((np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 7)))
+    for t in (PI / 2, -PI / 2):
+        u, w = flow(rotation_field(), (x, y), t)
+        assert np.abs(u - (x * np.cos(t) - y * np.sin(t))).max() <= 1e-9
+        assert np.abs(w - (x * np.sin(t) + y * np.cos(t))).max() <= 1e-9
+
+
+def test_flow_forward_then_backward_returns():
+    start = np.broadcast_arrays(*mesh((np.linspace(-3.0, 3.0, 13), np.linspace(-2.0, 2.0, 9))))
+    field = pendulum_field()
+    back = flow(field, flow(field, tuple(start), PI / 4), -PI / 4)
+    for a in range(2):
+        assert np.abs(back[a] - start[a]).max() <= 1e-10
+
+
+def test_flow_of_no_time_calls_no_field():
+    def fail(xs):
+        raise AssertionError("the field was called")
+    xs = (np.arange(3.0), 1.0)
+    for span in (0.0, -0.0):
+        assert flow(VelocityField(fail, dim=2), xs, span) is xs
+
+
+@pytest.mark.parametrize("span", [1e306, -1e306, np.inf, np.nan])
+def test_flow_rejects_a_non_finite_substep_count(span):
+    with pytest.raises(ValueError, match="non-finite RK4 step count"):
+        flow(rotation_field(), (1.0, 0.0), span)
