@@ -29,31 +29,40 @@ does not import ``scipy.sparse`` (0.2 s and about 20 MB); only ``op.matrix``
 imports it, on first use.  :func:`export_operator` transposes the arrays with
 the same module's ``csr_tocsc``.
 
-On an operator of at least ``halves._SPLIT_ROWS`` rows, in a process allowed
-more than one CPU, :func:`step` and :func:`assemble` work on the rows in two
-halves at once, the upper half on the one helper thread of
-:mod:`~fpfvm.halves`.  A split step's output is not zeroed before the
-hand-off: each thread zeroes its own half just before its kernel call.  Both
-run the kernel, which releases the GIL, over the unchanged arrays into one
-output, so every row is summed as one call sums it and the result is
-bit-identical.  A split assembly cuts the rows at a whole layer of the last
-axis; each thread counts its own rows' entries, and after the one-thread
-``cumsum`` writes them in slabs of half the size, moving only its own rows'
-``indptr`` cursors, so the arrays are the one-thread build's.
+On an operator of at least ``_SPLIT_ROWS`` rows, in a process allowed more
+than one CPU, :func:`step` and :func:`assemble` work on two halves of the
+rows at once (:func:`_split`): the calling thread the lower half, and one
+daemon helper thread, started on the first such split, the upper half.
+Neither calls user code.  The caller hands the upper half over with one lock
+and waits on a second for the helper to finish it.  A step cuts its rows in
+the middle, and its output is not zeroed before the hand-off: each thread
+zeroes its own half just before its kernel call, which releases the GIL and
+sums each row over the unchanged arrays as one call sums it.  An assembly
+cuts the rows at :func:`_layer_cut`, a whole layer of the last axis; each
+thread counts its own rows' entries, and after the one-thread ``cumsum``
+writes them in slabs of half the size, moving only its own rows' ``indptr``
+cursors.  Each reads the faces of its own rows through :func:`_rows_part`,
+the one statement of which faces of a face block feed which rows and the one
+place a face block is cut.  No row is written by both threads, so every
+result is bit-identical to the one-thread one.  An exception in the helper's
+half is re-raised by the caller.  A caller whose own half raises, or whose
+wait is interrupted, drops the helper, and so does a forked child; the next
+split starts a new one.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from . import halves
 from .density import Density
 from .grid import Grid
 from .velocity import EdgeFluxes
@@ -62,6 +71,11 @@ _CFL_SLACK = 1e-12  # relative slack so dt == dt_max assembles cleanly
 _MARKOV_TOL = 1e-12  # entry and row-sum tolerance of verify_markov
 _WRITE_CHUNK = 1 << 16  # rows per write slab of a one-thread assemble
 _EXPORT_ROWS = 1 << 13  # rows per write of export_operator, columns per call of verify_markov
+# smallest operator whose step and assembly are split over two threads; below
+# it (the N=200 filter's 40,000 rows) the hand-off costs more than half a
+# mat-vec saves
+_SPLIT_ROWS = 1 << 16
+_split_lock = threading.Lock()  # held by the one thread inside a split
 
 
 def _sparsetools_path() -> str | None:
@@ -99,6 +113,120 @@ def _load_sparsetools():
 
 _sparsetools = _load_sparsetools()
 csc_matvec, csr_matvec = _sparsetools.csc_matvec, _sparsetools.csr_matvec  # csc/csr @ vector
+
+
+def _layer_cut(grid) -> int:
+    """The cells of the lower half of the last axis's layers, where the
+    assembly on ``grid`` is split; 0 (no cut) below ``_SPLIT_ROWS`` cells."""
+    layer = grid.ncells // grid.n[-1]
+    return grid.n[-1] // 2 * layer if grid.ncells >= _SPLIT_ROWS else 0
+
+
+def _by_halves(cut: int, n: int, fn, *args) -> None:
+    """``fn(r0, r1, *args)`` on the rows ``[0, cut)`` on this thread and
+    ``[cut, n)`` on the helper (:func:`_split`), or on all ``n`` rows on this
+    thread where there is no ``cut`` or no split."""
+    if not (cut and _split((fn, 0, cut, *args), (fn, cut, n, *args))):
+        fn(0, n, *args)
+
+
+def _rows_part(cube, rows: slice, r0: int, r1: int):
+    """The part of a face block (one face per cell of ``cube[:, rows, :]`` in
+    C order, ``cube`` the ``(high, na, low)`` of its axis) whose rows, the
+    cells ``rows`` picks, lie in ``[r0, r1)``, both whole layers of the
+    grid's last axis (a thread's half, or a slab of it), as ``(base, cube,
+    rows, part)``: ``part`` slices the first two axes of the block's faces,
+    viewed as ``(high, len(rows), low)``, to the part's, and face ``j`` of
+    the part in C order belongs to row ``base + j + j // span * gap +
+    rows.start * low``, with ``span`` the part's faces per layer of the
+    cube and ``gap`` the cells of a layer it skips.  Along an axis below the
+    last, the part is whole layers of the cube; along the last axis (one
+    layer) it cuts the cube's middle axis."""
+    high, na, low = cube
+    start, stop, _ = rows.indices(na)
+    if r0 % (na * low) == 0 and r1 % (na * low) == 0:
+        h0, h1 = r0 // (na * low), r1 // (na * low)
+        return r0, (h1 - h0, na, low), slice(start, stop), (slice(h0, h1), slice(None))
+    lo = max(start, r0 // low)
+    hi = max(lo, min(stop, r1 // low))
+    return 0, cube, slice(lo, hi), (slice(None), slice(lo - start, hi - start))
+
+
+def _block_part(block, part):
+    """The fluxes of a face block, ``block``, on ``part``, slices of its
+    leading axes; an axis of extent 1, along which they do not vary, keeps
+    its one value, to broadcast over the part's rows (none included)."""
+    return block[tuple(s if n > 1 else slice(None) for s, n in zip(part, block.shape))]
+
+
+class _Helper:
+    """A daemon thread that runs the upper half of one split at a time: the
+    caller sets ``call`` to ``(fn, *args)`` and releases ``start``; the
+    thread runs ``fn(*args)``, keeps any exception in ``error`` and releases
+    ``done``."""
+
+    def __init__(self):
+        self.start, self.done = threading.Lock(), threading.Lock()
+        self.start.acquire()
+        self.done.acquire()
+        self.call: tuple = ()
+        self.error: BaseException | None = None
+        threading.Thread(target=self._serve, name="fpfvm-helper", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self.start.acquire()
+            try:
+                # no local names: a frame parked on ``start`` keeps no arrays
+                self.call[0](*self.call[1:])
+                self.error = None
+            except BaseException as exc:  # re-raised by the waiting caller
+                self.error = exc
+            self.call = ()  # hold no split's arrays between splits
+            self.done.release()
+
+
+@functools.cache
+def _helper() -> _Helper | None:
+    """The process's helper, started on first use; None with one CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return _Helper() if cpus > 1 else None
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the cached helper but not its thread
+    os.register_at_fork(after_in_child=_helper.cache_clear)
+
+
+def _split(lower: tuple, upper: tuple) -> bool:
+    """Run ``upper`` on the helper and ``lower`` on this thread, each a
+    ``(fn, *args)``, and return True once both are done.  Return False,
+    having run neither, with one CPU or while another thread is inside a
+    split.  An exception in either half reaches the caller."""
+    if not _split_lock.acquire(blocking=False):
+        return False
+    try:
+        helper = _helper()
+        if helper is None:
+            return False
+        try:
+            helper.call = upper
+            helper.start.release()
+            lower[0](*lower[1:])
+            helper.done.acquire()
+        except BaseException:
+            # the helper may yet signal this split: the next one starts a new one
+            _helper.cache_clear()
+            raise
+        error, helper.error = helper.error, None  # keeps no failed split's arrays
+        if error is not None:
+            raise error
+        return True
+    finally:
+        _split_lock.release()
 
 
 class CflViolation(ValueError):
@@ -205,9 +333,8 @@ def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
     A step that would produce a negative diagonal raises :class:`CflViolation`
     naming :func:`max_stable_dt`'s binding cell.  The rows are written in
     slabs of whole last-axis layers (:func:`_write_rows`); an operator of at
-    least ``halves._SPLIT_ROWS`` rows is counted and written by two threads,
-    cut at :func:`~fpfvm.halves._layer_cut`, bit-identical to the one-thread
-    build.
+    least ``_SPLIT_ROWS`` rows is counted and written by two threads, cut at
+    :func:`_layer_cut`, bit-identical to the one-thread build.
     """
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -223,19 +350,19 @@ def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
     slots, leaks = _inflow_slots(grid, fluxes.blocks)
     slots[0] = None  # the diagonal
     slots = sorted(slots.items())  # by column offset: each row in column order
-    cut = halves._layer_cut(grid)
+    cut = _layer_cut(grid)
 
     # int32, as scipy picks it, unless the entries could pass int32 indices
     idx = np.int32 if nc + grid.face_offsets[-1] <= np.iinfo(np.int32).max else np.int64
     indptr = np.empty(nc + 1, dtype=idx)
     ends = indptr[:-1]  # each row's count, then the end of its entries
-    halves._by_halves(cut, nc, _count_rows, slots, ends)
+    _by_halves(cut, nc, _count_rows, slots, ends)
     np.cumsum(ends, out=ends)
     indptr[-1] = indptr[-2]
 
     indices = np.empty(indptr[-1], dtype=idx)
     data = np.empty(indptr[-1])
-    halves._by_halves(cut, nc, _write_rows, nc // grid.n[-1], slots, outflow, dt, vol, ends,
+    _by_halves(cut, nc, _write_rows, nc // grid.n[-1], slots, outflow, dt, vol, ends,
                       indices, data)
     return TransitionOperator(dt, indptr, indices, data, grid, mass_conserving=not leaks)
 
@@ -281,10 +408,10 @@ def _count_rows(r0: int, r1: int, slots, ends) -> None:
     for _, slot in slots:
         if slot is not None:
             cube, rows, ((f, sign), *more) = slot
-            base, (high, na, low), rows, part = halves._rows_part(cube, rows, r0, r1)
-            present = _fed(halves._block_part(f, part), sign)
+            base, (high, na, low), rows, part = _rows_part(cube, rows, r0, r1)
+            present = _fed(_block_part(f, part), sign)
             for f, sign in more:
-                present = present | _fed(halves._block_part(f, part), sign)
+                present = present | _fed(_block_part(f, part), sign)
             cube = ends[base:base + high * na * low].reshape(high, na, low)
             cube[:, rows, :] += present
 
@@ -307,7 +434,7 @@ def _write_rows(r0: int, r1: int, layer: int, slots, outflow, dt, vol, ends, ind
                 _write_diagonal(s0, s1, outflow, dt, vol, ends, indices, data)
             else:
                 cube, rows, sources = slot
-                _write_inflow(halves._rows_part(cube, rows, s0, s1), sources, offset,
+                _write_inflow(_rows_part(cube, rows, s0, s1), sources, offset,
                               dt, vol, ends, indices, data)
 
 
@@ -327,15 +454,14 @@ def _write_diagonal(r0, r1, outflow, dt, vol, ends, indices, data) -> None:
 
 def _write_inflow(part, sources, offset, dt, vol, ends, indices, data) -> None:
     """Write the entries ``|f| * dt / |K|`` of one slot's part (see
-    :func:`~fpfvm.halves._rows_part`) just below their rows' ``ends``, and
-    lower ``ends``, each source broadcast to the part's faces; where two
-    faces feed one entry (a 2-cell periodic axis), their values are
-    summed."""
+    :func:`_rows_part`) just below their rows' ``ends``, and lower ``ends``,
+    each source broadcast to the part's faces; where two faces feed one entry
+    (a 2-cell periodic axis), their values are summed."""
     base, (high, na, low), rows, part = part
     span = (rows.stop - rows.start) * low  # faces per layer of the cube
     gap = na * low - span  # cells of a layer this slot skips
     shape = (high, rows.stop - rows.start, low)
-    faces = [(np.broadcast_to(halves._block_part(f, part), shape), sign) for f, sign in sources]
+    faces = [(np.broadcast_to(_block_part(f, part), shape), sign) for f, sign in sources]
     if len(faces) == 1:
         ((f, sign),) = faces
         fed = _fed(f, sign)
@@ -376,7 +502,7 @@ def step(op: TransitionOperator, m: np.ndarray) -> np.ndarray:
     bit-identical to scipy's ``op.matrix.T @ m``.
 
     ``m`` becomes a C-contiguous float64 vector once; a wrong length raises
-    ``ValueError``.  An operator of at least ``halves._SPLIT_ROWS`` rows hands the
+    ``ValueError``.  An operator of at least ``_SPLIT_ROWS`` rows hands the
     upper half of its rows to the helper thread, computes the lower half and
     waits for the helper; an exception in either half reaches the caller.
     With one CPU, below the gate or while another thread is inside a split,
@@ -386,11 +512,11 @@ def step(op: TransitionOperator, m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64, order="C")
     if m.shape != (n,):
         raise ValueError(f"mass vector of shape {m.shape} does not fit {n} cells")
-    if n >= halves._SPLIT_ROWS:
+    if n >= _SPLIT_ROWS:
         out = np.empty(n)  # zeroed by each thread that sums into it
         half = n // 2
         # the upper rows keep their absolute offsets into indices and data
-        if not halves._split(
+        if not _split(
                 (_zeroed_matvec, half, n, op.indptr, op.indices, op.data, m, out[:half]),
                 (_zeroed_matvec, n - half, n, op.indptr[half:], op.indices, op.data, m,
                  out[half:])):

@@ -17,12 +17,9 @@ pendulum's fluxes are three blocks of N values, not one value per face; no
 set-up layer builds the face table.  A flux is positive when mass flows
 toward +axis, from the face's lower cell ``cell_a`` into its upper cell
 ``cell_b``; the two sides see opposite signs by construction.
-The quadrature runs on the calling thread, so a field's ``func`` is only
-ever called there and need not be thread-safe.  On a grid of at least
-``halves._SPLIT_ROWS`` cells the upwind outflow, which calls no user code,
-runs on two threads, cut at a whole layer of the last axis
-(:mod:`~fpfvm.halves`): each sums the faces of its own cells, so every value
-is the one-thread one, bit for bit.
+The quadrature and the upwind outflow run on the calling thread, so a
+field's ``func`` is only ever called there and need not be thread-safe; this
+module starts no thread.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import Grid, mesh
-from .halves import _block_part, _by_halves, _layer_cut, _rows_part
 
 _FLUX_CHUNK = 1 << 16  # faces, or kept values, per quadrature pass of compute_fluxes
 
@@ -102,18 +98,22 @@ def constant_field(c) -> VelocityField:
 
 def field_from_name(name: str) -> VelocityField:
     """Build a named field: ``pendulum[:g_over_l]``, ``constant:c1,c2,...``,
-    or ``rotation``."""
+    or ``rotation``; any other spec, a number among them that does not parse
+    included, raises ``ValueError`` naming the spec and these forms."""
     name = name.strip()
-    if name == "pendulum":
-        return pendulum_field()
-    if name.startswith("pendulum:"):
-        return pendulum_field(float(name.split(":", 1)[1]))
+    kind, colon, args = name.partition(":")
+    try:
+        values = [float(v) for v in args.split(",")] if colon else []
+    except ValueError:
+        values = None
+    if kind == "pendulum" and values is not None and len(values) <= 1:
+        return pendulum_field(*values)
     if name == "rotation":
         return rotation_field()
-    if name.startswith("constant:"):
-        parts = name.split(":", 1)[1].split(",")
-        return constant_field([float(p) for p in parts])
-    raise ValueError(f"unknown field {name!r}")
+    if kind == "constant" and values:
+        return constant_field(values)
+    raise ValueError(f"field {name!r} is not 'pendulum', 'pendulum:<g_over_l>', "
+                     "'rotation' or 'constant:<c1>,<c2>,...'")
 
 
 def flow(field: VelocityField, xs: tuple, span: float) -> tuple:
@@ -183,8 +183,8 @@ def compute_fluxes(field: VelocityField, grid: Grid,
     ``gauss<k>`` uses a k-point tensor Gauss-Legendre rule over the face;
     ``midpoint`` is the 1-point rule, evaluating at face midpoints.  In 1D
     faces are points and all rules coincide.  The quadrature
-    (:func:`_face_fluxes`) runs on the calling thread, the only one that
-    calls ``field.func``; a large grid's outflow takes two threads.
+    (:func:`_face_fluxes`) and the upwind outflow (:func:`_upwind_outflow`)
+    run on the calling thread, so ``field.func`` is called on no other.
     """
     if field.dim != grid.domain.d:
         raise ValueError(
@@ -285,30 +285,22 @@ def _fitted(term, shape: tuple, axis: int):
 
 
 def _upwind_outflow(grid: Grid, blocks) -> np.ndarray:
-    """Per-cell ``sum_L (v_KL)_+`` of the face blocks' fluxes ``blocks``, by
-    two threads on a large grid (:func:`_outflow_rows`)."""
+    """Per-cell ``sum_L (v_KL)_+`` of the face blocks' fluxes ``blocks``, in
+    one pass on the calling thread: each face's positive part added to its
+    lower cell, then each face's negative part subtracted from its upper
+    cell, face block by face block through cube slices.  Every cell adds its
+    terms in face order, so the sums are those of a scatter over the face
+    table.  A block with one flux per face adds through a mask; a smaller one
+    adds its parts broadcast, zeros included: a cell starts at +0.0 and gains
+    only nonnegative terms, so adding +0.0 or -0.0 leaves its bits as they
+    are."""
     out = np.zeros(grid.ncells)
-    _by_halves(_layer_cut(grid), grid.ncells, _outflow_rows, grid, blocks, out)
-    return out
-
-
-def _outflow_rows(r0: int, r1: int, grid: Grid, blocks, out: np.ndarray) -> None:
-    """Add the upwind outflow of the cells ``[r0, r1)`` into ``out``: each
-    face's positive part to its lower cell, then each face's negative part
-    subtracted from its upper cell, face block by face block through cube
-    slices.  Every cell adds its terms in face order, so the sums are those
-    of a scatter over the face table.  A block with one flux per face adds
-    through a mask; a smaller one adds its parts broadcast, zeros included:
-    a cell starts at +0.0 and gains only nonnegative terms, so adding +0.0
-    or -0.0 leaves its bits as they are."""
     for lower_side in (True, False):
         for (_, cube, lower, upper, _), f in zip(grid.face_blocks(), blocks):
             rows = lower if lower_side else upper
             if rows is None:
                 continue
-            base, (high, na, low), rows, part = _rows_part(cube, rows, r0, r1)
-            cells = out[base:base + high * na * low].reshape(high, na, low)[:, rows]
-            f = _block_part(f, part)
+            cells = out.reshape(cube)[:, rows]
             if f.shape == cells.shape:
                 if lower_side:
                     np.add(cells, f, out=cells, where=f > 0.0)
@@ -318,3 +310,4 @@ def _outflow_rows(r0: int, r1: int, grid: Grid, blocks, out: np.ndarray) -> None
                 cells += np.maximum(f, 0.0)
             else:
                 cells -= np.minimum(f, 0.0)
+    return out

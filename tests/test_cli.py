@@ -401,6 +401,16 @@ def test_parse_failure_names_its_key(tmp_path, capsys, command, key, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("spec", ["pendulum:abc", "constant:1,x", "constant:", "vortex"])
+def test_bad_field_names_its_spec_and_the_forms(tmp_path, capsys, spec):
+    rc = main(["operator", "--n", "8,8", "--field", spec, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"config error: field {spec!r} is not 'pendulum', ")
+    assert "'constant:<c1>,<c2>,...'" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("n_list", ["0,0", "1,2"])
 def test_bad_levels_name_n_list(tmp_path, capsys, n_list):
     rc = main(["converge", "--n_list", n_list, "--out", str(tmp_path)])

@@ -38,7 +38,6 @@ from fpfvm import (
     uniform_density,
     verify_markov,
 )
-from fpfvm import halves
 from fpfvm import operator as operator_module
 from fpfvm.operator import choose_dt
 from fpfvm.velocity import EdgeFluxes
@@ -438,7 +437,7 @@ GATE_N = 256  # a pendulum operator of GATE_N**2 = 65,536 rows, at the gate
 
 @pytest.fixture(scope="module")
 def gate_pendulum():
-    assert GATE_N ** 2 == halves._SPLIT_ROWS
+    assert GATE_N ** 2 == operator_module._SPLIT_ROWS
     return _pendulum_op(n=GATE_N)
 
 
@@ -555,7 +554,7 @@ def test_each_half_of_a_split_step_zeroes_its_rows(gate_op, monkeypatch):
         return out
 
     # a helper of the test's own, started on one CPU too
-    monkeypatch.setattr(halves, "_helper", functools.cache(halves._Helper))
+    monkeypatch.setattr(operator_module, "_helper", functools.cache(operator_module._Helper))
     monkeypatch.setattr(np, "empty", nan_empty)
     for _ in range(2):
         assert np.array_equal(_within(30, step, op, m), want)
@@ -582,7 +581,7 @@ def test_a_raising_half_fails_its_step_only(gate_op, where, monkeypatch):
         kernel(*args)
 
     # a helper of the test's own, started on one CPU too
-    monkeypatch.setattr(halves, "_helper", functools.cache(halves._Helper))
+    monkeypatch.setattr(operator_module, "_helper", functools.cache(operator_module._Helper))
     monkeypatch.setattr(operator_module, "csr_matvec", raise_once)
     with pytest.raises(RuntimeError, match=f"in the {where}'s half"):
         _within(30, step, op, m)
@@ -601,7 +600,7 @@ def test_a_raising_half_fails_its_assembly_only(gate_pendulum, stage, where, mon
     g, fx, _ = gate_pendulum
     dt = g.h[0] / (2 * PI + 1)
     with monkeypatch.context() as mp:
-        mp.setattr(halves, "_helper", lambda: None)  # one thread
+        mp.setattr(operator_module, "_helper", lambda: None)  # one thread
         want = assemble(fx, dt)
     half = getattr(operator_module, stage)
     raised = []
@@ -616,7 +615,7 @@ def test_a_raising_half_fails_its_assembly_only(gate_pendulum, stage, where, mon
         half(*args)
 
     # a helper of the test's own, started on one CPU too
-    monkeypatch.setattr(halves, "_helper", functools.cache(halves._Helper))
+    monkeypatch.setattr(operator_module, "_helper", functools.cache(operator_module._Helper))
     monkeypatch.setattr(operator_module, stage, raise_once)
     with pytest.raises(RuntimeError, match=f"in the {where}'s half"):
         _within(30, assemble, fx, dt)
@@ -641,7 +640,7 @@ def test_the_helper_keeps_no_arrays_alive(gate_pendulum, monkeypatch):
     command's peak RSS grew by their 15 MB when they did not)."""
     g, fx, op = gate_pendulum
     # a helper of the test's own, started on one CPU too
-    monkeypatch.setattr(halves, "_helper", functools.cache(halves._Helper))
+    monkeypatch.setattr(operator_module, "_helper", functools.cache(operator_module._Helper))
     fluxes = _copied(fx)
     kept = [weakref.ref(a) for a in (*fluxes.blocks, fluxes.outflow)]
     split = assemble(fluxes, op.dt)
@@ -686,22 +685,24 @@ from fpfvm import BoxDomain, assemble, build_grid, compute_fluxes, pendulum_fiel
 g = build_grid(BoxDomain((-np.pi, -np.pi), (np.pi, np.pi)), (256, 256),
                ("periodic", "neumann"))
 fx = compute_fluxes(pendulum_field(), g)
+after_fluxes = threading.active_count()
 op = assemble(fx, g.h[0] / (2 * np.pi + 1))
 m = np.random.default_rng(0).random(g.ncells)
 for _ in range(3):
     assert np.array_equal(step(op, m), op.matrix.T @ m)
-print(threading.active_count(), len(os.sched_getaffinity(0)))
+print(after_fluxes, threading.active_count(), len(os.sched_getaffinity(0)))
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
 @pytest.mark.parametrize("cpus", ["one", "inherited"])
 def test_helper_threads_per_process(cpus):
-    """One CPU starts no helper, more start exactly one, and a process whose
-    helper is waiting still exits."""
+    """The flux layer starts no thread; one CPU starts no helper, more start
+    exactly one, and a process whose helper is waiting still exits."""
     proc = _probe(_HELPER_PROBE, cpus)
     assert proc.returncode == 0, proc.stderr
-    threads, allowed = map(int, proc.stdout.split())
+    after_fluxes, threads, allowed = map(int, proc.stdout.split())
+    assert after_fluxes == 1
     assert threads == (2 if allowed > 1 else 1)
     if cpus == "one":
         assert allowed == 1
@@ -711,7 +712,7 @@ _FORK_PROBE = """
 import os, threading, time, traceback, warnings
 import numpy as np
 from fpfvm import BoxDomain, assemble, build_grid, compute_fluxes, pendulum_field, step
-from fpfvm import halves
+from fpfvm import operator
 if len(os.sched_getaffinity(0)) == 1:  # start the helper on the one core too
     os.sched_getaffinity = lambda pid: {0, 1}
 g = build_grid(BoxDomain((-np.pi, -np.pi), (np.pi, np.pi)), (256, 256),
@@ -720,7 +721,7 @@ fx = compute_fluxes(pendulum_field(), g)
 op = assemble(fx, g.h[0] / (2 * np.pi + 1))
 m = np.random.default_rng(0).random(g.ncells)
 assert np.array_equal(step(op, m), op.matrix.T @ m)
-assert halves._helper() is not None and threading.active_count() == 2
+assert operator._helper() is not None and threading.active_count() == 2
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
     pid = os.fork()

@@ -23,13 +23,14 @@ With the split gate lowered to one row, ``step`` splits every operator's
 rows between the caller and a helper thread (one started for the test on
 one CPU), and its result equals scipy's ``op.matrix.T @ m`` bit for bit; so
 does ``assemble`` (in passes of any size), whose CSR arrays and flag equal
-the one-thread build's bit for bit.  ``compute_fluxes`` calls the field on
-the calling thread only and splits just its outflow pass, whose values and
-outflow equal the one-thread ones and the face-table reference's, in 1-3D
-under every boundary mix and rule, on linear fields whose fluxes take both
-signs; a non-finite flux in the upper layers, or a field that raises, fails
-only its call.  The row-sum error of ``verify_markov`` equals that of three
-full passes over the row sums.
+the one-thread build's bit for bit.  ``compute_fluxes`` splits nothing: it
+calls the field and sums the outflow on the calling thread only, and its
+values and outflow, in quadrature passes of any size, equal the one-pass
+ones and the face-table reference's, in 1-3D under every boundary mix and
+rule, on linear fields whose fluxes take both signs; a non-finite flux in
+the upper layers, or a field that raises, fails only its call.  The row-sum
+error of ``verify_markov`` equals that of three full passes over the row
+sums.
 
 Diagnostic examples check ``moments`` and ``count_modes`` against the direct
 formulas they replace, kept here as reference implementations, that the
@@ -80,7 +81,6 @@ from fpfvm import (
 )
 from fpfvm import density as density_module
 from fpfvm import filtering as filtering_module
-from fpfvm import halves
 from fpfvm import operator as operator_module
 from fpfvm import velocity as velocity_module
 from fpfvm.operator import TransitionOperator
@@ -297,23 +297,23 @@ def _split_every_call():
     """Split the rows of every step and assembly, whatever the CPU count;
     yields the list of what each split returned (True where it ran)."""
     splits = []
-    split = halves._split
+    split = operator_module._split
 
     def counted(lower, upper):
         splits.append(split(lower, upper))
         return splits[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(halves, "_SPLIT_ROWS", 1)
-        mp.setattr(halves, "_split", counted)
-        if halves._helper() is None:  # on one CPU the module starts none
-            mp.setattr(halves, "_helper", _one_helper)
+        mp.setattr(operator_module, "_SPLIT_ROWS", 1)
+        mp.setattr(operator_module, "_split", counted)
+        if operator_module._helper() is None:  # on one CPU the module starts none
+            mp.setattr(operator_module, "_helper", _one_helper)
         yield splits
 
 
 @functools.cache
 def _one_helper():
-    return halves._Helper()
+    return operator_module._Helper()
 
 
 @settings(max_examples=60, deadline=None)
@@ -374,19 +374,20 @@ def test_split_assembly_is_bit_identical(fluxes, frac, chunk):
 @settings(max_examples=80, deadline=None)
 @given(setup=linear_setups(), chunk=st.sampled_from([1, 5, 1 << 16]),
        last=st.sampled_from(BCS))
-def test_split_outflow_is_bit_identical(setup, chunk, last):
-    """The quadrature runs on the calling thread, in passes of
+def test_chunked_fluxes_are_bit_identical(setup, chunk, last):
+    """The quadrature runs on the calling thread in passes of
     ``_FLUX_CHUNK`` faces (drawn small, so passes end inside a face block),
-    and each thread sums the outflow of its own cells: the values and the
-    outflow equal the one-thread ones and the face-table reference's, bit for
-    bit, also where the wrap faces of a periodic last axis cross the cut."""
+    and the outflow in one pass there, even with the split gate lowered to
+    one row: the values and the outflow equal the one-pass ones and the
+    face-table reference's, bit for bit, also along the wrap faces of a
+    periodic last axis."""
     field, grid, quadrature = setup
     grid = build_grid(grid.domain, grid.n, grid.bc[:-1] + (last,))
-    want = compute_fluxes(field, grid, quadrature)  # below the gate: one thread
+    want = compute_fluxes(field, grid, quadrature)  # one pass per face block
     with _split_every_call() as splits, pytest.MonkeyPatch.context() as mp:
         mp.setattr(velocity_module, "_FLUX_CHUNK", chunk)
         got = compute_fluxes(field, grid, quadrature)
-    assert splits == [True]  # the outflow pass only
+    assert splits == []  # nothing in compute_fluxes splits
     flux, outflow = point_fluxes(field, grid, quadrature)
     assert all(_same_bits(a, b) for a, b in zip(got.blocks, want.blocks))
     assert _same_bits(got.outflow, want.outflow)
@@ -395,11 +396,11 @@ def test_split_outflow_is_bit_identical(setup, chunk, last):
 
 def test_fluxes_call_the_field_on_the_calling_thread_only():
     """Above the split gate, with the split forced, ``compute_fluxes`` calls
-    the field on the calling thread only, so a ``func`` need not be
-    thread-safe; the outflow is still summed by two threads, and both equal
-    the face-table reference's bit for bit."""
+    the field and sums the outflow on the calling thread only, so a ``func``
+    need not be thread-safe, and both equal the face-table reference's bit
+    for bit."""
     grid = build_grid(BoxDomain((-1.0, -1.0), (1.0, 1.0)), (257, 256), ("neumann", "periodic"))
-    assert grid.ncells > halves._SPLIT_ROWS
+    assert grid.ncells > operator_module._SPLIT_ROWS
     rotation = rotation_field()
     threads = set()
 
@@ -411,14 +412,14 @@ def test_fluxes_call_the_field_on_the_calling_thread_only():
     with _split_every_call() as splits:
         got = compute_fluxes(field, grid, "gauss2")
     assert threads == {threading.current_thread()}
-    assert splits == [True]  # the outflow pass
+    assert splits == []  # the outflow is one pass on this thread
     flux, outflow = point_fluxes(rotation, grid, "gauss2")
     assert _same_bits(flat_fluxes(got), flux) and _same_bits(got.outflow, outflow)
 
 
 def test_fluxes_raise_on_non_finite_upper_layers():
-    """A field that is not finite only in the upper layers of the last axis,
-    those the helper sums the outflow of, still fails the whole call."""
+    """A field that is not finite only in the upper layers of the last axis
+    fails the whole call, with the split forced, before any outflow."""
     grid = build_grid(BoxDomain((-1.0, -1.0), (1.0, 1.0)), (8, 10), ("periodic", "periodic"))
     threads = set()
 
@@ -432,12 +433,13 @@ def test_fluxes_raise_on_non_finite_upper_layers():
     with _split_every_call() as splits, pytest.raises(ValueError, match="non-finite"):
         compute_fluxes(field, grid, "gauss2")
     assert threads == {threading.current_thread()}
-    assert splits == []  # raised before the outflow pass
+    assert splits == []  # nothing in compute_fluxes splits
 
 
 def test_a_raising_field_fails_its_fluxes_only():
     """A field that raises fails that call of ``compute_fluxes``, and the
-    next call, whose outflow is split, is the one-thread one bit for bit."""
+    next call, with the split forced, is the unforced one bit for bit and
+    splits nothing."""
     grid = build_grid(BoxDomain((-1.0, -1.0), (1.0, 1.0)), (9, 12), ("dirichlet", "periodic"))
     field = rotation_field()
     want = compute_fluxes(field, grid, "gauss3")
@@ -453,7 +455,7 @@ def test_a_raising_field_fails_its_fluxes_only():
         with pytest.raises(RuntimeError, match="in the field"):
             compute_fluxes(VelocityField(raise_once, 2), grid, "gauss3")
         got = compute_fluxes(VelocityField(raise_once, 2), grid, "gauss3")
-    assert splits == [True]
+    assert splits == []
     assert all(_same_bits(a, b) for a, b in zip(got.blocks, want.blocks))
     assert _same_bits(got.outflow, want.outflow)
 
