@@ -20,8 +20,8 @@ row's end, which it then lowers; after a slab's last slot its rows' entries
 are their starts.  :func:`step`, the only step path, is one ``csr_matvec``
 call on them, ``m' = S^T m``, into a zeroed output.
 :func:`evolve` converts a :class:`Density` to mass once, takes the
-:func:`step_count` of its time in steps and converts back once; that count,
-the nearest whole number of steps, is also the filter's and ``choose_dt``'s.
+:func:`step_count` (also the filter's and ``choose_dt``'s) of its time in
+steps and converts back in place, so it holds two mass vectors at a time.
 
 The kernels come from scipy's compiled ``_sparsetools`` extension,
 loaded from its file by :func:`_load_sparsetools`, so importing this module
@@ -529,7 +529,8 @@ def step(op: TransitionOperator, m: np.ndarray) -> np.ndarray:
 
 def evolve(op: TransitionOperator, density: Density, t: float) -> Density:
     """Apply ``step_count(t, dt)`` :func:`step` calls to the density's mass
-    vector: ``t`` snaps to the nearest step, as a filter snaps its times."""
+    vector: ``t`` snaps to the nearest step, as a filter snaps its times.  The
+    mass is divided back in place, so two mass vectors are held at a time."""
     if density.grid != op.grid:
         raise ValueError("density and operator live on different grids")
     k = step_count(t, op.dt)
@@ -537,7 +538,8 @@ def evolve(op: TransitionOperator, density: Density, t: float) -> Density:
     m = density.values * vol
     for _ in range(k):
         m = step(op, m)
-    return Density(m / vol, op.grid)
+    m /= vol
+    return Density(m, op.grid)
 
 
 def verify_markov(op: TransitionOperator) -> MarkovReport:

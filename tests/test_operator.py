@@ -627,6 +627,29 @@ def test_a_raising_half_fails_its_assembly_only(gate_pendulum, stage, where, mon
     assert np.array_equal(_within(30, step, op, m), op.matrix.T @ m)
 
 
+def test_a_split_while_another_is_running_computes_every_row(gate_pendulum, monkeypatch):
+    """While another thread is inside a split (``_split_lock`` held), a step
+    and an assembly above the gate ask no helper and compute every row on the
+    calling thread, to the bytes of a run that splits."""
+    g, fx, op = gate_pendulum
+    m = np.random.default_rng(9).random(g.ncells)
+    want_step, want_op = step(op, m), assemble(fx, op.dt)
+
+    def no_helper():
+        raise AssertionError("a held split lock asked for the helper")
+
+    monkeypatch.setattr(operator_module, "_helper", no_helper)
+    assert operator_module._split_lock.acquire(blocking=False)
+    try:
+        got_step, got_op = step(op, m), assemble(fx, op.dt)
+    finally:
+        operator_module._split_lock.release()
+    assert got_step.tobytes() == want_step.tobytes()
+    for name in ("indptr", "indices", "data"):
+        got, ref = getattr(got_op, name), getattr(want_op, name)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+
+
 def _copied(fx):
     """``fx`` with copies of its arrays, which nothing else holds."""
     return EdgeFluxes(tuple(b.copy() for b in fx.blocks), fx.quadrature, fx.grid,
