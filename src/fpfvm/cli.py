@@ -352,7 +352,11 @@ def cmd_filter(cfg) -> int:
         print(f"wrote {out / 'report.csv'}")
         for i, (t, dens) in enumerate(state.snapshots):
             path = out / f"snapshot_{i:02d}.csv"
-            save_density(dens, path, t=t, body=worker.text())
+            try:
+                save_density(dens, path, t=t, body=worker.text())
+            except EOFError:  # the worker died within the text: format it here
+                worker.close()
+                save_density(dens, path, t=t)
             print(f"wrote {path} (t={t:.17g})")
     print(f"final: t={state.time:.17g} log_evidence={state.log_evidence:.17g} "
           f"modes={state.history.mode_count[-1]}")

@@ -290,6 +290,8 @@ def synthesize_observations(times: Sequence[float], truth_states: np.ndarray,
     states = np.asarray(truth_states, dtype=float)
     if states.shape[0] != len(times):
         raise ValueError("truth_states and times disagree in length")
+    if int(seed) < 0:
+        raise ValueError(f"seed={seed} must be a nonnegative integer")
     rng = np.random.default_rng(int(seed))
     noise = rng.standard_normal(len(times))
     z = np.abs(states[:, 0]) + float(sigma) * noise

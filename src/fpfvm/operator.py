@@ -30,24 +30,24 @@ imports it, on first use.  :func:`export_operator` transposes the arrays with
 the same module's ``csr_tocsc``.
 
 On an operator of at least ``_SPLIT_ROWS`` rows, in a process allowed more
-than one CPU, :func:`step` and :func:`assemble` work on two halves of the
-rows at once (:func:`_split`): the calling thread the lower half, and one
-daemon helper thread, started on the first such split, the upper half.
-Neither calls user code.  The caller hands the upper half over with one lock
-and waits on a second for the helper to finish it.  A step cuts its rows in
-the middle, and its output is not zeroed before the hand-off: each thread
-zeroes its own half just before its kernel call, which releases the GIL and
-sums each row over the unchanged arrays as one call sums it.  An assembly
-cuts the rows at :func:`_layer_cut`, a whole layer of the last axis; each
-thread counts its own rows' entries, and after the one-thread ``cumsum``
-writes them in slabs of half the size, moving only its own rows' ``indptr``
-cursors.  Each reads the faces of its own rows through :func:`_rows_part`,
-the one statement of which faces of a face block feed which rows and the one
-place a face block is cut.  No row is written by both threads, so every
-result is bit-identical to the one-thread one.  An exception in the helper's
-half is re-raised by the caller.  A caller whose own half raises, or whose
-wait is interrupted, drops the helper, and so does a forked child; the next
-split starts a new one.
+than one CPU, :func:`step` and the write pass of :func:`assemble` work on
+two halves of the rows at once (:func:`_split`), cut at :func:`_layer_cut`,
+a whole layer of the grid's last axis: the calling thread the lower half,
+and one daemon helper thread, started on the first such split, the upper
+half.  Neither calls user code.  The caller puts the upper half on the
+helper's queue and takes from a second what the helper puts back: None, or
+the exception of its half, which the caller re-raises.  A step's output is
+not zeroed before the hand-off: each thread zeroes its own half just before
+its kernel call, which releases the GIL and sums each row over the
+unchanged arrays as one call sums it.  An assembly counts every row's
+entries on the calling thread; after the ``cumsum`` each thread writes its
+own rows in slabs of half the size, moving only their ``indptr`` cursors,
+and reads their faces through :func:`_rows_part`, the one statement of
+which faces of a face block feed which rows and the one place a face block
+is cut.  No row is written by both threads, so every result is
+bit-identical to the one-thread one.  A caller whose own half raises, or
+whose wait is interrupted, drops the helper, and so does a forked child;
+the next split starts a new one.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ _CFL_SLACK = 1e-12  # relative slack so dt == dt_max assembles cleanly
 _MARKOV_TOL = 1e-12  # entry and row-sum tolerance of verify_markov
 _WRITE_CHUNK = 1 << 16  # rows per write slab of a one-thread assemble
 _EXPORT_ROWS = 1 << 13  # rows per write of export_operator, columns per call of verify_markov
-# smallest operator whose step and assembly are split over two threads; below
-# it (the N=200 filter's 40,000 rows) the hand-off costs more than half a
-# mat-vec saves
+# smallest operator whose step and assembly write pass are split over two
+# threads; below it (the N=200 filter's 40,000 rows) the hand-off costs more
+# than half a mat-vec saves
 _SPLIT_ROWS = 1 << 16
 _split_lock = threading.Lock()  # held by the one thread inside a split
 
@@ -116,18 +116,10 @@ csc_matvec, csr_matvec = _sparsetools.csc_matvec, _sparsetools.csr_matvec  # csc
 
 
 def _layer_cut(grid) -> int:
-    """The cells of the lower half of the last axis's layers, where the
-    assembly on ``grid`` is split; 0 (no cut) below ``_SPLIT_ROWS`` cells."""
+    """The split's one gate and one cut: the cells of the lower half of the
+    last axis's layers on ``grid``; 0 (no split) below ``_SPLIT_ROWS`` cells."""
     layer = grid.ncells // grid.n[-1]
     return grid.n[-1] // 2 * layer if grid.ncells >= _SPLIT_ROWS else 0
-
-
-def _by_halves(cut: int, n: int, fn, *args) -> None:
-    """``fn(r0, r1, *args)`` on the rows ``[0, cut)`` on this thread and
-    ``[cut, n)`` on the helper (:func:`_split`), or on all ``n`` rows on this
-    thread where there is no ``cut`` or no split."""
-    if not (cut and _split((fn, 0, cut, *args), (fn, cut, n, *args))):
-        fn(0, n, *args)
 
 
 def _rows_part(cube, rows: slice, r0: int, r1: int):
@@ -160,30 +152,30 @@ def _block_part(block, part):
 
 
 class _Helper:
-    """A daemon thread that runs the upper half of one split at a time: the
-    caller sets ``call`` to ``(fn, *args)`` and releases ``start``; the
-    thread runs ``fn(*args)``, keeps any exception in ``error`` and releases
-    ``done``."""
+    """A daemon thread that runs the upper half of one split at a time: it
+    takes a ``(fn, *args)`` from ``calls`` and puts what :func:`_run`
+    returns for it on ``results``."""
 
     def __init__(self):
-        self.start, self.done = threading.Lock(), threading.Lock()
-        self.start.acquire()
-        self.done.acquire()
-        self.call: tuple = ()
-        self.error: BaseException | None = None
+        import queue  # only a process that splits pays for it
+
+        self.calls, self.results = queue.SimpleQueue(), queue.SimpleQueue()
         threading.Thread(target=self._serve, name="fpfvm-helper", daemon=True).start()
 
     def _serve(self) -> None:
         while True:
-            self.start.acquire()
-            try:
-                # no local names: a frame parked on ``start`` keeps no arrays
-                self.call[0](*self.call[1:])
-                self.error = None
-            except BaseException as exc:  # re-raised by the waiting caller
-                self.error = exc
-            self.call = ()  # hold no split's arrays between splits
-            self.done.release()
+            # no local names: a frame parked on ``get`` keeps no arrays
+            self.results.put(_run(self.calls.get()))
+
+
+def _run(call: tuple) -> BaseException | None:
+    """``fn(*args)`` of ``call``, a ``(fn, *args)``; None, or the exception
+    it raised, which the waiting caller re-raises."""
+    try:
+        call[0](*call[1:])
+    except BaseException as exc:
+        return exc
+    return None
 
 
 @functools.cache
@@ -202,10 +194,10 @@ if hasattr(os, "register_at_fork"):
 
 
 def _split(lower: tuple, upper: tuple) -> bool:
-    """Run ``upper`` on the helper and ``lower`` on this thread, each a
-    ``(fn, *args)``, and return True once both are done.  Return False,
-    having run neither, with one CPU or while another thread is inside a
-    split.  An exception in either half reaches the caller."""
+    """Put ``upper`` on the helper's queue, run ``lower`` on this thread,
+    each a ``(fn, *args)``, and return True once the helper has answered.
+    Return False, having run neither, with one CPU or while another thread
+    is inside a split.  An exception in either half reaches the caller."""
     if not _split_lock.acquire(blocking=False):
         return False
     try:
@@ -213,15 +205,13 @@ def _split(lower: tuple, upper: tuple) -> bool:
         if helper is None:
             return False
         try:
-            helper.call = upper
-            helper.start.release()
+            helper.calls.put(upper)
             lower[0](*lower[1:])
-            helper.done.acquire()
+            error = helper.results.get()
         except BaseException:
-            # the helper may yet signal this split: the next one starts a new one
+            # the helper may yet answer this split: the next one starts a new one
             _helper.cache_clear()
             raise
-        error, helper.error = helper.error, None  # keeps no failed split's arrays
         if error is not None:
             raise error
         return True
@@ -331,10 +321,10 @@ def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
     """Build the upwind transition matrix for time step ``dt`` on ``fluxes.grid``.
 
     A step that would produce a negative diagonal raises :class:`CflViolation`
-    naming :func:`max_stable_dt`'s binding cell.  The rows are written in
-    slabs of whole last-axis layers (:func:`_write_rows`); an operator of at
-    least ``_SPLIT_ROWS`` rows is counted and written by two threads, cut at
-    :func:`_layer_cut`, bit-identical to the one-thread build.
+    naming :func:`max_stable_dt`'s binding cell.  This thread counts the
+    rows' entries; they are written in slabs of whole last-axis layers
+    (:func:`_write_rows`), by two threads on an operator of at least
+    ``_SPLIT_ROWS`` rows, cut at :func:`_layer_cut`, to the one-thread bits.
     """
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -348,22 +338,26 @@ def assemble(fluxes: EdgeFluxes, dt: float) -> TransitionOperator:
             f"dt={dt} violates the step-size bound at cell {cell}: "
             f"dt * outflow / |K| = {dt * outflow[cell] / vol:.6g} > 1")
     slots, leaks = _inflow_slots(grid, fluxes.blocks)
-    slots[0] = None  # the diagonal
-    slots = sorted(slots.items())  # by column offset: each row in column order
-    cut = _layer_cut(grid)
 
     # int32, as scipy picks it, unless the entries could pass int32 indices
     idx = np.int32 if nc + grid.face_offsets[-1] <= np.iinfo(np.int32).max else np.int64
     indptr = np.empty(nc + 1, dtype=idx)
     ends = indptr[:-1]  # each row's count, then the end of its entries
-    _by_halves(cut, nc, _count_rows, slots, ends)
+    ends.fill(1)  # the diagonal
+    for (high, na, low), rows, sources in slots.values():
+        # each source's mask stays at its block's shape, broadcast into the rows
+        present = functools.reduce(np.logical_or, [_fed(f, sign) for f, sign in sources])
+        ends.reshape(high, na, low)[:, rows, :] += present
     np.cumsum(ends, out=ends)
     indptr[-1] = indptr[-2]
-
+    slots[0] = None  # the diagonal
+    slots = sorted(slots.items())  # by column offset: each row in column order
     indices = np.empty(indptr[-1], dtype=idx)
     data = np.empty(indptr[-1])
-    _by_halves(cut, nc, _write_rows, nc // grid.n[-1], slots, outflow, dt, vol, ends,
-                      indices, data)
+    write = (nc // grid.n[-1], slots, outflow, dt, vol, ends, indices, data)
+    cut = _layer_cut(grid)
+    if not (cut and _split((_write_rows, 0, cut, *write), (_write_rows, cut, nc, *write))):
+        _write_rows(0, nc, *write)
     return TransitionOperator(dt, indptr, indices, data, grid, mass_conserving=not leaks)
 
 
@@ -399,21 +393,6 @@ def _inflow_slots(grid: Grid, blocks) -> tuple[dict, bool]:
 def _fed(f: np.ndarray, sign: float) -> np.ndarray:
     """Where the face fluxes ``f`` of a slot's source feed an entry."""
     return f > 0.0 if sign > 0 else f < 0.0
-
-
-def _count_rows(r0: int, r1: int, slots, ends) -> None:
-    """Set ``ends[r0:r1]`` to the entry counts of those rows; each source's
-    mask stays at its block's shape and is broadcast into the rows."""
-    ends[r0:r1] = 1  # the diagonal
-    for _, slot in slots:
-        if slot is not None:
-            cube, rows, ((f, sign), *more) = slot
-            base, (high, na, low), rows, part = _rows_part(cube, rows, r0, r1)
-            present = _fed(_block_part(f, part), sign)
-            for f, sign in more:
-                present = present | _fed(_block_part(f, part), sign)
-            cube = ends[base:base + high * na * low].reshape(high, na, low)
-            cube[:, rows, :] += present
 
 
 def _write_rows(r0: int, r1: int, layer: int, slots, outflow, dt, vol, ends, indices,
@@ -502,24 +481,24 @@ def step(op: TransitionOperator, m: np.ndarray) -> np.ndarray:
     bit-identical to scipy's ``op.matrix.T @ m``.
 
     ``m`` becomes a C-contiguous float64 vector once; a wrong length raises
-    ``ValueError``.  An operator of at least ``_SPLIT_ROWS`` rows hands the
-    upper half of its rows to the helper thread, computes the lower half and
-    waits for the helper; an exception in either half reaches the caller.
-    With one CPU, below the gate or while another thread is inside a split,
-    one kernel call computes every row.
+    ``ValueError``.  An operator of at least ``_SPLIT_ROWS`` rows, cut at
+    :func:`_layer_cut`, hands its upper rows to the helper thread, computes
+    the lower ones and waits for the helper; an exception in either half
+    reaches the caller.  With one CPU, below the gate or while another
+    thread is inside a split, one kernel call computes every row.
     """
     n = op.grid.ncells
     m = np.asarray(m, dtype=np.float64, order="C")
     if m.shape != (n,):
         raise ValueError(f"mass vector of shape {m.shape} does not fit {n} cells")
-    if n >= _SPLIT_ROWS:
+    cut = _layer_cut(op.grid)
+    if cut:
         out = np.empty(n)  # zeroed by each thread that sums into it
-        half = n // 2
         # the upper rows keep their absolute offsets into indices and data
         if not _split(
-                (_zeroed_matvec, half, n, op.indptr, op.indices, op.data, m, out[:half]),
-                (_zeroed_matvec, n - half, n, op.indptr[half:], op.indices, op.data, m,
-                 out[half:])):
+                (_zeroed_matvec, cut, n, op.indptr, op.indices, op.data, m, out[:cut]),
+                (_zeroed_matvec, n - cut, n, op.indptr[cut:], op.indices, op.data, m,
+                 out[cut:])):
             _zeroed_matvec(n, n, op.indptr, op.indices, op.data, m, out)
         return out
     out = np.zeros(n)

@@ -539,6 +539,17 @@ def test_default_synthesized_observations_are_pinned(tmp_path):
                           0.49950776077759984, 0.16261246664882867, 0.22619169468358524)
 
 
+def test_negative_seed_exits_two_naming_it(tmp_path, capsys):
+    """A negative seed is a configuration error that names the key and its
+    value, not numpy's bare complaint about a generator seed."""
+    rc = main(["filter", "--n", "8,8", "--obs_times", "1", "--t_end", "1",
+               "--snapshot_times", "0", "--seed", "-1", "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "seed=-1" in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command, args, sub", [
     ("operator", ["--n", "8,8"], ""),
     ("operator", ["--n", "8,8", "--write_matrix", "true"], "sub"),

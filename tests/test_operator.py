@@ -560,6 +560,31 @@ def test_each_half_of_a_split_step_zeroes_its_rows(gate_op, monkeypatch):
         assert np.array_equal(_within(30, step, op, m), want)
 
 
+def test_a_split_step_cuts_at_the_layer_cut(monkeypatch):
+    """A split step cuts its rows where the assembly does, at
+    ``_layer_cut``: on a 256 x 257 pendulum, whose last axis is odd, the
+    lower half is 128 whole layers, not half the rows, and the step is still
+    scipy's ``op.matrix.T @ m`` bit for bit."""
+    g = build_grid(BoxDomain((-PI, -PI), (PI, PI)), (256, 257), ("periodic", "neumann"))
+    fx = compute_fluxes(pendulum_field(), g)
+    op = assemble(fx, max_stable_dt(fx, 0.1).dt_max)
+    cut = operator_module._layer_cut(g)
+    assert cut == 128 * 256 != g.ncells // 2
+    split = operator_module._split
+    halves = []
+
+    def recorded(lower, upper):
+        halves.append((len(lower[-1]), len(upper[-1])))
+        return split(lower, upper)
+
+    # a helper of the test's own, started on one CPU too
+    monkeypatch.setattr(operator_module, "_helper", functools.cache(operator_module._Helper))
+    monkeypatch.setattr(operator_module, "_split", recorded)
+    m = np.random.default_rng(4).random(g.ncells)
+    assert np.array_equal(_within(30, step, op, m), op.matrix.T @ m)
+    assert halves == [(cut, g.ncells - cut)]
+
+
 @pytest.mark.parametrize("where", ["helper", "caller"])
 def test_a_raising_half_fails_its_step_only(gate_op, where, monkeypatch):
     """An exception in either half of a split step reaches the caller, and
@@ -590,19 +615,18 @@ def test_a_raising_half_fails_its_step_only(gate_op, where, monkeypatch):
 
 
 @pytest.mark.parametrize("where", ["helper", "caller"])
-@pytest.mark.parametrize("stage", ["_count_rows", "_write_rows"])
-def test_a_raising_half_fails_its_assembly_only(gate_pendulum, stage, where, monkeypatch):
-    """An exception in either half of a split assembly, in its count pass or
-    in its write pass, reaches the caller, and the next assembly is the
-    one-thread build bit for bit, and steps as the plain mat-vec does.  The
-    helper is slow, so a completion signal of the failed split, read as the
-    next one's, would leave rows unwritten."""
+def test_a_raising_half_fails_its_assembly_only(gate_pendulum, where, monkeypatch):
+    """An exception in either half of a split assembly's write pass reaches
+    the caller, and the next assembly is the one-thread build bit for bit,
+    and steps as the plain mat-vec does.  The helper is slow, so a
+    completion signal of the failed split, read as the next one's, would
+    leave rows unwritten."""
     g, fx, _ = gate_pendulum
     dt = g.h[0] / (2 * PI + 1)
     with monkeypatch.context() as mp:
         mp.setattr(operator_module, "_helper", lambda: None)  # one thread
         want = assemble(fx, dt)
-    half = getattr(operator_module, stage)
+    half = operator_module._write_rows
     raised = []
 
     def raise_once(*args):
@@ -616,7 +640,7 @@ def test_a_raising_half_fails_its_assembly_only(gate_pendulum, stage, where, mon
 
     # a helper of the test's own, started on one CPU too
     monkeypatch.setattr(operator_module, "_helper", functools.cache(operator_module._Helper))
-    monkeypatch.setattr(operator_module, stage, raise_once)
+    monkeypatch.setattr(operator_module, "_write_rows", raise_once)
     with pytest.raises(RuntimeError, match=f"in the {where}'s half"):
         _within(30, assemble, fx, dt)
     op = _within(30, assemble, fx, dt)
@@ -674,16 +698,16 @@ def test_the_helper_keeps_no_arrays_alive(gate_pendulum, monkeypatch):
     gc.collect()
     assert all(ref() is None for ref in kept) and data() is None
 
-    count = operator_module._count_rows
+    write = operator_module._write_rows
 
     def raise_on_helper(*args):
         if threading.current_thread().name == "fpfvm-helper":
             raise RuntimeError("in the helper's half")
-        count(*args)
+        write(*args)
 
     fluxes = _copied(fx)
     kept = [weakref.ref(a) for a in (*fluxes.blocks, fluxes.outflow)]
-    monkeypatch.setattr(operator_module, "_count_rows", raise_on_helper)
+    monkeypatch.setattr(operator_module, "_write_rows", raise_on_helper)
     with pytest.raises(RuntimeError, match="in the helper's half"):
         assemble(fluxes, op.dt)
     del fluxes

@@ -354,18 +354,18 @@ def linear_fluxes():
 @given(fluxes=st.one_of(linear_fluxes(), random_fluxes()), frac=st.floats(0.01, 1.0),
        chunk=st.sampled_from([2, 5, 40, 1 << 16]))
 def test_split_assembly_is_bit_identical(fluxes, frac, chunk):
-    """Each thread counts and writes its own rows, in slabs of whole
-    last-axis layers and at most half of ``_WRITE_CHUNK`` rows (drawn small,
-    so slabs of one layer or of several end inside each half), also from
-    face blocks of extent 1 along some groups, where a thread's part of a
-    block may have no rows."""
+    """The calling thread counts every row, and each thread writes its own
+    rows, in slabs of whole last-axis layers and at most half of
+    ``_WRITE_CHUNK`` rows (drawn small, so slabs of one layer or of several
+    end inside each half), also from face blocks of extent 1 along some
+    groups, where a thread's part of a block may have no rows."""
     dt_max = max_stable_dt(fluxes, 0.0).dt_max
     dt = frac * dt_max if np.isfinite(dt_max) else frac
     want = assemble(fluxes, dt)  # below the gate: one thread
     with _split_every_call() as splits, pytest.MonkeyPatch.context() as mp:
         mp.setattr(operator_module, "_WRITE_CHUNK", chunk)
         op = assemble(fluxes, dt)
-    assert splits == [True, True]  # the count pass and the write pass
+    assert splits == [True]  # the write pass only
     for name in ("indptr", "indices", "data"):
         assert _same_bits(getattr(op, name), getattr(want, name))
     assert op.mass_conserving == want.mass_conserving

@@ -192,3 +192,34 @@ def test_a_lost_worker_falls_back_to_formatting_here(tmp_path, popen_calls, when
     save_density(dens, tmp_path / "d.csv")
     assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
     _assert_no_child()
+
+
+def test_a_worker_lost_within_a_text_leaves_it_to_the_caller(tmp_path, monkeypatch, capsys,
+                                                           popen_calls):
+    """A worker that stops within a text, after its first chunk, leaves that
+    snapshot and every later one to the caller: the run exits 0, every file
+    holds the bytes of a run without a worker, and no process is left."""
+    args = ["filter", "--n", "64,64", "--obs_times", "1", "--t_end", "1",
+            "--snapshot_times", "0,0.5,1"]
+    text = SnapshotWorker.text
+
+    def one_chunk_then_eof(self):
+        chunks = text(self)
+        if chunks is None:
+            return None
+
+        def broken():
+            yield next(chunks)
+            raise EOFError("the snapshot worker stopped within a text")
+
+        return broken()
+
+    monkeypatch.setattr(SnapshotWorker, "text", one_chunk_then_eof)
+    assert main([*args, "--out", str(tmp_path / "run")]) == 0
+    stdout = capsys.readouterr().out
+    assert len(popen_calls) == 1
+    _assert_no_child()
+    monkeypatch.setattr(subprocess, "Popen", _no_popen)
+    assert main([*args, "--out", str(tmp_path / "local")]) == 0
+    assert capsys.readouterr().out.replace("/local/", "/run/") == stdout
+    assert _files(tmp_path / "run") == _files(tmp_path / "local")
