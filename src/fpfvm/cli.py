@@ -35,7 +35,6 @@ from .bench import (
     write_convergence_csv,
 )
 from .density import (
-    Density,
     gaussian_pdf,
     load_density,
     normalize,
@@ -171,11 +170,12 @@ def _defaults(command: str) -> dict:
 
 
 def _read_config_file(path) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     out = {}
-    p = Path(path)
-    if not p.exists():
-        raise ValueError(f"config file {path} does not exist")
-    for lineno, line in enumerate(p.read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -258,13 +258,12 @@ def _prior_density(cfg, grid):
     if kind.startswith("file:"):
         path = kind.split(":", 1)[1]
         try:
-            dens, _ = load_density(path, bc=grid.bc)
+            dens, _ = load_density(path)
         except (OSError, ValueError) as exc:
             raise ValueError(f"cannot load prior from {path}: {exc}") from exc
         if dens.grid != grid:
-            raise ValueError(f"prior file {path} does not match the run grid")
-        # on the run grid, so the snapshot grid's geometry is not kept alive
-        return normalize(Density(dens.values, grid))
+            raise ValueError(f"prior file {path} holds {dens.grid!r}, not the run's {grid!r}")
+        return normalize(dens)
     if kind == "uniform":
         return uniform_density(grid)
     return normalize(project(_prior_pdf(cfg, grid.domain), grid, cfg["quadrature"]))

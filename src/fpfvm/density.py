@@ -348,13 +348,10 @@ def save_density(density: Density, path, t: float = 0.0, body=None) -> None:
         fh.writelines(body)
 
 
-def load_density(path, bc=None) -> tuple[Density, float]:
-    """Read a density snapshot written by :func:`save_density`.
-
-    The boundary kinds come from the file's ``# bc=`` line; a ``bc`` given as
-    well must name the same kinds.  A file without the line (written before
-    it existed) needs ``bc``.  Returns the density and its time tag.
-    """
+def load_density(path) -> tuple[Density, float]:
+    """Read a density snapshot written by :func:`save_density`: the density,
+    on the grid its header names, and its time tag.  A header without one of
+    the five lines, ``# bc=`` and ``# t=`` included, is malformed."""
     header = {}
     values = []
     with open(path) as fh:
@@ -370,19 +367,13 @@ def load_density(path, bc=None) -> tuple[Density, float]:
     try:
         d = int(header["d"])
         n = tuple(int(k) for k in header["n"].split(","))
-        bounds = [tuple(float(x) for x in part.split(","))
-                  for part in header["domain"].split(";")]
-        t = float(header.get("t", "0"))
+        bounds = [(float(lo), float(up)) for lo, up in
+                  (part.split(",") for part in header["domain"].split(";"))]
+        bc = header["bc"].split(",")
+        t = float(header["t"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed density file {path}: {exc}") from exc
     if len(n) != d or len(bounds) != d:
         raise ValueError(f"inconsistent header in density file {path}")
-    stored = tuple(header["bc"].split(",")) if "bc" in header else None
-    if bc is None and stored is None:
-        raise ValueError(f"density file {path} has no bc line; boundary kinds needed")
-    grid = build_grid(BoxDomain(tuple(b[0] for b in bounds), tuple(b[1] for b in bounds)),
-                      n, stored if bc is None else bc)
-    if stored is not None and grid.bc != stored:
-        raise ValueError(f"bc={','.join(grid.bc)} contradicts the bc={header['bc']} "
-                         f"of density file {path}")
+    grid = build_grid(BoxDomain(*zip(*bounds)), n, bc)
     return Density(np.asarray(values), grid), t

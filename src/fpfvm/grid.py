@@ -5,7 +5,8 @@ Conventions
 * Cell multi-indices map to flat indices with axis 0 varying fastest:
   ``flat = m[0] + n[0]*(m[1] + n[1]*m[2])``.
 * Every cell has measure ``prod(h)``; every face is normal to an axis and
-  has measure ``prod(h) / h[axis]``.
+  has measure ``prod(h) / h[axis]``.  These, the widths ``h`` and the box
+  volume are normal floats, or the grid is rejected.
 * A face is a ``(cell_a, cell_b)`` pair: ``cell_a`` is the lower cell along
   the face's axis, ``cell_b`` the upper one, and ``-1`` stands for the
   outside of the box.  A periodic wrap face has the last cell of the axis
@@ -75,7 +76,7 @@ class BoxDomain:
 
     @property
     def volume(self) -> float:
-        return float(np.prod(np.subtract(self.upper, self.lower)))
+        return math.prod(up - lo for lo, up in zip(self.lower, self.upper))
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,14 @@ class Grid:
             (up - lo) / k for lo, up, k in zip(domain.lower, domain.upper, n)
         )
         self.ncells = math.prod(n)
-        self.cell_volume = float(np.prod(self.h))
+        self.cell_volume = vol = math.prod(self.h)
+        # every measure the fluxes and masses divide by or scale with is a
+        # normal float: widths first, so no face measure divides by zero
+        tiny = np.finfo(float).tiny
+        if not (all(tiny <= m < math.inf for m in (*self.h, vol, domain.volume))
+                and all(tiny <= vol / w < math.inf for w in self.h)):
+            raise ValueError(f"cell widths {self.h} put a cell, face or box measure "
+                             "outside the normal float range")
         stops = {a: faces.stop for a, *_, faces in self.face_blocks()}
         self.face_offsets = (0, *stops.values())  # each axis's last block ends it
 

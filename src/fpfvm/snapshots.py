@@ -7,8 +7,8 @@ is the one statement that formats them.
 
 One ``%`` format call holds the GIL throughout, so a thread cannot format a
 snapshot while the filter steps; a second interpreter can.
-:class:`SnapshotWorker` starts one, ``python -I -S -c <this file's source>``,
-at the first snapshot of a run.  On its input each snapshot arrives as an
+:class:`SnapshotWorker` starts one, ``python -I -S <this file>``, at the
+first snapshot of a run.  On its input each snapshot arrives as an
 8-byte little-endian byte count and the raw float64 values; the worker
 formats them and keeps the ASCII text.  At the end of its input it writes
 every text back, as its byte count and its bytes, in arrival order.  The
@@ -70,9 +70,7 @@ class SnapshotWorker:
             if self._proc is None:
                 import subprocess  # only a run that takes a snapshot pays for it
 
-                with open(__file__, encoding="ascii") as fh:
-                    source = fh.read()
-                self._proc = subprocess.Popen([sys.executable, "-I", "-S", "-c", source],
+                self._proc = subprocess.Popen([sys.executable, "-I", "-S", __file__],
                                               stdin=subprocess.PIPE, stdout=subprocess.PIPE)
                 try:  # room for whole snapshots: a send need not wait for the worker
                     import fcntl

@@ -163,6 +163,27 @@ def test_stationary_keys_are_gone(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["directory", "missing", "not utf-8", "no equals sign"])
+def test_unreadable_config_exits_two_naming_it(tmp_path, capsys, kind):
+    """A config path that is a directory, that does not exist, or whose text
+    is not UTF-8, and a config line that is not ``key=value``, are
+    configuration errors that name the file, not a traceback."""
+    cfg = tmp_path / "run.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not utf-8":
+        cfg.write_bytes(b"n = 8,8\n# \xff\n")
+    elif kind == "no equals sign":
+        cfg.write_text("n = 8,8\nxi 0.25\n")
+    out = tmp_path / "out"
+    assert main(["operator", "--n", "8,8", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}:2: expected key=value" if kind == "no equals sign"
+                          else f"config error: cannot read config file {cfg}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 6.71 GiB for an array")
@@ -235,17 +256,21 @@ def test_filter_small_run(tmp_path, capsys):
     assert (tmp_path / "observations.csv").exists()
     assert (tmp_path / "snapshot_00.csv").exists()
     assert (tmp_path / "snapshot_01.csv").exists()
-    dens, t = load_density(tmp_path / "snapshot_01.csv", bc=("periodic", "neumann"))
+    dens, t = load_density(tmp_path / "snapshot_01.csv")
     assert dens.mass == pytest.approx(1.0, abs=1e-10)
     assert t > 0
 
 
-def test_filter_rejects_bad_observation_file(tmp_path):
+def test_filter_rejects_bad_observation_file(tmp_path, capsys):
     obs = tmp_path / "obs.csv"
-    obs.write_text("t,z\n1.0,0.3\n0.5,0.2\n")  # times not increasing
-    rc = main(["filter", "--out", str(tmp_path), "--n", "8,8",
-               "--obs", f"file:{obs}"])
-    assert rc == 2
+    # times not increasing: the last before the first, or one repeated
+    for times in ("1.0,0.3\n0.5,0.2\n", "1.0,0.3\n2.0,0.1\n2.0,0.2\n"):
+        obs.write_text("t,z\n" + times)
+        rc = main(["filter", "--out", str(tmp_path / "run"), "--n", "8,8",
+                   "--obs", f"file:{obs}"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"config error: bad observation file {obs}: ")
+    assert not (tmp_path / "run").exists()
 
 
 def test_filter_rejects_non_finite_observation_value(tmp_path, capsys):
@@ -279,8 +304,8 @@ def test_filter_file_prior_roundtrip(tmp_path):
                "--obs_times", "", "--t_end", "0", "--snapshot_times", "0",
                "--prior", f"file:{run1 / 'snapshot_00.csv'}"])
     assert rc == 0
-    a, _ = load_density(run1 / "snapshot_00.csv", bc=("periodic", "neumann"))
-    b, _ = load_density(run2 / "snapshot_00.csv", bc=("periodic", "neumann"))
+    a, _ = load_density(run1 / "snapshot_00.csv")
+    b, _ = load_density(run2 / "snapshot_00.csv")
     assert np.abs(a.values - b.values).max() <= 1e-12 * a.values.max()
 
 
@@ -294,8 +319,20 @@ def test_filter_rejects_file_prior_of_other_boundary_kinds(tmp_path, capsys):
     rc = main(args + ["--out", str(tmp_path / "b"), "--bc", "periodic,periodic",
                       "--prior", f"file:{run1 / 'snapshot_00.csv'}"])
     assert rc == 2
-    assert "contradicts the bc=periodic,neumann" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "holds Grid(n=(8, 8), bc=('periodic', 'neumann')," in err
+    assert "not the run's Grid(n=(8, 8), bc=('periodic', 'periodic')," in err
     assert not (tmp_path / "b" / "report.csv").exists()
+
+
+def test_filter_uniform_prior_is_the_first_snapshot(tmp_path):
+    """``filter --prior uniform`` starts from the constant density of unit mass."""
+    g = build_grid(BoxDomain((-PI, -PI), (PI, PI)), (6, 6), ("periodic", "neumann"))
+    assert main(["filter", "--out", str(tmp_path), "--n", "6,6", "--prior", "uniform",
+                 "--obs_times", "", "--t_end", "0", "--snapshot_times", "0"]) == 0
+    dens, t = load_density(tmp_path / "snapshot_00.csv")
+    assert t == 0 and dens.grid == g
+    assert np.array_equal(dens.values, uniform_density(g).values)
 
 
 def test_filter_rejects_negative_file_prior(tmp_path, capsys):
@@ -356,6 +393,17 @@ def test_filter_rejects_negative_file_prior(tmp_path, capsys):
     ["converge", "--n_list", "8,16", "--prior_cov", "1e308"],
     ["filter", "--n", "8,8", "--prior_cov", "1e308"],
     ["converge", "--n_list", "8,16", "--t_final", "0.1", "--prior_cov", "1e-200"],
+    # a box whose cell width rounds to zero, whose cell volume underflows,
+    # whose cell width is subnormal, or whose cell volume overflows
+    ["operator", "--n", "4,4", "--domain", "0:5e-324,0:1"],
+    ["operator", "--n", "8,8", "--domain", "0:1e-200,0:1e-200"],
+    ["operator", "--n", "8,8", "--domain", "0:1,0:1e-320"],
+    ["operator", "--n", "8,8", "--domain", "0:1e300,0:1e300"],
+    # a prior mean of the wrong dimension, and a prior of no known kind
+    ["filter", "--n", "8,8", "--prior_mean", "0,0,0"],
+    ["filter", "--n", "8,8", "--prior", "cauchy"],
+    # an observation source that is neither synthesized nor a file
+    ["filter", "--n", "8,8", "--obs", "stdin"],
 ])
 def test_library_rejections_exit_two(tmp_path, capsys, args):
     rc = main(args + ["--out", str(tmp_path)])

@@ -122,6 +122,7 @@ def test_l1_cross_grid_hand_value():
     b = Density(np.array([1.0, 2.0, 2.0, 4.0]), gf)
     # prolonged a = (1,1,3,3); |diff| = (0,1,1,1) times cell width 1/4
     assert l1_distance(a, b) == pytest.approx(0.75, rel=1e-14)
+    assert l1_distance(b, a) == l1_distance(a, b)  # the finer one first
     g3 = build_grid(dom, (3,), ("neumann",))
     with pytest.raises(ValueError):
         l1_distance(a, Density(np.ones(3), g3))
@@ -259,29 +260,42 @@ def test_density_file_roundtrip(tmp_path):
     d = Density(rng.random(g.ncells) * 1e3, g)
     path = tmp_path / "dens.csv"
     save_density(d, path, t=PI / 3)
-    back, t = load_density(path, bc=g.bc)
+    back, t = load_density(path)
     assert t == PI / 3
-    assert back.grid == g
+    assert back.grid == g  # the kinds come from the file
     assert np.array_equal(back.values, d.values)  # 17 digits round-trip exactly
     assert f"# bc={','.join(g.bc)}\n" in path.read_text()
-    assert load_density(path)[0].grid == g  # the kinds come from the file
 
 
 def test_density_file_bc_line(tmp_path):
     g = _grid2(4)
     path = tmp_path / "dens.csv"
     save_density(uniform_density(g), path)
-    other = tuple(reversed(g.bc))
-    assert other != g.bc
-    with pytest.raises(ValueError, match="contradicts"):
-        load_density(path, bc=other)
-    # a file written before the bc line existed still needs bc
     old = tmp_path / "old.csv"
     old.write_text("".join(ln for ln in path.read_text().splitlines(keepends=True)
                            if not ln.startswith("# bc=")))
-    with pytest.raises(ValueError, match="no bc line"):
+    with pytest.raises(ValueError, match="malformed density file"):
         load_density(old)
-    assert load_density(old, bc=other)[0].grid.bc == other
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("t", None, "malformed density file"),  # every snapshot carries its time
+    ("n", "4,x", "malformed density file"),
+    ("d", "3", "inconsistent header"),
+    ("domain", "0,1", "inconsistent header"),  # one axis of a 2D box
+    ("domain", "0;1", "malformed density file"),  # two axes of one bound each
+])
+def test_density_file_bad_header(tmp_path, key, value, match):
+    """A header line that is missing, does not parse, or disagrees with the
+    others is a ``ValueError`` that names the file."""
+    path = tmp_path / "dens.csv"
+    save_density(uniform_density(_grid2(4)), path)
+    lines = [ln if not ln.startswith(f"# {key}=") else
+             "" if value is None else f"# {key}={value}\n"
+             for ln in path.read_text().splitlines(keepends=True)]
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"{match} .*dens.csv"):
+        load_density(path)
 
 
 def test_density_validation():

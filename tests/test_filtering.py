@@ -141,6 +141,13 @@ def test_bayes_update_rejects_values_off_the_cube(shape):
         bayes_update(prior.values, g, lambda z, xs: np.zeros(shape), 1.0, 0.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_bayes_update_rejects_nan_and_plus_inf(value):
+    _, g, _, prior = _pendulum_setup(6)
+    with pytest.raises(ValueError, match="NaN or \\+inf"):
+        bayes_update(prior.values, g, lambda z, xs: np.where(xs[0] > 0, value, 0.0), 1.0, 0.0)
+
+
 def test_predict_basics():
     _, g, op, prior = _pendulum_setup(12)
     vol = g.cell_volume
@@ -260,6 +267,11 @@ def test_run_filter_validation():
     with pytest.raises(ValueError, match="min_prominence"):
         run_filter(prior, op, model, ObservationSequence((), ()), t_end=1.0,
                    min_prominence=float("nan"))
+    # with dt = 1 an observation at 3.5 snaps to step 4, a t_end just short
+    # of it (within the 1e-12 slack) to step 3
+    unit = assemble(compute_fluxes(constant_field([0.0, 0.0]), g), 1.0)
+    with pytest.raises(ValueError, match="snaps to step 3, before an event"):
+        run_filter(prior, unit, model, ObservationSequence((3.5,), (0.1,)), t_end=3.5 - 1e-13)
 
 
 def test_run_filter_history_and_snaps():
