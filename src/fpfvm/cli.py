@@ -11,8 +11,8 @@ decimals.
 Exit codes: 0 success, 1 verification failed (the assembled matrix has a
 negative entry or a row sum off one; with Dirichlet outflow, a row sum above
 one), 2 configuration error (a run that does not fit in memory, and an
-``out`` that cannot be made a directory, included), 3 step-size (CFL)
-violation, 4 zero evidence.
+``out`` that cannot be made a directory or written into, included), 3
+step-size (CFL) violation, 4 zero evidence.
 The parsers only turn strings into values, and :func:`load_config` names the
 key of any value that does not parse.  Every library argument in a run comes
 from the configuration, so any ``ValueError`` the library raises is reported
@@ -26,6 +26,7 @@ import argparse
 import math
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .bench import (
@@ -40,6 +41,7 @@ from .density import (
     normalize,
     project,
     save_density,
+    snapshot_header,
     uniform_density,
 )
 from .filtering import (
@@ -269,13 +271,17 @@ def _prior_density(cfg, grid):
     return normalize(project(_prior_pdf(cfg, grid.domain), grid, cfg["quadrature"]))
 
 
-def _outdir(cfg) -> Path:
+@contextmanager
+def _outdir(cfg):
+    """The ``out`` directory, made if need be, for a block that writes into
+    it: an ``OSError`` of either is a bad ``out``.  The blocks print nothing,
+    so a closed stdout is not blamed on ``out``."""
     out = Path(cfg["out"])
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a regular file on the path, or no permission
+        yield out
+    except OSError as exc:
         raise ValueError(f"bad value for 'out': {exc}") from exc
-    return out
 
 
 def cmd_operator(cfg) -> int:
@@ -287,9 +293,10 @@ def cmd_operator(cfg) -> int:
     print(f"markov: min_entry={mk.min_entry:.17g} "
           f"max_row_sum_err={mk.max_row_sum_err:.17g} is_markov={mk.is_markov}")
     print(f"mass_conserving: {op.mass_conserving}")
-    out = _outdir(cfg)
+    with _outdir(cfg) as out:
+        if cfg["write_matrix"]:
+            export_operator(op, out / "operator.txt")
     if cfg["write_matrix"]:
-        export_operator(op, out / "operator.txt")
         print(f"wrote {out / 'operator.txt'}")
     return 0 if mk.is_markov else 1
 
@@ -306,10 +313,10 @@ def cmd_converge(cfg) -> int:
         dt_over_h=cfg["dt_over_h"], quadrature=cfg["quadrature"],
         normalize_prior=cfg["normalize_prior"],
     )
-    out = _outdir(cfg)
-    write_convergence_csv(rows, out / "convergence.csv")
     table = format_convergence_table(rows)
-    (out / "convergence.txt").write_text(table + "\n")
+    with _outdir(cfg) as out:
+        write_convergence_csv(rows, out / "convergence.csv")
+        (out / "convergence.txt").write_text(table + "\n")
     print(table)
     print(f"wrote {out / 'convergence.csv'}")
     return 0
@@ -337,26 +344,27 @@ def cmd_filter(cfg) -> int:
     else:
         raise ValueError(f"obs must be 'synthesize' or 'file:<path>', got {source!r}")
 
-    # a worker process formats the snapshots while the run steps; nothing is
-    # written until the library has accepted every argument
+    # a worker process formats the snapshots while the run steps and writes
+    # them; nothing is written until the library has accepted every argument
     with SnapshotWorker() as worker:
         state = run_filter(prior, op, model, obs, cfg["t_end"],
                            min_prominence=cfg["min_prominence"],
                            snapshot_times=cfg["snapshot_times"], on_snapshot=worker.send)
-        out = _outdir(cfg)
-        if source == "synthesize":
-            write_observations(obs, out / "observations.csv")
-            print(f"wrote {out / 'observations.csv'}")
-        write_run_report(state, out / "report.csv")
-        print(f"wrote {out / 'report.csv'}")
-        for i, (t, dens) in enumerate(state.snapshots):
-            path = out / f"snapshot_{i:02d}.csv"
-            try:
-                save_density(dens, path, t=t, body=worker.text())
-            except EOFError:  # the worker died within the text: format it here
-                worker.close()
-                save_density(dens, path, t=t)
-            print(f"wrote {path} (t={t:.17g})")
+        with _outdir(cfg) as out:
+            if source == "synthesize":
+                write_observations(obs, out / "observations.csv")
+            write_run_report(state, out / "report.csv")
+            snaps = [(out / f"snapshot_{i:02d}.csv", t, dens)
+                     for i, (t, dens) in enumerate(state.snapshots)]
+            if not worker.commit([(path, snapshot_header(dens.grid, t))
+                                  for path, t, dens in snaps]):
+                for path, t, dens in snaps:
+                    save_density(dens, path, t=t)
+    if source == "synthesize":
+        print(f"wrote {out / 'observations.csv'}")
+    print(f"wrote {out / 'report.csv'}")
+    for path, t, _ in snaps:
+        print(f"wrote {path} (t={t:.17g})")
     print(f"final: t={state.time:.17g} log_evidence={state.log_evidence:.17g} "
           f"modes={state.history.mode_count[-1]}")
     return 0

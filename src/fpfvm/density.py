@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import PERIODIC, BoxDomain, Grid, build_grid, mesh
-from .snapshots import format_values
+from .snapshots import format_values, write_snapshot
 from .velocity import tensor_rule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Density:
     """Piecewise-constant density on a grid; immutable snapshot."""
 
@@ -151,7 +151,7 @@ def l1_distance(a: Density, b: Density) -> float:
     return float(np.abs(a.values - b.values).sum() * b.grid.cell_volume)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Moments:
     mean: np.ndarray
     covariance: np.ndarray
@@ -322,16 +322,9 @@ def _count_modes_rows(rows: np.ndarray, periodic: bool,
     return counts
 
 
-def save_density(density: Density, path, t: float = 0.0, body=None) -> None:
-    """Write a density snapshot as CSV with a geometry header (dimension, cells,
-    box, boundary kinds and time).
-
-    Values carry 17 significant digits (:func:`format_values`), so reading
-    the file back reproduces them exactly.  ``body``, if given, is those
-    lines already formatted, as ASCII byte chunks (the filter's snapshot
-    worker streams them); otherwise they are formatted here.
-    """
-    grid = density.grid
+def snapshot_header(grid: Grid, t: float) -> bytes:
+    """A snapshot file's geometry header: dimension, cells, box, boundary
+    kinds and time, one ``#`` line each."""
     dom = grid.domain
     header = [
         f"# d={dom.d}",
@@ -341,11 +334,15 @@ def save_density(density: Density, path, t: float = 0.0, body=None) -> None:
         "# bc=" + ",".join(grid.bc),
         f"# t={t:.17g}",
     ]
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("ascii"))
-        if body is None:
-            body = (format_values(density.values.tolist()).encode("ascii"),)
-        fh.writelines(body)
+    return ("\n".join(header) + "\n").encode("ascii")
+
+
+def save_density(density: Density, path, t: float = 0.0) -> None:
+    """Write a density snapshot as CSV: :func:`snapshot_header`, then the
+    values with 17 significant digits (:func:`~fpfvm.snapshots.format_values`),
+    so reading the file back reproduces them exactly."""
+    write_snapshot(path, snapshot_header(density.grid, t),
+                   format_values(density.values.tolist()).encode("ascii"))
 
 
 def load_density(path) -> tuple[Density, float]:

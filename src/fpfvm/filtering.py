@@ -69,7 +69,7 @@ class ObservationSequence:
         return len(self.times)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class History:
     """Summary columns of a filter run: one row per step and per update."""
 
@@ -88,7 +88,7 @@ class SnapRecord:
     dist: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterState:
     """Posterior density with time stamp, evidence, and summary history."""
 

@@ -79,7 +79,7 @@ class BoxDomain:
         return math.prod(up - lo for lo, up in zip(self.lower, self.upper))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeTable:
     """All mesh faces as (lower, upper) cell pairs, in the grid's face order."""
 

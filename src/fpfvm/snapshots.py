@@ -1,25 +1,24 @@
-"""Snapshot formatting, in the calling process or in one worker process.
+"""Snapshot files, written by the calling process or by one worker process.
 
-A snapshot file holds one ``%.17g`` line per cell value (17 significant
-digits, so reading the file back reproduces every value) behind the geometry
-header that :func:`fpfvm.density.save_density` writes; :func:`format_values`
-is the one statement that formats them.
+A snapshot file is the geometry header of
+:func:`fpfvm.density.snapshot_header`, then one ``%.17g`` line per value (17
+significant digits, so reading the file back reproduces every value):
+:func:`format_values` formats them and :func:`write_snapshot` writes a file.
 
 One ``%`` format call holds the GIL throughout, so a thread cannot format a
 snapshot while the filter steps; a second interpreter can.
 :class:`SnapshotWorker` starts one, ``python -I -S <this file>``, at the
-first snapshot of a run.  On its input each snapshot arrives as an
-8-byte little-endian byte count and the raw float64 values; the worker
-formats them and keeps the ASCII text.  At the end of its input it writes
-every text back, as its byte count and its bytes, in arrival order.  The
-worker program is this file, so the module imports nothing at its top but
-``sys``.
+first snapshot of a run.  On its input each snapshot arrives as an 8-byte
+little-endian byte count and the raw float64 values, which it formats at
+once.  A zero count starts the commit, up to the end of the input: each
+file's path and header, NUL-separated.  The worker writes the files and
+exits 0; the parent reads nothing back.  The worker program is this file,
+so the module imports nothing at its top but ``sys``.
 """
 
 import sys
 
 _COUNT = 8  # bytes of a length prefix
-_CHUNK = 1 << 16  # bytes of a text moved at a time, one default pipe's worth
 _PIPE_BYTES = 1 << 20  # the input pipe's size, Linux's default cap for it
 
 
@@ -29,27 +28,31 @@ def format_values(values) -> str:
     return "%.17g\n" * len(values) % values
 
 
-def _serve(inp, out) -> None:
-    """The worker's loop: format every snapshot read from ``inp``, then write
-    the texts to ``out``."""
+def write_snapshot(path, header: bytes, body: bytes) -> None:
+    """Write one snapshot file: its header bytes, then its body bytes."""
+    with open(path, "wb") as fh:
+        fh.writelines((header, body))
+
+
+def _serve(inp) -> None:
+    """The worker's loop: format each snapshot read from ``inp`` as it
+    arrives, then write each into the file the commit names."""
     texts = []
-    while head := inp.read(_COUNT):
-        data = inp.read(int.from_bytes(head, "little"))
-        texts.append(format_values(memoryview(data).cast("d").tolist()).encode("ascii"))
-    for text in texts:
-        out.write(len(text).to_bytes(_COUNT, "little"))
-        out.write(text)
-    out.flush()
+    while size := int.from_bytes(inp.read(_COUNT), "little"):
+        texts.append(format_values(memoryview(inp.read(size)).cast("d").tolist()).encode("ascii"))
+    commit = inp.read().split(b"\0")
+    for text, path, header in zip(texts, commit[::2], commit[1::2], strict=True):
+        write_snapshot(path, header, text)
 
 
 class SnapshotWorker:
     """The parent's end of one worker interpreter.
 
     :meth:`send` is a ``run_filter`` ``on_snapshot`` callback; after the run,
-    :meth:`text` returns each snapshot's body in the order sent.  If the
-    worker cannot start or dies while the run goes on, every body is
-    formatted in the caller instead (``text`` returns ``None``).  Leaving the
-    ``with`` block stops and reaps the worker, wherever the run stands.
+    :meth:`commit` has the worker write every snapshot sent, or returns
+    False, and the caller writes every file, if the worker could not start,
+    died during the run or failed while writing.  Leaving the ``with`` block
+    stops and reaps the worker, wherever the run stands.
     """
 
     def __init__(self):
@@ -70,8 +73,9 @@ class SnapshotWorker:
             if self._proc is None:
                 import subprocess  # only a run that takes a snapshot pays for it
 
-                self._proc = subprocess.Popen([sys.executable, "-I", "-S", __file__],
-                                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+                self._proc = subprocess.Popen(  # a failing worker prints nothing
+                    [sys.executable, "-I", "-S", __file__], stdin=subprocess.PIPE,
+                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
                 try:  # room for whole snapshots: a send need not wait for the worker
                     import fcntl
 
@@ -86,30 +90,25 @@ class SnapshotWorker:
             self.close()
             self._failed = True
 
-    def text(self):
-        """The next snapshot's body as ASCII byte chunks, or ``None`` where
-        the caller must format it."""
+    def commit(self, files) -> bool:
+        """Have the worker write the snapshots sent, in order, one to each
+        ``(path, header)`` of ``files``, and wait for it: True if it wrote
+        them all, False if the caller must write every file."""
         proc = self._proc
         if proc is None:
-            return None
-        try:
-            proc.stdin.close()  # end of input: the worker starts writing
-            head = proc.stdout.read(_COUNT)
-        except OSError:
-            head = b""
-        if len(head) < _COUNT:
-            self.close()
-            return None
-        return self._chunks(proc.stdout, int.from_bytes(head, "little"))
+            return False
+        import os
 
-    @staticmethod
-    def _chunks(pipe, size: int):
-        while size:
-            chunk = pipe.read(min(size, _CHUNK))
-            if not chunk:
-                raise EOFError("the snapshot worker stopped within a text")
-            size -= len(chunk)
-            yield chunk
+        try:
+            proc.stdin.write(bytes(_COUNT) + b"\0".join(
+                field for path, header in files
+                for field in (os.fsencode(os.path.abspath(path)), header)))
+            proc.stdin.close()  # end of input: the worker writes and exits
+            return proc.wait() == 0
+        except OSError:  # the worker is gone
+            return False
+        finally:
+            self.close()
 
     def close(self) -> None:
         """Stop and reap the worker, if one runs."""
@@ -117,13 +116,12 @@ class SnapshotWorker:
         if proc is None:
             return
         proc.kill()
-        for pipe in (proc.stdin, proc.stdout):
-            try:
-                pipe.close()
-            except OSError:  # bytes left for a worker that is gone
-                pass
+        try:
+            proc.stdin.close()
+        except OSError:  # bytes left for a worker that is gone
+            pass
         proc.wait()
 
 
 if __name__ == "__main__":  # the worker interpreter
-    _serve(sys.stdin.buffer, sys.stdout.buffer)
+    _serve(sys.stdin.buffer)

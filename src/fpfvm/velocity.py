@@ -50,7 +50,7 @@ class VelocityField:
     dim: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeFluxes:
     """Per-face fluxes, one array per block of ``grid.face_blocks()``.
 

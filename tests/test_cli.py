@@ -614,3 +614,25 @@ def test_unusable_out_exits_two(tmp_path, capsys, command, args, sub):
     assert main([command, *args, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: bad value for 'out': ")
     assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("args, blocked", [
+    (["filter", "--n", "8,8", "--obs_times", "1", "--t_end", "1", "--snapshot_times", "0"],
+     "report.csv"),
+    (["filter", "--n", "8,8", "--obs_times", "1", "--t_end", "1", "--snapshot_times", "0"],
+     "snapshot_00.csv"),
+    (["operator", "--n", "8,8", "--write_matrix", "true"], "operator.txt"),
+    (["converge", "--n_list", "8,16", "--t_final", "0.1"], "convergence.csv"),
+])
+def test_an_output_file_that_cannot_be_written_exits_two(tmp_path, capsys, args, blocked):
+    """A directory in place of an output file is a bad ``out``: exit 2 with
+    one ``config error:`` line naming the key, not a traceback (exit 1), and
+    no process left behind (the snapshot worker fails writing, and so does
+    the caller after it)."""
+    (tmp_path / blocked).mkdir()
+    assert main([*args, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad value for 'out': ") and err.count("\n") == 1
+    assert blocked in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

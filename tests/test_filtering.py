@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,21 @@ def test_run_filter_on_snapshot_sees_each_snapshot_in_order():
     assert [t for t, _ in seen] == [0.0, 2 * op.dt, 5 * op.dt, 9 * op.dt]
     assert len(seen) == len(state.snapshots)
     assert all(a[1] is b[1] for a, b in zip(seen, state.snapshots))
+
+
+def test_array_holders_compare_and_hash_by_identity():
+    """The frozen dataclasses that hold arrays compare and hash by identity:
+    two equal uniform densities are unequal without an ambiguous-truth
+    error, and each object hashes."""
+    _, g, op, prior = _pendulum_setup(8)
+    a, b = uniform_density(g), uniform_density(g)
+    assert a == a and a != b and np.array_equal(a.values, b.values)
+    state = run_filter(prior, op, gaussian_abs_position_model(0.1),
+                       ObservationSequence((2 * op.dt,), (0.3,)), t_end=3 * op.dt)
+    fluxes = compute_fluxes(pendulum_field(), g)
+    for obj in (a, moments(a), state.history, state, fluxes, g.edges):
+        assert obj == obj and obj in {obj}
+        assert obj != dataclasses.replace(obj)
 
 
 def test_run_filter_no_observations():

@@ -1,10 +1,11 @@
 """Snapshot files of ``fpfvm filter``: their bytes, and the worker process
-that formats them while the step loop runs.
+that formats and writes them.
 
 A filter run hands each captured snapshot to one worker interpreter, which
-formats the values while the parent keeps stepping; the parent writes the
-files only after the run is accepted.  Every file must hold the bytes that
-``save_density`` writes in-process, and no run may leave a process behind.
+formats the values while the parent keeps stepping; once the run is
+accepted the parent commits each file's path and header, and the worker
+writes the files.  Every file must hold the bytes that ``save_density``
+writes in-process, and no run may leave a process behind.
 """
 
 import os
@@ -18,6 +19,7 @@ import pytest
 import fpfvm
 from fpfvm import Density, load_density, save_density
 from fpfvm.cli import main
+from fpfvm.density import snapshot_header
 from fpfvm.grid import BoxDomain, build_grid
 from fpfvm.snapshots import SnapshotWorker
 
@@ -83,17 +85,22 @@ def test_save_density_edge_values(tmp_path):
                     + EDGE_LINES)
 
 
+def _commit(worker, paths, dens):
+    return worker.commit([(p, snapshot_header(dens.grid, t)) for t, p in enumerate(paths)])
+
+
 def test_worker_formats_edge_values(tmp_path):
     dens = _edge_density()
+    paths = [tmp_path / f"w{t}.csv" for t in range(3)]
     with SnapshotWorker() as worker:
-        worker.send(0.0, dens)
-        worker.send(1.0, dens)
-        bodies = [b"".join(worker.text()) for _ in range(2)]
-        save_density(dens, tmp_path / "w.csv", t=1 / 3, body=worker.text())
-    assert bodies == [EDGE_LINES.encode("ascii")] * 2
-    save_density(dens, tmp_path / "d.csv", t=1 / 3)
-    assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+        for t in range(3):
+            worker.send(t, dens)
+        assert _commit(worker, paths, dens)
     _assert_no_child()
+    for t, path in enumerate(paths):
+        save_density(dens, tmp_path / "d.csv", t=t)
+        assert path.read_bytes() == (tmp_path / "d.csv").read_bytes()
+        assert path.read_text().endswith(f"# t={t}\n" + EDGE_LINES)
 
 
 def _assert_no_child():
@@ -176,10 +183,10 @@ def test_import_starts_no_subprocess_machinery():
 
 @pytest.mark.parametrize("when", ["during the run", "after the run"])
 def test_a_lost_worker_falls_back_to_formatting_here(tmp_path, popen_calls, when):
-    """A worker that dies leaves every body to the caller, and no second
-    worker starts: ``text`` returns ``None``, and the file holds the same
-    bytes."""
+    """A worker that dies writes nothing, and no second worker starts: the
+    commit reports failure, which leaves every file to the caller."""
     dens = _edge_density()
+    paths = [tmp_path / f"w{t}.csv" for t in range(3)]
     with SnapshotWorker() as worker:
         worker.send(0.0, dens)
         worker._proc.kill()
@@ -187,40 +194,54 @@ def test_a_lost_worker_falls_back_to_formatting_here(tmp_path, popen_calls, when
         if when == "during the run":
             worker.send(1.0, dens)  # into a pipe without a reader
             worker.send(2.0, dens)
-        assert worker.text() is None
+        assert not _commit(worker, paths, dens)
         assert len(popen_calls) == 1
-        save_density(dens, tmp_path / "w.csv", body=worker.text())
-    save_density(dens, tmp_path / "d.csv")
-    assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+    assert not any(p.exists() for p in paths)
     _assert_no_child()
 
 
-def test_a_worker_lost_within_a_text_leaves_it_to_the_caller(tmp_path, monkeypatch, capsys,
-                                                           popen_calls):
-    """A worker that stops within a text, after its first chunk, leaves that
-    snapshot and every later one to the caller: the run exits 0, every file
-    holds the bytes of a run without a worker, and no process is left."""
+def test_a_worker_that_fails_writing_leaves_the_files_to_the_caller(tmp_path, monkeypatch,
+                                                                    capsys, popen_calls):
+    """A directory in place of the second file, there only while the worker
+    writes, stops the worker after the first: the commit reports failure,
+    the run exits 0, every file holds the bytes of a run without a worker,
+    and no process is left."""
     args = ["filter", "--n", "64,64", "--obs_times", "1", "--t_end", "1",
             "--snapshot_times", "0,0.5,1"]
-    text = SnapshotWorker.text
+    commit = SnapshotWorker.commit
+    results = []
 
-    def one_chunk_then_eof(self):
-        chunks = text(self)
-        if chunks is None:
-            return None
+    def blocked_commit(self, files):
+        blocker = Path(files[1][0])
+        blocker.mkdir()
+        results.append(commit(self, files))
+        assert Path(files[0][0]).exists() and not Path(files[2][0]).exists()
+        blocker.rmdir()
+        return results[-1]
 
-        def broken():
-            yield next(chunks)
-            raise EOFError("the snapshot worker stopped within a text")
-
-        return broken()
-
-    monkeypatch.setattr(SnapshotWorker, "text", one_chunk_then_eof)
+    monkeypatch.setattr(SnapshotWorker, "commit", blocked_commit)
     assert main([*args, "--out", str(tmp_path / "run")]) == 0
     stdout = capsys.readouterr().out
+    assert results == [False]
     assert len(popen_calls) == 1
     _assert_no_child()
+    monkeypatch.setattr(SnapshotWorker, "commit", commit)
     monkeypatch.setattr(subprocess, "Popen", _no_popen)
     assert main([*args, "--out", str(tmp_path / "local")]) == 0
     assert capsys.readouterr().out.replace("/local/", "/run/") == stdout
     assert _files(tmp_path / "run") == _files(tmp_path / "local")
+
+
+def test_snapshot_files_are_numbered_in_time_order(tmp_path, capsys):
+    """``snapshot_XX.csv`` files follow the snapped times, whatever the order
+    of ``snapshot_times``; the report's ``# snapped snapshot`` lines keep the
+    list's order."""
+    assert main(["filter", "--n", "8,8", "--obs_times", "0.5", "--t_end", "1",
+                 "--snapshot_times", "1,0", "--out", str(tmp_path)]) == 0
+    snapped = [dict(kv.split("=") for kv in line.split()[3:])
+               for line in (tmp_path / "report.csv").read_text().splitlines()
+               if line.startswith("# snapped snapshot ")]
+    assert [s["requested"] for s in snapped] == ["1", "0"]
+    times = [load_density(tmp_path / f"snapshot_{i:02d}.csv")[1] for i in range(2)]
+    assert times == [0.0, float(snapped[0]["used"])]
+    assert (tmp_path / "snapshot_00.csv").read_text().splitlines()[4] == "# t=0"
