@@ -41,7 +41,6 @@ from .density import (
     normalize,
     project,
     save_density,
-    snapshot_header,
     uniform_density,
 )
 from .filtering import (
@@ -64,7 +63,6 @@ from .operator import (
     max_stable_dt,
     verify_markov,
 )
-from .snapshots import SnapshotWorker
 from .velocity import compute_fluxes, field_from_name
 
 _PI = math.pi
@@ -344,22 +342,18 @@ def cmd_filter(cfg) -> int:
     else:
         raise ValueError(f"obs must be 'synthesize' or 'file:<path>', got {source!r}")
 
-    # a worker process formats the snapshots while the run steps and writes
-    # them; nothing is written until the library has accepted every argument
-    with SnapshotWorker() as worker:
-        state = run_filter(prior, op, model, obs, cfg["t_end"],
-                           min_prominence=cfg["min_prominence"],
-                           snapshot_times=cfg["snapshot_times"], on_snapshot=worker.send)
-        with _outdir(cfg) as out:
-            if source == "synthesize":
-                write_observations(obs, out / "observations.csv")
-            write_run_report(state, out / "report.csv")
-            snaps = [(out / f"snapshot_{i:02d}.csv", t, dens)
-                     for i, (t, dens) in enumerate(state.snapshots)]
-            if not worker.commit([(path, snapshot_header(dens.grid, t))
-                                  for path, t, dens in snaps]):
-                for path, t, dens in snaps:
-                    save_density(dens, path, t=t)
+    state = run_filter(prior, op, model, obs, cfg["t_end"],
+                       min_prominence=cfg["min_prominence"],
+                       snapshot_times=cfg["snapshot_times"])
+    # nothing is written until the library has accepted every argument
+    with _outdir(cfg) as out:
+        if source == "synthesize":
+            write_observations(obs, out / "observations.csv")
+        write_run_report(state, out / "report.csv")
+        snaps = [(out / f"snapshot_{i:02d}.csv", t, dens)
+                 for i, (t, dens) in enumerate(state.snapshots)]
+        for path, t, dens in snaps:
+            save_density(dens, path, t=t)
     if source == "synthesize":
         print(f"wrote {out / 'observations.csv'}")
     print(f"wrote {out / 'report.csv'}")

@@ -10,12 +10,12 @@ broadcastable to their shape (a scalar is broadcast).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import PERIODIC, BoxDomain, Grid, build_grid, mesh
-from .snapshots import format_values, write_snapshot
 from .velocity import tensor_rule
 
 
@@ -322,27 +322,137 @@ def _count_modes_rows(rows: np.ndarray, periodic: bool,
     return counts
 
 
-def snapshot_header(grid: Grid, t: float) -> bytes:
-    """A snapshot file's geometry header: dimension, cells, box, boundary
-    kinds and time, one ``#`` line each."""
-    dom = grid.domain
-    header = [
-        f"# d={dom.d}",
-        "# n=" + ",".join(str(k) for k in grid.n),
-        "# domain=" + ";".join(
-            f"{lo:.17g},{up:.17g}" for lo, up in zip(dom.lower, dom.upper)),
-        "# bc=" + ",".join(grid.bc),
-        f"# t={t:.17g}",
-    ]
-    return ("\n".join(header) + "\n").encode("ascii")
+_CHUNK = 1 << 13  # values formatted at once: about 1.2 MB of temporaries
+_P0 = -292  # p = 16 - floor(log10|x|) spans -292..340 over nonzero finite doubles
+# s = |x| * 10**p is rounded twice, the table entry and the product, each by
+# at most half a long-double ulp (eps / 2 relative), so below 1e17 it is off
+# by less than 1e17 * eps: 0.0108 for x86-64's 64-bit mantissa.  One percent
+# more covers reading s - rint(s) as a double.  Where long double is double
+# the margin exceeds 0.5, and every value falls back to "%.17g".
+_MARGIN = 1.01e17 * float(np.finfo(np.longdouble).eps)
+_DIGIT = np.arange(17, dtype=np.uint8)[:, None]
+_PAD = 32  # a blank byte: never part of a line, dropped at the end
+# Source rows of a chunk: 0-16 the 17 digits (blank past the last one kept),
+# 17 "-", 18 the point after digit `point` (blank when no digit follows),
+# 19 ".", 20 "0", 21 "e", 22 the exponent's sign, 23-25 its digits, 26 "\n",
+# 27 blank.  _TAIL fills rows 17 on.
+_TAIL = np.frombuffer(b"-..0e+000\n ", dtype=np.uint8)[:, None]
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The formatter's tables, built at its first call, so that importing
+    the package allocates nothing for them: ``10**p`` in long double for
+    ``p`` from ``_P0`` to 340, parsed from ``"1e{p}"``, which the C
+    library's ``strtold`` rounds to nearest; the four digits of 0..9999 as
+    text, one uint32 each; and the source row of each byte of a line, one
+    map per sign (0, 1) and form (0-20 fixed with the first digit at
+    ``10**(form - 4)``, 21 and 22 exponent form with two and three exponent
+    digits)."""
+    pow10 = np.array([f"1e{p}" for p in range(_P0, 341)], dtype=np.longdouble)
+    quads = np.frombuffer(("%04d" * 10_000 % tuple(range(10_000))).encode("ascii"), np.uint32)
+    maps = np.full((2, 23, 25), 27, dtype=np.intp)
+    for form in range(23):
+        e = form - 4
+        if form > 20:
+            cols = [0, 18, *range(1, 17), 21, 22, *range(23 + (form == 21), 26)]
+        elif e >= 0:
+            cols = [*range(e + 1), 18, *range(e + 1, 17)]
+        else:
+            cols = [20, 19, *[20] * (-e - 1), *range(17)]
+        for neg in (0, 1):
+            line = [17] * neg + cols + [26]
+            maps[neg, form, :len(line)] = line
+    return pow10, quads, maps.reshape(46, 25)
+
+
+def _scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each ``|x|`` rounded to 17 significant digits, as an integer ``r`` in
+    ``(1e16, 1e17)`` and the decimal exponent of its first digit, and
+    whether ``r`` is exact.
+
+    ``|x|`` is scaled by ``10**p`` to ``s``, which is within the margin of
+    the exact scaled value, so ``rint(s)`` is that value's correct rounding
+    unless ``s`` lies within the margin of a tie, or ``rint(s)`` leaves
+    ``(1e16, 1e17)`` (``log10`` misplaced the first digit).  Those values,
+    zeros, infinities and nans are not exact.
+    """
+    a = np.abs(x)
+    special = ~(np.isfinite(a) & (a > 0))
+    a[special] = 1.0
+    p = 16 - np.floor(np.log10(a)).astype(np.int16)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf powers if long double is double
+        s = a.astype(np.longdouble) * _tables()[0][p - _P0]
+        r = np.rint(s)
+        s -= r
+        digits = r.astype(np.int64)
+    ok = (np.abs(s.astype(float)) < 0.5 - _MARGIN) & ~special
+    ok &= (digits > 10**16) & (digits < 10**17)
+    digits[~ok] = 10**16
+    return digits, 16 - p, ok
+
+
+def _digit_rows(digits: np.ndarray) -> np.ndarray:
+    """The 17 digits of each integer of ``digits`` as text, one row per digit."""
+    quads = np.empty((5, digits.size), dtype=np.int16)  # four-digit groups, then one digit
+    for i in range(4, 0, -1):
+        digits, quads[i] = np.divmod(digits, 10**4)
+    quads[0] = digits
+    return _tables()[1][quads].view(np.uint8).reshape(5, -1, 4).transpose(0, 2, 1).reshape(20, -1)[3:]
+
+
+def _format_chunk(x: np.ndarray) -> np.ndarray:
+    """The bytes of ``"%.17g\\n" * len(x) % tuple(x)``, as a uint8 array:
+    each line laid out by the column map of its sign and form, and each
+    value :func:`_scale` cannot round exactly formatted by ``%`` itself."""
+    n = x.size
+    digits, e, ok = _scale(x)
+    src = np.empty((28, n), dtype=np.uint8)
+    src[:17] = _digit_rows(digits)
+    fixed = (e >= -4) & (e < 17)
+    point = np.where(fixed, e, 0)
+    keep = np.maximum(np.max((src[:17] != 48) * _DIGIT, axis=0) + 1, point + 1)
+    np.putmask(src[:17], _DIGIT >= keep.astype(np.uint8), _PAD)
+    src[17:] = _TAIL
+    src[18, keep == point + 1] = _PAD
+    ae = np.abs(e)
+    src[22] = np.where(e < 0, 45, 43)
+    src[23], src[24], src[25] = ae // 100 + 48, ae // 10 % 10 + 48, ae % 10 + 48
+    key = np.signbit(x) * 23 + np.where(fixed, e + 4, np.where(ae < 100, 21, 22))
+    maps, out = _tables()[2], np.empty((25, n), dtype=np.uint8)
+    for k in np.flatnonzero(np.bincount(key, minlength=46)):
+        np.copyto(out, src[maps[k]], where=key == k)
+    lines = out.T.copy()  # one line per row
+    bad = np.flatnonzero(~ok)  # "%.17g" takes at most 24 bytes
+    text = ("%-24.17g\n" * bad.size % tuple(x[bad].tolist())).encode("ascii")
+    lines[bad] = np.frombuffer(text, dtype=np.uint8).reshape(-1, 25)
+    return lines[lines != _PAD]
+
+
+def format_values(values: np.ndarray):
+    """Yield the ``%.17g`` line of each value (17 significant digits, so
+    reading them back reproduces every value), as one uint8 array per
+    ``_CHUNK`` values."""
+    values = np.asarray(values, dtype=float)
+    for start in range(0, values.size, _CHUNK):
+        yield _format_chunk(values[start:start + _CHUNK])
 
 
 def save_density(density: Density, path, t: float = 0.0) -> None:
-    """Write a density snapshot as CSV: :func:`snapshot_header`, then the
-    values with 17 significant digits (:func:`~fpfvm.snapshots.format_values`),
-    so reading the file back reproduces them exactly."""
-    write_snapshot(path, snapshot_header(density.grid, t),
-                   format_values(density.values.tolist()).encode("ascii"))
+    """Write a density snapshot as CSV: dimension, cells, box, boundary kinds
+    and time, one ``#`` line each, then :func:`format_values`' lines."""
+    dom = density.grid.domain
+    header = [
+        f"# d={dom.d}",
+        "# n=" + ",".join(str(k) for k in density.grid.n),
+        "# domain=" + ";".join(
+            f"{lo:.17g},{up:.17g}" for lo, up in zip(dom.lower, dom.upper)),
+        "# bc=" + ",".join(density.grid.bc),
+        f"# t={t:.17g}",
+    ]
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode("ascii"))
+        fh.writelines(format_values(density.values))
 
 
 def load_density(path) -> tuple[Density, float]:

@@ -186,8 +186,7 @@ def _schedule(op: TransitionOperator, obs_times: Sequence[float], t_end: float,
 def run_filter(prior: Density, op: TransitionOperator, log_likelihood: LogLikelihood,
                obs: ObservationSequence, t_end: float,
                min_prominence: float = 0.1,
-               snapshot_times: Sequence[float] = (),
-               on_snapshot: Callable[[float, Density], None] | None = None) -> FilterState:
+               snapshot_times: Sequence[float] = ()) -> FilterState:
     """Alternate one-step predictions and Bayes updates through ``obs`` to ``t_end``.
 
     Observation, snapshot, and end times are snapped to the nearest step
@@ -195,8 +194,7 @@ def run_filter(prior: Density, op: TransitionOperator, log_likelihood: LogLikeli
     order of ``k``.  A history row at ``t = k * dt`` follows every step and
     every update.  Snapshots capture the posterior at the requested times;
     when a snapshot coincides with an observation it captures the
-    post-update posterior.  ``on_snapshot(t, density)``, if given, is called
-    with each snapshot as it is captured, in order.
+    post-update posterior.
     """
     grid = op.grid
     if prior.grid != grid:
@@ -244,8 +242,6 @@ def run_filter(prior: Density, op: TransitionOperator, log_likelihood: LogLikeli
             row += 1
         elif kind == 1:
             snapshots.append((k * dt, Density(values, grid)))
-            if on_snapshot is not None:
-                on_snapshot(*snapshots[-1])
     return FilterState(posterior=Density(values, grid), time=k_end * dt,
                        log_evidence=log_ev, history=hist,
                        snapshots=tuple(snapshots), snap_log=tuple(snap_log))

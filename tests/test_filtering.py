@@ -190,18 +190,6 @@ def test_predict_identity_operator():
     assert np.array_equal(values, prior.values)
 
 
-def test_run_filter_on_snapshot_sees_each_snapshot_in_order():
-    _, g, op, prior = _pendulum_setup(12)
-    seen = []
-    state = run_filter(prior, op, gaussian_abs_position_model(0.1),
-                       ObservationSequence((5 * op.dt,), (0.3,)), t_end=9 * op.dt,
-                       snapshot_times=(0.0, 5 * op.dt, 2 * op.dt, 9 * op.dt),
-                       on_snapshot=lambda t, dens: seen.append((t, dens)))
-    assert [t for t, _ in seen] == [0.0, 2 * op.dt, 5 * op.dt, 9 * op.dt]
-    assert len(seen) == len(state.snapshots)
-    assert all(a[1] is b[1] for a, b in zip(seen, state.snapshots))
-
-
 def test_array_holders_compare_and_hash_by_identity():
     """The frozen dataclasses that hold arrays compare and hash by identity:
     two equal uniform densities are unequal without an ambiguous-truth

@@ -1,27 +1,27 @@
-"""Snapshot files of ``fpfvm filter``: their bytes, and the worker process
-that formats and writes them.
+"""Snapshot files of ``fpfvm filter``, and the vectorized ``%.17g`` that
+writes their values.
 
-A filter run hands each captured snapshot to one worker interpreter, which
-formats the values while the parent keeps stepping; once the run is
-accepted the parent commits each file's path and header, and the worker
-writes the files.  Every file must hold the bytes that ``save_density``
-writes in-process, and no run may leave a process behind.
+``fpfvm filter`` writes each snapshot after the run with ``save_density``,
+in-process.  Every line of a file must hold the bytes of ``"%.17g\\n" % x``
+for its value ``x``, and no command may start a process.
 """
 
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fpfvm
-from fpfvm import Density, load_density, save_density
+from fpfvm import Density, density, load_density, save_density
 from fpfvm.cli import main
-from fpfvm.density import snapshot_header
+from fpfvm.density import format_values
 from fpfvm.grid import BoxDomain, build_grid
-from fpfvm.snapshots import SnapshotWorker
 
 RUNS = {
     "pendulum": ([], ("periodic", "neumann")),
@@ -39,93 +39,110 @@ RUNS = {
 }
 
 
-def _no_popen(*args, **kwargs):
-    raise OSError("no process may be started here")
+def _lines(values) -> bytes:
+    return b"".join(format_values(np.asarray(values, dtype=float)))
 
 
-def _files(out):
-    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+def _percent(values) -> bytes:
+    values = tuple(float(v) for v in values)
+    return ("%.17g\n" * len(values) % values).encode("ascii")
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_snapshot_bytes_equal_save_density(tmp_path, monkeypatch, capsys, name):
-    """Every file of a run matches the run that formats in-process (no worker
-    can start), and each snapshot is what ``save_density`` writes for the
-    density it holds."""
+def test_snapshot_bytes_equal_save_density(tmp_path, name):
+    """Each snapshot is what ``save_density`` writes for the density it
+    holds, and its body is ``%.17g`` of the values.  The pendulum run is
+    the default N=200 run, seed 7: its posteriors span four chunks each."""
     args, bc = RUNS[name]
     assert main(["filter", *args, "--out", str(tmp_path / "run")]) == 0
-    stdout = capsys.readouterr().out
-    monkeypatch.setattr(subprocess, "Popen", _no_popen)
-    assert main(["filter", *args, "--out", str(tmp_path / "local")]) == 0
-    assert capsys.readouterr().out.replace("/local/", "/run/") == stdout
-    files = _files(tmp_path / "run")
-    assert files == _files(tmp_path / "local")
-    snaps = [f for f in files if f.startswith("snapshot_")]
+    snaps = sorted((tmp_path / "run").glob("snapshot_*.csv"))
     assert len(snaps) == (4 if name == "pendulum" else 3)
-    for f in snaps:
-        dens, t = load_density(tmp_path / "run" / f)
+    for path in snaps:
+        dens, t = load_density(path)
         assert dens.grid.bc == bc
         save_density(dens, tmp_path / "again.csv", t=t)
-        assert (tmp_path / "again.csv").read_bytes() == files[f]
+        text = path.read_bytes()
+        assert (tmp_path / "again.csv").read_bytes() == text
+        assert text.split(b"\n", 5)[5] == _percent(dens.values)
 
 
 EDGE_VALUES = (0.0, 5e-324, 1e-300, 1 / 3, 1e300)
 EDGE_LINES = "0\n4.9406564584124654e-324\n1e-300\n0.33333333333333331\n1.0000000000000001e+300\n"
 
 
-def _edge_density():
-    grid = build_grid(BoxDomain((0.0,), (1.0,)), (len(EDGE_VALUES),), ("periodic",))
-    return Density(np.array(EDGE_VALUES), grid)
-
-
 def test_save_density_edge_values(tmp_path):
-    save_density(_edge_density(), tmp_path / "d.csv", t=1 / 3)
+    grid = build_grid(BoxDomain((0.0,), (1.0,)), (len(EDGE_VALUES),), ("periodic",))
+    save_density(Density(np.array(EDGE_VALUES), grid), tmp_path / "d.csv", t=1 / 3)
     text = (tmp_path / "d.csv").read_text()
     assert text == ("# d=1\n# n=5\n# domain=0,1\n# bc=periodic\n# t=0.33333333333333331\n"
                     + EDGE_LINES)
 
 
-def _commit(worker, paths, dens):
-    return worker.commit([(p, snapshot_header(dens.grid, t)) for t, p in enumerate(paths)])
+_BITS = st.integers(0, 2**64 - 1)
 
 
-def test_worker_formats_edge_values(tmp_path):
-    dens = _edge_density()
-    paths = [tmp_path / f"w{t}.csv" for t in range(3)]
-    with SnapshotWorker() as worker:
-        for t in range(3):
-            worker.send(t, dens)
-        assert _commit(worker, paths, dens)
-    _assert_no_child()
-    for t, path in enumerate(paths):
-        save_density(dens, tmp_path / "d.csv", t=t)
-        assert path.read_bytes() == (tmp_path / "d.csv").read_bytes()
-        assert path.read_text().endswith(f"# t={t}\n" + EDGE_LINES)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_BITS, min_size=1, max_size=40))
+@example([0x8000000000000000])  # -0.0
+@example([1, 0x800FFFFFFFFFFFFF])  # 5e-324, the largest negative subnormal
+@example([0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF])  # +-1.7976931348623157e308
+@example([0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000001])
+def test_format_values_equals_percent_on_any_bit_pattern(bits):
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _lines(x) == _percent(x)
 
 
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def test_powers_of_ten_and_their_neighbours():
+    """Near a power of ten ``log10`` can misplace the first digit; those
+    values must fall back, not print a digit too many or too few."""
+    tens = np.array([float(f"1e{p}") for p in range(-323, 309)])
+    x = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    assert _lines(np.concatenate([x, -x])) == _percent(np.concatenate([x, -x]))
 
 
-@pytest.fixture
-def popen_calls(monkeypatch):
-    """Every ``subprocess.Popen`` call of the test, which still starts its process."""
-    calls = []
-    real = subprocess.Popen
+def test_near_and_exact_ties():
+    """18-digit decimals ending in 5 sit next to a rounding tie of the 17th
+    digit: with no margin, 6 of these 100,000 print the wrong 17th digit.
+    ``j / 2**k`` whose decimal expansion has 18 digits is a tie, which
+    ``%.17g`` rounds to even."""
+    rng = np.random.default_rng(7)
+    near = [float(f"{m}5e{e}") for m, e in zip(rng.integers(10**16, 10**17, 100_000),
+                                                rng.integers(-340, 291, 100_000))]
+    # j / 2**k is j * 5**k / 10**k: for odd j its digits are j * 5**k's,
+    # ending in 5; j below 2**53 keeps it exact
+    ties = []
+    for k in range(2, 26):
+        lo, hi = -(-10**17 // 5**k) | 1, min((10**18 - 1) // 5**k, 2**53 - 1)
+        ties += [j / 2**k for j in range(lo, min(hi, lo + 400) + 1, 2)]
+    assert len(ties) > 2000
+    x = np.array(near + ties)
+    assert _lines(x) == _percent(x)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(subprocess, "Popen", counted)
-    return calls
+def test_power_table_is_correctly_rounded():
+    """Each entry of the long-double table lies within half an ulp of 10**p."""
+    nmant = np.finfo(np.longdouble).nmant
+    for p, v in enumerate(density._tables()[0], start=density._P0):
+        num, den = v.as_integer_ratio()
+        ulp = Fraction(2) ** (num.bit_length() - den.bit_length() - nmant)
+        assert abs(Fraction(num, den) - Fraction(10) ** p) <= ulp / 2, p
 
 
-def test_zero_evidence_after_a_snapshot_reaps_the_worker(tmp_path, capsys, popen_calls):
-    """The t=0 snapshot starts the worker; the observation at t=1 has zero
-    evidence everywhere (its squared residual overflows), so the run exits 4,
-    writes nothing, and leaves no process behind."""
+def test_every_value_falling_back_gives_the_same_bytes(monkeypatch):
+    """A margin of 0.5, as where long double is double, sends every value to
+    ``%``: the bytes do not change."""
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.random(20_000) * 10.0 ** rng.integers(-30, 30, 20_000),
+                        EDGE_VALUES, [-2.5, 1e16, 123.0]])
+    fast = _lines(x)
+    monkeypatch.setattr(density, "_MARGIN", 0.5)
+    assert _lines(x) == fast == _percent(x)
+
+
+def test_zero_evidence_after_a_snapshot_writes_nothing(tmp_path, capsys):
+    """The observation at t=1 has zero evidence everywhere (its squared
+    residual overflows), so the run exits 4 after its t=0 snapshot and
+    writes nothing."""
     obs = tmp_path / "obs.csv"
     obs.write_text("t,z\n1,1e300\n")
     out = tmp_path / "run"
@@ -133,20 +150,7 @@ def test_zero_evidence_after_a_snapshot_reaps_the_worker(tmp_path, capsys, popen
                "--snapshot_times", "0,1", "--out", str(out)])
     assert rc == 4
     assert capsys.readouterr().err.startswith("zero evidence: ")
-    assert len(popen_calls) == 1
     assert not out.exists()
-    _assert_no_child()
-
-
-def test_unusable_out_reaps_the_worker(tmp_path, capsys, popen_calls):
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    rc = main(["filter", "--n", "8,8", "--obs_times", "1", "--t_end", "1",
-               "--snapshot_times", "0", "--out", str(blocker / "sub")])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("config error: bad value for 'out': ")
-    assert len(popen_calls) == 1
-    _assert_no_child()
 
 
 def _popen_forbidden(*args, **kwargs):
@@ -164,72 +168,34 @@ def test_runs_without_snapshots_start_no_worker(tmp_path, monkeypatch, args):
     assert not any(p.name.startswith("snapshot_") for p in tmp_path.iterdir())
 
 
-def test_one_worker_for_many_snapshots(tmp_path, capsys, popen_calls):
+def test_many_snapshots_one_file_each(tmp_path):
     times = ",".join(str(k / 64) for k in range(64))
     assert main(["filter", "--n", "8,8", "--obs_times", "0.5", "--t_end", "1",
                  "--snapshot_times", times, "--out", str(tmp_path)]) == 0
-    assert len(popen_calls) == 1
     assert len(list(tmp_path.glob("snapshot_*.csv"))) == 64
-    _assert_no_child()
 
 
-def test_import_starts_no_subprocess_machinery():
-    """``import fpfvm.cli`` leaves ``subprocess`` for the first snapshot."""
+def test_a_filter_run_starts_no_process(tmp_path):
+    """In a fresh interpreter, a filter run that writes snapshots leaves no
+    child behind and never imports ``subprocess``."""
+    code = "\n".join([
+        "import os, sys",
+        "from fpfvm.cli import main",
+        "assert main(sys.argv[1:]) == 0",
+        "try:",
+        "    os.waitpid(-1, os.WNOHANG)",
+        "    sys.exit('a child process was started')",
+        "except ChildProcessError:",
+        "    sys.exit('subprocess' in sys.modules)",
+    ])
     src = str(Path(fpfvm.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, fpfvm.cli; sys.exit('subprocess' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
-
-
-@pytest.mark.parametrize("when", ["during the run", "after the run"])
-def test_a_lost_worker_falls_back_to_formatting_here(tmp_path, popen_calls, when):
-    """A worker that dies writes nothing, and no second worker starts: the
-    commit reports failure, which leaves every file to the caller."""
-    dens = _edge_density()
-    paths = [tmp_path / f"w{t}.csv" for t in range(3)]
-    with SnapshotWorker() as worker:
-        worker.send(0.0, dens)
-        worker._proc.kill()
-        worker._proc.wait()
-        if when == "during the run":
-            worker.send(1.0, dens)  # into a pipe without a reader
-            worker.send(2.0, dens)
-        assert not _commit(worker, paths, dens)
-        assert len(popen_calls) == 1
-    assert not any(p.exists() for p in paths)
-    _assert_no_child()
-
-
-def test_a_worker_that_fails_writing_leaves_the_files_to_the_caller(tmp_path, monkeypatch,
-                                                                    capsys, popen_calls):
-    """A directory in place of the second file, there only while the worker
-    writes, stops the worker after the first: the commit reports failure,
-    the run exits 0, every file holds the bytes of a run without a worker,
-    and no process is left."""
-    args = ["filter", "--n", "64,64", "--obs_times", "1", "--t_end", "1",
-            "--snapshot_times", "0,0.5,1"]
-    commit = SnapshotWorker.commit
-    results = []
-
-    def blocked_commit(self, files):
-        blocker = Path(files[1][0])
-        blocker.mkdir()
-        results.append(commit(self, files))
-        assert Path(files[0][0]).exists() and not Path(files[2][0]).exists()
-        blocker.rmdir()
-        return results[-1]
-
-    monkeypatch.setattr(SnapshotWorker, "commit", blocked_commit)
-    assert main([*args, "--out", str(tmp_path / "run")]) == 0
-    stdout = capsys.readouterr().out
-    assert results == [False]
-    assert len(popen_calls) == 1
-    _assert_no_child()
-    monkeypatch.setattr(SnapshotWorker, "commit", commit)
-    monkeypatch.setattr(subprocess, "Popen", _no_popen)
-    assert main([*args, "--out", str(tmp_path / "local")]) == 0
-    assert capsys.readouterr().out.replace("/local/", "/run/") == stdout
-    assert _files(tmp_path / "run") == _files(tmp_path / "local")
+    args = ["filter", "--n", "16,16", "--obs_times", "0.5", "--t_end", "1",
+            "--snapshot_times", "0,0.5,1", "--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.glob("snapshot_*.csv"))) == 3
 
 
 def test_snapshot_files_are_numbered_in_time_order(tmp_path, capsys):
